@@ -392,12 +392,17 @@ func runEnhance(target *bench.Target, att *machine.Attached, chk *checker.Checke
 	m2 := machine.New(machine.WithMemory(1 << 20))
 	dev2, opts2 := target.Build()
 	att2 := m2.Attach(dev2, opts2...)
-	_, meta2, err := sedspec.EnhanceToStore(st, att2, parent, target.Train, audit)
+	_, meta2, hit, err := sedspec.EnhanceToStore(st, att2, parent, target.Train, audit)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("enhanced spec published: generation %d (parent %d, created by %s)\n",
-		meta2.Generation, meta2.Parent, meta2.CreatedBy)
+	if hit {
+		fmt.Printf("store hit: enhanced spec already published as generation %d (parent %d)\n",
+			meta2.Generation, meta2.Parent)
+	} else {
+		fmt.Printf("enhanced spec published: generation %d (parent %d, created by %s)\n",
+			meta2.Generation, meta2.Parent, meta2.CreatedBy)
+	}
 	fmt.Printf("diff them: sedspec report -spec-store %s -device %s -from %d -to %d\n",
 		st.Dir(), target.Name, parent.Generation, meta2.Generation)
 	return nil

@@ -41,50 +41,17 @@ func TestCoverageOverheadGuard(t *testing.T) {
 		t.Fatal("checker coverage wiring wrong")
 	}
 
-	const chunk = 50_000
-	warm := func(chk *checker.Checker) {
-		t.Helper()
-		for i := 0; i < 2*len(r.Reqs); i++ {
-			if err := r.Step(chk, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	warm(on)
-	warm(off)
-	minAllocs := uint64(^uint64(0))
-	timeOf := func(chk *checker.Checker) float64 {
-		t.Helper()
-		elapsed, allocs, err := r.TimeChunk(chk, 0, chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allocs < minAllocs {
-			minAllocs = allocs
-		}
-		return float64(elapsed) / chunk
-	}
-	// Interleave trials and keep each side's best: the minimum is the
-	// least-noisy estimate of the path's true cost on this machine.
-	minOn, minOff := timeOf(on), timeOf(off)
-	for trial := 0; trial < 5; trial++ {
-		if v := timeOf(off); v < minOff {
-			minOff = v
-		}
-		if v := timeOf(on); v < minOn {
-			minOn = v
-		}
-	}
+	warmReplay(t, r, on, off)
+	ratio, nsOn, nsOff, minAllocs := overheadRatio(t, r, on, off)
 	// The check path must allocate nothing in steady state. Judge the
-	// minimum across trials: the runtime's own background activity
+	// minimum across windows: the runtime's own background activity
 	// (scavenger timers, GC worker spawns) occasionally lands a malloc or
-	// two inside a timed chunk, but an engine that allocates on the check
-	// path shows it in every chunk.
+	// two inside a window, but an engine that allocates on the check
+	// path shows it in every window.
 	if minAllocs != 0 {
-		t.Fatalf("steady-state chunks allocated %d times in every trial", minAllocs)
+		t.Fatalf("steady-state chunks allocated %d times in every window", minAllocs)
 	}
-	ratio := minOn / minOff
-	t.Logf("sealed check: coverage on %.1f ns/op, off %.1f ns/op, ratio %.3f", minOn, minOff, ratio)
+	t.Logf("sealed check: coverage on %.1f ns/op, off %.1f ns/op, ratio %.3f", nsOn, nsOff, ratio)
 	// Budget: 5% contract plus 3% measurement slack for shared-runner
 	// timing jitter at the ~10 ns scale being resolved.
 	if ratio > 1.08 {

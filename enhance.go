@@ -6,6 +6,7 @@ import (
 	"sedspec/internal/checker"
 	"sedspec/internal/core"
 	"sedspec/internal/interp"
+	"sedspec/internal/ir"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs/span"
 	"sedspec/internal/specstore"
@@ -46,11 +47,17 @@ func OpenStore(dir string) (*SpecStore, error) { return specstore.Open(dir) }
 // hash. Learning the same program with the same corpus lands on the same
 // key, which is what makes LearnCached's cache hit sound.
 func StoreKey(att *machine.Attached, corpus string) SpecKey {
-	prog := att.Dev().Program()
-	return SpecKey{
+	return LearnedVersion(att.Dev().Program(), corpus).Key()
+}
+
+// LearnedVersion is the store metadata of the spec a fresh Learn of
+// prog over the corpus tag publishes; its key is StoreKey's.
+func LearnedVersion(prog *ir.Program, corpus string) SpecVersion {
+	return SpecVersion{
 		Device:      prog.Name,
 		ProgramHash: specstore.ProgramHash(prog),
 		CorpusHash:  specstore.CorpusHash(corpus),
+		CreatedBy:   "learn",
 	}
 }
 
@@ -61,23 +68,35 @@ func StoreKey(att *machine.Attached, corpus string) SpecKey {
 // deterministically identify the training input — same tag, same
 // training behaviour.
 func LearnCached(st *SpecStore, att *machine.Attached, corpus string, train TrainFunc) (spec *core.Spec, meta SpecVersion, hit bool, err error) {
-	key := StoreKey(att, corpus)
-	if vm, ok := st.Lookup(key); ok {
-		if spec, err := st.Load(att.Dev().Program(), vm); err == nil {
+	prog := att.Dev().Program()
+	return LoadOrLearn(st, prog, LearnedVersion(prog, corpus), func() (*core.Spec, error) {
+		return Learn(att, train)
+	})
+}
+
+// LoadOrLearn is the store-first step under LearnCached and
+// EnhanceToStore. When want's key (prog's device plus want's program
+// and corpus hashes) is already published, the stored blob is
+// hash-checked and decoded against prog and learn never runs
+// (hit=true). Otherwise — or when the stored blob is missing or
+// corrupt — learn runs and its spec is published with want's metadata
+// under that same key. A caller that already holds the program and its
+// hash calls this directly, so a hit builds no device and hashes no
+// program.
+func LoadOrLearn(st *SpecStore, prog *ir.Program, want SpecVersion, learn func() (*core.Spec, error)) (spec *core.Spec, meta SpecVersion, hit bool, err error) {
+	want.Device = prog.Name
+	if vm, ok := st.Lookup(want.Key()); ok {
+		if spec, err := st.Load(prog, vm); err == nil {
 			return spec, vm, true, nil
 		}
 		// A corrupt or missing blob falls through to a fresh learn, which
 		// republishes under the same key.
 	}
-	spec, err = Learn(att, train)
+	spec, err = learn()
 	if err != nil {
 		return nil, SpecVersion{}, false, err
 	}
-	meta, err = st.Put(spec, SpecVersion{
-		ProgramHash: key.ProgramHash,
-		CorpusHash:  key.CorpusHash,
-		CreatedBy:   "learn",
-	})
+	meta, err = st.Put(spec, want)
 	if err != nil {
 		return nil, SpecVersion{}, false, err
 	}
@@ -153,27 +172,33 @@ func warningRecords(audit []AuditRecord) []WarningRecord {
 	return out
 }
 
-// EnhanceToStore runs the enhancement pipeline end to end: replay the
-// audited warnings through a fresh Learn, derive the child corpus hash
-// from the parent version's corpus plus the audit trail, and publish the
-// result as a new store version recording its parent generation and the
-// warnings that drove it. The returned spec is ready for
-// SharedChecker.Swap.
-func EnhanceToStore(st *SpecStore, att *machine.Attached, parent SpecVersion, train TrainFunc, audit []AuditRecord) (*core.Spec, SpecVersion, error) {
-	spec, err := Enhance(att, train, audit)
-	if err != nil {
-		return nil, SpecVersion{}, err
-	}
+// EnhancedVersion is the store metadata of the child spec that
+// enhancing parent with audit produces on a program with the given
+// content hash: its key extends the parent's corpus hash with the audit
+// trail, so enhancing the same parent with the same warnings lands on
+// the same key.
+func EnhancedVersion(programHash string, parent SpecVersion, audit []AuditRecord) SpecVersion {
 	warns := warningRecords(audit)
-	meta, err := st.Put(spec, SpecVersion{
-		ProgramHash: specstore.ProgramHash(att.Dev().Program()),
+	return SpecVersion{
+		ProgramHash: programHash,
 		CorpusHash:  specstore.EnhancedCorpusHash(parent.CorpusHash, warns),
 		Parent:      parent.Generation,
 		CreatedBy:   "enhance",
 		Warnings:    warns,
-	})
-	if err != nil {
-		return nil, SpecVersion{}, err
 	}
-	return spec, meta, nil
+}
+
+// EnhanceToStore runs the enhancement pipeline end to end: derive the
+// child key from the parent version's corpus plus the audit trail, load
+// the child from the store if it was already published (hit=true), and
+// otherwise replay the audited warnings through a fresh Learn and
+// publish the result as a new store version recording its parent
+// generation and the warnings that drove it. The returned spec is ready
+// for SharedChecker.Swap.
+func EnhanceToStore(st *SpecStore, att *machine.Attached, parent SpecVersion, train TrainFunc, audit []AuditRecord) (spec *core.Spec, meta SpecVersion, hit bool, err error) {
+	prog := att.Dev().Program()
+	want := EnhancedVersion(specstore.ProgramHash(prog), parent, audit)
+	return LoadOrLearn(st, prog, want, func() (*core.Spec, error) {
+		return Enhance(att, train, audit)
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sedspec"
@@ -187,6 +188,9 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
+	var finished atomic.Int32
+	var before, after runtime.MemStats
+	var t0, t1 time.Time
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -197,17 +201,27 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 			if err := session(chk, reqs, iters); err != nil {
 				errs[i] = fmt.Errorf("session %d %w", i, err)
 			}
+			if finished.Add(1) == int32(n) {
+				t1 = time.Now()
+				runtime.ReadMemStats(&after)
+			}
 		}(i)
 	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	close(start)
+	// The window opens on its own goroutine, after a GC by which time
+	// this one has parked in wg.Wait, and the last session to finish
+	// closes it: parking takes a sudog, which allocates whenever the P's
+	// sudog cache is empty, so the park must not land inside the counted
+	// window.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		t0 = time.Now()
+		close(start)
+	}()
 	wg.Wait()
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&after)
+	wall := t1.Sub(t0)
 
 	for _, err := range errs {
 		if err != nil {

@@ -89,6 +89,11 @@ type Daemon struct {
 	mu      sync.Mutex
 	tenants map[string]*Tenant
 	closed  bool
+
+	// recipes holds every install corpus resolved so far, keyed by
+	// device and corpus (see resolveRecipe).
+	recipeMu sync.Mutex
+	recipes  map[string]*recipe
 }
 
 // New builds a daemon, mounts the control plane on a fresh
@@ -112,6 +117,7 @@ func New(opts Options) (*Daemon, error) {
 		hub:     opts.Hub,
 		reg:     opts.Registry,
 		tenants: make(map[string]*Tenant),
+		recipes: make(map[string]*recipe),
 	}
 	d.health = stream.NewHealth(d.reg, d.hub, stream.HealthOptions{
 		Interval:      opts.HealthInterval,

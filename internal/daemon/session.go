@@ -113,20 +113,18 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 		return nil, fmt.Errorf("daemon: attach count %d exceeds 1024", count)
 	}
 
-	// Snapshot the engine's recipe under swapMu: a concurrent reinstall
-	// replaces these fields, and every session from this call should see
-	// one consistent recipe.
-	eng.swapMu.Lock()
-	engBuild, engTarget, engPoc := eng.build, eng.target, eng.poc
-	eng.swapMu.Unlock()
+	// Snapshot the engine's recipe once: a concurrent reinstall may
+	// replace it, and every session from this call should see one
+	// consistent recipe.
+	rc := eng.rc.Load()
 
 	var poc *cvesim.PoC
 	var target *bench.Target
 	switch workload {
 	case "poc":
 		cve := req.CVE
-		if cve == "" && engPoc != nil {
-			cve = engPoc.CVE
+		if cve == "" && rc.poc != nil {
+			cve = rc.poc.CVE
 		}
 		poc = cvesim.ByCVE(cve)
 		if poc == nil {
@@ -136,7 +134,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 			return nil, fmt.Errorf("daemon: %s targets device %q, not %q", cve, poc.Device, req.Device)
 		}
 	case "benign", "mixed":
-		target = engTarget
+		target = rc.target
 		if target == nil {
 			target = bench.TargetByName(req.Device, true)
 		}
@@ -151,7 +149,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	sessions := make([]*Session, 0, count)
 	for i := 0; i < count; i++ {
 		id := int(t.d.nextSession.Add(1))
-		ms := machine.NewSession(id, engBuild, machine.WithMemory(1<<20))
+		ms := machine.NewSession(id, rc.build, machine.WithMemory(1<<20))
 		chk := sedspec.ProtectShared(ms.Attached(), eng.shared, checker.WithSessionID(id))
 		s := &Session{
 			ID:       id,

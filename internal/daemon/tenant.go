@@ -5,13 +5,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
-	"sedspec/internal/cvesim"
-	"sedspec/internal/machine"
+	"sedspec/internal/core"
 	"sedspec/internal/specstore"
 )
 
@@ -30,19 +29,17 @@ type Tenant struct {
 }
 
 // engine is one device's enforcement engine inside a tenant: the
-// shared sealed spec plus the recipe (build/train) that produced it,
-// kept so enhancement and session attachment can rebuild machines.
+// shared sealed spec plus the recipe that produced it, kept so
+// enhancement, rollback and session attachment reuse its program and
+// build machines from it.
 type engine struct {
-	device string
-	corpus string
 	mode   checker.Mode
 	budget int
 
 	shared *checker.Shared
-	build  machine.BuildFunc
-	train  sedspec.TrainFunc
-	target *bench.Target // benign corpus; nil for cve corpora
-	poc    *cvesim.PoC   // cve corpus; nil for benign
+	// rc is replaced (under swapMu) by a reinstall from another corpus;
+	// readers that need no swap ordering load it without the lock.
+	rc atomic.Pointer[recipe]
 
 	removeHealth func()
 
@@ -98,10 +95,10 @@ func (e *engine) info() EngineInfo {
 
 // infoLocked is info for callers already holding swapMu.
 func (e *engine) infoLocked() EngineInfo {
-	meta := e.meta
+	meta, rc := e.meta, e.rc.Load()
 	return EngineInfo{
-		Device:     e.device,
-		Corpus:     e.corpus,
+		Device:     rc.device,
+		Corpus:     rc.corpus,
 		Mode:       e.mode.String(),
 		Budget:     e.budget,
 		Generation: e.shared.Generation(),
@@ -110,29 +107,6 @@ func (e *engine) infoLocked() EngineInfo {
 		Parent:     meta.Parent,
 		CreatedBy:  meta.CreatedBy,
 	}
-}
-
-// resolveCorpus maps an install request onto the device recipe that
-// trains it.
-func resolveCorpus(device, corpus string) (dev string, build machine.BuildFunc, train sedspec.TrainFunc, target *bench.Target, poc *cvesim.PoC, err error) {
-	if id, ok := strings.CutPrefix(corpus, "cve:"); ok {
-		p := cvesim.ByCVE(id)
-		if p == nil {
-			return "", nil, nil, nil, nil, fmt.Errorf("daemon: unknown CVE %q", id)
-		}
-		if device != "" && device != p.Device {
-			return "", nil, nil, nil, nil, fmt.Errorf("daemon: %s targets device %q, not %q", id, p.Device, device)
-		}
-		return p.Device, p.Build, p.Train, nil, p, nil
-	}
-	if corpus != "benign" {
-		return "", nil, nil, nil, nil, fmt.Errorf("daemon: unknown corpus %q (want \"benign\" or \"cve:<ID>\")", corpus)
-	}
-	tg := bench.TargetByName(device, true)
-	if tg == nil {
-		return "", nil, nil, nil, nil, fmt.Errorf("daemon: unknown device %q", device)
-	}
-	return tg.Name, tg.Build, tg.Train, tg, nil, nil
 }
 
 // Install learns (or cache-loads) the requested spec in the tenant's
@@ -144,10 +118,11 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	if corpus == "" {
 		corpus = "benign"
 	}
-	device, build, train, target, poc, err := resolveCorpus(req.Device, corpus)
+	rc, err := t.d.resolveRecipe(req.Device, corpus)
 	if err != nil {
 		return EngineInfo{}, err
 	}
+	device := rc.device
 	mode := checker.ModeProtection
 	switch req.Mode {
 	case "", "protection":
@@ -158,11 +133,12 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	}
 
 	// Learn outside the tenant lock: a cache miss trains the full
-	// corpus, and sibling installs or attaches must not stall on it.
-	m := machine.New(machine.WithMemory(1 << 20))
-	dev, aopts := build()
-	att := m.Attach(dev, aopts...)
-	spec, meta, hit, err := sedspec.LearnCached(t.store, att, corpus, train)
+	// corpus, and sibling installs or attaches must not stall on it. A
+	// hit only looks the recipe's key up and decodes the stored blob
+	// against the recipe's program.
+	spec, meta, hit, err := sedspec.LoadOrLearn(t.store, rc.prog, rc.want, func() (*core.Spec, error) {
+		return sedspec.Learn(rc.attach(), rc.train)
+	})
 	if err != nil {
 		return EngineInfo{}, fmt.Errorf("daemon: learn %s: %w", device, err)
 	}
@@ -186,8 +162,7 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 			return EngineInfo{}, err
 		}
 		eng.meta = meta
-		eng.corpus = corpus
-		eng.build, eng.train, eng.target, eng.poc = build, train, target, poc
+		eng.rc.Store(rc)
 		info := eng.infoLocked()
 		info.CacheHit = hit
 		return info, nil
@@ -202,17 +177,12 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 		copts = append(copts, checker.WithBudget(req.Budget))
 	}
 	eng := &engine{
-		device: device,
-		corpus: corpus,
 		mode:   mode,
 		budget: req.Budget,
 		shared: checker.NewShared(spec, copts...),
-		build:  build,
-		train:  train,
-		target: target,
-		poc:    poc,
 		meta:   meta,
 	}
+	eng.rc.Store(rc)
 	eng.removeHealth = t.d.health.AddEngine(eng.shared.EngineStatus)
 	t.engines[device] = eng
 	t.mu.Unlock()
@@ -275,6 +245,10 @@ type SwapResult struct {
 	ToGen    uint64 `json:"to_generation"`
 	Warnings int    `json:"warnings_replayed,omitempty"`
 	StoreGen uint64 `json:"store_generation"`
+	// CacheHit reports an enhance whose child version (same parent
+	// corpus, same audit trail) was already in the store: it was loaded,
+	// not relearned.
+	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
 // Swap applies a SwapRequest against the tenant's running engine. The
@@ -288,16 +262,17 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	eng.swapMu.Lock()
 	defer eng.swapMu.Unlock()
 	from := eng.shared.Generation()
+	rc := eng.rc.Load()
 
 	if req.Enhance {
 		audit := eng.shared.Audit()
 		if len(audit) == 0 {
 			return SwapResult{}, fmt.Errorf("daemon: engine %s has no audited warnings to enhance from (run sessions in enhancement mode first)", req.Device)
 		}
-		m := machine.New(machine.WithMemory(1 << 20))
-		dev, aopts := eng.build()
-		att := m.Attach(dev, aopts...)
-		spec, meta, err := sedspec.EnhanceToStore(t.store, att, eng.meta, eng.train, audit)
+		want := sedspec.EnhancedVersion(rc.want.ProgramHash, eng.meta, audit)
+		spec, meta, hit, err := sedspec.LoadOrLearn(t.store, rc.prog, want, func() (*core.Spec, error) {
+			return sedspec.Enhance(rc.attach(), rc.train, audit)
+		})
 		if err != nil {
 			return SwapResult{}, fmt.Errorf("daemon: enhance %s: %w", req.Device, err)
 		}
@@ -315,6 +290,7 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 			ToGen:    eng.shared.Generation(),
 			Warnings: len(audit),
 			StoreGen: meta.Generation,
+			CacheHit: hit,
 		}, nil
 	}
 
@@ -332,8 +308,7 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	if !found {
 		return SwapResult{}, fmt.Errorf("daemon: no stored generation %d for device %s", req.Generation, req.Device)
 	}
-	dev, _ := eng.build()
-	spec, err := t.store.Load(dev.Program(), meta)
+	spec, err := t.store.Load(rc.prog, meta)
 	if err != nil {
 		return SwapResult{}, err
 	}

@@ -209,20 +209,18 @@ func (st *Store) put(spec *core.Spec, meta VersionMeta) (VersionMeta, bool, erro
 			gen = v.Generation
 		}
 		if v.Blob == blob && v.ProgramHash == meta.ProgramHash && v.CorpusHash == meta.CorpusHash {
+			// The version is already published; only its blob may need
+			// repair (a relearn after Load found it damaged).
+			if err := st.writeBlob(blob, data); err != nil {
+				return VersionMeta{}, false, err
+			}
 			return v, false, nil
 		}
 	}
 	meta.Generation = gen + 1
 
-	path := st.blobPath(blob)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return VersionMeta{}, false, fmt.Errorf("specstore: write blob: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return VersionMeta{}, false, fmt.Errorf("specstore: commit blob: %w", err)
-		}
+	if err := st.writeBlob(blob, data); err != nil {
+		return VersionMeta{}, false, err
 	}
 
 	st.idx.Versions = append(st.idx.Versions, meta)
@@ -230,6 +228,31 @@ func (st *Store) put(spec *core.Spec, meta VersionMeta) (VersionMeta, bool, erro
 		return VersionMeta{}, false, err
 	}
 	return meta, true, nil
+}
+
+// writeBlob makes the blob file named blob hold data (whose sha256 is
+// blob). An intact file is left alone; a missing one, or one whose bytes
+// no longer hash to its name, is rewritten atomically (write-to-temp +
+// rename), so putting a relearned spec back heals a corrupt blob.
+func (st *Store) writeBlob(blob string, data []byte) error {
+	path := st.blobPath(blob)
+	if old, err := os.ReadFile(path); err == nil && blobIntact(old, blob) {
+		return nil
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("specstore: write blob: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("specstore: commit blob: %w", err)
+	}
+	return nil
+}
+
+// blobIntact reports whether data still hashes to its content address.
+func blobIntact(data []byte, blob string) bool {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]) == blob
 }
 
 // Lookup returns the newest version matching the key, if any. This is the
@@ -282,8 +305,7 @@ func (st *Store) Load(prog *ir.Program, meta VersionMeta) (*core.Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
 	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != meta.Blob {
+	if !blobIntact(data, meta.Blob) {
 		return nil, fmt.Errorf("specstore: load gen %d: blob hash mismatch (corrupt store)", meta.Generation)
 	}
 	spec, err := core.DecodeBinary(prog, data)

@@ -311,10 +311,18 @@ func TestEnhancePipeline(t *testing.T) {
 	}
 
 	// Enhance on a fresh instance of the same device program and publish.
+	trainCalls := 0
+	counting := func(d *sedspec.Driver) error {
+		trainCalls++
+		return benignTrain(d)
+	}
 	_, eatt := setup(t, testdev.Options{})
-	enhanced, meta, err := sedspec.EnhanceToStore(st, eatt, parent, benignTrain, audit)
+	enhanced, meta, hit, err := sedspec.EnhanceToStore(st, eatt, parent, counting, audit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hit || trainCalls == 0 {
+		t.Fatalf("first enhance should miss and train: hit=%t trainCalls=%d", hit, trainCalls)
 	}
 	if meta.Parent != parent.Generation || meta.CreatedBy != "enhance" {
 		t.Errorf("enhanced meta lineage wrong: %+v", meta)
@@ -326,11 +334,48 @@ func TestEnhancePipeline(t *testing.T) {
 		t.Errorf("enhanced spec learned no new commands: %d vs %d",
 			enhanced.Stats.Commands, spec.Stats.Commands)
 	}
-	// Enhancing the same parent with the same warnings is a cache hit.
-	if _, again, err := sedspec.EnhanceToStore(st, eatt, parent, benignTrain, audit); err != nil {
+	// Enhancing the same parent with the same warnings is a cache hit:
+	// the stored child is loaded and the training corpus never runs.
+	trainCalls = 0
+	cached, again, hit, err := sedspec.EnhanceToStore(st, eatt, parent, counting, audit)
+	if err != nil {
 		t.Fatal(err)
-	} else if again.Generation != meta.Generation {
-		t.Errorf("re-enhance published a new generation: %d vs %d", again.Generation, meta.Generation)
+	}
+	if !hit || trainCalls != 0 {
+		t.Errorf("re-enhance missed the store: hit=%t trainCalls=%d", hit, trainCalls)
+	}
+	if again.Generation != meta.Generation || again.Blob != meta.Blob {
+		t.Errorf("re-enhance returned another version: %+v vs %+v", again, meta)
+	}
+	if cached.Dot() != enhanced.Dot() {
+		t.Error("cached enhanced spec's ES-CFG differs from the learned one")
+	}
+
+	// A damaged enhanced blob degrades to a relearn that republishes
+	// under the same key and heals the blob, so the next call hits again.
+	blob := filepath.Join(st.Dir(), "blobs", meta.Blob+".spec")
+	data, err := os.ReadFile(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(blob, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trainCalls = 0
+	_, relearned, hit, err := sedspec.EnhanceToStore(st, eatt, parent, counting, audit)
+	if err != nil {
+		t.Fatalf("enhance over a corrupt blob failed instead of relearning: %v", err)
+	}
+	if hit || trainCalls == 0 {
+		t.Errorf("corrupt blob served as a hit: hit=%t trainCalls=%d", hit, trainCalls)
+	}
+	if relearned.Key() != meta.Key() || relearned.Generation != meta.Generation {
+		t.Errorf("relearn republished under another key or generation: %+v vs %+v", relearned, meta)
+	}
+	trainCalls = 0
+	if _, _, hit, err := sedspec.EnhanceToStore(st, eatt, parent, counting, audit); err != nil || !hit || trainCalls != 0 {
+		t.Errorf("enhance after the relearn: hit=%t trainCalls=%d err=%v, want a hit", hit, trainCalls, err)
 	}
 
 	// Hot-swap the enhanced version under the running session.

@@ -86,49 +86,16 @@ func TestRecorderOverheadGuard(t *testing.T) {
 		t.Fatal("checker recorder wiring wrong")
 	}
 
-	const chunk = 50_000
-	warm := func(chk *checker.Checker) {
-		t.Helper()
-		for i := 0; i < 2*len(r.Reqs); i++ {
-			if err := r.Step(chk, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	warm(on)
-	warm(off)
-	minAllocs := uint64(^uint64(0))
-	timeOf := func(chk *checker.Checker) float64 {
-		t.Helper()
-		elapsed, allocs, err := r.TimeChunk(chk, 0, chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allocs < minAllocs {
-			minAllocs = allocs
-		}
-		return float64(elapsed) / chunk
-	}
-	// Interleave trials and keep each side's best: the minimum is the
-	// least-noisy estimate of the path's true cost on this machine.
-	minOn, minOff := timeOf(on), timeOf(off)
-	for trial := 0; trial < 5; trial++ {
-		if v := timeOf(off); v < minOff {
-			minOff = v
-		}
-		if v := timeOf(on); v < minOn {
-			minOn = v
-		}
-	}
-	// Judge allocations on the minimum across trials: background runtime
-	// activity (scavenger timers, GC worker spawns) can land a stray
-	// malloc in any one chunk, but a check path that allocates does so in
-	// every chunk.
+	warmReplay(t, r, on, off)
+	ratio, nsOn, nsOff, minAllocs := overheadRatio(t, r, on, off)
+	// Judge allocations on the minimum across windows: background
+	// runtime activity (scavenger timers, GC worker spawns) can land a
+	// stray malloc in any one window, but a check path that allocates
+	// does so in every window.
 	if minAllocs != 0 {
-		t.Fatalf("steady-state chunks allocated %d times in every trial", minAllocs)
+		t.Fatalf("steady-state chunks allocated %d times in every window", minAllocs)
 	}
-	ratio := minOn / minOff
-	t.Logf("sealed check: recorder on %.1f ns/op, off %.1f ns/op, ratio %.3f", minOn, minOff, ratio)
+	t.Logf("sealed check: recorder on %.1f ns/op, off %.1f ns/op, ratio %.3f", nsOn, nsOff, ratio)
 	// Budget: the recorder's fixed ~15 ns per round was 5% of the switch
 	// walker's round; threaded dispatch shrank the denominator, so the
 	// same absolute cost now reads near 8%. 10% plus 3% measurement slack

@@ -156,17 +156,7 @@ func TestStreamOverheadGuard(t *testing.T) {
 	on := r.NewChecker(checker.WithObs(obs.NewRegistry()), sedspec.WithStream(hub))
 	off := r.NewChecker(checker.WithObs(obs.NewRegistry()), sedspec.WithStream(nil))
 
-	const chunk = 50_000
-	warm := func(chk *checker.Checker) {
-		t.Helper()
-		for i := 0; i < 2*len(r.Reqs); i++ {
-			if err := r.Step(chk, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	warm(on)
-	warm(off)
+	warmReplay(t, r, on, off)
 	// Lifecycle events (the checker's attach) drain into the journal
 	// asynchronously; wait for the writer to catch up with everything
 	// the hub has published, then require the timed clean rounds below
@@ -180,37 +170,11 @@ func TestStreamOverheadGuard(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	baseAppended := jrnl.Stats().Appended
-	minAllocs := uint64(^uint64(0))
-	timeOf := func(chk *checker.Checker) float64 {
-		t.Helper()
-		elapsed, allocs, err := r.TimeChunk(chk, 0, chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allocs < minAllocs {
-			minAllocs = allocs
-		}
-		return float64(elapsed) / chunk
-	}
-	// Interleave trials and keep each side's best: the minimum is the
-	// least-noisy estimate of the path's true cost on this machine.
-	minOn, minOff := timeOf(on), timeOf(off)
-	for trial := 0; trial < 5; trial++ {
-		if v := timeOf(off); v < minOff {
-			minOff = v
-		}
-		if v := timeOf(on); v < minOn {
-			minOn = v
-		}
-	}
-	// Judge allocations on the minimum across trials: background runtime
-	// activity can land a stray malloc in any one chunk, but a hot path
-	// that allocates does so in every chunk.
+	ratio, nsOn, nsOff, minAllocs := overheadRatio(t, r, on, off)
 	if minAllocs != 0 {
-		t.Fatalf("steady-state chunks allocated %d times in every trial", minAllocs)
+		t.Fatalf("steady-state chunks allocated %d times in every window", minAllocs)
 	}
-	ratio := minOn / minOff
-	t.Logf("sealed check: hub attached %.1f ns/op, disabled %.1f ns/op, ratio %.3f", minOn, minOff, ratio)
+	t.Logf("sealed check: hub attached %.1f ns/op, disabled %.1f ns/op, ratio %.3f", nsOn, nsOff, ratio)
 	// Budget: 1% (the streaming layer's contract — clean rounds never
 	// touch the hub) plus 3% measurement slack for interleaved-chunk
 	// timing noise.
