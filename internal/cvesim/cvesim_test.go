@@ -5,6 +5,12 @@ import (
 
 	"sedspec/internal/checker"
 	"sedspec/internal/cvesim"
+	"sedspec/internal/devices/ehci"
+	"sedspec/internal/devices/fdc"
+	"sedspec/internal/devices/pcnet"
+	"sedspec/internal/devices/scsi"
+	"sedspec/internal/devices/sdhci"
+	"sedspec/internal/machine"
 )
 
 // TestGroundTruth verifies every PoC's exploit effect on an unprotected
@@ -18,6 +24,70 @@ func TestGroundTruth(t *testing.T) {
 			}
 			if !out.Succeeded {
 				t.Errorf("%s exploit did not reach the unprotected device", p.CVE)
+			}
+		})
+	}
+}
+
+// fixedDevices builds each PoC's device with the upstream fix for its
+// CVE applied.
+var fixedDevices = map[string]func() machine.Device{
+	"CVE-2015-3456":  func() machine.Device { return fdc.New(fdc.Options{FixVenom: true}) },
+	"CVE-2020-14364": func() machine.Device { return ehci.New(ehci.Options{Fix14364: true}) },
+	"CVE-2016-1568":  func() machine.Device { return ehci.New(ehci.Options{Fix1568: true}) },
+	"CVE-2015-7504":  func() machine.Device { return pcnet.New(pcnet.Options{Fix7504: true}) },
+	"CVE-2015-7512":  func() machine.Device { return pcnet.New(pcnet.Options{Fix7512: true}) },
+	"CVE-2016-7909":  func() machine.Device { return pcnet.New(pcnet.Options{Fix7909: true}) },
+	"CVE-2021-3409":  func() machine.Device { return sdhci.New(sdhci.Options{Fix3409: true}) },
+	"CVE-2015-5158":  func() machine.Device { return scsi.New(scsi.Options{Fix5158: true}) },
+	"CVE-2016-4439":  func() machine.Device { return scsi.New(scsi.Options{Fix4439: true}) },
+}
+
+// fixedProbes replaces a PoC's ground-truth probe where the upstream fix
+// leaves the probed symptom in place. The Venom fix masks the FIFO store
+// index but lets data_pos grow, so both builds are judged by whether the
+// overflow reached the IRQ callback that follows the FIFO.
+var fixedProbes = map[string]func(machine.Device, *machine.Machine) bool{
+	"CVE-2015-3456": func(dev machine.Device, _ *machine.Machine) bool {
+		p := dev.Program()
+		return dev.State().FuncPtr(p.FieldIndex("irq_cb")) != uint64(p.HandlerIndex("fdctrl_raise_irq"))
+	},
+}
+
+// TestFixedVariantDefeatsPoC builds each PoC's vulnerable device first
+// and its fixed variant second, on unprotected machines: the exploit
+// reaches the vulnerable device and not the fixed one. Device programs
+// are cached per variant, so a cache that keyed two variants together
+// would hand the fixed build the vulnerable program and fail here.
+func TestFixedVariantDefeatsPoC(t *testing.T) {
+	for _, p := range cvesim.All() {
+		t.Run(p.CVE, func(t *testing.T) {
+			newFixed := fixedDevices[p.CVE]
+			if newFixed == nil {
+				t.Fatalf("no fixed variant listed for %s", p.CVE)
+			}
+			vuln := *p
+			if probe := fixedProbes[p.CVE]; probe != nil {
+				vuln.Succeeded = probe
+			}
+			out, err := vuln.RunUnprotected()
+			if err != nil {
+				t.Fatalf("vulnerable: %v", err)
+			}
+			if !out.Succeeded {
+				t.Fatalf("%s exploit did not reach the vulnerable device", p.CVE)
+			}
+			fixed := vuln
+			fixed.Build = func() (machine.Device, []machine.AttachOption) {
+				_, opts := p.Build()
+				return newFixed(), opts
+			}
+			out, err = fixed.RunUnprotected()
+			if err != nil {
+				t.Fatalf("fixed: %v", err)
+			}
+			if out.Succeeded {
+				t.Errorf("%s exploit reached the fixed device", p.CVE)
 			}
 		})
 	}

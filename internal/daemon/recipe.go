@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"sedspec"
 	"sedspec/internal/bench"
@@ -13,13 +12,12 @@ import (
 )
 
 // recipe is one install corpus resolved to the device recipe that
-// trains it, plus the program identity every store access needs: one
-// finalized program built from build and the learned version it keys
-// to. Recipes are static Go code and ProgramHash is deterministic
-// across builds, so a daemon resolves each recipe once and shares it
-// read-only across every tenant and engine; programs are never written
-// after Finalize, so the one program is the decode target for every
-// store hit.
+// trains it, plus the program identity every store access needs: the
+// program build's devices run and the learned version it keys to.
+// Device packages build each variant's program once per process and
+// never write it after Build, so that one program is the decode target
+// for every store hit, and a daemon resolves each recipe once and
+// shares it read-only across every tenant and engine.
 type recipe struct {
 	device string
 	corpus string
@@ -29,20 +27,11 @@ type recipe struct {
 	poc    *cvesim.PoC   // cve corpus; nil for benign
 	prog   *ir.Program
 	want   sedspec.SpecVersion // what a fresh learn of prog publishes
-	// spare is the device prog was read from, until the first store
-	// miss learns on it.
-	spare atomic.Pointer[builtDevice]
-}
-
-// builtDevice is one build's output, not yet attached.
-type builtDevice struct {
-	dev  machine.Device
-	opts []machine.AttachOption
 }
 
 // resolveRecipe maps an install request onto its recipe. The first
-// call for a corpus builds the program and hashes it; later calls
-// return the same recipe.
+// call for a corpus reads the program from a build and hashes it;
+// later calls return the same recipe.
 func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 	rc := &recipe{corpus: corpus}
 	if id, ok := strings.CutPrefix(corpus, "cve:"); ok {
@@ -71,23 +60,16 @@ func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 	if have := d.recipes[id]; have != nil {
 		return have, nil
 	}
-	dev, aopts := rc.build()
+	dev, _ := rc.build()
 	rc.prog = dev.Program()
 	rc.want = sedspec.LearnedVersion(rc.prog, corpus)
-	rc.spare.Store(&builtDevice{dev, aopts})
 	d.recipes[id] = rc
 	return rc, nil
 }
 
-// attach builds a throwaway machine around a device from the recipe:
-// the learning target of a store miss. The first miss learns on the
-// device resolveRecipe built, so a cold install builds the device once;
-// later misses build a fresh one.
+// attach builds a throwaway machine around a fresh device from the
+// recipe: the learning target of a store miss.
 func (rc *recipe) attach() *machine.Attached {
-	m := machine.New(machine.WithMemory(1 << 20))
-	if b := rc.spare.Swap(nil); b != nil {
-		return m.Attach(b.dev, b.opts...)
-	}
 	dev, aopts := rc.build()
-	return m.Attach(dev, aopts...)
+	return machine.New(machine.WithMemory(1<<20)).Attach(dev, aopts...)
 }

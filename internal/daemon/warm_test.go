@@ -119,8 +119,9 @@ func auditMixed(t *testing.T, tn *Tenant, device string) {
 // hits — each loads a stored version, publishes no new version and no
 // spec event — and the verdicts still match Table III. It also pins
 // what the process-wide recipe table relies on: every recipe's key,
-// and the program hash stored under it, equal ProgramHash of a fresh
-// build.
+// and the program hash stored under it, equal ProgramHash of a later
+// build. Later builds share the recipe's cached program; each device
+// package's tests pin that an uncached build hashes the same.
 func TestDaemonWarmPathHits(t *testing.T) {
 	d, hub := newWarmDaemon(t)
 	defer d.Close()
@@ -175,9 +176,6 @@ func TestDaemonWarmPathHits(t *testing.T) {
 		}
 		if _, ok := st.Lookup(fresh.Key()); !ok {
 			t.Errorf("%s: no stored version under a fresh build's key", corpus)
-		}
-		if rc.spare.Load() != nil {
-			t.Errorf("%s: the cold install did not learn on the device the recipe built", corpus)
 		}
 	}
 	for _, p := range pocs {

@@ -1,6 +1,7 @@
 package devutil_test
 
 import (
+	"sync"
 	"testing"
 
 	"sedspec/internal/devices/devutil"
@@ -76,4 +77,40 @@ func TestMustBuildPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	devutil.MustBuild(b)
+}
+
+// TestProgramsBuildOncePerVariant pins the program cache: concurrent
+// first calls for one variant build it once and share the result, and
+// each variant gets its own program.
+func TestProgramsBuildOncePerVariant(t *testing.T) {
+	type opts struct{ fix bool }
+	var mu sync.Mutex
+	builds := map[opts]int{}
+	progs := devutil.NewPrograms(func(o opts) *ir.Program {
+		mu.Lock()
+		builds[o]++
+		mu.Unlock()
+		return tinyProgram(t)
+	})
+	got := make([]*ir.Program, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = progs.Get(opts{fix: i%2 == 1})
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[i%2] {
+			t.Errorf("call %d got a different program for its variant", i)
+		}
+	}
+	if got[0] == got[1] {
+		t.Error("two variants share one program")
+	}
+	if builds[opts{false}] != 1 || builds[opts{true}] != 1 {
+		t.Errorf("builds per variant = %v, want 1 each", builds)
+	}
 }

@@ -85,10 +85,13 @@ type Device struct {
 	*devutil.Base
 }
 
-// New builds the controller.
+// programs holds one built program per Options variant.
+var programs = devutil.NewPrograms(build)
+
+// New returns a fresh controller at power-on values. Every instance of
+// one Options variant runs the same shared program.
 func New(opts Options) *Device {
-	prog := build(opts)
-	return &Device{Base: devutil.NewBase(prog, func(st *interp.State, p *ir.Program) {
+	return &Device{Base: devutil.NewBase(programs.Get(opts), func(st *interp.State, p *ir.Program) {
 		devutil.SetFunc(st, p, "irq_cb", "esp_raise_irq")
 	})}
 }

@@ -47,11 +47,14 @@ type Device struct {
 	*devutil.Base
 }
 
-// New builds the device. Without options the Venom-style bug is present,
-// matching an unpatched QEMU.
+// programs holds one built program per Options variant.
+var programs = devutil.NewPrograms(build)
+
+// New returns a fresh device at power-on values. Every instance of
+// one Options variant runs the same shared program. Without options the
+// Venom-style bug is present, matching an unpatched QEMU.
 func New(opts Options) *Device {
-	prog := build(opts)
-	return &Device{Base: devutil.NewBase(prog, func(st *interp.State, p *ir.Program) {
+	return &Device{Base: devutil.NewBase(programs.Get(opts), func(st *interp.State, p *ir.Program) {
 		devutil.SetFunc(st, p, "irq_cb", "testdev_complete")
 	})}
 }

@@ -112,6 +112,11 @@ const (
 // Program is a complete device program: the control structure declaration
 // plus all handlers. Programs are built with a Builder and must be
 // finalized before execution.
+//
+// A program is immutable once Build returns. Every device instance of
+// one variant shares a single program (each instance owns only its
+// interp.State), and checkers, sealed specs and store decodes read it
+// concurrently without locks.
 type Program struct {
 	Name string
 

@@ -54,37 +54,6 @@ type PostInterposer interface {
 	PostIO(dev Device, req *interp.Request, res *interp.Result)
 }
 
-// GuestMemory is the guest's physical memory.
-type GuestMemory struct {
-	data []byte
-}
-
-// NewGuestMemory allocates size bytes of guest memory.
-func NewGuestMemory(size int) *GuestMemory {
-	return &GuestMemory{data: make([]byte, size)}
-}
-
-// Size returns the memory size in bytes.
-func (g *GuestMemory) Size() int { return len(g.data) }
-
-// Read copies guest memory at addr into buf.
-func (g *GuestMemory) Read(addr uint64, buf []byte) error {
-	if addr > uint64(len(g.data)) || addr+uint64(len(buf)) > uint64(len(g.data)) {
-		return fmt.Errorf("machine: guest read [%#x,+%d) out of range", addr, len(buf))
-	}
-	copy(buf, g.data[addr:])
-	return nil
-}
-
-// Write copies buf into guest memory at addr.
-func (g *GuestMemory) Write(addr uint64, buf []byte) error {
-	if addr > uint64(len(g.data)) || addr+uint64(len(buf)) > uint64(len(g.data)) {
-		return fmt.Errorf("machine: guest write [%#x,+%d) out of range", addr, len(buf))
-	}
-	copy(g.data[addr:], buf)
-	return nil
-}
-
 // IRQController tracks interrupt line levels and delivery counts.
 type IRQController struct {
 	level map[int]bool
@@ -129,7 +98,9 @@ type Machine struct {
 // Option configures a Machine.
 type Option func(*Machine)
 
-// WithMemory sets guest memory size (default 16 MiB).
+// WithMemory sets guest memory size (default 16 MiB). Memory is paged on
+// first write, so the size bounds what the guest may address, not what
+// the machine allocates.
 func WithMemory(size int) Option {
 	return func(m *Machine) { m.Mem = NewGuestMemory(size) }
 }

@@ -18,7 +18,7 @@ import (
 // BuildFunc constructs a fresh instance of a device plus the attachment
 // options (bus windows, speed) it should be plugged in with. It must
 // return a new Device and State on every call: sessions own their control
-// structures.
+// structures. Devices of one variant may share their read-only program.
 type BuildFunc func() (Device, []AttachOption)
 
 // Session is one guest driving its own instance of a device program: its

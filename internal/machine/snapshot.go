@@ -10,7 +10,8 @@ import (
 // discussion (§VIII) names rollback to a pre-exploitation point as the
 // natural next step beyond halting; Snapshot/Restore provide it.
 type Snapshot struct {
-	mem     []byte
+	memSize int
+	mem     []*page // touched pages only; nil for untouched
 	devices [][]byte
 	clock   time.Duration
 }
@@ -18,8 +19,9 @@ type Snapshot struct {
 // Snapshot captures the current machine state.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		mem:   append([]byte(nil), m.Mem.data...),
-		clock: m.Clock.Now(),
+		memSize: m.Mem.size,
+		mem:     m.Mem.snapshot(),
+		clock:   m.Clock.Now(),
 	}
 	for _, a := range m.devices {
 		s.devices = append(s.devices, append([]byte(nil), a.dev.State().Bytes()...))
@@ -34,15 +36,15 @@ func (m *Machine) Restore(s *Snapshot) error {
 		return fmt.Errorf("machine: snapshot has %d devices, machine has %d",
 			len(s.devices), len(m.devices))
 	}
-	if len(s.mem) != len(m.Mem.data) {
-		return fmt.Errorf("machine: snapshot memory size %d != %d", len(s.mem), len(m.Mem.data))
+	if s.memSize != m.Mem.size {
+		return fmt.Errorf("machine: snapshot memory size %d != %d", s.memSize, m.Mem.size)
 	}
 	for i, a := range m.devices {
 		if len(s.devices[i]) != len(a.dev.State().Bytes()) {
 			return fmt.Errorf("machine: device %d control structure size changed", i)
 		}
 	}
-	copy(m.Mem.data, s.mem)
+	m.Mem.restore(s.mem)
 	for i, a := range m.devices {
 		copy(a.dev.State().Bytes(), s.devices[i])
 	}
