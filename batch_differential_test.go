@@ -10,6 +10,7 @@
 package sedspec_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
+	"sedspec/internal/obs/coverage"
 )
 
 // reqCapture records a deep copy of every request dispatched through an
@@ -100,26 +102,37 @@ type streamRun struct {
 	blocked  []string
 	stats    checker.Stats
 	warnings []checker.Anomaly
+	shadow   []byte
+	coverage *coverage.Snapshot
+}
+
+// finish snapshots the checker's counters, warnings, shadow state and
+// coverage into the run.
+func (run *streamRun) finish(chk *checker.Checker) {
+	run.stats = chk.Stats()
+	run.warnings = chk.Warnings()
+	run.shadow = bytes.Clone(chk.Shadow().Bytes())
+	run.coverage = chk.Coverage()
 }
 
 // newReplayChecker builds a fresh checker for one replay configuration.
 // No halt hook is installed: replay continues past blocking anomalies so
 // every configuration processes the identical full stream.
-func newReplayChecker(c *capturedPoC, mode checker.Mode, engine []checker.Option) *checker.Checker {
+func newReplayChecker(c *capturedPoC, mode checker.Mode, budget, engine []checker.Option) *checker.Checker {
 	opts := []checker.Option{
 		checker.WithMode(mode),
-		checker.WithBudget(200_000),
 		checker.WithEnv(c.att),
 	}
+	opts = append(opts, budget...)
 	opts = append(opts, engine...)
 	return checker.New(c.spec, c.start, opts...)
 }
 
 // replayPerRound is the baseline delivery: one PreIO per request, with
 // the dispatcher's PostIO resync point emulated after each round.
-func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, engine []checker.Option) streamRun {
+func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, budget, engine []checker.Option) streamRun {
 	t.Helper()
-	chk := newReplayChecker(c, mode, engine)
+	chk := newReplayChecker(c, mode, budget, engine)
 	var run streamRun
 	for _, req := range c.cloneReqs() {
 		if err := chk.PreIO(nil, req); err != nil {
@@ -133,8 +146,7 @@ func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, engine []ch
 			chk.ResyncShadow(c.start)
 		}
 	}
-	run.stats = chk.Stats()
-	run.warnings = chk.Warnings()
+	run.finish(chk)
 	return run
 }
 
@@ -142,9 +154,9 @@ func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, engine []ch
 // of the given size, consuming checked prefixes and re-presenting the
 // tail after each short-circuit — exactly the dispatcher's protocol,
 // with the same emulated resync point between deliveries.
-func replayBatched(t *testing.T, c *capturedPoC, mode checker.Mode, engine []checker.Option, size int) streamRun {
+func replayBatched(t *testing.T, c *capturedPoC, mode checker.Mode, budget, engine []checker.Option, size int) streamRun {
 	t.Helper()
-	chk := newReplayChecker(c, mode, engine)
+	chk := newReplayChecker(c, mode, budget, engine)
 	var run streamRun
 	stream := c.cloneReqs()
 	for i := 0; i < len(stream); {
@@ -175,8 +187,7 @@ func replayBatched(t *testing.T, c *capturedPoC, mode checker.Mode, engine []che
 			chk.ResyncShadow(c.start)
 		}
 	}
-	run.stats = chk.Stats()
-	run.warnings = chk.Warnings()
+	run.finish(chk)
 	return run
 }
 
@@ -196,6 +207,7 @@ func assertSameStream(t *testing.T, label string, got, want streamRun) {
 	if got.stats != want.stats {
 		t.Errorf("%s: stats diverge:\n  got:  %+v\n  want: %+v", label, got.stats, want.stats)
 	}
+	assertSameState(t, label, got.shadow, want.shadow, got.coverage, want.coverage)
 	if len(got.warnings) != len(want.warnings) {
 		t.Fatalf("%s: warning streams diverge: got %d, want %d",
 			label, len(got.warnings), len(want.warnings))
@@ -212,8 +224,10 @@ func assertSameStream(t *testing.T, label string, got, want streamRun) {
 // stream under per-round delivery with all three engines and under
 // batched delivery with both sealed engines at batch sizes 1, 4, 16,
 // and whole-stream (plus the reference engine at one size), in both
-// modes. All configurations must produce the identical anomaly stream,
-// warning stream, and counters — per-round threaded is the baseline.
+// modes and at both budgets. All configurations must produce the
+// identical anomaly stream, warning stream, counters and shadow state,
+// and the sealed engines the identical coverage — per-round threaded is
+// the baseline.
 func TestBatchedDifferential(t *testing.T) {
 	for _, p := range cvesim.All() {
 		p := p
@@ -222,25 +236,29 @@ func TestBatchedDifferential(t *testing.T) {
 			sizes := []int{1, 4, 16, len(cap.reqs)}
 			for _, mode := range []checker.Mode{checker.ModeProtection, checker.ModeEnhancement} {
 				t.Run(fmt.Sprint(mode), func(t *testing.T) {
-					baseline := replayPerRound(t, cap, mode, checkerEngines[0].opts)
-					total := baseline.stats.ParamAnomalies +
-						baseline.stats.IndirectAnomalies + baseline.stats.CondAnomalies
-					if p.Expected != nil && total == 0 {
-						t.Fatal("replayed exploit raised no anomalies; differential is vacuous")
+					for _, b := range diffBudgets {
+						t.Run(b.name, func(t *testing.T) {
+							baseline := replayPerRound(t, cap, mode, b.opts, checkerEngines[0].opts)
+							total := baseline.stats.ParamAnomalies +
+								baseline.stats.IndirectAnomalies + baseline.stats.CondAnomalies
+							if p.Expected != nil && total == 0 {
+								t.Fatal("replayed exploit raised no anomalies; differential is vacuous")
+							}
+							for _, eng := range checkerEngines[1:] {
+								assertSameStream(t, "per-round/"+eng.name,
+									replayPerRound(t, cap, mode, b.opts, eng.opts), baseline)
+							}
+							for _, eng := range checkerEngines[:2] { // threaded, walker
+								for _, size := range sizes {
+									label := fmt.Sprintf("batched/%s/size=%d", eng.name, size)
+									assertSameStream(t, label,
+										replayBatched(t, cap, mode, b.opts, eng.opts, size), baseline)
+								}
+							}
+							assertSameStream(t, "batched/reference/size=16",
+								replayBatched(t, cap, mode, b.opts, checkerEngines[2].opts, 16), baseline)
+						})
 					}
-					for _, eng := range checkerEngines[1:] {
-						assertSameStream(t, "per-round/"+eng.name,
-							replayPerRound(t, cap, mode, eng.opts), baseline)
-					}
-					for _, eng := range checkerEngines[:2] { // threaded, walker
-						for _, size := range sizes {
-							label := fmt.Sprintf("batched/%s/size=%d", eng.name, size)
-							assertSameStream(t, label,
-								replayBatched(t, cap, mode, eng.opts, size), baseline)
-						}
-					}
-					assertSameStream(t, "batched/reference/size=16",
-						replayBatched(t, cap, mode, checkerEngines[2].opts, 16), baseline)
 				})
 			}
 		})

@@ -1,22 +1,28 @@
 // Differential tests pinning the three check engines to each other:
 // across all nine CVE case studies, in both protection and enhancement
-// modes, the threaded-code stream (the deployed default), the sealed
+// modes, at a reduced budget and at the default one, the threaded-code
+// stream (the deployed default, with its loop fast-forward), the sealed
 // switch walker, and the pre-seal reference engine must produce the same
-// anomaly stream, the same warning stream, and the same counters. This is
+// anomaly stream, the same warning stream, the same counters, the same
+// shadow device state and (for the two sealed engines, which count it)
+// the same coverage. This is
 // the correctness argument for both lowering layers — any divergence in
 // transition semantics, access control, DSOD execution, peephole fusion,
 // or step batching shows up here.
 package sedspec_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sedspec"
 	"sedspec/internal/checker"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/machine"
+	"sedspec/internal/obs/coverage"
 )
 
 // diffRun is everything observable from one protected exploit replay.
@@ -25,6 +31,11 @@ type diffRun struct {
 	stats    checker.Stats
 	warnings []checker.Anomaly
 	err      string
+	// shadow is the shadow device state after the replay; coverage the
+	// checker's ES-CFG coverage counts (nil under the reference engine,
+	// which keeps none).
+	shadow   []byte
+	coverage *coverage.Snapshot
 }
 
 // captureRun classifies an exploit's outcome and snapshots the checker's
@@ -43,7 +54,20 @@ func captureRun(chk *checker.Checker, err error) diffRun {
 	}
 	run.stats = chk.Stats()
 	run.warnings = chk.Warnings()
+	run.shadow = bytes.Clone(chk.Shadow().Bytes())
+	run.coverage = chk.Coverage()
 	return run
+}
+
+// diffBudgets are the per-round step budgets the differentials run at:
+// a reduced one, and the default every deployment (and the daemon) uses,
+// where CVE-2016-7909's loop is detected only after 2^20 steps.
+var diffBudgets = []struct {
+	name string
+	opts []checker.Option
+}{
+	{"budget=200000", []checker.Option{checker.WithBudget(200_000)}},
+	{"budget=default", nil},
 }
 
 // checkerEngines enumerates the three check engines the differentials pin
@@ -62,7 +86,7 @@ var checkerEngines = []struct {
 // replayPoC learns a spec from the PoC's training routine, protects the
 // device with the requested engine and mode, replays the exploit, and
 // captures the full observable checker state.
-func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, engine []checker.Option) diffRun {
+func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, budget, engine []checker.Option) diffRun {
 	t.Helper()
 	m := machine.New(machine.WithMemory(1 << 20))
 	dev, aopts := p.Build()
@@ -71,7 +95,7 @@ func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, engine []checker.
 	if err != nil {
 		t.Fatalf("learn: %v", err)
 	}
-	opts := []checker.Option{checker.WithMode(mode), checker.WithBudget(200_000)}
+	opts := append([]checker.Option{checker.WithMode(mode)}, budget...)
 	opts = append(opts, engine...)
 	chk := sedspec.Protect(att, spec, opts...)
 	return captureRun(chk, p.Exploit(sedspec.NewDriver(att), m))
@@ -97,15 +121,20 @@ func sameAnomaly(a, b *checker.Anomaly) bool {
 }
 
 // TestEngineDifferential replays every case study under all three engines
-// and requires bit-identical observable behaviour: the threaded run is the
-// baseline, and the walker and reference runs must match it exactly.
+// at both budgets and requires bit-identical observable behaviour: the
+// threaded run is the baseline, and the walker and reference runs must
+// match it exactly.
 func TestEngineDifferential(t *testing.T) {
 	for _, p := range cvesim.All() {
 		for _, mode := range []checker.Mode{checker.ModeProtection, checker.ModeEnhancement} {
 			t.Run(fmt.Sprintf("%s/%s", p.CVE, mode), func(t *testing.T) {
-				baseline := replayPoC(t, p, mode, checkerEngines[0].opts)
-				for _, eng := range checkerEngines[1:] {
-					assertSameRun(t, eng.name, replayPoC(t, p, mode, eng.opts), baseline)
+				for _, b := range diffBudgets {
+					t.Run(b.name, func(t *testing.T) {
+						baseline := replayPoC(t, p, mode, b.opts, checkerEngines[0].opts)
+						for _, eng := range checkerEngines[1:] {
+							assertSameRun(t, eng.name, replayPoC(t, p, mode, b.opts, eng.opts), baseline)
+						}
+					})
 				}
 			})
 		}
@@ -125,6 +154,7 @@ func assertSameRun(t *testing.T, label string, got, want diffRun) {
 	if got.stats != want.stats {
 		t.Errorf("%s: stats diverge:\n  got:  %+v\n  want: %+v", label, got.stats, want.stats)
 	}
+	assertSameState(t, label, got.shadow, want.shadow, got.coverage, want.coverage)
 	if len(got.warnings) != len(want.warnings) {
 		t.Fatalf("%s: warning streams diverge: got %d, want %d",
 			label, len(got.warnings), len(want.warnings))
@@ -134,6 +164,18 @@ func assertSameRun(t *testing.T, label string, got, want diffRun) {
 			t.Errorf("%s: warning %d diverges:\n  got:  %s\n  want: %s",
 				label, i, describeAnomaly(&got.warnings[i]), describeAnomaly(&want.warnings[i]))
 		}
+	}
+}
+
+// assertSameState pins two runs' shadow device states to each other, and
+// their coverage counts when both engines keep them.
+func assertSameState(t *testing.T, label string, gotShadow, wantShadow []byte, got, want *coverage.Snapshot) {
+	t.Helper()
+	if !bytes.Equal(gotShadow, wantShadow) {
+		t.Errorf("%s: shadow state diverges", label)
+	}
+	if got != nil && want != nil && !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: coverage diverges:\n  got:  %v\n  want: %v", label, got, want)
 	}
 }
 

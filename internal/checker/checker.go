@@ -291,6 +291,17 @@ type Checker struct {
 	tanom  *Anomaly
 	ttemps []uint64
 	tflags []interp.Flags
+	// stepGate is the step total the threaded terminators compare
+	// against: budget/ffGateDiv at round start, raised to budget once the
+	// round crosses it. tpark holds the resume pc while fastForward runs
+	// (fastforward.go). ff is its scratch, allocated on a session's first
+	// attempt; ffAttempts and ffSkippedSteps count attempts and the walker
+	// steps skipped.
+	stepGate       int
+	tpark          int32
+	ff             *ffScratch
+	ffAttempts     uint64
+	ffSkippedSteps uint64
 	// warnMu guards warnings and audit. It is taken only on the
 	// warning-append path (anomalous rounds) and by readers; the
 	// steady-state check path never touches it.

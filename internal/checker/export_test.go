@@ -15,3 +15,12 @@ func (c *Checker) Sealed() bool { return c.sealed != nil }
 
 // MergeStats exposes Stats.merge for the aggregation property tests.
 func MergeStats(a, b Stats) Stats { return a.merge(b) }
+
+// FastForward reports the threaded engine's loop fast-forward activity:
+// attempts made and walker steps skipped, summed over the checker's life.
+func (c *Checker) FastForward() (attempts, skippedSteps uint64) {
+	return c.ffAttempts, c.ffSkippedSteps
+}
+
+// RoundSteps is the last round's walker step count.
+func (c *Checker) RoundSteps() int { return c.roundSteps }

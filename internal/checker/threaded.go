@@ -36,6 +36,9 @@ const (
 	tpcStop int32 = -2
 	// tpcAnom ends the round with the anomaly parked in Checker.tanom.
 	tpcAnom int32 = -3
+	// tpcGate leaves the dispatch loop once when a round crosses its
+	// fast-forward gate, with the resume pc parked in Checker.tpark.
+	tpcGate int32 = -4
 )
 
 // thandler executes one threaded instruction and returns the next pc.
@@ -130,6 +133,9 @@ func init() {
 
 // simulateThreaded runs one round over the compiled stream. Round framing
 // (entry push, coverage round-end, step accounting) mirrors simulateSealed.
+// A round that runs past budget/ffGateDiv steps leaves the dispatch loop
+// once for a loop fast-forward attempt (fastforward.go) and continues
+// where it says.
 func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 	tp := c.tprog
 	if !c.batching {
@@ -154,11 +160,19 @@ func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 		c.cov.HitBlock(c.sealed.Entry)
 	}
 
+	c.stepGate = c.budget / ffGateDiv
+
 	code := tp.code
 	pc := tp.entry
-	for pc >= 0 {
-		i := &code[pc]
-		pc = i.fn(c, i)
+	for {
+		for pc >= 0 {
+			i := &code[pc]
+			pc = i.fn(c, i)
+		}
+		if pc != tpcGate {
+			break
+		}
+		pc = c.fastForward(c.tpark)
 	}
 
 	a := c.tanom
@@ -232,6 +246,31 @@ func (c *Checker) tDivZero(ref ir.BlockRef, src ir.SourceRef, flush int) int32 {
 // flushed by the terminator).
 func (c *Checker) tBudget(i *tinstr) int32 {
 	return c.tRaise(c.condOrStop(i.Blk.Ref, ir.SourceRef{}, "simulation budget exceeded (possible emulation loop)"))
+}
+
+// tOverGate handles a terminator whose step total st crossed the round's
+// gate. Past the budget it raises the budget anomaly. Below it the round
+// has run far beyond any benign length: the gate rises to the budget, so
+// a round makes at most one fast-forward attempt, the terminator
+// completes normally, and the dispatch loop exits once with the
+// successor pc parked for fastForward.
+func (c *Checker) tOverGate(i *tinstr, st int) int32 {
+	if st > c.budget {
+		c.tsteps = st
+		return c.tBudget(i)
+	}
+	c.stepGate = c.budget
+	var pc int32
+	if i.Kind == core.TBranchArith {
+		pc = tBranchH(c, i) // the fused compare already ran
+	} else {
+		pc = i.fn(c, i)
+	}
+	if pc < 0 {
+		return pc
+	}
+	c.tpark = pc
+	return tpcGate
 }
 
 // tGoto performs a resolved block transition: command-end clearing, the
@@ -629,9 +668,8 @@ func tStoreLoadH(c *Checker, i *tinstr) int32 {
 
 func tHaltH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1 // the block transition itself
 	c.frames = c.frames[:0]
@@ -640,9 +678,8 @@ func tHaltH(c *Checker, i *tinstr) int32 {
 
 func tReturnH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	n := len(c.frames)
@@ -668,9 +705,8 @@ func tReturnH(c *Checker, i *tinstr) int32 {
 
 func tNextH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	return c.tGoto(i.TgtPC, i.TgtID, i.Edge, i.CmdEnd)
@@ -678,9 +714,8 @@ func tNextH(c *Checker, i *tinstr) int32 {
 
 func tNoSuccH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	return c.tRaise(tagEdge(c.condOrStop(i.Blk.Ref, ir.SourceRef{}, "successor outside specification"), "successor", 0))
@@ -702,9 +737,8 @@ func (c *Checker) tBranchTo(i *tinstr, taken bool) int32 {
 
 func tBranchH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	return c.tBranchTo(i, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.mask2, uint64(1)<<(i.bits2-1), i.Signed2))
@@ -720,9 +754,8 @@ func tBranchArithH(c *Checker, i *tinstr) int32 {
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = fl
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	return c.tBranchTo(i, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.mask2, uint64(1)<<(i.bits2-1), i.Signed2))
@@ -730,9 +763,8 @@ func tBranchArithH(c *Checker, i *tinstr) int32 {
 
 func tSwitchH(c *Checker, i *tinstr) int32 {
 	st := c.tsteps + int(i.StepsAt)
-	if st > c.budget {
-		c.tsteps = st
-		return c.tBudget(i)
+	if st > c.stepGate {
+		return c.tOverGate(i, st)
 	}
 	c.tsteps = st + 1
 	b := i.Blk

@@ -277,3 +277,43 @@ func TestDaemonTenantValidationHTTP(t *testing.T) {
 	doJSON(t, client, "POST", url+"/tenants/ok-1/sessions",
 		daemon.AttachRequest{Device: "fdc"}, http.StatusBadRequest, nil) // no engine installed
 }
+
+// TestDaemonBodyLimitsHTTP pins the control plane's request-body bounds:
+// an install body over the cap gets 413, trailing data after the JSON
+// value gets 400, and the server keeps serving — the next request, on a
+// new connection, succeeds.
+func TestDaemonBodyLimitsHTTP(t *testing.T) {
+	d := newTestDaemon(t, daemon.Options{})
+	if err := d.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	url := "http://" + d.Addr()
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		// A fresh transport per request: each one opens its own connection.
+		client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{}}
+		defer client.CloseIdleConnections()
+		resp, err := client.Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return resp.StatusCode, string(data)
+	}
+
+	if code, body := post("/tenants", []byte(`{"name":"lim"}`)); code != http.StatusCreated {
+		t.Fatalf("create tenant: %d %s", code, body)
+	}
+	huge := []byte(`{"device":"fdc","mode":"` + strings.Repeat("x", 2<<20) + `"}`)
+	if code, body := post("/tenants/lim/specs", huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize install body: got %d %s, want 413", code, body)
+	}
+	if code, body := post("/tenants/lim/specs", []byte(`{"device":"fdc"} {"device":"fdc"}`)); code != http.StatusBadRequest {
+		t.Errorf("trailing data: got %d %s, want 400", code, body)
+	}
+	if code, body := post("/tenants/lim/specs", []byte(`{"device":"fdc"}`+"\n")); code != http.StatusCreated {
+		t.Errorf("install after rejected bodies: got %d %s, want 201", code, body)
+	}
+}

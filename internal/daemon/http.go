@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -27,16 +28,37 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxBodyBytes caps a control-plane request body. The largest legitimate
+// body, an install or swap request naming a device and its corpus, is a
+// few hundred bytes.
+const maxBodyBytes = 1 << 20
+
 // decodeBody decodes a JSON request body into v, rejecting unknown
 // fields so typos in scripts fail loudly instead of silently running a
-// default workload.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// default workload, and rejecting trailing data after the one value. It
+// writes the error response itself — 413 for a body over maxBodyBytes,
+// 400 for any other bad body — and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("daemon: bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		_, terr := dec.Token()
+		switch {
+		case terr == io.EOF:
+			return true
+		case errors.As(terr, new(*http.MaxBytesError)):
+			err = terr
+		default:
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("daemon: bad request body: %w", err))
+	return false
 }
 
 // tenantOf resolves the {tenant} path segment to a live tenant.
@@ -89,8 +111,7 @@ func (d *Daemon) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	t, err := d.CreateTenant(req.Name)
@@ -150,8 +171,7 @@ func (d *Daemon) handleSpecInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InstallRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	info, err := t.Install(req)
@@ -188,8 +208,7 @@ func (d *Daemon) handleSessionAttach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AttachRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sessions, err := t.Attach(req)
@@ -240,8 +259,7 @@ func (d *Daemon) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SwapRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := t.Swap(req)

@@ -54,6 +54,12 @@ func (m *Map) HitBlock(id int) { m.pendBlocks[id]++ }
 // HitEdge counts a traversal of trained edge slot e. Single-writer.
 func (m *Map) HitEdge(e int) { m.pendEdges[e]++ }
 
+// Pending exposes the live unpublished per-block and per-edge counts.
+// Like HitBlock it belongs to the session's driving goroutine: the
+// threaded engine's loop fast-forward reads one loop iteration's ticks
+// from it and adds their multiple for the iterations it skips.
+func (m *Map) Pending() (blocks, edges []uint64) { return m.pendBlocks, m.pendEdges }
+
 // RoundEnd marks the end of one checked round and publishes the pending
 // counts every flushInterval rounds. Single-writer.
 func (m *Map) RoundEnd() {

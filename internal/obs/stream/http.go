@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"time"
 
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/coverage"
@@ -44,6 +45,11 @@ type Server struct {
 // first server's registry under the "sedspec_obs" expvar name (expvar
 // panics on duplicate publication). Later servers serve the same var.
 var expvarOnce sync.Once
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a stalled or slow-drip connection cannot hold a
+// server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 // NewServer builds the introspection handler without binding a
 // listener (useful under httptest).
@@ -113,7 +119,9 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	// Only the header read is bounded: /anomalies and `sedspec watch`
+	// hold responses open, so a read or write timeout would cut them.
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = s.srv.Serve(ln) }()
 	return nil
 }
