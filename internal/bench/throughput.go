@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,10 +121,35 @@ func pinGOMAXPROCS(n int) int {
 	return g
 }
 
+// replayWindow is what runConcurrentReplay measured over its timed
+// window.
+type replayWindow struct {
+	wall time.Duration
+	// cpu is the process CPU time used; 0 where the platform has no
+	// process CPU clock.
+	cpu time.Duration
+	// blocked is the time goroutines spent parked on a sync.Mutex,
+	// sync.RWMutex or runtime-internal lock, as sampled by the runtime.
+	blocked time.Duration
+	// mallocs is the heap-allocation delta.
+	mallocs uint64
+}
+
+// lockWait returns the runtime's running total of time goroutines have
+// spent blocked on locks.
+func lockWait() time.Duration {
+	s := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 {
+		return 0
+	}
+	return time.Duration(s[0].Value.Float64() * float64(time.Second))
+}
+
 // runConcurrentReplay replays iters rounds per session through n
-// per-session checkers drawn from one shared engine, returning wall time
-// and the heap-allocation delta across the timed window. batchSize 0
-// drives each session per round (PreIO, one call per request);
+// per-session checkers drawn from one shared engine and measures the
+// timed window. batchSize 0 drives each session per round (PreIO, one
+// call per request);
 // batchSize >= 1 drives it in batched deliveries (PreIOBatch windows,
 // capped at the stream wrap so every window sees the control state its
 // requests were recorded against). Both loops carry the stream position
@@ -131,7 +157,7 @@ func pinGOMAXPROCS(n int) int {
 // goroutines are spawned (and their sessions warmed) before the clock
 // starts, parked on a start barrier, so only steady-state checking is
 // inside the measurement.
-func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSize int) (time.Duration, uint64, error) {
+func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSize int) (replayWindow, error) {
 	chks := make([]*checker.Checker, n)
 	streams := make([][]*interp.Request, n)
 	for i := 0; i < n; i++ {
@@ -182,7 +208,7 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 	// to steady state here, not inside the timed window.
 	for i := 0; i < n; i++ {
 		if err := session(chks[i], streams[i], len(streams[i])); err != nil {
-			return 0, 0, fmt.Errorf("bench: %s warm session %d: %w", r.Target.Name, i, err)
+			return replayWindow{}, fmt.Errorf("bench: %s warm session %d: %w", r.Target.Name, i, err)
 		}
 	}
 
@@ -191,6 +217,7 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 	var finished atomic.Int32
 	var before, after runtime.MemStats
 	var t0, t1 time.Time
+	var c0, c1, b0, b1 time.Duration
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -203,7 +230,9 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 			}
 			if finished.Add(1) == int32(n) {
 				t1 = time.Now()
+				c1 = processCPU()
 				runtime.ReadMemStats(&after)
+				b1 = lockWait()
 			}
 		}(i)
 	}
@@ -216,16 +245,17 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 	go func() {
 		defer wg.Done()
 		runtime.GC()
+		b0 = lockWait()
 		runtime.ReadMemStats(&before)
+		c0 = processCPU()
 		t0 = time.Now()
 		close(start)
 	}()
 	wg.Wait()
-	wall := t1.Sub(t0)
 
 	for _, err := range errs {
 		if err != nil {
-			return 0, 0, fmt.Errorf("bench: %s replay: %w", r.Target.Name, err)
+			return replayWindow{}, fmt.Errorf("bench: %s replay: %w", r.Target.Name, err)
 		}
 	}
 	for _, chk := range chks {
@@ -233,9 +263,74 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 	}
 	st := sh.Stats()
 	if st.ParamAnomalies+st.IndirectAnomalies+st.CondAnomalies != 0 {
-		return 0, 0, fmt.Errorf("bench: %s concurrent replay raised anomalies: %+v", r.Target.Name, st)
+		return replayWindow{}, fmt.Errorf("bench: %s concurrent replay raised anomalies: %+v", r.Target.Name, st)
 	}
-	return wall, after.Mallocs - before.Mallocs, nil
+	return replayWindow{
+		wall:    t1.Sub(t0),
+		cpu:     c1 - c0,
+		blocked: b1 - b0,
+		mallocs: after.Mallocs - before.Mallocs,
+	}, nil
+}
+
+// ScalingRatio measures how much one checked I/O's CPU cost grows when
+// n sessions share one engine instead of one session running alone. It
+// times pairs of chunks, one session then n sessions with the order
+// alternating from pair to pair, each chunk iters rounds per session on
+// a fresh engine. It returns the median of the per-pair cost ratios and
+// each side's median ns per checked I/O.
+//
+// A chunk's cost is the process CPU time inside its timed window plus
+// the time its goroutines spent parked on a lock there, per checked
+// I/O. Time the host gives to other processes therefore does not count,
+// while anything sessions do to each other does: spinning or parking on
+// a lock, cache lines bouncing between cores. On a platform without a
+// process CPU clock the cost falls back to wall time x cores / rounds,
+// as in Throughput.
+func ScalingRatio(r *CheckerReplay, n, iters, pairs int) (ratio, ns1, nsN float64, err error) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	cost := func(sessions int) (float64, error) {
+		g := pinGOMAXPROCS(sessions)
+		sh := checker.NewShared(r.Spec, checker.WithEnv(r.att))
+		w, err := runConcurrentReplay(r, sh, sessions, iters, 0)
+		if err != nil {
+			return 0, err
+		}
+		rounds := float64(sessions * iters)
+		if w.cpu <= 0 {
+			return float64(w.wall.Nanoseconds()) * float64(min(sessions, g)) / rounds, nil
+		}
+		return float64((w.cpu + w.blocked).Nanoseconds()) / rounds, nil
+	}
+	ratios := make([]float64, pairs)
+	ones := make([]float64, pairs)
+	many := make([]float64, pairs)
+	for i := range ratios {
+		order := []int{1, n}
+		if i%2 == 1 {
+			order = []int{n, 1}
+		}
+		for _, sessions := range order {
+			c, err := cost(sessions)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if sessions == 1 {
+				ones[i] = c
+			} else {
+				many[i] = c
+			}
+		}
+		ratios[i] = many[i] / ones[i]
+	}
+	return medianOf(ratios), medianOf(ones), medianOf(many), nil
+}
+
+// medianOf returns the middle element of xs (sorted in place).
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // Throughput measures checked-I/O scaling for one device's captured
@@ -270,17 +365,17 @@ func Throughput(r *CheckerReplay, iters int, counts []int) ([]*ThroughputRow, er
 			gmp := pinGOMAXPROCS(n)
 			for bi, bs := range batchSizes {
 				sh := checker.NewShared(r.Spec, checker.WithEnv(r.att))
-				w, m, err := runConcurrentReplay(r, sh, n, iters, bs)
+				w, err := runConcurrentReplay(r, sh, n, iters, bs)
 				if err != nil {
 					runtime.GOMAXPROCS(prev)
 					return nil, err
 				}
 				p := &pts[bi*len(counts)+ci]
-				if rep == 0 || w < p.wall {
-					p.wall = w
+				if rep == 0 || w.wall < p.wall {
+					p.wall = w.wall
 				}
-				if rep == 0 || m < p.mallocs {
-					p.mallocs = m
+				if rep == 0 || w.mallocs < p.mallocs {
+					p.mallocs = w.mallocs
 				}
 				p.gmp = gmp
 			}

@@ -58,9 +58,18 @@ func TestThroughputScalesAcrossSessions(t *testing.T) {
 	}
 	// Per-op CPU cost must not blow up under concurrency (the path is
 	// lock-free); allow 2x for scheduler and cache noise on small runs.
-	if rows[1].CPUNsPerIO > 2*rows[0].CPUNsPerIO {
-		t.Errorf("4-session per-op cost %.0fns vs baseline %.0fns: contention on the shared engine",
-			rows[1].CPUNsPerIO, rows[0].CPUNsPerIO)
+	// The ratio is the median over interleaved 1-session/4-session chunk
+	// pairs of process CPU plus lock-parked time per checked I/O, so a
+	// neighbouring process taking a core does not read as contention on
+	// the shared engine, while sessions serialized on a lock do.
+	ratio, ns1, ns4, err := bench.ScalingRatio(r, 4, 5000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("median 4-session/1-session cost ratio %.2f (%.0fns vs %.0fns per checked I/O)", ratio, ns4, ns1)
+	if ratio > 2 {
+		t.Errorf("4-session per-op cost %.0fns vs baseline %.0fns (median pair ratio %.2f): contention on the shared engine",
+			ns4, ns1, ratio)
 	}
 
 	e2e, err := bench.ThroughputE2E(tgt, r.Spec, 30, counts)

@@ -1000,7 +1000,12 @@ func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v ob
 	if c.clock != nil {
 		tick = c.clock.Now().Microseconds()
 	}
-	ev := c.rec.Append(tick)
+	var ev *obs.Event
+	if c.batching {
+		ev = c.rec.Append(tick)
+	} else {
+		ev = c.rec.AppendCommitted(tick, uint32(c.roundSteps), uint8(strat), v)
+	}
 	ev.Round = round
 	ev.Addr = req.Addr
 	ev.Steps = uint32(c.roundSteps)
@@ -1013,8 +1018,6 @@ func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v ob
 	ev.Verdict = v
 	if c.batching {
 		c.rec.CommitDeferred(ev)
-	} else {
-		c.rec.Commit(ev)
 	}
 }
 

@@ -15,44 +15,6 @@ import (
 	"sedspec/internal/obs/stream"
 )
 
-// specVersion is one immutable generation of the enforced specification:
-// the spec, its sealed runtime form, and the entry-block material every
-// round needs. The shared engine publishes versions through an atomic
-// pointer; sessions adopt the current version at round boundaries, so one
-// round always runs entirely against one version.
-type specVersion struct {
-	gen        uint64
-	spec       *core.Spec
-	sealed     *core.SealedSpec
-	prog       *ir.Program
-	entryTemps int
-	entryRef   ir.BlockRef
-	// tprog is the version's threaded-code stream with handlers bound.
-	// Compiled once at publication and immutable afterwards — like the
-	// sealed spec itself — so RCU adoption is a pointer assignment and
-	// every session dispatches over the same shared stream.
-	tprog *threadedProg
-}
-
-// newSpecVersion seals a spec into a publishable version.
-func newSpecVersion(spec *core.Spec, gen uint64) *specVersion {
-	sp := span.Default().Start("seal", span.Device(spec.Device))
-	sealed := spec.Seal()
-	sp.End(span.Gen(gen))
-	v := &specVersion{
-		gen:    gen,
-		spec:   spec,
-		sealed: sealed,
-		prog:   spec.Program(),
-	}
-	if es := spec.Block(spec.Entry); es != nil {
-		v.entryTemps = v.prog.Handlers[es.Ref.Handler].NumTemps
-		v.entryRef = es.Ref
-	}
-	v.tprog = buildThreaded(sealed)
-	return v
-}
-
 // Shared is the cross-session half of the concurrent enforcement engine:
 // one specification sealed once, enforced for N parallel guest sessions.
 //
@@ -175,6 +137,12 @@ type scratch struct {
 // engine walks the mutable Spec and exists for differential testing, not
 // for concurrent deployment.
 func NewShared(spec *core.Spec, opts ...Option) *Shared {
+	return NewSharedCompiled(Compile(spec), opts...)
+}
+
+// NewSharedCompiled is NewShared for an already compiled spec: the
+// engine publishes cv as its first generation without sealing again.
+func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
 	tmpl := baseChecker()
 	for _, o := range opts {
 		o(tmpl)
@@ -183,7 +151,7 @@ func NewShared(spec *core.Spec, opts ...Option) *Shared {
 		panic("checker: WithReferenceSimulation is incompatible with a shared engine")
 	}
 	s := &Shared{
-		device:        spec.Device,
+		device:        cv.spec.Device,
 		mode:          tmpl.mode,
 		enabled:       tmpl.enabled,
 		budget:        tmpl.budget,
@@ -211,7 +179,7 @@ func NewShared(spec *core.Spec, opts ...Option) *Shared {
 	for i := range s.shards {
 		s.shards[i] = &sessionShard{retiredCov: make(map[uint64]*coverage.Snapshot)}
 	}
-	s.cur.Store(newSpecVersion(spec, 1))
+	s.cur.Store(&specVersion{gen: 1, Compiled: cv})
 	s.scratchPool.New = func() any { return &scratch{} }
 	return s
 }
@@ -267,34 +235,41 @@ func compatiblePrograms(old, repl *ir.Program) error {
 // version up at their next PreIO; no I/O check is dropped, and no round
 // observes two versions.
 //
+// Swap compiles spec and publishes it; see Publish for the compatibility
+// rules and the concurrency contract.
+func (s *Shared) Swap(spec *core.Spec) error { return s.Publish(Compile(spec)) }
+
+// Publish makes cv the enforced specification, stamped with the next
+// generation, with Swap's grace-period guarantee. A compiled version is
+// immutable, so publishing one that this or another engine already
+// enforces (a reinstall, a rollback) costs no sealing at all.
+//
 // The replacement must be for the same device and structurally compatible
 // with the current program (sessions' shadow states survive the swap).
-// Swap may be called from any goroutine; concurrent Swaps serialize. A
-// session registering concurrently with publication is safe without a
-// registry lock: NewSession loads the version before registering, and a
-// session that is not yet registered cannot be mid-round — if it loaded
-// the old version it adopts the new one at its first PreIO, so the grace
-// wait only needs the sessions visible in the shards.
-func (s *Shared) Swap(spec *core.Spec) error {
-	if spec.Device != s.device {
-		return fmt.Errorf("checker: swap: spec is for device %q, engine enforces %q", spec.Device, s.device)
+// Publish may be called from any goroutine; concurrent publications
+// serialize. A session registering concurrently with publication is safe
+// without a registry lock: NewSession loads the version before
+// registering, and a session that is not yet registered cannot be
+// mid-round — if it loaded the old version it adopts the new one at its
+// first PreIO, so the grace wait only needs the sessions visible in the
+// shards.
+func (s *Shared) Publish(cv *Compiled) error {
+	if cv.spec.Device != s.device {
+		return fmt.Errorf("checker: swap: spec is for device %q, engine enforces %q", cv.spec.Device, s.device)
 	}
 	// Shape compatibility is transitive over the program geometry checks,
 	// so validating against the version current at call time stays valid
-	// even if a concurrent Swap publishes in between.
-	if err := compatiblePrograms(s.cur.Load().prog, spec.Program()); err != nil {
+	// even if a concurrent publication lands in between.
+	if err := compatiblePrograms(s.cur.Load().prog, cv.prog); err != nil {
 		return err
 	}
-	// Seal outside the serialization lock: sealing cost scales with spec
-	// size and must not extend the window during which a competing Swap
-	// is held off.
 	sp := span.Default().Start("swap", span.Device(s.device))
-	sealed := newSpecVersion(spec, 0)
+	next := &specVersion{Compiled: cv}
 
 	s.swapMu.Lock()
 	old := s.cur.Load()
-	sealed.gen = old.gen + 1
-	s.cur.Store(sealed)
+	next.gen = old.gen + 1
+	s.cur.Store(next)
 	s.swaps.Add(1)
 	if s.reg != nil {
 		s.reg.CountSwap(s.device)
@@ -321,14 +296,14 @@ func (s *Shared) Swap(spec *core.Spec) error {
 		}
 	}
 	s.swapMu.Unlock()
-	sp.End(span.Gen(sealed.gen))
+	sp.End(span.Gen(next.gen))
 	s.hub.Publish(stream.Event{
 		Kind:    stream.KindSwap,
 		Tenant:  s.tenant,
 		Device:  s.device,
 		Session: -1,
-		SpecGen: sealed.gen,
-		Swap:    &stream.SwapInfo{FromGen: old.gen, ToGen: sealed.gen},
+		SpecGen: next.gen,
+		Swap:    &stream.SwapInfo{FromGen: old.gen, ToGen: next.gen},
 	})
 	return nil
 }

@@ -343,6 +343,7 @@ func DecodeBinary(prog *ir.Program, data []byte) (*Spec, error) {
 	s.Params = analysis.NewSelection(prog, params)
 
 	nblocks := r.count()
+	s.Blocks = make([]*ESBlock, 0, nblocks)
 	for bi := 0; bi < nblocks && r.err == nil; bi++ {
 		if r.b() == 0 {
 			s.Blocks = append(s.Blocks, nil)
@@ -357,6 +358,11 @@ func DecodeBinary(prog *ir.Program, data []byte) (*Spec, error) {
 		b.Returns = flags&blkFlagReturns != 0
 		b.Halts = flags&blkFlagHalts != 0
 		ndsod := r.count()
+		if ndsod > 0 {
+			// An encoded DSOD op takes at least four bytes, so the
+			// input left bounds what a corrupt count can preallocate.
+			b.DSOD = make([]DSODOp, 0, min(ndsod, (len(r.buf)-r.off)/4))
+		}
 		for i := 0; i < ndsod && r.err == nil; i++ {
 			ref := analysis.OpRef{Handler: r.i(), Block: r.i(), Op: r.i()}
 			df := r.b()
@@ -444,8 +450,8 @@ func DecodeBinary(prog *ir.Program, data []byte) (*Spec, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if s.Entry < 0 || s.Entry >= len(s.Blocks) || s.Blocks[s.Entry] == nil {
-		return nil, fmt.Errorf("core: decode spec: entry block %d invalid", s.Entry)
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("core: decode spec: %w", err)
 	}
 	return s, nil
 }

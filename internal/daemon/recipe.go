@@ -3,12 +3,16 @@ package daemon
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"sedspec"
 	"sedspec/internal/bench"
+	"sedspec/internal/checker"
+	"sedspec/internal/core"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/ir"
 	"sedspec/internal/machine"
+	"sedspec/internal/specstore"
 )
 
 // recipe is one install corpus resolved to the device recipe that
@@ -27,6 +31,20 @@ type recipe struct {
 	poc    *cvesim.PoC   // cve corpus; nil for benign
 	prog   *ir.Program
 	want   sedspec.SpecVersion // what a fresh learn of prog publishes
+
+	// learned is the recipe's one memo slot: the compiled form of its
+	// learned blob, keyed by the blob's content address. Every tenant
+	// and engine enforcing the corpus shares this one copy, so a warm
+	// install or a rollback to the learned generation publishes it
+	// without decoding or sealing.
+	learned atomic.Pointer[compiledBlob]
+}
+
+// compiledBlob is a compiled spec and the content address of the blob
+// it was decoded from (or published as).
+type compiledBlob struct {
+	blob string
+	cv   *checker.Compiled
 }
 
 // resolveRecipe maps an install request onto its recipe. The first
@@ -72,4 +90,65 @@ func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 func (rc *recipe) attach() *machine.Attached {
 	dev, aopts := rc.build()
 	return machine.New(machine.WithMemory(1<<20)).Attach(dev, aopts...)
+}
+
+// learnCompiled returns the recipe's learned spec in st's namespace,
+// compiled. A store hit goes through compiled, so the tenant's blob is
+// still read and hash-checked. A miss, or a blob that fails the check,
+// takes sedspec.LoadOrLearn's path: train the corpus and publish the
+// result under the recipe's key, which also heals a damaged blob.
+func (rc *recipe) learnCompiled(st *specstore.Store) (cv *checker.Compiled, meta sedspec.SpecVersion, hit bool, err error) {
+	if vm, ok := st.Lookup(rc.want.Key()); ok {
+		if cv, err := rc.compiled(st, vm); err == nil {
+			return cv, vm, true, nil
+		}
+	}
+	spec, meta, hit, err := sedspec.LoadOrLearn(st, rc.prog, rc.want, func() (*core.Spec, error) {
+		return sedspec.Learn(rc.attach(), rc.train)
+	})
+	if err != nil {
+		return nil, meta, false, err
+	}
+	return rc.remember(meta.Blob, checker.Compile(spec)), meta, hit, nil
+}
+
+// compiled returns the stored version meta compiled against the
+// recipe's program. The blob is read and its hash checked on every
+// call. When it is the blob in the recipe's slot, the slot's compiled
+// copy is returned. Otherwise the blob is decoded (which validates it)
+// and compiled, and the result fills the slot if meta is the recipe's
+// learned version.
+func (rc *recipe) compiled(st *specstore.Store, meta specstore.VersionMeta) (*checker.Compiled, error) {
+	data, err := st.Read(meta)
+	if err != nil {
+		return nil, err
+	}
+	if m := rc.learned.Load(); m != nil && m.blob == meta.Blob {
+		return m.cv, nil
+	}
+	spec, err := core.DecodeBinary(rc.prog, data)
+	if err != nil {
+		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
+	}
+	cv := checker.Compile(spec)
+	if meta.Key() == rc.want.Key() {
+		cv = rc.remember(meta.Blob, cv)
+	}
+	return cv, nil
+}
+
+// remember puts cv in the recipe's slot as the compiled form of blob
+// and returns it, unless the slot already holds blob: then the slot's
+// copy wins, so installs racing on a cold recipe still end up sharing
+// one compiled copy.
+func (rc *recipe) remember(blob string, cv *checker.Compiled) *checker.Compiled {
+	for {
+		m := rc.learned.Load()
+		if m != nil && m.blob == blob {
+			return m.cv
+		}
+		if rc.learned.CompareAndSwap(m, &compiledBlob{blob: blob, cv: cv}) {
+			return cv
+		}
+	}
 }

@@ -15,7 +15,8 @@ import (
 // over as store hits that decode against the shared program — while
 // poc sessions attach and replay on both tenants and a rollback swaps
 // one tenant's engine back to its learned generation. Every session
-// must still detect, and the hits and rollbacks must publish nothing.
+// must still detect, the hits and rollbacks must publish nothing, and
+// both tenants must end up enforcing one compiled copy.
 func TestRecipeSharedAcrossTenants(t *testing.T) {
 	d, hub := newWarmDaemon(t)
 	defer d.Close()
@@ -103,6 +104,9 @@ func TestRecipeSharedAcrossTenants(t *testing.T) {
 	}
 	if rcs[0] != rcs[1] {
 		t.Error("two tenants installing one corpus resolved two recipes")
+	}
+	if enforced(t, tenants[0], p.Device) != enforced(t, tenants[1], p.Device) {
+		t.Error("two tenants installing one corpus at once hold two compiled copies")
 	}
 	if got := hub.Published(stream.KindSpec); got != specEvents {
 		t.Errorf("hits and rollbacks published %d spec events", got-specEvents)

@@ -134,11 +134,9 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 
 	// Learn outside the tenant lock: a cache miss trains the full
 	// corpus, and sibling installs or attaches must not stall on it. A
-	// hit only looks the recipe's key up and decodes the stored blob
-	// against the recipe's program.
-	spec, meta, hit, err := sedspec.LoadOrLearn(t.store, rc.prog, rc.want, func() (*core.Spec, error) {
-		return sedspec.Learn(rc.attach(), rc.train)
-	})
+	// hit looks the recipe's key up, checks the stored blob's hash, and
+	// takes the recipe's compiled copy of it.
+	cv, meta, hit, err := rc.learnCompiled(t.store)
 	if err != nil {
 		return EngineInfo{}, fmt.Errorf("daemon: learn %s: %w", device, err)
 	}
@@ -158,7 +156,7 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 		}
 		eng.swapMu.Lock()
 		defer eng.swapMu.Unlock()
-		if err := eng.shared.Swap(spec); err != nil {
+		if err := eng.shared.Publish(cv); err != nil {
 			return EngineInfo{}, err
 		}
 		eng.meta = meta
@@ -179,7 +177,7 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	eng := &engine{
 		mode:   mode,
 		budget: req.Budget,
-		shared: checker.NewShared(spec, copts...),
+		shared: checker.NewSharedCompiled(cv, copts...),
 		meta:   meta,
 	}
 	eng.rc.Store(rc)
@@ -308,11 +306,11 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	if !found {
 		return SwapResult{}, fmt.Errorf("daemon: no stored generation %d for device %s", req.Generation, req.Device)
 	}
-	spec, err := t.store.Load(rc.prog, meta)
+	cv, err := rc.compiled(t.store, meta)
 	if err != nil {
 		return SwapResult{}, err
 	}
-	if err := eng.shared.Swap(spec); err != nil {
+	if err := eng.shared.Publish(cv); err != nil {
 		return SwapResult{}, err
 	}
 	eng.meta = meta

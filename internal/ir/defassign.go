@@ -17,7 +17,19 @@ package ir
 // handler's entry block (block 0). Flag slots are written by exactly
 // the ops that write their temp, so the property covers the flag bank
 // too.
+//
+// A built program is immutable, so Build runs the analysis once and
+// every later call (one per Seal) reads the stored answer. A program
+// that never went through Build is analysed on each call.
 func (p *Program) DefiniteTemps() bool {
+	if p.finalized {
+		return p.definite
+	}
+	return p.definiteTemps()
+}
+
+// definiteTemps runs the analysis behind DefiniteTemps.
+func (p *Program) definiteTemps() bool {
 	for hi := range p.Handlers {
 		if !handlerDefinite(&p.Handlers[hi]) {
 			return false

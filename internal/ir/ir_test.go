@@ -466,3 +466,23 @@ func TestFieldCType(t *testing.T) {
 		}
 	}
 }
+
+func TestDefiniteTempsComputedOnceAtBuild(t *testing.T) {
+	p := buildToy(t)
+	if got, want := p.DefiniteTemps(), p.definiteTemps(); got != want {
+		t.Fatalf("built program: DefiniteTemps() = %v, analysis says %v", got, want)
+	}
+	// A program that never went through Build has no stored answer and
+	// is analysed on each call: a switch on a never-written temp fails.
+	bare := &Program{Handlers: []Handler{{
+		NumTemps: 1,
+		Blocks:   []Block{{Term: Term{Kind: TermSwitch, A: 0}}},
+	}}}
+	if bare.DefiniteTemps() {
+		t.Fatal("unbuilt program reading an unassigned temp reported definitely assigned")
+	}
+	bare.Handlers[0].Blocks = []Block{{Term: Term{Kind: TermReturn}}}
+	if !bare.DefiniteTemps() {
+		t.Fatal("unbuilt program with no temp reads reported not definitely assigned")
+	}
+}

@@ -138,6 +138,8 @@ type Program struct {
 	handlerIdx map[string]int
 	blockAddr  map[uint64]BlockRef
 	finalized  bool
+	// definite caches DefiniteTemps, computed once by finalize.
+	definite bool
 }
 
 // BlockRef names a block by handler and block index.
@@ -223,6 +225,7 @@ func (p *Program) finalize() {
 		*next += 16
 	}
 	p.DeviceCodeEnd = devNext
+	p.definite = p.definiteTemps()
 	p.finalized = true
 }
 

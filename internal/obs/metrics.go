@@ -56,9 +56,14 @@ type bank struct {
 }
 
 func (b *bank) record(ev *Event) {
-	b.cells[bucketOf(uint64(ev.Latency))][bucketOf(uint64(ev.Steps))].Add(1)
-	if ev.Verdict != VerdictOK {
-		b.outcomes[ev.Strategy%NumStrategies][ev.Verdict%NumVerdicts].Add(1)
+	b.count(ev.Latency, ev.Steps, ev.Strategy, ev.Verdict)
+}
+
+// count folds one round into the bank.
+func (b *bank) count(lat, steps uint32, strat uint8, v Verdict) {
+	b.cells[bucketOf(uint64(lat))][bucketOf(uint64(steps))].Add(1)
+	if v != VerdictOK {
+		b.outcomes[strat%NumStrategies][v%NumVerdicts].Add(1)
 	}
 }
 
@@ -301,8 +306,8 @@ type Recorder struct {
 	// into the bank by FlushDeferred. It is indexed directly by
 	// latencyBucket<<5 | stepsBucket — the full key space — so no two
 	// cells ever collide and a deferred round costs a plain increment
-	// where Commit pays an atomic. pendDirty lists the distinct cells
-	// touched since the last flush (at most one new cell per deferred
+	// where AppendCommitted pays an atomic. pendDirty lists the distinct
+	// cells touched since the last flush (at most one new cell per deferred
 	// round, so pendFlushInterval entries bound it); flushing walks the
 	// dirty list, not the table. The table survives batch boundaries and
 	// self-publishes every pendFlushInterval deferred rounds, so a live
@@ -353,39 +358,59 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 // Append claims the next ring slot and stamps the sequencing fields
 // (Seq, Session, Tick, and the Latency delta since the previous event).
 // The caller must assign every payload field — the slot is not cleared,
-// so an unassigned field would leak the overwritten event's value — and
-// finish the record with Commit. Splitting the two lets the check hot
-// path write each event field exactly once, directly into the ring.
+// so an unassigned field would leak the overwritten event's value. A
+// batched check path finishes the record with CommitDeferred; per-round
+// delivery uses AppendCommitted instead. Claiming the slot first lets
+// the check hot path write each event field exactly once, directly
+// into the ring.
 func (r *Recorder) Append(tick int64) *Event {
+	return r.claim(tick, r.advance(tick))
+}
+
+// AppendCommitted is Append for per-round delivery, with the round
+// already counted: it folds the round into the metric bank (one
+// uncontended atomic add, two on anomalies) from the values the caller
+// is about to write — steps, strategy, verdict — and then claims and
+// stamps the slot, so the locked add does not queue behind the slot
+// stores. Snapshot reads only the bank, so counting before the slot is
+// filled is not observable. Any counts still deferred from an earlier
+// batched stretch are published first, so the bank never records a
+// later round ahead of an earlier one. The caller then assigns the
+// remaining payload fields, as after Append.
+func (r *Recorder) AppendCommitted(tick int64, steps uint32, strat uint8, v Verdict) *Event {
+	lat := r.advance(tick)
+	if r.pendDirtyN > 0 {
+		r.FlushDeferred()
+	}
+	r.bank.count(lat, steps, strat, v)
+	return r.claim(tick, lat)
+}
+
+// advance steps the event sequence and returns the virtual time since
+// the previous event, saturated to 32 bits.
+func (r *Recorder) advance(tick int64) uint32 {
 	r.seq++
 	d := tick - r.lastTick
 	r.lastTick = tick
-	var lat uint32
 	switch {
 	case d <= 0:
+		return 0
 	case d >= math.MaxUint32:
-		lat = math.MaxUint32
+		return math.MaxUint32
 	default:
-		lat = uint32(d)
+		return uint32(d)
 	}
+}
+
+// claim takes the next ring slot and stamps its sequencing fields.
+func (r *Recorder) claim(tick int64, lat uint32) *Event {
 	ev := &r.ring.slots[r.ring.head&r.ring.mask]
 	r.ring.head++
 	ev.Seq, ev.Session, ev.Tick, ev.Latency = r.seq, r.session, tick, lat
 	return ev
 }
 
-// Commit folds a filled slot from Append into the metric bank: one
-// uncontended atomic add (two on anomalies). Any counts still deferred
-// from an earlier batched stretch are published first, so the bank never
-// records a later round ahead of an earlier one.
-func (r *Recorder) Commit(ev *Event) {
-	if r.pendDirtyN > 0 {
-		r.FlushDeferred()
-	}
-	r.bank.record(ev)
-}
-
-// CommitDeferred is Commit for batched check paths: OK rounds
+// CommitDeferred finishes an Append on batched check paths: OK rounds
 // accumulate in a small pending buffer and reach the atomic bank in one
 // add per distinct histogram cell at the next FlushDeferred; anomalous
 // rounds flush the buffer first and then commit directly, preserving
@@ -458,7 +483,7 @@ func (r *Recorder) FlushDeferred() {
 }
 
 // Record stamps sequencing fields into ev and stores it — the
-// one-call convenience form of Append+Commit.
+// one-call convenience form of Append plus the bank update.
 func (r *Recorder) Record(ev Event) {
 	slot := r.Append(ev.Tick)
 	ev.Seq, ev.Session, ev.Latency = slot.Seq, slot.Session, slot.Latency

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 // Micro-benchmarks of the recorder hot path and its two halves. The
-// checker-facing cost (Append + field fills + Commit) is guarded
+// checker-facing cost (AppendCommitted + field fills) is guarded
 // end-to-end by TestRecorderOverheadGuard in the root package; these
 // pin where a regression lives when that guard trips.
 

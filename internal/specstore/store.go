@@ -298,9 +298,34 @@ func (st *Store) Versions(device string) []VersionMeta {
 }
 
 // Load reads a version's blob and rebinds it to the device program.
+// Its "store.get" span covers the read, the hash check and the decode.
 func (st *Store) Load(prog *ir.Program, meta VersionMeta) (*core.Spec, error) {
 	sp := span.Default().Start("store.get", span.Device(meta.Device), span.Gen(meta.Generation))
 	defer sp.End()
+	data, err := st.read(meta)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := core.DecodeBinary(prog, data)
+	if err != nil {
+		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
+	}
+	return spec, nil
+}
+
+// Read returns a version's blob bytes after checking that they still
+// hash to the version's content address. It is the verify-only half of
+// Load: a caller that already holds the decoded form of this blob uses
+// Read to confirm the store still backs it. Its "store.get" span covers
+// the read and the hash check only.
+func (st *Store) Read(meta VersionMeta) ([]byte, error) {
+	sp := span.Default().Start("store.get", span.Device(meta.Device), span.Gen(meta.Generation))
+	defer sp.End()
+	return st.read(meta)
+}
+
+// read is Read without the span.
+func (st *Store) read(meta VersionMeta) ([]byte, error) {
 	data, err := os.ReadFile(st.blobPath(meta.Blob))
 	if err != nil {
 		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
@@ -308,11 +333,7 @@ func (st *Store) Load(prog *ir.Program, meta VersionMeta) (*core.Spec, error) {
 	if !blobIntact(data, meta.Blob) {
 		return nil, fmt.Errorf("specstore: load gen %d: blob hash mismatch (corrupt store)", meta.Generation)
 	}
-	spec, err := core.DecodeBinary(prog, data)
-	if err != nil {
-		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
-	}
-	return spec, nil
+	return data, nil
 }
 
 // ProgramHash computes a content hash of the device program: name, control
