@@ -180,6 +180,7 @@ func warningRecords(audit []AuditRecord) []WarningRecord {
 func EnhancedVersion(programHash string, parent SpecVersion, audit []AuditRecord) SpecVersion {
 	warns := warningRecords(audit)
 	return SpecVersion{
+		Device:      parent.Device,
 		ProgramHash: programHash,
 		CorpusHash:  specstore.EnhancedCorpusHash(parent.CorpusHash, warns),
 		Parent:      parent.Generation,

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -162,6 +163,9 @@ func TestNoTrainingData(t *testing.T) {
 	}
 }
 
+// TestSpecJSONRoundTrip checks that the JSON written by Save parses back
+// and carries the spec's device, entry, params, blocks and stats. JSON is
+// write-only: the binary codec is the only reader.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	prog := buildReducible(t)
 	spec := learn(t, prog, reqs(), core.BuildOpts{})
@@ -170,12 +174,18 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err := spec.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.Load(prog, &buf)
-	if err != nil {
+	var back struct {
+		Device string            `json:"device"`
+		Entry  int               `json:"entry"`
+		Params []json.RawMessage `json:"params"`
+		Blocks []json.RawMessage `json:"blocks"`
+		Stats  core.Stats        `json:"stats"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Dot() != spec.Dot() {
-		t.Error("ES-CFG structure changed across the JSON round trip")
+	if back.Device != spec.Device {
+		t.Errorf("device changed: %q vs %q", back.Device, spec.Device)
 	}
 	if back.Stats != spec.Stats {
 		t.Errorf("stats changed: %+v vs %+v", back.Stats, spec.Stats)
@@ -183,39 +193,58 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if back.Entry != spec.Entry {
 		t.Errorf("entry changed: %d vs %d", back.Entry, spec.Entry)
 	}
-	if len(back.Params.Params) != len(spec.Params.Params) {
+	if len(back.Params) != len(spec.Params.Params) {
 		t.Error("params changed across round trip")
+	}
+	if len(back.Blocks) != len(spec.Blocks) {
+		t.Errorf("blocks changed: %d vs %d", len(back.Blocks), len(spec.Blocks))
 	}
 }
 
+// TestLoadRejectsWrongDevice checks that a spec blob does not load into a
+// program that shares the device name but not its handlers and blocks.
 func TestLoadRejectsWrongDevice(t *testing.T) {
 	prog := buildReducible(t)
 	spec := learn(t, prog, reqs(), core.BuildOpts{})
-	var buf bytes.Buffer
-	if err := spec.Save(&buf); err != nil {
+	data, err := spec.EncodeBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	b2 := ir.NewBuilder("other")
+	b2 := ir.NewBuilder(prog.Name)
 	h := b2.Handler("dispatch")
 	h.Block("e").Entry().Halt("return")
 	other, err := b2.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Load(other, &buf); err == nil {
+	if _, err := core.DecodeBinary(other, data); err == nil {
 		t.Error("loading a spec against the wrong device must fail")
 	}
 }
 
-func TestLoadRejectsBadRefs(t *testing.T) {
+// TestDecodeBinaryRejectsBadRefs checks that a blob whose DSOD op ref
+// lies outside the program fails to decode.
+func TestDecodeBinaryRejectsBadRefs(t *testing.T) {
 	prog := buildReducible(t)
-	bad := `{"device":"reducible","entry":0,"params":[],` +
-		`"blocks":[{"id":0,"ref":{"Handler":0,"Block":0},"kind":1,` +
-		`"dsod":[{"ref":{"handler":99,"block":0,"op":0}}],"next":-1}],` +
-		`"byRef":[]}`
-	if _, err := core.Load(prog, strings.NewReader(bad)); err == nil {
-		t.Error("out-of-range op ref must fail to load")
+	spec := learn(t, prog, reqs(), core.BuildOpts{})
+	bad := false
+	for _, b := range spec.Blocks {
+		if b != nil && len(b.DSOD) > 0 {
+			b.DSOD[0].Ref.Handler = 99
+			bad = true
+			break
+		}
+	}
+	if !bad {
+		t.Fatal("the learned spec has no DSOD op to break")
+	}
+	data, err := spec.EncodeBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.DecodeBinary(prog, data); err == nil {
+		t.Error("out-of-range op ref must fail to decode")
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 	"sedspec/internal/ir"
 )
 
-// The serialized form references ops and terminators by position within
-// the device program; loading requires the same program (the "source
-// code" travels separately, as in the paper's deployment).
+// JSON is a write-only export of a specification, for people and
+// tools to read. It references ops and terminators by position within
+// the device program. Specs are read back only from the binary codec
+// (DecodeBinary), which validates every reference.
 
 type dsodJSON struct {
 	Ref          analysis.OpRef `json:"ref"`
@@ -150,104 +151,4 @@ func (s *Spec) Save(w io.Writer) error {
 		return fmt.Errorf("core: save spec: %w", err)
 	}
 	return nil
-}
-
-// Load reads a JSON specification and rebinds it to the device program it
-// was built from.
-func Load(prog *ir.Program, r io.Reader) (*Spec, error) {
-	var in specJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("core: load spec: %w", err)
-	}
-	if in.Device != prog.Name {
-		return nil, fmt.Errorf("core: spec is for device %q, program is %q", in.Device, prog.Name)
-	}
-
-	s := &Spec{
-		Device:          in.Device,
-		prog:            prog,
-		Params:          analysis.NewSelection(prog, in.Params),
-		Entry:           in.Entry,
-		byRef:           make(map[ir.BlockRef]int, len(in.ByRef)),
-		IndirectTargets: make(map[int]map[uint64]bool, len(in.Indirect)),
-		CmdTable: &CmdAccessTable{
-			Access: make(map[uint64]map[int]bool, len(in.Access)),
-			Global: make(map[int]bool, len(in.Global)),
-		},
-		Stats: in.Stats,
-	}
-
-	resolveOp := func(ref analysis.OpRef) (*ir.Op, error) {
-		if ref.Handler < 0 || ref.Handler >= len(prog.Handlers) {
-			return nil, fmt.Errorf("core: load spec: handler %d out of range", ref.Handler)
-		}
-		h := &prog.Handlers[ref.Handler]
-		if ref.Block < 0 || ref.Block >= len(h.Blocks) {
-			return nil, fmt.Errorf("core: load spec: block %d out of range in %s", ref.Block, h.Name)
-		}
-		blk := &h.Blocks[ref.Block]
-		if ref.Op < 0 || ref.Op >= len(blk.Ops) {
-			return nil, fmt.Errorf("core: load spec: op %d out of range in %s/%s", ref.Op, h.Name, blk.Label)
-		}
-		return &blk.Ops[ref.Op], nil
-	}
-
-	for _, jb := range in.Blocks {
-		if jb == nil {
-			s.Blocks = append(s.Blocks, nil)
-			continue
-		}
-		b := &ESBlock{
-			ID: jb.ID, Ref: jb.Ref, Kind: jb.Kind, Next: jb.Next,
-			Returns: jb.Returns, Halts: jb.Halts, Visits: jb.Visits,
-		}
-		for _, d := range jb.DSOD {
-			op, err := resolveOp(d.Ref)
-			if err != nil {
-				return nil, err
-			}
-			b.DSOD = append(b.DSOD, DSODOp{Op: op, Ref: d.Ref, Sync: d.Sync, ParamIndexed: d.ParamIndexed})
-		}
-		if jb.NBTD != nil {
-			if jb.Ref.Handler >= len(prog.Handlers) ||
-				jb.Ref.Block >= len(prog.Handlers[jb.Ref.Handler].Blocks) {
-				return nil, fmt.Errorf("core: load spec: NBTD block ref out of range")
-			}
-			term := &prog.Handlers[jb.Ref.Handler].Blocks[jb.Ref.Block].Term
-			n := &NBTD{
-				Kind: jb.NBTD.Kind, Term: term,
-				TakenSeen: jb.NBTD.TakenSeen, NotTakenSeen: jb.NBTD.NotTakenSeen,
-				TakenNext: jb.NBTD.TakenNext, NotTakenNext: jb.NBTD.NotTakenNext,
-			}
-			if len(jb.NBTD.Cases) > 0 {
-				n.CaseNext = make(map[uint64]int, len(jb.NBTD.Cases))
-				for _, c := range jb.NBTD.Cases {
-					n.CaseNext[c.Value] = c.Next
-				}
-			}
-			b.NBTD = n
-		}
-		s.Blocks = append(s.Blocks, b)
-	}
-	for _, rm := range in.ByRef {
-		s.byRef[rm.Ref] = rm.ID
-	}
-	for _, ij := range in.Indirect {
-		set := make(map[uint64]bool, len(ij.Targets))
-		for _, t := range ij.Targets {
-			set[t] = true
-		}
-		s.IndirectTargets[ij.Field] = set
-	}
-	for _, aj := range in.Access {
-		set := make(map[int]bool, len(aj.Blocks))
-		for _, b := range aj.Blocks {
-			set[b] = true
-		}
-		s.CmdTable.Access[aj.Cmd] = set
-	}
-	for _, b := range in.Global {
-		s.CmdTable.Global[b] = true
-	}
-	return s, nil
 }

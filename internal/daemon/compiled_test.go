@@ -12,6 +12,7 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/devices/fdc"
 	"sedspec/internal/machine"
+	"sedspec/internal/specstore"
 )
 
 // enforced returns the sealed spec the tenant's engine for device
@@ -110,6 +111,148 @@ func TestCompiledSpecSharedAcrossTenants(t *testing.T) {
 	}
 }
 
+// enhance audits one mixed session on the tenant's enhancement-mode
+// engine for device, enhances from it, and checks whether the child was
+// a store hit.
+func enhance(t *testing.T, tn *Tenant, device string, wantHit bool) SwapResult {
+	t.Helper()
+	if err := auditMixed(tn, device); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tn.Swap(SwapRequest{Device: device, Enhance: true})
+	if err != nil {
+		t.Fatalf("%s: enhance %s: %v", tn.Name(), device, err)
+	}
+	if res.CacheHit != wantHit || res.Warnings == 0 {
+		t.Fatalf("%s: enhance %s: %+v, want cache_hit=%t", tn.Name(), device, res, wantHit)
+	}
+	return res
+}
+
+// rollback swaps the tenant's engine for device to a stored generation.
+func rollback(t *testing.T, tn *Tenant, device string, gen uint64) {
+	t.Helper()
+	res, err := tn.Swap(SwapRequest{Device: device, Generation: gen})
+	if err != nil {
+		t.Fatalf("%s: rollback %s to %d: %v", tn.Name(), device, gen, err)
+	}
+	if res.StoreGen != gen {
+		t.Fatalf("%s: rollback %s landed on store generation %d, want %d", tn.Name(), device, res.StoreGen, gen)
+	}
+}
+
+// storedVersion returns the tenant's stored version gen of device.
+func storedVersion(t *testing.T, tn *Tenant, device string, gen uint64) specstore.VersionMeta {
+	t.Helper()
+	for _, v := range tn.Versions(device) {
+		if v.Generation == gen {
+			return v
+		}
+	}
+	t.Fatalf("%s: no stored generation %d for %s", tn.Name(), gen, device)
+	return specstore.VersionMeta{}
+}
+
+// enhancementTenant creates a tenant running device's benign corpus in
+// enhancement mode and returns it with its learned generation.
+func enhancementTenant(t *testing.T, d *Daemon, name, device string) (*Tenant, uint64) {
+	t.Helper()
+	tn, err := d.CreateTenant(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	install(t, tn, InstallRequest{Device: device, Mode: "enhancement"}, false)
+	return tn, mustLatestGen(t, tn, device)
+}
+
+// TestEnhancedChildSharedAcrossEnhances pins the enhance half of the
+// compiled-version memo: re-enhancing from the same audit trail after a
+// rollback, a second tenant enhancing from the same warnings, and a
+// rollback to the enhanced generation all publish the first enhance's
+// sealed spec, and that spec is the one a fresh decode of the child
+// blob describes.
+func TestEnhancedChildSharedAcrossEnhances(t *testing.T) {
+	d, _ := newWarmDaemon(t)
+	defer d.Close()
+	const dev = "fdc"
+	alpha, learned := enhancementTenant(t, d, "alpha", dev)
+	beta, _ := enhancementTenant(t, d, "beta", dev)
+
+	res := enhance(t, alpha, dev, false)
+	child := enforced(t, alpha, dev)
+	rollback(t, alpha, dev, learned)
+	enhance(t, alpha, dev, true)
+	if got := enforced(t, alpha, dev); got != child {
+		t.Error("a warm enhance compiled a new copy of the child")
+	}
+	// beta's namespace has no child yet, so it relearns; the relearned
+	// blob is the same bytes and takes the copy alpha compiled.
+	enhance(t, beta, dev, false)
+	if got := enforced(t, beta, dev); got != child {
+		t.Error("a second tenant enhancing from the same warnings compiled its own copy")
+	}
+	rollback(t, alpha, dev, learned)
+	rollback(t, alpha, dev, res.StoreGen)
+	if got := enforced(t, alpha, dev); got != child {
+		t.Error("a rollback to the enhanced generation compiled a new copy")
+	}
+
+	blob, err := alpha.Store().Read(storedVersion(t, alpha, dev, res.StoreGen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.DecodeBinary(child.Program(), blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := alpha.engineFor(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.shared.Spec().Dot() != fresh.Dot() {
+		t.Error("the shared compiled child differs from a fresh decode of its blob")
+	}
+}
+
+// TestCorruptChildBlobAfterMemoizedEnhanceRelearns is the enhance twin
+// of TestCorruptBlobAfterMemoizedInstallRelearns: with the child's
+// compiled copy memoized, a damaged or missing child blob still fails
+// the hash check, so the enhance relearns, reports a miss and puts the
+// blob back, and the enhance after it hits.
+func TestCorruptChildBlobAfterMemoizedEnhanceRelearns(t *testing.T) {
+	d, _ := newWarmDaemon(t)
+	defer d.Close()
+	const dev = "fdc"
+	tn, learned := enhancementTenant(t, d, "alpha", dev)
+	res := enhance(t, tn, dev, false)
+	rollback(t, tn, dev, learned)
+	enhance(t, tn, dev, true)
+	meta := storedVersion(t, tn, dev, res.StoreGen)
+	path := filepath.Join(tn.Store().Dir(), "blobs", meta.Blob+".spec")
+
+	for _, damage := range []struct {
+		name string
+		do   func() error
+	}{
+		{"corrupt", func() error { return os.WriteFile(path, []byte("SEDS\x01garbage"), 0o644) }},
+		{"missing", func() error { return os.Remove(path) }},
+	} {
+		if err := damage.do(); err != nil {
+			t.Fatal(err)
+		}
+		rollback(t, tn, dev, learned)
+		enhance(t, tn, dev, false)
+		if _, err := tn.Store().Read(meta); err != nil {
+			t.Fatalf("%s child blob not healed by the relearn: %v", damage.name, err)
+		}
+		rollback(t, tn, dev, learned)
+		enhance(t, tn, dev, true)
+		if n := len(tn.Versions(dev)); n != 2 {
+			t.Errorf("%s child blob: store holds %d versions, want the learned one and its child", damage.name, n)
+		}
+	}
+}
+
 // TestCorruptBlobAfterMemoizedInstallRelearns is the daemon twin of the
 // store's corrupt-blob test: with the compiled copy already memoized, a
 // damaged or missing blob still fails the hash check, so the install
@@ -201,17 +344,20 @@ func TestPublishRejectsIncompatibleCompiled(t *testing.T) {
 }
 
 // TestCompiledSharedUnderConcurrentSwaps runs poc sessions, benign
-// sessions, warm reinstalls and rollbacks at once on two tenants whose
-// engines share compiled versions (run it under -race). Every verdict
-// must match Table III, no benign session may be flagged, and at the
-// end both tenants still enforce the one compiled copy per corpus.
+// sessions, warm reinstalls, enhances and rollbacks at once on two
+// tenants whose engines share compiled versions (run it under -race).
+// Every verdict must match Table III, no benign or mixed session may be
+// blocked, every enhance on either tenant publishes one compiled child,
+// and at the end both tenants still enforce the one compiled copy per
+// corpus.
 func TestCompiledSharedUnderConcurrentSwaps(t *testing.T) {
 	d, _ := newWarmDaemon(t)
 	defer d.Close()
 	p := cvesim.Venom()
-	const benignDev = "ehci"
+	const benignDev, enhDev = "ehci", "sdhci"
 	pocReq := InstallRequest{Corpus: "cve:" + p.CVE}
 	benignReq := InstallRequest{Device: benignDev}
+	enhReq := InstallRequest{Device: enhDev, Mode: "enhancement"}
 	var tenants [2]*Tenant
 	for i, name := range []string{"alpha", "beta"} {
 		tn, err := d.CreateTenant(name)
@@ -220,14 +366,18 @@ func TestCompiledSharedUnderConcurrentSwaps(t *testing.T) {
 		}
 		install(t, tn, pocReq, false)
 		install(t, tn, benignReq, false)
+		install(t, tn, enhReq, false)
 		tenants[i] = tn
 	}
 	wantPoC := enforced(t, tenants[0], p.Device)
 	wantBenign := enforced(t, tenants[0], benignDev)
-	learned := map[*Tenant][2]uint64{}
+	wantEnh := enforced(t, tenants[0], enhDev)
+	learned := map[*Tenant][3]uint64{}
 	for _, tn := range tenants {
-		learned[tn] = [2]uint64{mustLatestGen(t, tn, p.Device), mustLatestGen(t, tn, benignDev)}
+		learned[tn] = [3]uint64{mustLatestGen(t, tn, p.Device), mustLatestGen(t, tn, benignDev), mustLatestGen(t, tn, enhDev)}
 	}
+	var childMu sync.Mutex
+	children := map[*core.SealedSpec]bool{}
 
 	var wg sync.WaitGroup
 	run := func(f func()) {
@@ -279,6 +429,32 @@ func TestCompiledSharedUnderConcurrentSwaps(t *testing.T) {
 				}
 			}
 		})
+		run(func() {
+			for i := 0; i < rounds; i++ {
+				if err := auditMixed(tn, enhDev); err != nil {
+					t.Errorf("%s: %v", tn.Name(), err)
+					return
+				}
+				if _, err := tn.Swap(SwapRequest{Device: enhDev, Enhance: true}); err != nil {
+					t.Errorf("%s: enhance: %v", tn.Name(), err)
+					return
+				}
+				// This goroutine is the engine's only swapper, so the
+				// child is still enforced here.
+				eng, err := tn.engineFor(enhDev)
+				if err != nil {
+					t.Errorf("%s: %v", tn.Name(), err)
+					return
+				}
+				childMu.Lock()
+				children[eng.shared.Sealed()] = true
+				childMu.Unlock()
+				if _, err := tn.Swap(SwapRequest{Device: enhDev, Generation: learned[tn][2]}); err != nil {
+					t.Errorf("%s: rollback: %v", tn.Name(), err)
+					return
+				}
+			}
+		})
 		benignIDs[tn] = ss[0].ID
 	}
 	wg.Wait()
@@ -291,8 +467,11 @@ func TestCompiledSharedUnderConcurrentSwaps(t *testing.T) {
 		if fin.Rounds == 0 || fin.Err != "" || fin.Blocked != 0 || fin.Warnings != 0 {
 			t.Errorf("%s: benign session under concurrent swaps: %+v", tn.Name(), fin)
 		}
-		if enforced(t, tn, p.Device) != wantPoC || enforced(t, tn, benignDev) != wantBenign {
+		if enforced(t, tn, p.Device) != wantPoC || enforced(t, tn, benignDev) != wantBenign || enforced(t, tn, enhDev) != wantEnh {
 			t.Errorf("%s: engine left the shared compiled versions", tn.Name())
 		}
+	}
+	if len(children) != 1 {
+		t.Errorf("enhances from one audit trail published %d compiled children, want 1", len(children))
 	}
 }

@@ -32,12 +32,13 @@ type recipe struct {
 	prog   *ir.Program
 	want   sedspec.SpecVersion // what a fresh learn of prog publishes
 
-	// learned is the recipe's one memo slot: the compiled form of its
-	// learned blob, keyed by the blob's content address. Every tenant
-	// and engine enforcing the corpus shares this one copy, so a warm
-	// install or a rollback to the learned generation publishes it
-	// without decoding or sealing.
-	learned atomic.Pointer[compiledBlob]
+	// learned and last memo the compiled forms of two of the recipe's
+	// versions, each keyed by its blob's content address: learned holds
+	// the learned blob, last the most recent other version (an enhanced
+	// child) the recipe published. Every tenant and engine enforcing
+	// the corpus shares these copies, so a warm install, enhance or
+	// rollback publishes one without decoding or sealing.
+	learned, last atomic.Pointer[compiledBlob]
 }
 
 // compiledBlob is a compiled spec and the content address of the blob
@@ -92,62 +93,77 @@ func (rc *recipe) attach() *machine.Attached {
 	return machine.New(machine.WithMemory(1<<20)).Attach(dev, aopts...)
 }
 
-// learnCompiled returns the recipe's learned spec in st's namespace,
-// compiled. A store hit goes through compiled, so the tenant's blob is
-// still read and hash-checked. A miss, or a blob that fails the check,
-// takes sedspec.LoadOrLearn's path: train the corpus and publish the
-// result under the recipe's key, which also heals a damaged blob.
-func (rc *recipe) learnCompiled(st *specstore.Store) (cv *checker.Compiled, meta sedspec.SpecVersion, hit bool, err error) {
-	if vm, ok := st.Lookup(rc.want.Key()); ok {
+// load returns want's version in st's namespace, compiled. A stored
+// version goes through compiled, so the tenant's blob is still read and
+// hash-checked. A miss, or a blob that fails the check, takes
+// sedspec.LoadOrLearn's path: learn (sedspec.Learn for the recipe's
+// own version, sedspec.Enhance for a child) runs and its spec is
+// published under want's key, which also heals a damaged blob.
+func (rc *recipe) load(st *specstore.Store, want sedspec.SpecVersion, learn func() (*core.Spec, error)) (cv *checker.Compiled, meta sedspec.SpecVersion, hit bool, err error) {
+	if vm, ok := st.Lookup(want.Key()); ok {
 		if cv, err := rc.compiled(st, vm); err == nil {
 			return cv, vm, true, nil
 		}
 	}
-	spec, meta, hit, err := sedspec.LoadOrLearn(st, rc.prog, rc.want, func() (*core.Spec, error) {
-		return sedspec.Learn(rc.attach(), rc.train)
-	})
+	spec, meta, hit, err := sedspec.LoadOrLearn(st, rc.prog, want, learn)
 	if err != nil {
 		return nil, meta, false, err
 	}
-	return rc.remember(meta.Blob, checker.Compile(spec)), meta, hit, nil
+	if cv := rc.memo(meta.Blob); cv != nil {
+		return cv, meta, hit, nil
+	}
+	return rc.remember(meta, checker.Compile(spec)), meta, hit, nil
 }
+
+// learn trains a fresh device on the recipe's corpus.
+func (rc *recipe) learn() (*core.Spec, error) { return sedspec.Learn(rc.attach(), rc.train) }
 
 // compiled returns the stored version meta compiled against the
 // recipe's program. The blob is read and its hash checked on every
-// call. When it is the blob in the recipe's slot, the slot's compiled
+// call. When either memo slot holds that blob, the slot's compiled
 // copy is returned. Otherwise the blob is decoded (which validates it)
-// and compiled, and the result fills the slot if meta is the recipe's
-// learned version.
+// and compiled, and the result fills the slot meta belongs in.
 func (rc *recipe) compiled(st *specstore.Store, meta specstore.VersionMeta) (*checker.Compiled, error) {
 	data, err := st.Read(meta)
 	if err != nil {
 		return nil, err
 	}
-	if m := rc.learned.Load(); m != nil && m.blob == meta.Blob {
-		return m.cv, nil
+	if cv := rc.memo(meta.Blob); cv != nil {
+		return cv, nil
 	}
 	spec, err := core.DecodeBinary(rc.prog, data)
 	if err != nil {
 		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)
 	}
-	cv := checker.Compile(spec)
-	if meta.Key() == rc.want.Key() {
-		cv = rc.remember(meta.Blob, cv)
-	}
-	return cv, nil
+	return rc.remember(meta, checker.Compile(spec)), nil
 }
 
-// remember puts cv in the recipe's slot as the compiled form of blob
-// and returns it, unless the slot already holds blob: then the slot's
-// copy wins, so installs racing on a cold recipe still end up sharing
-// one compiled copy.
-func (rc *recipe) remember(blob string, cv *checker.Compiled) *checker.Compiled {
-	for {
-		m := rc.learned.Load()
-		if m != nil && m.blob == blob {
+// memo returns the compiled copy of blob from either slot, or nil.
+func (rc *recipe) memo(blob string) *checker.Compiled {
+	for _, slot := range [...]*atomic.Pointer[compiledBlob]{&rc.learned, &rc.last} {
+		if m := slot.Load(); m != nil && m.blob == blob {
 			return m.cv
 		}
-		if rc.learned.CompareAndSwap(m, &compiledBlob{blob: blob, cv: cv}) {
+	}
+	return nil
+}
+
+// remember puts cv in the slot meta belongs in (learned for the
+// recipe's own key, last for any other) as the compiled form of its
+// blob and returns it, unless the slot already holds that blob: then
+// the slot's copy wins, so requests racing on a cold version still end
+// up sharing one compiled copy.
+func (rc *recipe) remember(meta specstore.VersionMeta, cv *checker.Compiled) *checker.Compiled {
+	slot := &rc.last
+	if meta.Key() == rc.want.Key() {
+		slot = &rc.learned
+	}
+	for {
+		m := slot.Load()
+		if m != nil && m.blob == meta.Blob {
+			return m.cv
+		}
+		if slot.CompareAndSwap(m, &compiledBlob{blob: meta.Blob, cv: cv}) {
 			return cv
 		}
 	}

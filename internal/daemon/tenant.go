@@ -136,7 +136,7 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	// corpus, and sibling installs or attaches must not stall on it. A
 	// hit looks the recipe's key up, checks the stored blob's hash, and
 	// takes the recipe's compiled copy of it.
-	cv, meta, hit, err := rc.learnCompiled(t.store)
+	cv, meta, hit, err := rc.load(t.store, rc.want, rc.learn)
 	if err != nil {
 		return EngineInfo{}, fmt.Errorf("daemon: learn %s: %w", device, err)
 	}
@@ -251,7 +251,10 @@ type SwapResult struct {
 
 // Swap applies a SwapRequest against the tenant's running engine. The
 // engine's RCU swap grace-waits mid-round sessions, so on return every
-// session round checks the new generation.
+// session round checks the new generation. An enhance and a rollback
+// both publish through the recipe's compiled versions: a child or
+// generation already in the store and in a memo slot is a lookup, a
+// hash check and a pointer swap.
 func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	eng, err := t.engineFor(req.Device)
 	if err != nil {
@@ -259,67 +262,54 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	}
 	eng.swapMu.Lock()
 	defer eng.swapMu.Unlock()
-	from := eng.shared.Generation()
+	res := SwapResult{Device: req.Device, FromGen: eng.shared.Generation()}
 	rc := eng.rc.Load()
 
-	if req.Enhance {
+	var cv *checker.Compiled
+	var meta specstore.VersionMeta
+	switch {
+	case req.Enhance:
 		audit := eng.shared.Audit()
 		if len(audit) == 0 {
 			return SwapResult{}, fmt.Errorf("daemon: engine %s has no audited warnings to enhance from (run sessions in enhancement mode first)", req.Device)
 		}
 		want := sedspec.EnhancedVersion(rc.want.ProgramHash, eng.meta, audit)
-		spec, meta, hit, err := sedspec.LoadOrLearn(t.store, rc.prog, want, func() (*core.Spec, error) {
+		cv, meta, res.CacheHit, err = rc.load(t.store, want, func() (*core.Spec, error) {
 			return sedspec.Enhance(rc.attach(), rc.train, audit)
 		})
 		if err != nil {
 			return SwapResult{}, fmt.Errorf("daemon: enhance %s: %w", req.Device, err)
 		}
-		if err := eng.shared.Swap(spec); err != nil {
+		res.Warnings = len(audit)
+	case req.Generation != 0:
+		found := false
+		for _, v := range t.store.Versions(req.Device) {
+			if v.Generation == req.Generation {
+				meta, found = v, true
+				break
+			}
+		}
+		if !found {
+			return SwapResult{}, fmt.Errorf("daemon: no stored generation %d for device %s", req.Generation, req.Device)
+		}
+		if cv, err = rc.compiled(t.store, meta); err != nil {
 			return SwapResult{}, err
 		}
-		// The audited warnings are folded into the new generation;
-		// clearing them makes the next enhance incremental.
-		eng.shared.ClearAudit()
-		eng.shared.ClearWarnings()
-		eng.meta = meta
-		return SwapResult{
-			Device:   req.Device,
-			FromGen:  from,
-			ToGen:    eng.shared.Generation(),
-			Warnings: len(audit),
-			StoreGen: meta.Generation,
-			CacheHit: hit,
-		}, nil
-	}
-
-	if req.Generation == 0 {
+	default:
 		return SwapResult{}, fmt.Errorf("daemon: swap needs enhance=true or a generation")
-	}
-	var meta specstore.VersionMeta
-	found := false
-	for _, v := range t.store.Versions(req.Device) {
-		if v.Generation == req.Generation {
-			meta, found = v, true
-			break
-		}
-	}
-	if !found {
-		return SwapResult{}, fmt.Errorf("daemon: no stored generation %d for device %s", req.Generation, req.Device)
-	}
-	cv, err := rc.compiled(t.store, meta)
-	if err != nil {
-		return SwapResult{}, err
 	}
 	if err := eng.shared.Publish(cv); err != nil {
 		return SwapResult{}, err
 	}
+	if req.Enhance {
+		// The audited warnings are folded into the new generation;
+		// clearing them makes the next enhance incremental.
+		eng.shared.ClearAudit()
+		eng.shared.ClearWarnings()
+	}
 	eng.meta = meta
-	return SwapResult{
-		Device:   req.Device,
-		FromGen:  from,
-		ToGen:    eng.shared.Generation(),
-		StoreGen: meta.Generation,
-	}, nil
+	res.ToGen, res.StoreGen = eng.shared.Generation(), meta.Generation
+	return res, nil
 }
 
 // drain stops every session goroutine, retires each session's checker

@@ -91,26 +91,26 @@ func replayVerdict(tn *Tenant, p *cvesim.PoC) (*Verdict, error) {
 // auditMixed runs one bounded mixed session (the same seed each call)
 // until its rare command has warned, then detaches it: the warning
 // stays in the engine's audit trail, identical from call to call.
-func auditMixed(t *testing.T, tn *Tenant, device string) {
-	t.Helper()
+func auditMixed(tn *Tenant, device string) error {
 	ss, err := tn.Attach(AttachRequest{Device: device, Workload: "mixed", Ops: 30, Seed: 1})
 	if err != nil {
-		t.Fatalf("%s: attach mixed: %v", device, err)
+		return fmt.Errorf("%s: attach mixed: %w", device, err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for ss[0].Status().Warnings == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: mixed session never warned: %+v", device, ss[0].Status())
+			return fmt.Errorf("%s: mixed session never warned: %+v", device, ss[0].Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	fin, err := tn.Detach(ss[0].ID)
 	if err != nil {
-		t.Fatalf("%s: detach mixed: %v", device, err)
+		return fmt.Errorf("%s: detach mixed: %w", device, err)
 	}
 	if fin.Err != "" || fin.Blocked != 0 {
-		t.Fatalf("%s: mixed session failed in enhancement mode: %+v", device, fin)
+		return fmt.Errorf("%s: mixed session failed in enhancement mode: %+v", device, fin)
 	}
+	return nil
 }
 
 // TestDaemonWarmPathHits pins the resident warm path: after one cold
@@ -188,7 +188,9 @@ func TestDaemonWarmPathHits(t *testing.T) {
 	// First enhance per device learns the child; the rollback to the
 	// learned generation is already a hit.
 	for _, tg := range bench.Targets(true) {
-		auditMixed(t, enhT, tg.Name)
+		if err := auditMixed(enhT, tg.Name); err != nil {
+			t.Fatal(err)
+		}
 		res, err := enhT.Swap(SwapRequest{Device: tg.Name, Enhance: true})
 		if err != nil {
 			t.Fatalf("%s: enhance: %v", tg.Name, err)
@@ -222,7 +224,9 @@ func TestDaemonWarmPathHits(t *testing.T) {
 		}
 	}
 	for _, tg := range bench.Targets(true) {
-		auditMixed(t, enhT, tg.Name)
+		if err := auditMixed(enhT, tg.Name); err != nil {
+			t.Fatal(err)
+		}
 		res, err := enhT.Swap(SwapRequest{Device: tg.Name, Enhance: true})
 		if err != nil {
 			t.Fatalf("%s: warm enhance: %v", tg.Name, err)

@@ -1,7 +1,6 @@
 package fdc_test
 
 import (
-	"bytes"
 	"errors"
 	"sedspec/internal/core"
 	"testing"
@@ -279,20 +278,20 @@ func TestMediaChangeSyncPoint(t *testing.T) {
 	}
 }
 
-// TestSpecPersistenceRoundTrip saves the learned specification as JSON,
-// reloads it against the same program, and verifies the reloaded spec
+// TestSpecPersistenceRoundTrip encodes the learned specification,
+// decodes it against the same program, and verifies the decoded spec
 // protects identically: benign traffic clean, Venom blocked.
 func TestSpecPersistenceRoundTrip(t *testing.T) {
 	_, att, _ := setup(t, fdc.Options{})
 	spec := learnFDC(t, att).Spec
 
-	var buf bytes.Buffer
-	if err := spec.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	reloaded, err := core.Load(att.Dev().Program(), &buf)
+	data, err := spec.EncodeBinary()
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("EncodeBinary: %v", err)
+	}
+	reloaded, err := core.DecodeBinary(att.Dev().Program(), data)
+	if err != nil {
+		t.Fatalf("DecodeBinary: %v", err)
 	}
 	if reloaded.Stats != spec.Stats {
 		t.Errorf("stats changed across round trip")

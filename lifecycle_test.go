@@ -327,6 +327,11 @@ func TestEnhancePipeline(t *testing.T) {
 	if meta.Parent != parent.Generation || meta.CreatedBy != "enhance" {
 		t.Errorf("enhanced meta lineage wrong: %+v", meta)
 	}
+	// EnhancedVersion's key is the one the child is stored under, so a
+	// caller can look the child up without going through LoadOrLearn.
+	if want := sedspec.EnhancedVersion(meta.ProgramHash, parent, audit); want.Key() != meta.Key() {
+		t.Errorf("EnhancedVersion keys %+v, the child is stored under %+v", want.Key(), meta.Key())
+	}
 	if len(meta.Warnings) != 1 || meta.Warnings[0].Strategy != checker.StrategyConditionalJump.String() {
 		t.Errorf("audit trail not recorded: %+v", meta.Warnings)
 	}
