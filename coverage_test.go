@@ -342,7 +342,7 @@ func TestLifecycleSpans(t *testing.T) {
 	for _, sp := range spans {
 		byName[sp.Name] = append(byName[sp.Name], sp)
 	}
-	for _, want := range []string{"learn", "learn.trace", "learn.analyze", "learn.observe",
+	for _, want := range []string{"learn", "learn.trace", "learn.analyze",
 		"learn.build", "store.put", "store.get", "seal", "swap", "enhance"} {
 		if len(byName[want]) == 0 {
 			t.Errorf("no %q span recorded; have %v", want, names(spans))
@@ -353,7 +353,7 @@ func TestLifecycleSpans(t *testing.T) {
 	for _, sp := range byName["learn"] {
 		learnIDs[sp.ID] = true
 	}
-	for _, phase := range []string{"learn.trace", "learn.analyze", "learn.observe", "learn.build"} {
+	for _, phase := range []string{"learn.trace", "learn.analyze", "learn.build"} {
 		for _, sp := range byName[phase] {
 			if !learnIDs[sp.Parent] {
 				t.Errorf("%s span parent %d is not a learn span", phase, sp.Parent)

@@ -121,13 +121,13 @@ func replayAudit(d *Driver, a *AuditRecord) error {
 // Enhance rebuilds the specification with the audited warnings folded
 // into the training corpus: the original training function runs first,
 // then each audited request replays in capture order, so the previously
-// unobserved paths join the ES-CFG. Like Learn, the composed corpus runs
-// twice (trace pass, observation pass) and must therefore be
-// deterministic — AuditRecord carries a private copy of each request.
+// unobserved paths join the ES-CFG. Like any training corpus, the
+// composed corpus must be deterministic — AuditRecord carries a private
+// copy of each request.
 //
 // The attachment should be a fresh (or reset) instance of the same
 // device program the audit came from; Learn resets the device around its
-// passes.
+// training run.
 func Enhance(att *machine.Attached, train TrainFunc, audit []AuditRecord) (*core.Spec, error) {
 	if len(audit) == 0 {
 		return nil, fmt.Errorf("sedspec: enhance: no audited warnings to replay")

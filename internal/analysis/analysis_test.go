@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"sedspec/internal/analysis"
@@ -250,5 +251,79 @@ func TestRecorderRoundTrip(t *testing.T) {
 func TestLoadLogRejectsGarbage(t *testing.T) {
 	if _, err := analysis.LoadLog(bytes.NewBufferString("{nope")); err == nil {
 		t.Error("garbage JSON should fail")
+	}
+}
+
+// observeAnalyzed runs a request stream over the analyzed program with
+// rec installed and the interpreter watching watch, one round per request.
+// Every seventh round clears ctrl to take the link-status path, and the
+// fill limit makes later rounds skip the store, so events vary by round.
+func observeAnalyzed(t *testing.T, prog *ir.Program, rec *analysis.Recorder, watch []int) *analysis.Log {
+	t.Helper()
+	st := interp.NewState(prog)
+	st.SetIntByName("limit", 30)
+	st.SetFuncPtr(prog.FieldIndex("cb"), uint64(prog.HandlerIndex("on_event")))
+	in := interp.New(prog, st, nil)
+	in.SetObserver(rec)
+	in.SetWatch(watch)
+	for i := 0; i < 600; i++ {
+		ctrl := uint64(1)
+		if i%7 == 0 {
+			ctrl = 0
+		}
+		st.SetIntByName("ctrl", ctrl)
+		req := interp.NewWrite(interp.SpacePIO, 0, []byte{byte(i)})
+		rec.Begin(req)
+		res := in.Dispatch(req)
+		if res.Fault != nil {
+			t.Fatal(res.Fault)
+		}
+		rec.End(res)
+	}
+	return rec.Log()
+}
+
+// TestRecorderProjection pins Project to an observation run: a capture
+// recorder's log, narrowed to any watch list, equals the log of a plain
+// recorder whose run watched only that list — field order, the nil
+// Fields of events that capture nothing, and an empty watch list
+// included. The stream captures enough events to span several value
+// chunks. Project leaves a plain recorder, so a repeat call or Log
+// returns the same log.
+func TestRecorderProjection(t *testing.T) {
+	prog := buildAnalyzed(t)
+	sel := analysis.SelectParams(graphOf(t, prog))
+	for _, watch := range [][]int{
+		sel.WatchList(),
+		{prog.FieldIndex("scratch"), prog.FieldIndex("ctrl")},
+		nil,
+	} {
+		want := observeAnalyzed(t, prog, analysis.NewRecorder(prog.Name), watch)
+		rec := analysis.NewCaptureRecorder(prog)
+		observeAnalyzed(t, prog, rec, rec.Watch())
+		got := rec.Project(watch)
+
+		captured := 0
+		for _, r := range want.Rounds {
+			for _, ev := range r.Events {
+				if ev.Term == ir.TermBranch {
+					captured++
+				}
+			}
+		}
+		if captured < 1100 {
+			t.Fatalf("only %d branch events; the stream must span more than one value chunk", captured)
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range want.Rounds {
+				if !reflect.DeepEqual(got.Rounds[i], want.Rounds[i]) {
+					t.Fatalf("watch %v, round %d:\n got %+v\nwant %+v", watch, i, got.Rounds[i], want.Rounds[i])
+				}
+			}
+			t.Fatalf("watch %v: projected log differs", watch)
+		}
+		if again := rec.Project(sel.WatchList()); again != got || !reflect.DeepEqual(rec.Log(), want) {
+			t.Fatalf("watch %v: a second Project or Log changed the projected log", watch)
+		}
 	}
 }

@@ -82,7 +82,7 @@ func (s *Selection) ParamFor(field int) *Param {
 }
 
 // WatchList returns the selected field indices in ascending order — the
-// watch set installed on the interpreter for observation runs.
+// parameters whose values the observation log keeps (Recorder.Project).
 func (s *Selection) WatchList() []int {
 	out := make([]int, 0, len(s.Params))
 	for _, p := range s.Params {

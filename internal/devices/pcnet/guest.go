@@ -203,10 +203,26 @@ func (g *Guest) Transmit(chunks ...[]byte) error {
 	return g.WriteCSR(0, CSR0TDMD)
 }
 
+// MinFrameLen is the Ethernet minimum frame length without the FCS.
+const MinFrameLen = 60
+
 // InjectWireFrame hands a frame from the network backend to the adapter.
+// Like QEMU's network backend, it zero-pads a runt frame to MinFrameLen
+// before the adapter sees it.
 func (g *Guest) InjectWireFrame(frame []byte) error {
-	_, err := g.p.Out(PortWire, frame)
+	_, err := g.p.Out(PortWire, padFrame(frame))
 	return err
+}
+
+// padFrame returns frame, or a zero-padded copy of it when it is shorter
+// than MinFrameLen.
+func padFrame(frame []byte) []byte {
+	if len(frame) >= MinFrameLen {
+		return frame
+	}
+	padded := make([]byte, MinFrameLen)
+	copy(padded, frame)
+	return padded
 }
 
 // AckInterrupts clears pending TINT/RINT/IDON bits.

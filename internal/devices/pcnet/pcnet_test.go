@@ -467,3 +467,65 @@ func TestLinkStateSyncPoint(t *testing.T) {
 		t.Error("sync points should have been resolved")
 	}
 }
+
+// TestRuntFramesPaddedUnderProtection sends frames shorter than the
+// Ethernet minimum (0, 1, 3 and 59 bytes) to a protected adapter. The
+// backend pads them, so the FCS append stays inside the frame buffer:
+// the device does not fault, the check raises no anomaly, warning or
+// resync, and a batched delivery of the same frames is checked in full.
+func TestRuntFramesPaddedUnderProtection(t *testing.T) {
+	m, att, g := setup(t, pcnet.Options{})
+	spec := learnPCNet(t, att).Spec
+	chk := sedspec.Protect(att, spec)
+	if err := g.Setup(0); err != nil {
+		t.Fatal(err)
+	}
+	runts := [][]byte{{}, {0xaa}, {1, 2, 3}, make([]byte, pcnet.MinFrameLen-1)}
+	for _, f := range runts {
+		if err := g.ProvideRx(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.InjectWireFrame(f); err != nil {
+			t.Fatalf("%d-byte frame: %v", len(f), err)
+		}
+		_, mlen, err := g.RxStatus(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mlen != pcnet.MinFrameLen+4 {
+			t.Errorf("%d-byte frame: message length = %d, want %d", len(f), mlen, pcnet.MinFrameLen+4)
+		}
+	}
+
+	// The same frames again, delivered as one batch: every request is
+	// checked and none faults the device.
+	if err := g.ProvideRx(0); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []*interp.Request
+	for _, f := range runts {
+		reqs = append(reqs, interp.NewWrite(interp.SpacePIO, pcnet.PortWire, pcnet.PadFrame(f)))
+	}
+	vs := chk.PreIOBatch(reqs)
+	for k, v := range vs {
+		if !v.Checked || v.Err != nil {
+			t.Fatalf("batched frame %d (%d bytes): checked=%t err=%v", k, len(runts[k]), v.Checked, v.Err)
+		}
+	}
+	var res *interp.Result
+	for _, req := range reqs {
+		req.Rewind()
+		if res = att.Interp().Dispatch(req); res.Fault != nil {
+			t.Fatalf("batched %d-byte frame faulted the device: %v", len(req.Data), res.Fault)
+		}
+	}
+	chk.PostIO(att.Dev(), reqs[len(reqs)-1], res)
+
+	if m.Halted() {
+		t.Fatal("machine halted on runt frames")
+	}
+	st := chk.Stats()
+	if st.ParamAnomalies+st.IndirectAnomalies+st.CondAnomalies+st.Warnings+st.Resyncs != 0 {
+		t.Fatalf("runt frames disturbed the check: %+v", st)
+	}
+}

@@ -68,7 +68,9 @@ type ObsEvent struct {
 	Flags  Flags      `json:"flags"`
 }
 
-// Observer receives observation events during instrumented runs.
+// Observer receives observation events during instrumented runs. An
+// event's Fields is valid until Observe returns: the interpreter reuses
+// it for the next event, so an observer that keeps it must copy it.
 type Observer interface {
 	Observe(ev ObsEvent)
 }

@@ -25,6 +25,9 @@ type Interp struct {
 	tracer   Tracer
 	observer Observer
 	watch    []int
+	// fieldBuf holds the watched fields of the event being observed,
+	// reused from one event to the next.
+	fieldBuf []FieldVal
 
 	stepBudget int
 	maxDepth   int
@@ -77,6 +80,9 @@ func (in *Interp) SetObserver(o Observer) { in.observer = o }
 // (the device-state parameters chosen by the CFG analyzer).
 func (in *Interp) SetWatch(fields []int) {
 	in.watch = append(in.watch[:0], fields...)
+	if cap(in.fieldBuf) < len(in.watch) {
+		in.fieldBuf = make([]FieldVal, 0, len(in.watch))
+	}
 }
 
 // SetStepBudget bounds the ops executed per dispatch; exceeding it faults
@@ -400,7 +406,7 @@ func (in *Interp) captureFields(dst []FieldVal) []FieldVal {
 		return dst
 	}
 	if dst == nil {
-		dst = make([]FieldVal, 0, len(in.watch))
+		dst = in.fieldBuf[:0]
 	}
 	for _, fi := range in.watch {
 		dst = append(dst, FieldVal{Field: fi, Value: in.state.FieldValue(fi)})

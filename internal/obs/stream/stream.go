@@ -407,8 +407,8 @@ type HubStats struct {
 	Subscribers    int               `json:"subscribers"`
 	TotalPublished uint64            `json:"total_published"`
 	TotalDropped   uint64            `json:"total_dropped"`
-	Published      map[string]uint64 `json:"published,omitempty"`
-	Dropped        map[string]uint64 `json:"dropped,omitempty"`
+	Published      map[string]uint64 `json:"published"`
+	Dropped        map[string]uint64 `json:"dropped"`
 }
 
 // Stats summarizes the hub's counters (nonzero kinds only in the maps).

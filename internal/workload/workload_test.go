@@ -58,8 +58,8 @@ func TestModes(t *testing.T) {
 }
 
 // TestTrainersAreDeterministic runs every trainer twice on fresh devices
-// and compares the resulting device state — Learn's two passes depend on
-// this property.
+// and compares the resulting device state — the spec store keys a learned
+// spec by its corpus tag, so a corpus must learn the same spec every time.
 func TestTrainersAreDeterministic(t *testing.T) {
 	cfg := workload.TrainConfig{Light: true}
 	cases := []struct {

@@ -10,9 +10,11 @@
 //  1. Data collection: run benign training samples against the device with
 //     the software processor-trace module attached, build the ITC-CFG, and
 //     select device-state parameters (Learn does this internally).
-//  2. Execution specification construction: replay the training samples
-//     with observation points installed and construct the ES-CFG from the
-//     device-state-change log.
+//  2. Execution specification construction: log the selected parameters
+//     at the observation points and construct the ES-CFG from the
+//     device-state-change log. Learn observes every field during the
+//     traced run and keeps only the selected ones, so the training
+//     samples run once.
 //  3. Runtime protection: attach an ES-Checker to the device's I/O path
 //     (Protect), simulating the specification for each interaction and
 //     blocking or warning on violations.
@@ -190,8 +192,8 @@ func (d *Driver) MMIORead(addr uint64) ([]byte, *interp.Result, error) {
 }
 
 // TrainFunc issues benign training I/O through the driver. Learn invokes
-// it twice (trace pass, then observation pass), so it must be
-// deterministic: seed any randomness inside the function.
+// it once per learn; it must be deterministic (seed any randomness inside
+// the function) so that the same corpus learns the same spec.
 type TrainFunc func(d *Driver) error
 
 // LearnResult carries the artifacts of specification construction.
@@ -203,10 +205,11 @@ type LearnResult struct {
 	Trace  trace.Stats
 }
 
-// Learn runs the paper's phases 1 and 2 for an attached device: trace the
-// training samples, build the ITC-CFG, select device-state parameters,
-// re-run the samples with observation points, and construct the execution
-// specification. The device is reset before each pass and after learning.
+// Learn runs the paper's phases 1 and 2 for an attached device: run the
+// training samples once, traced and observed with every field watched,
+// build the ITC-CFG, select device-state parameters, narrow the
+// observation log to them, and construct the execution specification.
+// The device is reset before the run and after learning.
 func Learn(att *machine.Attached, train TrainFunc) (*core.Spec, error) {
 	r, err := LearnFull(att, train)
 	if err != nil {
@@ -223,20 +226,28 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 	learnSpan := span.Default().Start("learn", span.Device(prog.Name))
 	defer learnSpan.End()
 
-	// Phase 1a: processor-trace collection under training samples.
+	// Phase 1a: one run of the training samples, traced (processor-trace
+	// collection) and observed (every field watched) at once.
 	dev.Reset()
 	sp := span.Default().Start("learn.trace")
 	col := trace.NewCollector(trace.DeviceConfig(prog))
+	rec := analysis.NewCaptureRecorder(prog)
 	in.SetTracer(col)
-	err := train(&Driver{att: att})
+	in.SetObserver(rec)
+	in.SetWatch(rec.Watch())
+	err := train(&Driver{att: att, rec: rec})
 	in.SetTracer(nil)
+	in.SetObserver(nil)
+	in.SetWatch(nil)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("sedspec: trace pass: %w", err)
+		return nil, fmt.Errorf("sedspec: training run: %w", err)
 	}
 
-	// Phase 1b: ITC-CFG construction and parameter selection.
+	// Phase 1b: ITC-CFG construction and parameter selection, then the
+	// observation log narrowed to the selected parameters.
 	sp = span.Default().Start("learn.analyze")
+	stats := col.Stats()
 	runs, err := trace.Decode(prog, col.Packets())
 	if err != nil {
 		sp.End()
@@ -247,25 +258,12 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 		graph.AddRun(run)
 	}
 	params := analysis.SelectParams(graph)
+	log := rec.Project(params.WatchList())
 	sp.End()
-
-	// Phase 1c: observation run producing the device-state-change log.
-	dev.Reset()
-	sp = span.Default().Start("learn.observe")
-	rec := analysis.NewRecorder(prog.Name)
-	in.SetObserver(rec)
-	in.SetWatch(params.WatchList())
-	err = train(&Driver{att: att, rec: rec})
-	in.SetObserver(nil)
-	in.SetWatch(nil)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("sedspec: observation pass: %w", err)
-	}
 
 	// Phase 2: ES-CFG construction.
 	sp = span.Default().Start("learn.build")
-	spec, err := core.Build(prog, params, rec.Log())
+	spec, err := core.Build(prog, params, log)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sedspec: build spec: %w", err)
@@ -275,8 +273,8 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 		Spec:   spec,
 		Params: params,
 		Graph:  graph,
-		Log:    rec.Log(),
-		Trace:  col.Stats(),
+		Log:    log,
+		Trace:  stats,
 	}, nil
 }
 
