@@ -61,7 +61,6 @@ import (
 	"sedspec/internal/bench"
 	"sedspec/internal/cmdutil"
 	"sedspec/internal/obs"
-	"sedspec/internal/obs/span"
 )
 
 func main() {
@@ -87,7 +86,6 @@ func main() {
 	swapStore := flag.String("swap-store", "", "spec store directory for the swap experiment (default: a fresh temp dir)")
 	swapOut := flag.String("swap-out", "BENCH_swap.json", "output file for the swap experiment's JSON rows")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
-	spans := flag.String("spans", "", "write the lifecycle span trace as Chrome trace_event JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address (profile live runs)")
 	pprofAddr := flag.String("pprof", "", "deprecated alias for -listen")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
@@ -102,16 +100,16 @@ func main() {
 		batchOps: *batchOps, batchIters: *batchIters, batchSize: *batchSize, batchOut: *batchOut,
 		swapIters: *swapIters, swapStore: *swapStore, swapOut: *swapOut,
 	}
-	if err := realMain(*experiment, cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget, *spans); err != nil {
+	if err := realMain(*experiment, cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedbench:", err)
 		os.Exit(1)
 	}
 }
 
 // realMain brackets run with the observability plumbing so the final
-// metrics/span exports happen on the error path and on SIGINT/SIGTERM
+// metrics export happens on the error path and on SIGINT/SIGTERM
 // too (os.Exit skips defers).
-func realMain(experiment string, cfg runConfig, metrics, listenAddr string, budget float64, spans string) error {
+func realMain(experiment string, cfg runConfig, metrics, listenAddr string, budget float64) error {
 	if listenAddr != "" {
 		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
 			return fmt.Errorf("listen: %w", err)
@@ -121,9 +119,6 @@ func realMain(experiment string, cfg runConfig, metrics, listenAddr string, budg
 	defer fl.Flush()
 	if metrics != "" {
 		fl.Add(obs.ExportEvery(metrics, time.Second, obs.Default()))
-	}
-	if spans != "" {
-		fl.Add(func() error { return cmdutil.WriteSpans(spans, span.Default()) })
 	}
 	return run(experiment, cfg)
 }

@@ -30,7 +30,6 @@ import (
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/simclock"
 )
 
@@ -40,7 +39,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
-	spans := flag.String("spans", "", "write the lifecycle span trace as Chrome trace_event JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address")
 	pprofAddr := flag.String("pprof", "", "deprecated alias for -listen")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
@@ -59,10 +57,6 @@ func main() {
 	fl := cmdutil.NewFlusher()
 	if *metrics != "" {
 		fl.Add(obs.ExportEvery(*metrics, time.Second, obs.Default()))
-	}
-	if *spans != "" {
-		path := *spans
-		fl.Add(func() error { return cmdutil.WriteSpans(path, span.Default()) })
 	}
 
 	err := run(*device, *n, *seed, *specIn)

@@ -8,7 +8,7 @@
 //	        [-spec-in spec.bin] [-spec-out spec.bin] [-spec-store DIR]
 //	        [-dot cfg.dot] [-attack] [-enhance]
 //	        [-mode protection|enhancement] [-metrics metrics.json]
-//	        [-trace-on-anomaly DIR] [-coverage-dir DIR] [-spans FILE]
+//	        [-trace-on-anomaly DIR] [-coverage-dir DIR]
 //	        [-listen ADDR]
 //
 // Without flags it learns the specification, prints its summary and the
@@ -30,8 +30,7 @@
 // registry as JSON (final export on exit), -trace-on-anomaly writes each
 // blocked PoC's flight-recorder timeline as DIR/<CVE>.trace,
 // -coverage-dir writes the run's ES-CFG coverage profile (and each
-// blocked PoC's anomaly training-coverage record) as JSON, -spans writes
-// the lifecycle span trace as Chrome trace_event JSON, and -listen
+// blocked PoC's anomaly training-coverage record) as JSON, and -listen
 // serves the unified introspection server (/healthz, /fleet, /metrics,
 // /anomalies live tail, /coverage, /buildinfo, /debug/vars,
 // /debug/pprof) on the given address; -pprof remains as a deprecated
@@ -78,7 +77,6 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/simclock"
 )
 
@@ -132,10 +130,9 @@ func main() {
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")
-	spans := flag.String("spans", "", "write the lifecycle span trace as Chrome trace_event JSON to this file")
 	flag.Parse()
 
-	if err := realMain(cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget, *spans); err != nil {
+	if err := realMain(cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedspec:", err)
 		os.Exit(1)
 	}
@@ -156,9 +153,9 @@ type runConfig struct {
 }
 
 // realMain brackets run with the observability plumbing so the final
-// metrics/span exports happen on the error path and on SIGINT/SIGTERM
+// metrics export happens on the error path and on SIGINT/SIGTERM
 // too (os.Exit skips defers).
-func realMain(cfg runConfig, metrics, listenAddr string, budget float64, spans string) error {
+func realMain(cfg runConfig, metrics, listenAddr string, budget float64) error {
 	if listenAddr != "" {
 		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
 			return fmt.Errorf("listen: %w", err)
@@ -169,9 +166,6 @@ func realMain(cfg runConfig, metrics, listenAddr string, budget float64, spans s
 	if metrics != "" {
 		stop := obs.ExportEvery(metrics, time.Second, obs.Default())
 		fl.Add(stop)
-	}
-	if spans != "" {
-		fl.Add(func() error { return cmdutil.WriteSpans(spans, span.Default()) })
 	}
 	return run(cfg, fl)
 }

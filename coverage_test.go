@@ -1,7 +1,7 @@
 // Coverage-map acceptance tests: the ES-CFG coverage counters' overhead
 // guard on the sealed path, the training-coverage contract on every
 // detected CVE, the merge property across concurrent shared sessions,
-// drift reporting across an enhancement, and lifecycle span tracing.
+// and drift reporting across an enhancement.
 package sedspec_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/devices/testdev"
 	"sedspec/internal/machine"
-	"sedspec/internal/obs/span"
 )
 
 // TestCoverageOverheadGuard pins the coverage counters' price on the
@@ -291,92 +290,4 @@ func TestEnhancementDriftReport(t *testing.T) {
 		t.Errorf("runtime drift does not flag the unexercised legalized edge: %+v",
 			overlay.NeverHitEdges)
 	}
-}
-
-// TestLifecycleSpans runs a learn → store put/get → shared seal → swap →
-// enhance cycle and asserts each lifecycle operation recorded a span,
-// with learn's phases nested under it.
-func TestLifecycleSpans(t *testing.T) {
-	span.Default().Reset()
-
-	_, att := setup(t, testdev.Options{})
-	spec := learn(t, att).Spec
-	st, err := sedspec.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := sedspec.StoreKey(att, "benign-v1")
-	meta, err := st.Put(spec, sedspec.SpecVersion{
-		ProgramHash: key.ProgramHash, CorpusHash: key.CorpusHash, CreatedBy: "learn",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Load(att.Dev().Program(), meta); err != nil {
-		t.Fatal(err)
-	}
-
-	sh := sedspec.NewSharedChecker(spec, checker.WithMode(checker.ModeEnhancement))
-	sedspec.ProtectShared(att, sh)
-	d := sedspec.NewDriver(att)
-	if err := benignTrain(d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Out8(testdev.PortCmd, testdev.CmdDiag); err != nil {
-		t.Fatal(err)
-	}
-	_, eatt := setup(t, testdev.Options{})
-	enhanced, err := sedspec.Enhance(eatt, benignTrain, sh.Audit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Swap(enhanced); err != nil {
-		t.Fatal(err)
-	}
-
-	spans, dropped := span.Default().Snapshot()
-	if dropped != 0 {
-		t.Fatalf("spans dropped: %d", dropped)
-	}
-	byName := map[string][]*span.Span{}
-	for _, sp := range spans {
-		byName[sp.Name] = append(byName[sp.Name], sp)
-	}
-	for _, want := range []string{"learn", "learn.trace", "learn.analyze",
-		"learn.build", "store.put", "store.get", "seal", "swap", "enhance"} {
-		if len(byName[want]) == 0 {
-			t.Errorf("no %q span recorded; have %v", want, names(spans))
-		}
-	}
-	// Learn's phases nest under a learn span.
-	learnIDs := map[uint64]bool{}
-	for _, sp := range byName["learn"] {
-		learnIDs[sp.ID] = true
-	}
-	for _, phase := range []string{"learn.trace", "learn.analyze", "learn.build"} {
-		for _, sp := range byName[phase] {
-			if !learnIDs[sp.Parent] {
-				t.Errorf("%s span parent %d is not a learn span", phase, sp.Parent)
-			}
-		}
-	}
-	// The swap span carries the generation it published.
-	swapSpan := byName["swap"][len(byName["swap"])-1]
-	found := false
-	for _, a := range swapSpan.Attrs {
-		if a.Key == "generation" && a.Val == "2" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("swap span missing generation attr: %+v", swapSpan.Attrs)
-	}
-}
-
-func names(spans []*span.Span) []string {
-	out := make([]string, len(spans))
-	for i, sp := range spans {
-		out[i] = sp.Name
-	}
-	return out
 }

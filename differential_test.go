@@ -249,6 +249,7 @@ func TestConcurrentSessionsDifferential(t *testing.T) {
 					Resyncs:            n * b.Resyncs,
 					StepsSimulated:     n * b.StepsSimulated,
 					SyncPointsResolved: n * b.SyncPointsResolved,
+					WarningsDropped:    n * b.WarningsDropped,
 				}
 				if agg := sh.Stats(); agg != want {
 					t.Errorf("aggregate stats:\n  got:  %+v\n  want: %+v", agg, want)

@@ -8,7 +8,6 @@ import (
 	"sedspec/internal/interp"
 	"sedspec/internal/ir"
 	"sedspec/internal/machine"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/specstore"
 )
 
@@ -132,10 +131,6 @@ func Enhance(att *machine.Attached, train TrainFunc, audit []AuditRecord) (*core
 	if len(audit) == 0 {
 		return nil, fmt.Errorf("sedspec: enhance: no audited warnings to replay")
 	}
-	sp := span.Default().Start("enhance",
-		span.Device(att.Dev().Program().Name),
-		span.Attr{Key: "audited_warnings", Val: fmt.Sprint(len(audit))})
-	defer sp.End()
 	composed := func(d *Driver) error {
 		if train != nil {
 			if err := train(d); err != nil {

@@ -115,7 +115,7 @@ func Table2(t *Target, cfg FPConfig) (*Table2Row, error) {
 	fpCases := 0
 	for c := 0; c < totalCases; c++ {
 		mode := workload.Modes()[c%3]
-		warningsBefore := len(chk.Warnings())
+		warningsBefore := chk.Stats().Warnings
 		rareAt := -1
 		if rng.Float64() < cfg.RarePerCase*t.RareWeight {
 			rareAt = rng.Intn(cfg.OpsPerCase)
@@ -142,7 +142,7 @@ func Table2(t *Target, cfg FPConfig) (*Table2Row, error) {
 			}
 		}
 		m.Clock.AdvanceMicros(int64(perCase * 1e6))
-		if len(chk.Warnings()) > warningsBefore {
+		if chk.Stats().Warnings > warningsBefore {
 			fpCases++
 		}
 		for hi, h := range cfg.Hours {

@@ -28,7 +28,6 @@ import (
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/coverage"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/obs/stream"
 	"sedspec/internal/simclock"
 )
@@ -188,6 +187,10 @@ type Stats struct {
 	Resyncs            uint64
 	StepsSimulated     uint64
 	SyncPointsResolved uint64
+	// WarningsDropped counts warned rounds whose anomaly and audit record
+	// were not kept because a pending buffer held MaxPendingWarnings
+	// records already (see finishRound and Close).
+	WarningsDropped uint64
 }
 
 // merge returns the field-wise sum of two snapshots; Shared.Stats uses it
@@ -203,6 +206,7 @@ func (s Stats) merge(o Stats) Stats {
 		Resyncs:            s.Resyncs + o.Resyncs,
 		StepsSimulated:     s.StepsSimulated + o.StepsSimulated,
 		SyncPointsResolved: s.SyncPointsResolved + o.SyncPointsResolved,
+		WarningsDropped:    s.WarningsDropped + o.WarningsDropped,
 	}
 }
 
@@ -222,6 +226,7 @@ type statCounters struct {
 	resyncs            atomic.Uint64
 	stepsSimulated     atomic.Uint64
 	syncPointsResolved atomic.Uint64
+	warningsDropped    atomic.Uint64
 }
 
 // snapshot loads a coherent-enough view of the counters: each field is
@@ -237,6 +242,7 @@ func (s *statCounters) snapshot() Stats {
 		Resyncs:            s.resyncs.Load(),
 		StepsSimulated:     s.stepsSimulated.Load(),
 		SyncPointsResolved: s.syncPointsResolved.Load(),
+		WarningsDropped:    s.warningsDropped.Load(),
 	}
 }
 
@@ -302,8 +308,9 @@ type Checker struct {
 	ff             *ffScratch
 	ffAttempts     uint64
 	ffSkippedSteps uint64
-	// warnMu guards warnings and audit. It is taken only on the
-	// warning-append path (anomalous rounds) and by readers; the
+	// warnMu guards warnings and audit, and cov and covGen for readers
+	// on other goroutines. It is taken only on the warning-append path
+	// (anomalous rounds), at swap adoption and by readers; the
 	// steady-state check path never touches it.
 	warnMu   sync.Mutex
 	warnings []Anomaly
@@ -360,15 +367,16 @@ type Checker struct {
 	// roundSteps is the last round's walker step count, captured for the
 	// round's event.
 	roundSteps int
-	// cov is the active ES-CFG coverage map, sized for the adopted sealed
-	// generation's block and edge tables; nil when disabled
-	// (WithCoverage(false)) or under WithReferenceSimulation. covGens
-	// keeps one map per generation this session has enforced, so a
-	// hot-swap does not lose the retiring generation's counts; warnMu
-	// guards the slice (appends happen only at swap adoption).
-	cov     *coverage.Map
-	covOff  bool
-	covGens []covGen
+	// cov is the session's one ES-CFG coverage map, sized for the
+	// adopted sealed generation's block and edge tables; covGen is that
+	// generation. cov is nil when disabled (WithCoverage(false)) or under
+	// WithReferenceSimulation. Adopting a new generation hands the old
+	// map to the engine's retired bank (Shared.moveSession) and
+	// starts a fresh one, so a session holds one map however many swaps
+	// it lives through.
+	cov    *coverage.Map
+	covGen uint64
+	covOff bool
 	// entryRef is the entry block's reference, stamped into clean-round
 	// events.
 	entryRef ir.BlockRef
@@ -420,12 +428,6 @@ type Checker struct {
 	batchSteps uint64
 	// verdicts is PreIOBatch's reusable result buffer.
 	verdicts []machine.Verdict
-}
-
-// covGen pairs a coverage map with the sealed generation it counts for.
-type covGen struct {
-	gen uint64
-	m   *coverage.Map
 }
 
 // dmaWrite is one suppressed guest-memory write in the sealed engine's
@@ -644,9 +646,7 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 		o(c)
 	}
 	if !c.useRef {
-		sp := span.Default().Start("seal", span.Device(spec.Device), span.Gen(c.specGen))
 		c.sealed = spec.Seal()
-		sp.End()
 		if !c.useWalker {
 			c.tprog = buildThreaded(c.sealed)
 		}
@@ -654,7 +654,7 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 	c.noClear = c.sealed != nil && c.sealed.TempsDefinitelyAssigned()
 	if !c.covOff && c.sealed != nil {
 		c.cov = coverage.NewMap(c.sealed.NumBlocks(), c.sealed.NumEdges())
-		c.covGens = append(c.covGens, covGen{gen: c.specGen, m: c.cov})
+		c.covGen = c.specGen
 	}
 	if es := spec.Block(spec.Entry); es != nil {
 		c.entryTemps = c.prog.Handlers[es.Ref.Handler].NumTemps
@@ -898,28 +898,47 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		},
 	})
 	c.warnMu.Lock()
-	c.warnings = append(c.warnings, *anomaly)
-	c.audit = append(c.audit, AuditRecord{
-		Session:  c.sessionID,
-		Round:    round,
-		SpecGen:  c.specGen,
-		Strategy: anomaly.Strategy,
-		Space:    req.Space,
-		Addr:     req.Addr,
-		Write:    req.Write,
-		Data:     append([]byte(nil), req.Data...),
-		Detail:   anomaly.Detail,
-	})
+	if len(c.warnings) < MaxPendingWarnings && len(c.audit) < MaxPendingWarnings {
+		c.warnings = append(c.warnings, *anomaly)
+		c.audit = append(c.audit, AuditRecord{
+			Session:  c.sessionID,
+			Round:    round,
+			SpecGen:  c.specGen,
+			Strategy: anomaly.Strategy,
+			Space:    req.Space,
+			Addr:     req.Addr,
+			Write:    req.Write,
+			Data:     append([]byte(nil), req.Data...),
+			Detail:   anomaly.Detail,
+		})
+	} else {
+		c.stats.warningsDropped.Add(1)
+	}
 	c.warnMu.Unlock()
 	c.needResync = true
 	return nil
 }
+
+// MaxPendingWarnings bounds the warnings and audit records one session
+// keeps, and those one shared engine keeps from its closed sessions,
+// until ClearWarnings/ClearAudit consume them. Each warned round of an
+// enhancement-mode guest would otherwise grow the daemon's heap by a
+// copy of the request; past the bound the earliest records are kept and
+// later ones are only counted (Stats.WarningsDropped).
+const MaxPendingWarnings = 1024
 
 // adopt switches the checker onto a newly published spec version at a
 // round boundary. Shadow state, command tracking, and scratch survive:
 // compatiblePrograms guarantees the replacement presents the same runtime
 // shape.
 func (c *Checker) adopt(v *specVersion) {
+	// Fresh counters for the new generation: its sealed block and edge
+	// slots are a new index space. The old map goes to the engine.
+	var m *coverage.Map
+	if !c.covOff {
+		m = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
+	}
+	c.shared.moveSession(c, v, m)
 	c.ver = v
 	c.spec = v.spec
 	c.sealed = v.sealed
@@ -933,30 +952,6 @@ func (c *Checker) adopt(v *specVersion) {
 	} else {
 		c.tprog = v.tprog
 	}
-	if !c.covOff {
-		// Adoption happens at a round boundary on the session's goroutine:
-		// publish the retiring generation's pending counts now, since the
-		// walker will never tick its map again.
-		if c.cov != nil {
-			c.cov.Flush()
-		}
-		// Fresh counters for the new generation: its sealed block and edge
-		// slots are a new index space. The retiring generation's map stays
-		// in covGens so its counts survive until Close folds them.
-		m := coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
-		c.warnMu.Lock()
-		c.covGens = append(c.covGens, covGen{gen: v.gen, m: m})
-		c.cov = m
-		c.warnMu.Unlock()
-	}
-}
-
-// coverageGens returns a copy of the session's per-generation coverage
-// maps, for the shared engine's aggregation.
-func (c *Checker) coverageGens() []covGen {
-	c.warnMu.Lock()
-	defer c.warnMu.Unlock()
-	return append([]covGen(nil), c.covGens...)
 }
 
 // Coverage returns a snapshot of the coverage counters for the spec

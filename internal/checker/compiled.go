@@ -1,9 +1,10 @@
 package checker
 
 import (
+	"sync/atomic"
+
 	"sedspec/internal/core"
 	"sedspec/internal/ir"
-	"sedspec/internal/obs/span"
 )
 
 // Compiled is a specification in the form every check engine runs: the
@@ -26,9 +27,7 @@ type Compiled struct {
 // path of the shared engine: NewShared and Swap compile their spec
 // argument through it.
 func Compile(spec *core.Spec) *Compiled {
-	sp := span.Default().Start("seal", span.Device(spec.Device))
 	sealed := spec.Seal()
-	sp.End()
 	cv := &Compiled{
 		spec:   spec,
 		sealed: sealed,
@@ -47,7 +46,10 @@ func Compile(spec *core.Spec) *Compiled {
 // engine published it. The shared engine publishes versions through an
 // atomic pointer; sessions adopt the current version at round
 // boundaries, so one round always runs entirely against one version.
+// sessions counts the open sessions running the version; the engine
+// keeps a superseded generation's coverage only while it is non-zero.
 type specVersion struct {
-	gen uint64
+	gen      uint64
+	sessions atomic.Int64
 	*Compiled
 }

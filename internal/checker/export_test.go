@@ -1,7 +1,9 @@
 package checker
 
-// Test-only accessors for internal command-tracking state, used by the
-// shadow-resync tests.
+import "slices"
+
+// Test-only accessors for internal state: command tracking for the
+// shadow-resync tests, coverage retention for the retention tests.
 
 // AccessSuppressed reports whether access-vector checks are currently
 // suppressed (post-resync, until the next command-decision block).
@@ -24,3 +26,30 @@ func (c *Checker) FastForward() (attempts, skippedSteps uint64) {
 
 // RoundSteps is the last round's walker step count.
 func (c *Checker) RoundSteps() int { return c.roundSteps }
+
+// RetainedGens lists, in ascending order, the generations whose
+// coverage some shard's retired bank still holds.
+func (s *Shared) RetainedGens() []uint64 {
+	seen := map[uint64]bool{}
+	var out []uint64
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, r := range sh.retiredCov {
+			if !seen[r.v.gen] {
+				seen[r.v.gen] = true
+				out = append(out, r.v.gen)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// CoverageMapGen reports the generation of the one coverage map the
+// session holds, and false when it holds none.
+func (c *Checker) CoverageMapGen() (uint64, bool) {
+	c.warnMu.Lock()
+	defer c.warnMu.Unlock()
+	return c.covGen, c.cov != nil
+}

@@ -31,6 +31,7 @@ func randStats(r *simclock.Rand) checker.Stats {
 		Resyncs:            u(),
 		StepsSimulated:     u(),
 		SyncPointsResolved: u(),
+		WarningsDropped:    u(),
 	}
 }
 

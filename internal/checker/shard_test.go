@@ -181,5 +181,6 @@ func statsSum(a, b checker.Stats) checker.Stats {
 		Resyncs:            a.Resyncs + b.Resyncs,
 		StepsSimulated:     a.StepsSimulated + b.StepsSimulated,
 		SyncPointsResolved: a.SyncPointsResolved + b.SyncPointsResolved,
+		WarningsDropped:    a.WarningsDropped + b.WarningsDropped,
 	}
 }

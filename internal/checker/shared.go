@@ -11,7 +11,6 @@ import (
 	"sedspec/internal/ir"
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/coverage"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/obs/stream"
 )
 
@@ -41,9 +40,11 @@ import (
 //
 // The session registry and the retired aggregates are sharded: sessions
 // partition by ID across GOMAXPROCS cache-line-padded shards, each with
-// its own lock, session list, and retired banks. Opening, closing, and
-// retiring sessions on different shards never contend on a lock or dirty
-// a shared counter line; aggregate readers fold across the shards.
+// its own lock, session list, and retired counter and coverage banks.
+// Opening, closing, and retiring sessions on different shards never
+// contend on a lock or dirty a shared counter line; aggregate readers
+// fold across the shards. Only a closing session that leaves warnings
+// behind takes the engine-wide warnMu.
 type Shared struct {
 	device string
 	// cur is the published spec version. Sessions load it once per round;
@@ -87,6 +88,12 @@ type Shared struct {
 	// taken on the check path or by session open/close.
 	swapMu sync.Mutex
 
+	// warnMu guards the warnings and audit records closed sessions
+	// leave behind, each list capped at MaxPendingWarnings.
+	warnMu          sync.Mutex
+	retiredWarnings []Anomaly
+	retiredAudit    []AuditRecord
+
 	// covOff is the engine-wide coverage switch sessions inherit.
 	covOff bool
 
@@ -101,16 +108,22 @@ type Shared struct {
 // and padded so two cores folding or reading different shards never
 // write the same cache line.
 type sessionShard struct {
-	mu              sync.Mutex
-	sessions        []*Checker
-	retired         statCounters
-	retiredWarnings []Anomaly
-	retiredAudit    []AuditRecord
-	// retiredCov accumulates closed sessions' coverage counters, keyed by
-	// spec generation (counter index spaces are per-generation).
-	retiredCov map[uint64]*coverage.Snapshot
+	mu       sync.Mutex
+	sessions []*Checker
+	retired  statCounters
+	// retiredCov accumulates the coverage counters of sessions that
+	// closed or moved on, one bank per generation (counter index spaces
+	// are per-generation). A bank lives only while its generation is
+	// retained: current, or still run by an open session.
+	retiredCov []retiredCoverage
 
 	_ [64]byte // pad: keep the tail clear of the next shard's header line
+}
+
+// retiredCoverage is one generation's bank in a shard's retiredCov.
+type retiredCoverage struct {
+	v    *specVersion
+	snap coverage.Snapshot
 }
 
 // shardFor maps a session ID to its home shard.
@@ -177,7 +190,7 @@ func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
 	}
 	s.shards = make([]*sessionShard, n)
 	for i := range s.shards {
-		s.shards[i] = &sessionShard{retiredCov: make(map[uint64]*coverage.Snapshot)}
+		s.shards[i] = &sessionShard{}
 	}
 	s.cur.Store(&specVersion{gen: 1, Compiled: cv})
 	s.scratchPool.New = func() any { return &scratch{} }
@@ -263,7 +276,6 @@ func (s *Shared) Publish(cv *Compiled) error {
 	if err := compatiblePrograms(s.cur.Load().prog, cv.prog); err != nil {
 		return err
 	}
-	sp := span.Default().Start("swap", span.Device(s.device))
 	next := &specVersion{Compiled: cv}
 
 	s.swapMu.Lock()
@@ -280,10 +292,12 @@ func (s *Shared) Publish(cv *Compiled) error {
 	// after the Store above adopts the new version, so the old version
 	// remains reachable only by rounds whose epoch was already odd at
 	// publication time; wait for each of those epochs to advance. Shard
-	// locks are held only long enough to snapshot each session list.
+	// locks are held only long enough to snapshot each session list and
+	// release the coverage of generations no session runs any more.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sessions := append([]*Checker(nil), sh.sessions...)
+		s.pruneLocked(sh)
 		sh.mu.Unlock()
 		for _, c := range sessions {
 			e := c.epoch.Load()
@@ -296,7 +310,6 @@ func (s *Shared) Publish(cv *Compiled) error {
 		}
 	}
 	s.swapMu.Unlock()
-	sp.End(span.Gen(next.gen))
 	s.hub.Publish(stream.Event{
 		Kind:    stream.KindSwap,
 		Tenant:  s.tenant,
@@ -354,6 +367,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	if c.useRef {
 		panic("checker: WithReferenceSimulation is incompatible with a shared engine")
 	}
+	v.sessions.Add(1)
 	if !c.useWalker {
 		c.tprog = v.tprog
 	}
@@ -362,7 +376,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	}
 	if !c.covOff {
 		c.cov = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
-		c.covGens = append(c.covGens, covGen{gen: v.gen, m: c.cov})
+		c.covGen = v.gen
 	}
 	sc := s.scratchPool.Get().(*scratch)
 	c.pooled = sc
@@ -401,9 +415,10 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 }
 
 // Close retires a session checker: its counters fold into its shard's
-// retired bank, its warnings and audit records drain into the shard
-// buffers, its flight recorder folds into the observability registry, and
-// its scratch returns to the pool for the next session. A serial checker
+// retired bank, its coverage too while its generation is retained, its
+// warnings and audit records drain into the engine's capped buffers,
+// its flight recorder folds into the observability registry, and its
+// scratch returns to the pool for the next session. A serial checker
 // (built with New) closes just its recorder. Closing is idempotent; the
 // checker must not be used after Close.
 func (c *Checker) Close() {
@@ -451,26 +466,24 @@ func (c *Checker) Close() {
 	sh.retired.resyncs.Add(snap.Resyncs)
 	sh.retired.stepsSimulated.Add(snap.StepsSimulated)
 	sh.retired.syncPointsResolved.Add(snap.SyncPointsResolved)
+	sh.retired.warningsDropped.Add(snap.WarningsDropped)
 	c.warnMu.Lock()
-	sh.retiredWarnings = append(sh.retiredWarnings, c.warnings...)
-	c.warnings = nil
-	sh.retiredAudit = append(sh.retiredAudit, c.audit...)
-	c.audit = nil
-	for _, cg := range c.covGens {
-		acc := sh.retiredCov[cg.gen]
-		if acc == nil {
-			acc = &coverage.Snapshot{}
-			sh.retiredCov[cg.gen] = acc
-		}
-		// The caller owns the quiesced session, so publishing its pending
-		// counts here is safe; the fold then loses nothing.
-		cg.m.Flush()
-		acc.Merge(cg.m.Snapshot())
+	if len(c.warnings) > 0 || len(c.audit) > 0 {
+		s.warnMu.Lock()
+		var kw, ka int
+		s.retiredWarnings, kw = appendCapped(s.retiredWarnings, c.warnings)
+		s.retiredAudit, ka = appendCapped(s.retiredAudit, c.audit)
+		s.warnMu.Unlock()
+		sh.retired.warningsDropped.Add(uint64(max(len(c.warnings)-kw, len(c.audit)-ka)))
 	}
-	c.covGens = nil
+	c.warnings, c.audit = nil, nil
+	last := s.foldCoverageLocked(sh, c)
 	c.cov = nil
 	c.warnMu.Unlock()
 	sh.mu.Unlock()
+	if last {
+		s.sweepIfSuperseded(c.ver)
+	}
 
 	if sc := c.pooled; sc != nil {
 		c.pooled = nil
@@ -481,6 +494,91 @@ func (c *Checker) Close() {
 		c.frames, c.tempArena, c.flagArena, c.dmaLog = nil, nil, nil, nil
 		s.scratchPool.Put(sc)
 	}
+}
+
+// appendCapped appends the head of src that fits under
+// MaxPendingWarnings to dst and reports how many elements it kept.
+func appendCapped[T any](dst, src []T) ([]T, int) {
+	n := min(len(src), max(MaxPendingWarnings-len(dst), 0))
+	return append(dst, src[:n]...), n
+}
+
+// moveSession moves session c from its current version onto next at a
+// round boundary, with m as its fresh coverage map for next. It runs on
+// the session's goroutine.
+func (s *Shared) moveSession(c *Checker, next *specVersion, m *coverage.Map) {
+	next.sessions.Add(1)
+	sh := s.shardFor(c.sessionID)
+	sh.mu.Lock()
+	c.warnMu.Lock()
+	last := s.foldCoverageLocked(sh, c)
+	c.cov, c.covGen = m, next.gen
+	c.warnMu.Unlock()
+	sh.mu.Unlock()
+	if last {
+		s.sweepIfSuperseded(c.ver)
+	}
+}
+
+// foldCoverageLocked ends session c's tenure on its version c.ver: c no
+// longer counts as running it, and c's coverage map folds into the
+// shard's retired bank if the generation is still retained (another
+// session runs it, or it is current) or is dropped otherwise. It
+// reports whether c was the last session on the version. The caller
+// holds sh.mu and c.warnMu, so a concurrent aggregate sees c's counts
+// exactly once, either in the map or in the bank; it also owns the
+// session's goroutine or a quiesced session, so publishing the map's
+// pending counts here is safe.
+func (s *Shared) foldCoverageLocked(sh *sessionShard, c *Checker) (last bool) {
+	v := c.ver
+	n := v.sessions.Add(-1)
+	if c.cov != nil && (n > 0 || v == s.cur.Load()) {
+		c.cov.Flush()
+		c.cov.AddTo(sh.bankFor(v))
+	}
+	return n == 0
+}
+
+// sweepIfSuperseded releases every shard's retired coverage of v when v
+// is no longer the current generation. It is called after the last
+// session left v, without any lock held. Publish prunes the same way
+// during its grace walk, which covers a publication that lands after
+// this check.
+func (s *Shared) sweepIfSuperseded(v *specVersion) {
+	if v == s.cur.Load() {
+		return
+	}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		s.pruneLocked(sh)
+		sh.mu.Unlock()
+	}
+}
+
+// pruneLocked drops sh's retired coverage banks whose generation is no
+// longer retained. The caller holds sh.mu.
+func (s *Shared) pruneLocked(sh *sessionShard) {
+	cur := s.cur.Load()
+	keep := sh.retiredCov[:0]
+	for _, r := range sh.retiredCov {
+		if r.v == cur || r.v.sessions.Load() > 0 {
+			keep = append(keep, r)
+		}
+	}
+	clear(sh.retiredCov[len(keep):])
+	sh.retiredCov = keep
+}
+
+// bankFor returns sh's retired coverage bank for v, adding an empty one
+// if there is none. The caller holds sh.mu.
+func (sh *sessionShard) bankFor(v *specVersion) *coverage.Snapshot {
+	for i := range sh.retiredCov {
+		if sh.retiredCov[i].v == v {
+			return &sh.retiredCov[i].snap
+		}
+	}
+	sh.retiredCov = append(sh.retiredCov, retiredCoverage{v: v})
+	return &sh.retiredCov[len(sh.retiredCov)-1].snap
 }
 
 // Sessions reports the number of open sessions.
@@ -514,15 +612,17 @@ func (s *Shared) Stats() Stats {
 	return agg
 }
 
-// Warnings copies every session's accumulated warnings, shard by shard,
-// retired sessions first within each shard, then open sessions in open
-// order. Within a session the warnings keep their round order; across
-// concurrently-running sessions there is no global order to report.
+// Warnings copies every session's accumulated warnings: closed
+// sessions' first, in close order, then open sessions' shard by shard in
+// open order. Within a session the warnings keep their round order;
+// across concurrently-running sessions there is no global order to
+// report.
 func (s *Shared) Warnings() []Anomaly {
-	var out []Anomaly
+	s.warnMu.Lock()
+	out := append([]Anomaly(nil), s.retiredWarnings...)
+	s.warnMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		out = append(out, sh.retiredWarnings...)
 		for _, c := range sh.sessions {
 			out = append(out, c.Warnings()...)
 		}
@@ -541,9 +641,11 @@ func (s *Shared) Warnings() []Anomaly {
 // with the clear land in whichever side of it their lock acquisition
 // orders them.
 func (s *Shared) ClearWarnings() {
+	s.warnMu.Lock()
+	s.retiredWarnings = s.retiredWarnings[:0]
+	s.warnMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.retiredWarnings = sh.retiredWarnings[:0]
 		for _, c := range sh.sessions {
 			c.ClearWarnings()
 		}
@@ -552,13 +654,13 @@ func (s *Shared) ClearWarnings() {
 }
 
 // Audit copies every session's accumulated audit records (the warning
-// replays the enhancement pipeline feeds on), shard by shard, retired
-// sessions first within each shard.
+// replays the enhancement pipeline feeds on), in Warnings' order.
 func (s *Shared) Audit() []AuditRecord {
-	var out []AuditRecord
+	s.warnMu.Lock()
+	out := append([]AuditRecord(nil), s.retiredAudit...)
+	s.warnMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		out = append(out, sh.retiredAudit...)
 		for _, c := range sh.sessions {
 			out = append(out, c.Audit()...)
 		}
@@ -573,9 +675,11 @@ func (s *Shared) Audit() []AuditRecord {
 // ClearAudit discards every accumulated audit record, retired and
 // per-session, typically after an enhancement pass consumed them.
 func (s *Shared) ClearAudit() {
+	s.warnMu.Lock()
+	s.retiredAudit = s.retiredAudit[:0]
+	s.warnMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.retiredAudit = sh.retiredAudit[:0]
 		for _, c := range sh.sessions {
 			c.ClearAudit()
 		}
@@ -586,31 +690,43 @@ func (s *Shared) ClearAudit() {
 // CoverageSnapshots aggregates ES-CFG coverage across every session,
 // open and retired, keyed by spec generation. Counter index spaces are
 // per-generation (each sealing assigns its own block and edge slots), so
-// cross-generation counts never mix. Safe to call while sessions run:
-// counters only grow, so a concurrent snapshot is a consistent lower
-// bound; the shard lock orders the read against a concurrent Close's
-// fold, so a closing session's published counts are seen exactly once.
+// cross-generation counts never mix. The engine keeps a generation's
+// counts only while it is retained: the current generation is always
+// reported, a superseded one only while an open session still runs it.
+// Safe to call while sessions run: counters only grow, so a concurrent
+// snapshot is a consistent lower bound; the shard lock orders the read
+// against a concurrent fold (a session closing or adopting a new
+// generation), so a session's published counts are seen exactly once.
 func (s *Shared) CoverageSnapshots() map[uint64]*coverage.Snapshot {
+	return s.collectCoverage(0)
+}
+
+// collectCoverage merges the retired banks and open sessions' maps of
+// generation gen, or of every retained generation when gen is 0.
+func (s *Shared) collectCoverage(gen uint64) map[uint64]*coverage.Snapshot {
 	out := make(map[uint64]*coverage.Snapshot)
+	acc := func(g uint64) *coverage.Snapshot {
+		a := out[g]
+		if a == nil {
+			a = &coverage.Snapshot{}
+			out[g] = a
+		}
+		return a
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for gen, snap := range sh.retiredCov {
-			acc := out[gen]
-			if acc == nil {
-				acc = &coverage.Snapshot{}
-				out[gen] = acc
+		for i := range sh.retiredCov {
+			r := &sh.retiredCov[i]
+			if gen == 0 || r.v.gen == gen {
+				acc(r.v.gen).Merge(&r.snap)
 			}
-			acc.Merge(snap)
 		}
 		for _, c := range sh.sessions {
-			for _, cg := range c.coverageGens() {
-				acc := out[cg.gen]
-				if acc == nil {
-					acc = &coverage.Snapshot{}
-					out[cg.gen] = acc
-				}
-				acc.Merge(cg.m.Snapshot())
+			c.warnMu.Lock()
+			if c.cov != nil && (gen == 0 || c.covGen == gen) {
+				c.cov.AddTo(acc(c.covGen))
 			}
+			c.warnMu.Unlock()
 		}
 		sh.mu.Unlock()
 	}
@@ -625,7 +741,7 @@ func (s *Shared) CoverageProfile() *coverage.Profile {
 		return nil
 	}
 	v := s.cur.Load()
-	return v.sealed.CoverageProfile(v.gen, s.CoverageSnapshots()[v.gen])
+	return v.sealed.CoverageProfile(v.gen, s.collectCoverage(v.gen)[v.gen])
 }
 
 // Registry returns the observability registry the engine's sessions
@@ -656,9 +772,11 @@ func (s *Shared) EngineStatus() stream.EngineStatus {
 		Rounds:     st.Rounds,
 		Blocked:    st.Blocked,
 		Warnings:   st.Warnings,
+
+		WarningsDropped: st.WarningsDropped,
 	}
 	if !s.covOff {
-		if snap := s.CoverageSnapshots()[v.gen]; snap != nil {
+		if snap := s.collectCoverage(v.gen)[v.gen]; snap != nil {
 			cov := &stream.GenCoverage{
 				Generation:  v.gen,
 				TotalBlocks: v.sealed.NumBlocks(),

@@ -157,4 +157,12 @@ func TestSwapUnderHammer(t *testing.T) {
 	if sh.Stats().Rounds != want.Rounds {
 		t.Errorf("engine rounds %d != recorder rounds %d", sh.Stats().Rounds, want.Rounds)
 	}
+
+	// Coverage retention after the race: only the current generation and
+	// the ones the quiesced sessions still run, then only the current one.
+	checkRetention(t, "after hammer", sh, chks)
+	for _, c := range chks {
+		c.Close()
+	}
+	checkRetention(t, "after close", sh, nil)
 }

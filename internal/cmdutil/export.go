@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-
-	"sedspec/internal/obs/span"
 )
 
 // WriteJSON writes v as indented JSON at path, creating parent
@@ -21,22 +19,4 @@ func WriteJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteSpans exports a span sink as Chrome trace_event JSON at path.
-func WriteSpans(path string, sink *span.Sink) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sink.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -83,7 +83,7 @@ func (m *Map) RoundEndN(n int) {
 // Flush publishes all pending counts into the snapshot-visible bank. It
 // must be called from the session's driving goroutine, or from a caller
 // that synchronized with it (a quiesced or closed session); the shared
-// engine calls it when a session folds its maps on Close.
+// engine calls it when a session's map folds into a retired bank.
 func (m *Map) Flush() {
 	m.sinceFlush = 0
 	for i, v := range m.pendBlocks {
@@ -126,6 +126,19 @@ type Snapshot struct {
 	Edges  []uint64 `json:"edges"`
 }
 
+// AddTo adds the published counters into acc, as acc.Merge(m.Snapshot())
+// would without the intermediate copy. Like Snapshot it is safe to call
+// concurrently with the session's increments.
+func (m *Map) AddTo(acc *Snapshot) {
+	acc.grow(len(m.blocks), len(m.edges))
+	for i := range m.blocks {
+		acc.Blocks[i] += m.blocks[i].Load()
+	}
+	for i := range m.edges {
+		acc.Edges[i] += m.edges[i].Load()
+	}
+}
+
 // Merge adds o into s element-wise. Both snapshots must come from maps
 // sized for the same sealed generation; shorter inputs are tolerated so
 // a zero-value snapshot can act as an accumulator.
@@ -133,17 +146,22 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
 		return
 	}
-	if len(s.Blocks) < len(o.Blocks) {
-		s.Blocks = append(s.Blocks, make([]uint64, len(o.Blocks)-len(s.Blocks))...)
-	}
-	if len(s.Edges) < len(o.Edges) {
-		s.Edges = append(s.Edges, make([]uint64, len(o.Edges)-len(s.Edges))...)
-	}
+	s.grow(len(o.Blocks), len(o.Edges))
 	for i, v := range o.Blocks {
 		s.Blocks[i] += v
 	}
 	for i, v := range o.Edges {
 		s.Edges[i] += v
+	}
+}
+
+// grow extends s with zero counters to at least the given lengths.
+func (s *Snapshot) grow(blocks, edges int) {
+	if len(s.Blocks) < blocks {
+		s.Blocks = append(s.Blocks, make([]uint64, blocks-len(s.Blocks))...)
+	}
+	if len(s.Edges) < edges {
+		s.Edges = append(s.Edges, make([]uint64, edges-len(s.Edges))...)
 	}
 }
 

@@ -71,14 +71,18 @@ type EngineStatus struct {
 	// (empty for single-tenant CLI engines). Tenant-owned engines get
 	// their own fleet rows instead of merging into the registry's
 	// process-wide device row.
-	Tenant     string       `json:"tenant,omitempty"`
-	Generation uint64       `json:"generation"`
-	Sessions   int          `json:"sessions"`
-	Swaps      uint64       `json:"swaps"`
-	Rounds     uint64       `json:"rounds"`
-	Blocked    uint64       `json:"blocked"`
-	Warnings   uint64       `json:"warnings"`
-	Coverage   *GenCoverage `json:"coverage,omitempty"`
+	Tenant     string `json:"tenant,omitempty"`
+	Generation uint64 `json:"generation"`
+	Sessions   int    `json:"sessions"`
+	Swaps      uint64 `json:"swaps"`
+	Rounds     uint64 `json:"rounds"`
+	Blocked    uint64 `json:"blocked"`
+	Warnings   uint64 `json:"warnings"`
+	// WarningsDropped counts warned rounds whose records the engine did
+	// not keep because its pending buffers were full
+	// (checker.MaxPendingWarnings).
+	WarningsDropped uint64       `json:"warnings_dropped,omitempty"`
+	Coverage        *GenCoverage `json:"coverage,omitempty"`
 }
 
 // DeviceHealth is one device's folded view in a FleetSnapshot. A
@@ -86,15 +90,18 @@ type EngineStatus struct {
 // single-tenant engines and serial checkers fold into the per-device
 // registry row with Tenant empty.
 type DeviceHealth struct {
-	Device     string `json:"device"`
-	Tenant     string `json:"tenant,omitempty"`
-	Rounds     uint64 `json:"rounds"`
-	Anomalies  uint64 `json:"anomalies"`
-	Blocked    uint64 `json:"blocked"`
-	Warned     uint64 `json:"warned"`
-	Swaps      uint64 `json:"swaps,omitempty"`
-	Sessions   int    `json:"sessions"`
-	Generation uint64 `json:"generation,omitempty"`
+	Device    string `json:"device"`
+	Tenant    string `json:"tenant,omitempty"`
+	Rounds    uint64 `json:"rounds"`
+	Anomalies uint64 `json:"anomalies"`
+	Blocked   uint64 `json:"blocked"`
+	Warned    uint64 `json:"warned"`
+	// WarningsDropped counts warned rounds whose records the device's
+	// engines dropped at their pending-warning bound.
+	WarningsDropped uint64 `json:"warnings_dropped,omitempty"`
+	Swaps           uint64 `json:"swaps,omitempty"`
+	Sessions        int    `json:"sessions"`
+	Generation      uint64 `json:"generation,omitempty"`
 
 	// RoundsPerSec is the checked-I/O rate observed between this
 	// snapshot and the previous one (0 on the first).
@@ -361,6 +368,7 @@ func (h *Health) Snapshot() *FleetSnapshot {
 			byDev[key] = d
 		}
 		d.Sessions += es.Sessions
+		d.WarningsDropped += es.WarningsDropped
 		out.Sessions += es.Sessions
 		if es.Generation > d.Generation {
 			d.Generation = es.Generation

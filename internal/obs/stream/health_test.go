@@ -34,6 +34,8 @@ func TestHealthSnapshotFolds(t *testing.T) {
 			Sessions:   2,
 			Swaps:      2,
 			Coverage:   &GenCoverage{Generation: 3, BlocksCovered: 10, TotalBlocks: 20, EdgesCovered: 5, TotalEdges: 9},
+
+			WarningsDropped: 7,
 		}
 	})
 	h.AddEngine(func() EngineStatus {
@@ -58,8 +60,8 @@ func TestHealthSnapshotFolds(t *testing.T) {
 	if d.Rounds != 502 || d.Anomalies != 2 || d.Blocked != 1 || d.Warned != 1 {
 		t.Errorf("rollup %+v", d)
 	}
-	if d.Sessions != 2 || d.Generation != 3 {
-		t.Errorf("engine merge: sessions %d gen %d", d.Sessions, d.Generation)
+	if d.Sessions != 2 || d.Generation != 3 || d.WarningsDropped != 7 {
+		t.Errorf("engine merge: sessions %d gen %d warnings dropped %d", d.Sessions, d.Generation, d.WarningsDropped)
 	}
 	if d.Coverage == nil || d.Coverage.BlocksCovered != 10 {
 		t.Errorf("coverage not merged: %+v", d.Coverage)

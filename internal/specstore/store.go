@@ -29,7 +29,6 @@ import (
 
 	"sedspec/internal/core"
 	"sedspec/internal/ir"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/obs/stream"
 )
 
@@ -159,9 +158,7 @@ func (st *Store) persistIndex() error {
 // Publishing a spec whose (key, blob) already exists is idempotent and
 // returns the existing version.
 func (st *Store) Put(spec *core.Spec, meta VersionMeta) (VersionMeta, error) {
-	sp := span.Default().Start("store.put", span.Device(spec.Device))
 	m, fresh, err := st.put(spec, meta)
-	sp.End(span.Gen(m.Generation))
 	if err == nil && fresh {
 		hub := st.hub
 		if !st.hubSet {
@@ -298,11 +295,8 @@ func (st *Store) Versions(device string) []VersionMeta {
 }
 
 // Load reads a version's blob and rebinds it to the device program.
-// Its "store.get" span covers the read, the hash check and the decode.
 func (st *Store) Load(prog *ir.Program, meta VersionMeta) (*core.Spec, error) {
-	sp := span.Default().Start("store.get", span.Device(meta.Device), span.Gen(meta.Generation))
-	defer sp.End()
-	data, err := st.read(meta)
+	data, err := st.Read(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -316,16 +310,8 @@ func (st *Store) Load(prog *ir.Program, meta VersionMeta) (*core.Spec, error) {
 // Read returns a version's blob bytes after checking that they still
 // hash to the version's content address. It is the verify-only half of
 // Load: a caller that already holds the decoded form of this blob uses
-// Read to confirm the store still backs it. Its "store.get" span covers
-// the read and the hash check only.
+// Read to confirm the store still backs it.
 func (st *Store) Read(meta VersionMeta) ([]byte, error) {
-	sp := span.Default().Start("store.get", span.Device(meta.Device), span.Gen(meta.Generation))
-	defer sp.End()
-	return st.read(meta)
-}
-
-// read is Read without the span.
-func (st *Store) read(meta VersionMeta) ([]byte, error) {
 	data, err := os.ReadFile(st.blobPath(meta.Blob))
 	if err != nil {
 		return nil, fmt.Errorf("specstore: load gen %d: %w", meta.Generation, err)

@@ -41,7 +41,6 @@ import (
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/coverage"
-	"sedspec/internal/obs/span"
 	"sedspec/internal/obs/stream"
 	"sedspec/internal/trace"
 )
@@ -86,9 +85,6 @@ type (
 	CoverageSnapshot = coverage.Snapshot
 	// CoverageEdge is one trained ES-CFG edge with its hit count.
 	CoverageEdge = coverage.EdgeCov
-	// SpanSink collects lifecycle spans (learn, seal, swap, enhance, store
-	// put/get) and exports them as Chrome trace_event JSON.
-	SpanSink = span.Sink
 	// TelemetryHub is the bounded non-blocking broadcast hub the checkers
 	// publish fleet telemetry into (anomalies, swaps, session lifecycle,
 	// health ticks).
@@ -103,10 +99,6 @@ type (
 
 // DiffCoverage compares two coverage profiles, older to newer.
 func DiffCoverage(from, to *CoverageProfile) *CoverageDrift { return coverage.Diff(from, to) }
-
-// Spans returns the process-wide span sink the lifecycle instrumentation
-// records into.
-func Spans() *SpanSink { return span.Default() }
 
 // WithRecorder installs a caller-owned flight recorder on a checker
 // (WithRecorder(nil) disables recording entirely).
@@ -223,13 +215,10 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 	dev := att.Dev()
 	prog := dev.Program()
 	in := att.Interp()
-	learnSpan := span.Default().Start("learn", span.Device(prog.Name))
-	defer learnSpan.End()
 
 	// Phase 1a: one run of the training samples, traced (processor-trace
 	// collection) and observed (every field watched) at once.
 	dev.Reset()
-	sp := span.Default().Start("learn.trace")
 	col := trace.NewCollector(trace.DeviceConfig(prog))
 	rec := analysis.NewCaptureRecorder(prog)
 	in.SetTracer(col)
@@ -239,18 +228,15 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 	in.SetTracer(nil)
 	in.SetObserver(nil)
 	in.SetWatch(nil)
-	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sedspec: training run: %w", err)
 	}
 
 	// Phase 1b: ITC-CFG construction and parameter selection, then the
 	// observation log narrowed to the selected parameters.
-	sp = span.Default().Start("learn.analyze")
 	stats := col.Stats()
 	runs, err := trace.Decode(prog, col.Packets())
 	if err != nil {
-		sp.End()
 		return nil, fmt.Errorf("sedspec: decode trace: %w", err)
 	}
 	graph := itccfg.New(prog)
@@ -259,12 +245,9 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 	}
 	params := analysis.SelectParams(graph)
 	log := rec.Project(params.WatchList())
-	sp.End()
 
 	// Phase 2: ES-CFG construction.
-	sp = span.Default().Start("learn.build")
 	spec, err := core.Build(prog, params, log)
-	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sedspec: build spec: %w", err)
 	}
