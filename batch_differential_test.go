@@ -1,6 +1,6 @@
 // Batched-delivery differentials: for every CVE case study the batched
 // check path (PreIOBatch) must be byte-identical to per-round delivery
-// (PreIO) in both modes, across engines and across batch sizes. The
+// (PreIO) in both modes, on both engines and across batch sizes. The
 // exploit's request stream is captured once under live protection, then
 // replayed machine-less through fresh checkers sharing a frozen
 // environment, so the only variable between configurations is the
@@ -60,7 +60,7 @@ type capturedPoC struct {
 // malicious staging intact; a run that continues would let the device's
 // own writebacks overwrite it, and the replay environment would no
 // longer reproduce the anomaly. Both modes replay the same stream.
-func captureExploit(t *testing.T, p *cvesim.PoC) *capturedPoC {
+func captureExploit(t testing.TB, p *cvesim.PoC) *capturedPoC {
 	t.Helper()
 	m := machine.New(machine.WithMemory(1 << 20))
 	dev, aopts := p.Build()
@@ -221,13 +221,13 @@ func assertSameStream(t *testing.T, label string, got, want streamRun) {
 }
 
 // TestBatchedDifferential replays every case study's captured exploit
-// stream under per-round delivery with all three engines and under
-// batched delivery with both sealed engines at batch sizes 1, 4, 16,
-// and whole-stream (plus the reference engine at one size), in both
-// modes and at both budgets. All configurations must produce the
-// identical anomaly stream, warning stream, counters and shadow state,
-// and the sealed engines the identical coverage — per-round threaded is
-// the baseline.
+// stream under per-round delivery with both engines and under batched
+// delivery with the threaded engine at batch sizes 1, 4, 16, and
+// whole-stream (plus the reference engine at one size), in both modes
+// and at both budgets. All configurations must produce the identical
+// anomaly stream, warning stream, counters and shadow state, and the
+// threaded runs the identical coverage — per-round threaded is the
+// baseline.
 func TestBatchedDifferential(t *testing.T) {
 	for _, p := range cvesim.All() {
 		p := p
@@ -238,25 +238,20 @@ func TestBatchedDifferential(t *testing.T) {
 				t.Run(fmt.Sprint(mode), func(t *testing.T) {
 					for _, b := range diffBudgets {
 						t.Run(b.name, func(t *testing.T) {
-							baseline := replayPerRound(t, cap, mode, b.opts, checkerEngines[0].opts)
+							baseline := replayPerRound(t, cap, mode, b.opts, threadedEngine)
 							total := baseline.stats.ParamAnomalies +
 								baseline.stats.IndirectAnomalies + baseline.stats.CondAnomalies
 							if p.Expected != nil && total == 0 {
 								t.Fatal("replayed exploit raised no anomalies; differential is vacuous")
 							}
-							for _, eng := range checkerEngines[1:] {
-								assertSameStream(t, "per-round/"+eng.name,
-									replayPerRound(t, cap, mode, b.opts, eng.opts), baseline)
-							}
-							for _, eng := range checkerEngines[:2] { // threaded, walker
-								for _, size := range sizes {
-									label := fmt.Sprintf("batched/%s/size=%d", eng.name, size)
-									assertSameStream(t, label,
-										replayBatched(t, cap, mode, b.opts, eng.opts, size), baseline)
-								}
+							assertSameStream(t, "per-round/reference",
+								replayPerRound(t, cap, mode, b.opts, referenceEngine), baseline)
+							for _, size := range sizes {
+								assertSameStream(t, fmt.Sprintf("batched/threaded/size=%d", size),
+									replayBatched(t, cap, mode, b.opts, threadedEngine, size), baseline)
 							}
 							assertSameStream(t, "batched/reference/size=16",
-								replayBatched(t, cap, mode, b.opts, checkerEngines[2].opts, 16), baseline)
+								replayBatched(t, cap, mode, b.opts, referenceEngine, 16), baseline)
 						})
 					}
 				})

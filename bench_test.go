@@ -41,7 +41,7 @@ func BenchmarkTable2FalsePositives(b *testing.B) {
 	cfg := bench.DefaultFPConfig()
 	cfg.Hours = []int{1}
 	cfg.RarePerCase *= 10
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Table2(target, cfg); err != nil {
@@ -65,7 +65,7 @@ func BenchmarkTable3Detection(b *testing.B) {
 // BenchmarkTable3Coverage regenerates Table III's effective-coverage
 // column for one device.
 func BenchmarkTable3Coverage(b *testing.B) {
-	target := bench.TargetByName("scsi", true)
+	target := workload.TargetByName("scsi", true)
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.EffectiveCoverage(target, 400, 3); err != nil {
 			b.Fatal(err)
@@ -76,7 +76,7 @@ func BenchmarkTable3Coverage(b *testing.B) {
 // BenchmarkFigure3Throughput regenerates a Figure 3 data point (normalized
 // storage throughput, SDHCI, 64 KiB blocks).
 func BenchmarkFigure3Throughput(b *testing.B) {
-	target := bench.TargetByName("sdhci", true)
+	target := workload.TargetByName("sdhci", true)
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Figure34(target, []int{64}, 2, true); err != nil {
 			b.Fatal(err)
@@ -87,7 +87,7 @@ func BenchmarkFigure3Throughput(b *testing.B) {
 // BenchmarkFigure4Latency regenerates a Figure 4 data point (normalized
 // storage latency, SCSI, 4 KiB blocks).
 func BenchmarkFigure4Latency(b *testing.B) {
-	target := bench.TargetByName("scsi", true)
+	target := workload.TargetByName("scsi", true)
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Figure34(target, []int{4}, 1, false); err != nil {
 			b.Fatal(err)
@@ -110,7 +110,7 @@ func BenchmarkFigure5Network(b *testing.B) {
 // BenchmarkAblationReduction measures spec size and simulated steps with
 // control-flow reduction on vs off.
 func BenchmarkAblationReduction(b *testing.B) {
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	for i := 0; i < b.N; i++ {
 		row, err := bench.AblationReduction(target, 60)
 		if err != nil {
@@ -124,7 +124,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 // BenchmarkAblationFilters measures trace packet volume with the paper's
 // IPT filters on vs off.
 func BenchmarkAblationFilters(b *testing.B) {
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	for i := 0; i < b.N; i++ {
 		row, err := bench.AblationFilters(target)
 		if err != nil {
@@ -138,7 +138,7 @@ func BenchmarkAblationFilters(b *testing.B) {
 // BenchmarkAblationAccessControl measures checker effort with the command
 // access table on vs off.
 func BenchmarkAblationAccessControl(b *testing.B) {
-	target := bench.TargetByName("sdhci", true)
+	target := workload.TargetByName("sdhci", true)
 	for i := 0; i < b.N; i++ {
 		withAC, withoutAC, err := bench.AblationAccessSteps(target, 60)
 		if err != nil {
@@ -261,7 +261,7 @@ func BenchmarkExploitReplay(b *testing.B) {
 // BenchmarkDeviceDispatch measures raw emulated-device dispatch throughput
 // (no checker) across the five devices' benign op mixes.
 func BenchmarkDeviceDispatch(b *testing.B) {
-	for _, target := range bench.Targets(true) {
+	for _, target := range workload.Targets(true) {
 		target := target
 		b.Run(target.Name, func(b *testing.B) {
 			m := machine.New(machine.WithMemory(1 << 20))

@@ -1,8 +1,8 @@
 // Micro-benchmarks of the per-I/O ES-Checker cost: a benign request
 // stream is captured once per device and then replayed straight into the
 // checker (no device, no machine dispatch in the timed region), against
-// the threaded-code engine (the deployed default), the sealed switch
-// walker, and the pre-seal reference engine. Run with:
+// the threaded-code engine (the deployed engine) and the pre-seal
+// reference engine. Run with:
 //
 //	go test -bench=BenchmarkCheckerPerIO -benchmem
 package sedspec_test
@@ -13,10 +13,11 @@ import (
 
 	"sedspec/internal/bench"
 	"sedspec/internal/checker"
+	"sedspec/internal/workload"
 )
 
 func BenchmarkCheckerPerIO(b *testing.B) {
-	for _, t := range bench.Targets(true) {
+	for _, t := range workload.Targets(true) {
 		b.Run(t.Name, func(b *testing.B) {
 			r, err := bench.NewCheckerReplay(t, 60)
 			if err != nil {
@@ -24,13 +25,11 @@ func BenchmarkCheckerPerIO(b *testing.B) {
 			}
 			engines := []struct {
 				name     string
-				zeroHeap bool // sealed engines must not allocate in steady state
+				zeroHeap bool // the threaded engine must not allocate in steady state
 				opts     []checker.Option
 			}{
 				{"threaded", true, nil}, // flight recorder on (the deployed default)
 				{"threaded-norec", true, []checker.Option{checker.WithRecorder(nil)}},
-				{"sealed", true, []checker.Option{checker.WithThreadedDispatch(false)}},
-				{"sealed-norec", true, []checker.Option{checker.WithThreadedDispatch(false), checker.WithRecorder(nil)}},
 				{"unsealed", false, []checker.Option{checker.WithReferenceSimulation()}},
 			}
 			for _, eng := range engines {

@@ -3,27 +3,11 @@
 //
 // Usage:
 //
-//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|checker|dispatch|coverage|throughput|batch|swap]
-//	         [-full] [-frames N] [-mib N] [-checker-iters N] [-checker-out FILE]
-//	         [-dispatch-iters N] [-dispatch-out FILE]
-//	         [-coverage-iters N] [-coverage-out FILE]
+//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|throughput|batch|swap]
+//	         [-full] [-frames N] [-mib N]
 //	         [-throughput-ops N] [-throughput-iters N] [-throughput-e2e-ops N] [-throughput-out FILE]
 //	         [-batch-ops N] [-batch-iters N] [-batch-size N] [-batch-out FILE]
 //	         [-swap-iters N] [-swap-store DIR] [-swap-out FILE]
-//
-// The checker experiment measures per-I/O ES-Checker overhead (sealed
-// fast path vs the pre-seal reference engine) and writes the rows as JSON
-// to -checker-out (default BENCH_checker.json).
-//
-// The dispatch experiment compares the two sealed engines head to head —
-// the switch walker against the threaded-code stream compiled at Seal()
-// time — over the same captured streams, and writes -dispatch-out
-// (default BENCH_dispatch.json) including each device's fused-pair count
-// and fusion density from the lowering report.
-//
-// The coverage experiment measures what the ES-CFG coverage counters add
-// to the sealed walker (counters on vs WithCoverage(false)) and writes
-// -coverage-out (default BENCH_coverage.json).
 //
 // The swap experiment measures the spec lifecycle subsystem: store
 // cache-hit load vs a fresh learn, per-I/O check cost while another
@@ -46,6 +30,10 @@
 // sweeps) amortizes against the per-round path on a single session per
 // device, and writes -batch-out (default BENCH_batch.json).
 //
+// An unknown -experiment name is an error that lists the valid names.
+// Per-I/O check cost by device, steps and allocations per I/O, and the
+// coverage counters' price are perfbench's checker.* and obs.* metrics.
+//
 // With -full, Table II runs the paper's 10/20/30 virtual hours (slow);
 // otherwise a scaled-down 2/4/6-hour study with a proportionally raised
 // rare-command rate preserves the regime.
@@ -56,11 +44,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"sedspec/internal/bench"
 	"sedspec/internal/cmdutil"
 	"sedspec/internal/obs"
+	"sedspec/internal/workload"
 )
 
 func main() {
@@ -68,12 +59,6 @@ func main() {
 	full := flag.Bool("full", false, "run Table II at the paper's full 10/20/30 hours")
 	frames := flag.Int("frames", 600, "frames per Figure 5 bandwidth series")
 	mib := flag.Int("mib", 8, "MiB per Figure 3/4 data point")
-	checkerIters := flag.Int("checker-iters", 1_000_000, "timed replay rounds per engine for the checker experiment")
-	checkerOut := flag.String("checker-out", "BENCH_checker.json", "output file for the checker experiment's JSON rows")
-	dispatchIters := flag.Int("dispatch-iters", 1_000_000, "timed replay rounds per engine for the dispatch experiment")
-	dispatchOut := flag.String("dispatch-out", "BENCH_dispatch.json", "output file for the dispatch experiment's JSON rows")
-	coverageIters := flag.Int("coverage-iters", 1_000_000, "timed replay rounds per side for the coverage experiment")
-	coverageOut := flag.String("coverage-out", "BENCH_coverage.json", "output file for the coverage experiment's JSON rows")
 	tpOps := flag.Int("throughput-ops", 60, "benign session ops captured per device for the throughput replay")
 	tpIters := flag.Int("throughput-iters", 200_000, "timed replay rounds per session for the throughput experiment")
 	tpE2EOps := flag.Int("throughput-e2e-ops", 200, "benign ops per full guest session for the e2e throughput rows")
@@ -87,20 +72,16 @@ func main() {
 	swapOut := flag.String("swap-out", "BENCH_swap.json", "output file for the swap experiment's JSON rows")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address (profile live runs)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -listen")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.Parse()
 
 	cfg := runConfig{
 		full: *full, frames: *frames, mib: *mib,
-		checkerIters: *checkerIters, checkerOut: *checkerOut,
-		dispatchIters: *dispatchIters, dispatchOut: *dispatchOut,
-		coverageIters: *coverageIters, coverageOut: *coverageOut,
 		tpOps: *tpOps, tpIters: *tpIters, tpE2EOps: *tpE2EOps, tpOut: *tpOut,
 		batchOps: *batchOps, batchIters: *batchIters, batchSize: *batchSize, batchOut: *batchOut,
 		swapIters: *swapIters, swapStore: *swapStore, swapOut: *swapOut,
 	}
-	if err := realMain(*experiment, cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget); err != nil {
+	if err := realMain(*experiment, cfg, *metrics, *listen, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedbench:", err)
 		os.Exit(1)
 	}
@@ -124,30 +105,30 @@ func realMain(experiment string, cfg runConfig, metrics, listenAddr string, budg
 }
 
 type runConfig struct {
-	full          bool
-	frames, mib   int
-	checkerIters  int
-	checkerOut    string
-	dispatchIters int
-	dispatchOut   string
-	coverageIters int
-	coverageOut   string
-	tpOps         int
-	tpIters       int
-	tpE2EOps      int
-	tpOut         string
-	batchOps      int
-	batchIters    int
-	batchSize     int
-	batchOut      string
-	swapIters     int
-	swapStore     string
-	swapOut       string
+	full        bool
+	frames, mib int
+	tpOps       int
+	tpIters     int
+	tpE2EOps    int
+	tpOut       string
+	batchOps    int
+	batchIters  int
+	batchSize   int
+	batchOut    string
+	swapIters   int
+	swapStore   string
+	swapOut     string
 }
 
+// experiments lists the names -experiment accepts besides "all", in the
+// order run executes them.
+var experiments = []string{"table1", "table2", "table3", "fig34", "fig5", "comparison", "throughput", "batch", "swap", "ablation"}
+
 func run(experiment string, cfg runConfig) error {
+	if experiment != "all" && !slices.Contains(experiments, experiment) {
+		return fmt.Errorf("unknown experiment %q (want all or one of %s)", experiment, strings.Join(experiments, ", "))
+	}
 	full, frames, mib := cfg.full, cfg.frames, cfg.mib
-	checkerIters, checkerOut := cfg.checkerIters, cfg.checkerOut
 	w := os.Stdout
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 
@@ -168,7 +149,7 @@ func run(experiment string, cfg runConfig) error {
 			cfg.RarePerCase *= 5 // same expected counts in a fifth of the time
 		}
 		var rows []*bench.Table2Row
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			row, err := bench.Table2(t, cfg)
 			if err != nil {
 				return err
@@ -191,7 +172,7 @@ func run(experiment string, cfg runConfig) error {
 			return err
 		}
 		cov := map[string]float64{}
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			c, err := bench.EffectiveCoverage(t, 800, 3)
 			if err != nil {
 				return err
@@ -204,7 +185,7 @@ func run(experiment string, cfg runConfig) error {
 
 	if want("fig34") {
 		for _, name := range []string{"fdc", "ehci", "sdhci", "scsi"} {
-			t := bench.TargetByName(name, true)
+			t := workload.TargetByName(name, true)
 			blocks := []int{4, 64, 512, 2048}
 			if name == "fdc" {
 				blocks = []int{4, 64, 512, 1024} // 2.88MB medium cap
@@ -238,86 +219,6 @@ func run(experiment string, cfg runConfig) error {
 		fmt.Fprintln(w)
 	}
 
-	if want("checker") {
-		var rows []*bench.CheckerBenchRow
-		for _, t := range bench.Targets(true) {
-			row, err := bench.CheckerOverhead(t, 60, checkerIters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "checker %-6s baseline %8.1f ns/op  sealed %8.1f ns/op  -%5.1f%%  %.3f allocs/op\n",
-				t.Name, row.BaselineNsPerOp, row.SealedNsPerOp, row.SpeedupPct, row.SealedAllocsPerOp)
-		}
-		f, err := os.Create(checkerOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteCheckerJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", checkerOut)
-		fmt.Fprintln(w)
-	}
-
-	if want("dispatch") {
-		var rows []*bench.DispatchBenchRow
-		for _, t := range bench.Targets(true) {
-			row, err := bench.DispatchOverhead(t, 60, cfg.dispatchIters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "dispatch %-6s switch %8.1f ns/op  threaded %8.1f ns/op  -%5.1f%%  %.3f allocs/op  (%d fused pairs, density %.2f)\n",
-				t.Name, row.SwitchNsPerOp, row.ThreadedNsPerOp, row.SpeedupPct, row.ThreadedAllocsPerOp,
-				row.FusedPairs, row.FusedDensity)
-		}
-		f, err := os.Create(cfg.dispatchOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteDispatchJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.dispatchOut)
-		fmt.Fprintln(w)
-	}
-
-	if want("coverage") {
-		var rows []*bench.CoverageBenchRow
-		for _, t := range bench.Targets(true) {
-			row, err := bench.CoverageOverhead(t, 60, cfg.coverageIters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "coverage %-6s off %8.1f ns/op  on %8.1f ns/op  +%5.2f%%  %.3f allocs/op  (%d/%d edges covered)\n",
-				t.Name, row.OffNsPerOp, row.OnNsPerOp, row.OverheadPct, row.OnAllocsPerOp,
-				row.CoveredAtEnd, row.TrainedEdges)
-		}
-		f, err := os.Create(cfg.coverageOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteCoverageJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.coverageOut)
-		fmt.Fprintln(w)
-	}
-
 	if want("throughput") {
 		counts := bench.SessionCounts()
 		if bench.DegradedParallelism() {
@@ -330,7 +231,7 @@ func run(experiment string, cfg runConfig) error {
 		}
 		var rows []*bench.ThroughputRow
 		var e2e []*bench.E2ERow
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			r, err := bench.NewCheckerReplay(t, cfg.tpOps)
 			if err != nil {
 				return err
@@ -375,7 +276,7 @@ func run(experiment string, cfg runConfig) error {
 
 	if want("batch") {
 		var rows []*bench.BatchBenchRow
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			row, err := bench.BatchOverhead(t, cfg.batchOps, cfg.batchIters, cfg.batchSize)
 			if err != nil {
 				return err
@@ -410,7 +311,7 @@ func run(experiment string, cfg runConfig) error {
 			dir = tmp
 		}
 		var rows []*bench.SwapBenchRow
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			row, err := bench.SwapBench(t, dir, 60, cfg.swapIters)
 			if err != nil {
 				return err
@@ -439,7 +340,7 @@ func run(experiment string, cfg runConfig) error {
 	if want("ablation") {
 		var reds []*bench.AblationReductionRow
 		var filts []*bench.AblationFilterRow
-		for _, t := range bench.Targets(true) {
+		for _, t := range workload.Targets(true) {
 			r, err := bench.AblationReduction(t, 150)
 			if err != nil {
 				return err

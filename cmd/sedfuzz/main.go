@@ -31,6 +31,7 @@ import (
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 func main() {
@@ -40,12 +41,11 @@ func main() {
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -listen")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	hold := flag.Bool("hold", false, "after the run, keep serving -listen until interrupted (for probing a finished run)")
 	flag.Parse()
 
-	addr := cmdutil.ResolveListen(*listen, *pprofAddr)
+	addr := *listen
 	serving := false
 	if addr != "" {
 		if _, err := cmdutil.ServeIntrospection(addr, *budget); err != nil {
@@ -72,7 +72,7 @@ func main() {
 }
 
 func run(device string, n int, seed uint64, specIn string) error {
-	target := bench.TargetByName(device, true)
+	target := workload.TargetByName(device, true)
 	if target == nil {
 		return fmt.Errorf("unknown device %q", device)
 	}

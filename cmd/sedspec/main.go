@@ -33,8 +33,8 @@
 // blocked PoC's anomaly training-coverage record) as JSON, and -listen
 // serves the unified introspection server (/healthz, /fleet, /metrics,
 // /anomalies live tail, /coverage, /buildinfo, /debug/vars,
-// /debug/pprof) on the given address; -pprof remains as a deprecated
-// alias. Final exports also run on SIGINT/SIGTERM.
+// /debug/pprof) on the given address. Final exports also run on
+// SIGINT/SIGTERM.
 //
 // The report subcommand diffs two spec generations' structure and
 // coverage; the watch subcommand tails a running process's telemetry
@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
 	"sedspec/internal/cmdutil"
 	"sedspec/internal/core"
@@ -78,6 +77,7 @@ import (
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 func main() {
@@ -126,13 +126,12 @@ func main() {
 	flag.StringVar(&cfg.mode, "mode", "protection", "checker working mode: protection or enhancement")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -listen")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")
 	flag.Parse()
 
-	if err := realMain(cfg, *metrics, cmdutil.ResolveListen(*listen, *pprofAddr), *budget); err != nil {
+	if err := realMain(cfg, *metrics, *listen, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedspec:", err)
 		os.Exit(1)
 	}
@@ -175,7 +174,7 @@ func realMain(cfg runConfig, metrics, listenAddr string, budget float64) error {
 // (-spec-store, learning on miss), or a fresh learning run. When the
 // spec came from a store, the store handle and the version's generation
 // are returned too so the run can publish its coverage profile back.
-func obtainSpec(cfg runConfig, target *bench.Target, att *machine.Attached) (*core.Spec, *sedspec.SpecStore, sedspec.SpecVersion, error) {
+func obtainSpec(cfg runConfig, target *workload.Target, att *machine.Attached) (*core.Spec, *sedspec.SpecStore, sedspec.SpecVersion, error) {
 	device := cfg.device
 	if cfg.specIn != "" {
 		data, err := os.ReadFile(cfg.specIn)
@@ -224,7 +223,7 @@ func obtainSpec(cfg runConfig, target *bench.Target, att *machine.Attached) (*co
 
 func run(cfg runConfig, fl *cmdutil.Flusher) error {
 	device, out, dot := cfg.device, cfg.out, cfg.dot
-	target := bench.TargetByName(device, false)
+	target := workload.TargetByName(device, false)
 	if target == nil {
 		return fmt.Errorf("unknown device %q", device)
 	}
@@ -353,7 +352,7 @@ func run(cfg runConfig, fl *cmdutil.Flusher) error {
 // blocking), then replay the audit into a fresh learn and publish the
 // enhanced spec as the next store generation — the two generations
 // `sedspec report` is made to diff.
-func runEnhance(target *bench.Target, att *machine.Attached, chk *checker.Checker, st *sedspec.SpecStore, parent sedspec.SpecVersion) error {
+func runEnhance(target *workload.Target, att *machine.Attached, chk *checker.Checker, st *sedspec.SpecStore, parent sedspec.SpecVersion) error {
 	if st == nil {
 		return fmt.Errorf("-enhance requires -spec-store (the enhanced spec is published as a new generation)")
 	}
@@ -438,7 +437,7 @@ func runReport(args []string) error {
 	if *storeDir == "" || *from == 0 || *to == 0 {
 		return fmt.Errorf("usage: sedspec report -spec-store DIR -device DEV -from GEN -to GEN [-json]")
 	}
-	target := bench.TargetByName(*device, false)
+	target := workload.TargetByName(*device, false)
 	if target == nil {
 		return fmt.Errorf("unknown device %q", *device)
 	}

@@ -15,6 +15,7 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/devices/testdev"
 	"sedspec/internal/machine"
+	"sedspec/internal/workload"
 )
 
 // TestCoverageOverheadGuard pins the coverage counters' price on the
@@ -29,7 +30,7 @@ func TestCoverageOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews the coverage on/off ratio")
 	}
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	r, err := bench.NewCheckerReplay(target, 60)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,10 @@
-// Differential tests pinning the three check engines to each other:
-// across all nine CVE case studies, in both protection and enhancement
-// modes, at a reduced budget and at the default one, the threaded-code
-// stream (the deployed default, with its loop fast-forward), the sealed
-// switch walker, and the pre-seal reference engine must produce the same
-// anomaly stream, the same warning stream, the same counters, the same
-// shadow device state and (for the two sealed engines, which count it)
-// the same coverage. This is
-// the correctness argument for both lowering layers — any divergence in
+// Differential tests pinning the two check engines to each other: across
+// all nine CVE case studies, in both protection and enhancement modes, at
+// a reduced budget and at the default one, the threaded-code stream (the
+// deployed engine, with its loop fast-forward) and the pre-seal reference
+// engine (the oracle) must produce the same anomaly stream, the same
+// warning stream, the same counters and the same shadow device state.
+// This is the correctness argument for the lowering — any divergence in
 // transition semantics, access control, DSOD execution, peephole fusion,
 // or step batching shows up here.
 package sedspec_test
@@ -70,18 +68,13 @@ var diffBudgets = []struct {
 	{"budget=default", nil},
 }
 
-// checkerEngines enumerates the three check engines the differentials pin
-// together: the threaded-code stream compiled at Seal time (the deployed
-// default), the sealed switch walker it replaced on the hot path, and the
-// pre-seal reference interpreter.
-var checkerEngines = []struct {
-	name string
-	opts []checker.Option
-}{
-	{"threaded", nil},
-	{"walker", []checker.Option{checker.WithThreadedDispatch(false)}},
-	{"reference", []checker.Option{checker.WithReferenceSimulation()}},
-}
+// The two check engines the differentials pin together: the threaded-code
+// stream compiled at Seal time (the deployed engine) and the pre-seal
+// reference interpreter (the oracle).
+var (
+	threadedEngine  []checker.Option
+	referenceEngine = []checker.Option{checker.WithReferenceSimulation()}
+)
 
 // replayPoC learns a spec from the PoC's training routine, protects the
 // device with the requested engine and mode, replays the exploit, and
@@ -120,20 +113,18 @@ func sameAnomaly(a, b *checker.Anomaly) bool {
 		a.Detail == b.Detail && a.Round == b.Round
 }
 
-// TestEngineDifferential replays every case study under all three engines
-// at both budgets and requires bit-identical observable behaviour: the
-// threaded run is the baseline, and the walker and reference runs must
-// match it exactly.
+// TestEngineDifferential replays every case study under both engines at
+// both budgets and requires bit-identical observable behaviour: the
+// threaded run is the baseline, and the reference run must match it
+// exactly.
 func TestEngineDifferential(t *testing.T) {
 	for _, p := range cvesim.All() {
 		for _, mode := range []checker.Mode{checker.ModeProtection, checker.ModeEnhancement} {
 			t.Run(fmt.Sprintf("%s/%s", p.CVE, mode), func(t *testing.T) {
 				for _, b := range diffBudgets {
 					t.Run(b.name, func(t *testing.T) {
-						baseline := replayPoC(t, p, mode, b.opts, checkerEngines[0].opts)
-						for _, eng := range checkerEngines[1:] {
-							assertSameRun(t, eng.name, replayPoC(t, p, mode, b.opts, eng.opts), baseline)
-						}
+						baseline := replayPoC(t, p, mode, b.opts, threadedEngine)
+						assertSameRun(t, "reference", replayPoC(t, p, mode, b.opts, referenceEngine), baseline)
 					})
 				}
 			})
@@ -209,19 +200,12 @@ func TestConcurrentSessionsDifferential(t *testing.T) {
 
 				// N parallel sessions drawing per-session checkers from one
 				// shared engine, each exploited concurrently on its own
-				// machine. Engines are mixed per session — even sessions run
-				// the threaded stream, odd ones the switch walker — so the
-				// two sealed engines are raced against each other over the
-				// same shared spec version.
+				// machine over the same shared spec version.
 				sh := sedspec.NewSharedChecker(spec, opts...)
 				pool := machine.NewPool(n, p.Build, machine.WithMemory(1<<20))
 				chks := make([]*checker.Checker, n)
 				for i, s := range pool.Sessions() {
-					var eng []checker.Option
-					if i%2 == 1 {
-						eng = []checker.Option{checker.WithThreadedDispatch(false)}
-					}
-					chks[i] = sedspec.ProtectShared(s.Attached(), sh, eng...)
+					chks[i] = sedspec.ProtectShared(s.Attached(), sh)
 				}
 				runs := make([]diffRun, n)
 				if err := pool.Run(func(s *machine.Session) error {
@@ -263,8 +247,8 @@ func TestConcurrentSessionsDifferential(t *testing.T) {
 }
 
 // TestEngineDifferentialBenign replays each training routine under
-// protection with all three engines: each must stay silent and count the
-// same simulation work.
+// protection with both engines: each must stay silent and count the same
+// simulation work.
 func TestEngineDifferentialBenign(t *testing.T) {
 	for _, p := range cvesim.All() {
 		t.Run(p.CVE, func(t *testing.T) {
@@ -285,14 +269,12 @@ func TestEngineDifferentialBenign(t *testing.T) {
 				_ = m
 				return chk.Stats()
 			}
-			baseline := run(checkerEngines[0].opts)
+			baseline := run(threadedEngine)
 			if baseline.ParamAnomalies+baseline.IndirectAnomalies+baseline.CondAnomalies != 0 {
 				t.Errorf("benign replay raised anomalies: %+v", baseline)
 			}
-			for _, eng := range checkerEngines[1:] {
-				if got := run(eng.opts); got != baseline {
-					t.Errorf("benign stats diverge:\n  threaded: %+v\n  %s: %+v", baseline, eng.name, got)
-				}
+			if got := run(referenceEngine); got != baseline {
+				t.Errorf("benign stats diverge:\n  threaded:  %+v\n  reference: %+v", baseline, got)
 			}
 		})
 	}

@@ -13,8 +13,8 @@ import (
 	"os"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/machine"
+	"sedspec/internal/workload"
 )
 
 func main() {
@@ -22,7 +22,7 @@ func main() {
 	dotPath := flag.String("dot", "", "write the ES-CFG to this Graphviz file")
 	flag.Parse()
 
-	target := bench.TargetByName(*device, false)
+	target := workload.TargetByName(*device, false)
 	if target == nil {
 		log.Fatalf("unknown device %q", *device)
 	}

@@ -9,6 +9,7 @@ import (
 	"sedspec/internal/core"
 	"sedspec/internal/simclock"
 	"sedspec/internal/trace"
+	"sedspec/internal/workload"
 )
 
 // AblationReductionRow compares specifications built with and without
@@ -27,11 +28,11 @@ type AblationReductionRow struct {
 }
 
 // AblationReduction measures the effect of the §V-C reduction.
-func AblationReduction(t *Target, opsPerRun int) (*AblationReductionRow, error) {
+func AblationReduction(t *workload.Target, opsPerRun int) (*AblationReductionRow, error) {
 	row := &AblationReductionRow{Device: t.Name}
 
 	run := func(opts core.BuildOpts) (int, uint64, error) {
-		_, att := t.setup()
+		_, att := setup(t)
 		r, err := sedspec.LearnFull(att, t.Train)
 		if err != nil {
 			return 0, 0, err
@@ -88,11 +89,11 @@ type AblationFilterRow struct {
 
 // AblationFilters runs the training workload twice, collecting packets
 // with the device filters and with no filters at all.
-func AblationFilters(t *Target) (*AblationFilterRow, error) {
+func AblationFilters(t *workload.Target) (*AblationFilterRow, error) {
 	row := &AblationFilterRow{Device: t.Name}
 
 	run := func(cfg trace.Config, useDeviceCfg bool) (trace.Stats, error) {
-		_, att := t.setup()
+		_, att := setup(t)
 		if useDeviceCfg {
 			cfg = trace.DeviceConfig(att.Dev().Program())
 		}
@@ -122,10 +123,10 @@ func AblationFilters(t *Target) (*AblationFilterRow, error) {
 
 // AblationAccessSteps measures checker simulation effort with the command
 // access table check on and off (the table's runtime cost).
-func AblationAccessSteps(t *Target, opsPerRun int) (withAC, withoutAC uint64, err error) {
+func AblationAccessSteps(t *workload.Target, opsPerRun int) (withAC, withoutAC uint64, err error) {
 	run := func(on bool) (uint64, error) {
-		_, att := t.setup()
-		spec, err := t.learn(att)
+		_, att := setup(t)
+		spec, err := learn(t, att)
 		if err != nil {
 			return 0, err
 		}

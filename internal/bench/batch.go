@@ -10,6 +10,7 @@ import (
 	"sedspec/internal/checker"
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
+	"sedspec/internal/workload"
 )
 
 // DefaultBatchSize is the delivery window used when a benchmark does not
@@ -145,10 +146,10 @@ func (r *CheckerReplay) timeChunkBatch(bi machine.BatchInterposer, pi machine.Po
 // the production enforcement configuration — so epoch brackets, spec
 // adoption, and per-session counter banks cost both sides alike and the
 // delta is purely the per-round fixed costs the batch path amortizes.
-// Timing interleaves chunks like CheckerOverhead. The batched side must
+// Timing interleaves chunks of both sides. The batched side must
 // run allocation-free at steady state; any nonzero minimum chunk rate
 // fails the measurement rather than reporting a float.
-func BatchOverhead(t *Target, ops, iters, batchSize int) (*BatchBenchRow, error) {
+func BatchOverhead(t *workload.Target, ops, iters, batchSize int) (*BatchBenchRow, error) {
 	r, err := NewCheckerReplay(t, ops)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sedspec/internal/bench"
+	"sedspec/internal/workload"
 )
 
 func TestTable1SelectsExpectedParams(t *testing.T) {
@@ -49,7 +50,7 @@ func TestTable2FalsePositiveRegime(t *testing.T) {
 	cfg.Hours = []int{1, 2, 3}
 	cfg.CasesPerHour = 40
 	cfg.RarePerCase = 0.02 // scaled up to keep expected counts similar
-	for _, target := range bench.Targets(true) {
+	for _, target := range workload.Targets(true) {
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
 			row, err := bench.Table2(target, cfg)
@@ -108,7 +109,7 @@ func TestTable3MatchesPaperMatrix(t *testing.T) {
 }
 
 func TestEffectiveCoverageInPaperRange(t *testing.T) {
-	for _, target := range bench.Targets(true) {
+	for _, target := range workload.Targets(true) {
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
 			cov, err := bench.EffectiveCoverage(target, 600, 3)
@@ -132,7 +133,7 @@ func TestFigure34StorageOverheadSmall(t *testing.T) {
 	}
 	// Wall-clock measurement: retry before failing, since other test
 	// packages (and their benchmarks) may run concurrently on shared CPU.
-	target := bench.TargetByName("sdhci", true)
+	target := workload.TargetByName("sdhci", true)
 	var lastBad float64
 	for attempt := 0; attempt < 3; attempt++ {
 		points, err := bench.Figure34(target, []int{64, 512}, 4, true)
@@ -181,7 +182,7 @@ func TestFigure5Runs(t *testing.T) {
 }
 
 func TestAblationReductionShrinksSpec(t *testing.T) {
-	target := bench.TargetByName("ehci", true)
+	target := workload.TargetByName("ehci", true)
 	row, err := bench.AblationReduction(target, 40)
 	if err != nil {
 		t.Fatalf("AblationReduction: %v", err)
@@ -203,7 +204,7 @@ func TestAblationReductionShrinksSpec(t *testing.T) {
 func TestAblationFiltersDropPackets(t *testing.T) {
 	// The FDC calls library and kernel helpers; the filters must drop
 	// their control flow.
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	row, err := bench.AblationFilters(target)
 	if err != nil {
 		t.Fatalf("AblationFilters: %v", err)
@@ -219,7 +220,7 @@ func TestAblationFiltersDropPackets(t *testing.T) {
 }
 
 func TestAblationAccessStepsRuns(t *testing.T) {
-	target := bench.TargetByName("scsi", true)
+	target := workload.TargetByName("scsi", true)
 	withAC, withoutAC, err := bench.AblationAccessSteps(target, 40)
 	if err != nil {
 		t.Fatalf("AblationAccessSteps: %v", err)

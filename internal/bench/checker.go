@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // reqRecorder is an interposer that deep-copies the benign request stream
@@ -37,7 +36,7 @@ func (r *reqRecorder) PreIO(_ machine.Device, req *interp.Request) error {
 // attachment (kept alive so DMA sync points read the same guest memory
 // the capture saw).
 type CheckerReplay struct {
-	Target *Target
+	Target *workload.Target
 	Spec   *core.Spec
 	Reqs   []*interp.Request
 
@@ -50,9 +49,9 @@ type CheckerReplay struct {
 // captured stream is validated by replaying it through both engines for
 // two full cycles: a clean capture raises zero anomalies, which is what
 // makes cyclic replay a faithful per-I/O overhead probe.
-func NewCheckerReplay(t *Target, ops int) (*CheckerReplay, error) {
-	_, att := t.setup()
-	spec, err := t.learn(att)
+func NewCheckerReplay(t *workload.Target, ops int) (*CheckerReplay, error) {
+	_, att := setup(t)
+	spec, err := learn(t, att)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func NewCheckerReplay(t *Target, ops int) (*CheckerReplay, error) {
 	}
 
 	r := &CheckerReplay{Target: t, Spec: spec, Reqs: rec.reqs, att: att, start: start}
-	for _, engine := range []string{"threaded", "switch", "reference"} {
+	for _, engine := range []string{"threaded", "reference"} {
 		if err := r.validate(engine); err != nil {
 			return nil, err
 		}
@@ -128,15 +127,12 @@ func (r *CheckerReplay) CloneReqs() []*interp.Request {
 	return out
 }
 
-// validate replays two full cycles through one of the three engines
-// ("threaded", "switch", "reference") and fails on any anomaly.
+// validate replays two full cycles through one of the two engines
+// ("threaded", "reference") and fails on any anomaly.
 func (r *CheckerReplay) validate(engine string) error {
 	var opts []checker.Option
-	switch engine {
-	case "reference":
+	if engine == "reference" {
 		opts = append(opts, checker.WithReferenceSimulation())
-	case "switch":
-		opts = append(opts, checker.WithThreadedDispatch(false))
 	}
 	chk := r.NewChecker(opts...)
 	for i := 0; i < 2*len(r.Reqs); i++ {
@@ -152,29 +148,11 @@ func (r *CheckerReplay) validate(engine string) error {
 	return nil
 }
 
-// CheckerBenchRow is one device's per-I/O checker overhead measurement:
-// the pre-seal baseline (reference map-walking engine) against the sealed
-// fast path, plus the fast path's steady-state heap traffic.
-type CheckerBenchRow struct {
-	Device            string  `json:"device"`
-	Requests          int     `json:"requests"`           // captured stream length
-	Iters             int     `json:"iters"`              // timed replay rounds per engine
-	BaselineNsPerOp   float64 `json:"baseline_ns_per_op"` // reference engine
-	SealedNsPerOp     float64 `json:"sealed_ns_per_op"`
-	SpeedupPct        float64 `json:"speedup_pct"` // (baseline-sealed)/baseline
-	SealedAllocsPerOp float64 `json:"sealed_allocs_per_op"`
-}
-
 // TimeChunk replays [from, from+n) rounds through a warmed checker,
 // returning elapsed wall time and the heap allocation count delta. The
-// recorder-overhead guard test uses it for interleaved trials.
+// recorder- and coverage-overhead guard tests use it for interleaved
+// trials.
 func (r *CheckerReplay) TimeChunk(chk *checker.Checker, from, n int) (time.Duration, uint64, error) {
-	return r.timeChunk(chk, from, n)
-}
-
-// timeChunk replays [from, from+n) rounds through a warmed checker,
-// returning elapsed wall time and the heap allocation count delta.
-func (r *CheckerReplay) timeChunk(chk *checker.Checker, from, n int) (time.Duration, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
@@ -189,164 +167,7 @@ func (r *CheckerReplay) timeChunk(chk *checker.Checker, from, n int) (time.Durat
 }
 
 // checkerBenchChunks is how many alternating chunks the timed iterations
-// are split into per engine. Pairing short baseline and sealed chunks
-// back to back makes scheduler and frequency noise hit both engines
-// alike, which keeps the reported delta stable on busy machines — the
-// per-engine minimum of independent long runs does not.
+// are split into per side. Pairing short chunks of both sides back to
+// back makes scheduler and frequency noise hit both alike, which keeps
+// the reported delta stable on busy machines.
 const checkerBenchChunks = 32
-
-// CheckerOverhead captures a benign stream for the target and measures
-// per-I/O simulation cost under both engines. Both checkers are warmed
-// for a full cycle (growing frame and temp stacks to steady state), then
-// iters rounds per engine are timed as checkerBenchChunks interleaved
-// baseline/sealed chunk pairs whose times are summed per engine. The
-// sealed side is pinned to the switch walker so the row keeps measuring
-// what it always has; DispatchOverhead covers walker versus threaded.
-func CheckerOverhead(t *Target, ops, iters int) (*CheckerBenchRow, error) {
-	r, err := NewCheckerReplay(t, ops)
-	if err != nil {
-		return nil, err
-	}
-	chkBase := r.NewChecker(checker.WithReferenceSimulation())
-	chkSealed := r.NewChecker(checker.WithThreadedDispatch(false))
-	baseNs, sealedNs, allocs, err := r.timePair(chkBase, chkSealed, iters)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckerBenchRow{
-		Device:            t.Name,
-		Requests:          len(r.Reqs),
-		Iters:             iters,
-		BaselineNsPerOp:   baseNs,
-		SealedNsPerOp:     sealedNs,
-		SpeedupPct:        100 * (baseNs - sealedNs) / baseNs,
-		SealedAllocsPerOp: allocs,
-	}, nil
-}
-
-// timePair warms two checkers over one full cycle each, then times iters
-// replay rounds per checker as checkerBenchChunks interleaved chunk
-// pairs. It returns each side's ns/op plus the second checker's
-// steady-state allocation rate.
-//
-// The allocation rate is the minimum per-chunk rate, not the mean: the
-// Go runtime allocates in the background on its own schedule (scavenger
-// timers, GC worker goroutines), and those strays land in the process-
-// wide malloc counter a chunk measurement reads. An engine that really
-// allocates on the check path does so in every chunk, so the minimum
-// reports true steady-state traffic while discounting one-off background
-// noise — this is what kept BENCH_checker.json's alloc column at values
-// like 1e-6 instead of a clean zero.
-func (r *CheckerReplay) timePair(chkA, chkB *checker.Checker, iters int) (aNs, bNs, bAllocs float64, err error) {
-	for i := 0; i < len(r.Reqs); i++ {
-		if err := r.Step(chkA, i); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := r.Step(chkB, i); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-
-	if iters < 1 {
-		iters = 1 // a zero would divide the per-op averages into NaN
-	}
-	chunk := iters / checkerBenchChunks
-	if chunk < 1 {
-		chunk = 1
-	}
-	var aTot, bTot time.Duration
-	minRate := -1.0
-	done := 0
-	runtime.GC()
-	for done < iters {
-		n := chunk
-		if iters-done < n {
-			n = iters - done
-		}
-		a, _, err := r.timeChunk(chkA, done, n)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		b, m, err := r.timeChunk(chkB, done, n)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		aTot += a
-		bTot += b
-		if rate := float64(m) / float64(n); minRate < 0 || rate < minRate {
-			minRate = rate
-		}
-		done += n
-	}
-	if minRate < 0 {
-		minRate = 0
-	}
-	return float64(aTot.Nanoseconds()) / float64(iters),
-		float64(bTot.Nanoseconds()) / float64(iters), minRate, nil
-}
-
-// DispatchBenchRow is one device's dispatch-engine comparison: the sealed
-// switch walker against the threaded-code engine over the same captured
-// stream, plus the threaded engine's steady-state allocation rate and the
-// stream's fusion statistics from the lowering report.
-type DispatchBenchRow struct {
-	Device              string  `json:"device"`
-	Requests            int     `json:"requests"`
-	Iters               int     `json:"iters"`
-	SwitchNsPerOp       float64 `json:"switch_ns_per_op"`
-	ThreadedNsPerOp     float64 `json:"threaded_ns_per_op"`
-	SpeedupPct          float64 `json:"speedup_pct"` // (switch-threaded)/switch
-	ThreadedAllocsPerOp float64 `json:"threaded_allocs_per_op"`
-	FusedPairs          int     `json:"fused_pairs"`
-	FusedDensity        float64 `json:"fused_density"`
-}
-
-// DispatchOverhead measures the switch walker against the threaded-code
-// engine on one device, interleaving timed chunks like CheckerOverhead so
-// both engines see the same machine noise.
-func DispatchOverhead(t *Target, ops, iters int) (*DispatchBenchRow, error) {
-	r, err := NewCheckerReplay(t, ops)
-	if err != nil {
-		return nil, err
-	}
-	chkSwitch := r.NewChecker(checker.WithThreadedDispatch(false))
-	chkThreaded := r.NewChecker()
-	switchNs, threadedNs, allocs, err := r.timePair(chkSwitch, chkThreaded, iters)
-	if err != nil {
-		return nil, err
-	}
-	rep := r.Spec.Seal().Threaded().Report
-	return &DispatchBenchRow{
-		Device:              t.Name,
-		Requests:            len(r.Reqs),
-		Iters:               iters,
-		SwitchNsPerOp:       switchNs,
-		ThreadedNsPerOp:     threadedNs,
-		SpeedupPct:          100 * (switchNs - threadedNs) / switchNs,
-		ThreadedAllocsPerOp: allocs,
-		FusedPairs:          rep.FusedPairs(),
-		FusedDensity:        rep.FusedDensity(),
-	}, nil
-}
-
-// WriteDispatchJSON emits the dispatch comparison rows as indented JSON
-// (BENCH_dispatch.json).
-func WriteDispatchJSON(w io.Writer, rows []*DispatchBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Benchmark string              `json:"benchmark"`
-		Rows      []*DispatchBenchRow `json:"rows"`
-	}{Benchmark: "checker_dispatch", Rows: rows})
-}
-
-// WriteCheckerJSON emits the measurement rows as indented JSON
-// (BENCH_checker.json).
-func WriteCheckerJSON(w io.Writer, rows []*CheckerBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Benchmark string             `json:"benchmark"`
-		Rows      []*CheckerBenchRow `json:"rows"`
-	}{Benchmark: "checker_per_io", Rows: rows})
-}

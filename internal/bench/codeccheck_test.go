@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"sedspec/internal/core"
+	"sedspec/internal/workload"
 )
 
 func TestBenchSpecBinaryRoundTrip(t *testing.T) {
-	for _, tg := range Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		t.Run(tg.Name, func(t *testing.T) {
-			_, att := tg.setup()
-			spec, err := tg.learn(att)
+			_, att := setup(tg)
+			spec, err := learn(tg, att)
 			if err != nil {
 				t.Fatal(err)
 			}

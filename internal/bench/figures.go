@@ -7,6 +7,7 @@ import (
 
 	"sedspec"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // PerfPoint is one (device, block size, direction) measurement of
@@ -27,10 +28,10 @@ type PerfPoint struct {
 
 // measureTransfer times moving totalBytes through the device in
 // block-sized operations and returns (seconds, ops).
-func measureTransfer(t *Target, protect bool, block, totalBytes int, write bool) (float64, int, error) {
-	_, att := t.setup()
+func measureTransfer(t *workload.Target, protect bool, block, totalBytes int, write bool) (float64, int, error) {
+	_, att := setup(t)
 	if protect {
-		spec, err := t.learn(att)
+		spec, err := learn(t, att)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -62,7 +63,7 @@ func measureTransfer(t *Target, protect bool, block, totalBytes int, write bool)
 // Figure34 sweeps block sizes for a storage device and reports normalized
 // throughput (Figure 3) and latency (Figure 4) of the protected device
 // against the unprotected baseline.
-func Figure34(t *Target, blockKiB []int, totalMiB int, write bool) ([]PerfPoint, error) {
+func Figure34(t *workload.Target, blockKiB []int, totalMiB int, write bool) ([]PerfPoint, error) {
 	var points []PerfPoint
 	for _, bk := range blockKiB {
 		block := bk << 10
@@ -117,10 +118,10 @@ type NetPoint struct {
 
 // netRun pushes frames through PCNet for the given series and returns
 // seconds per payload byte.
-func netRun(t *Target, protect bool, series string, frames, frameSize int) (float64, error) {
-	m, att := t.setup()
+func netRun(t *workload.Target, protect bool, series string, frames, frameSize int) (float64, error) {
+	m, att := setup(t)
 	if protect {
-		spec, err := t.learn(att)
+		spec, err := learn(t, att)
 		if err != nil {
 			return 0, err
 		}
@@ -158,7 +159,7 @@ func netRun(t *Target, protect bool, series string, frames, frameSize int) (floa
 // Figure5 measures PCNet TCP/UDP bandwidth in both directions and the ping
 // round-trip latency, protected against baseline.
 func Figure5(frames int) ([]NetPoint, error) {
-	t := TargetByName("pcnet", true)
+	t := workload.TargetByName("pcnet", true)
 	var points []NetPoint
 	const frameSize = 1500
 
@@ -182,9 +183,9 @@ func Figure5(frames int) ([]NetPoint, error) {
 
 	// Ping: a small echo out and its reply back, 100 rounds.
 	ping := func(protect bool) (float64, error) {
-		_, att := t.setup()
+		_, att := setup(t)
 		if protect {
-			spec, err := t.learn(att)
+			spec, err := learn(t, att)
 			if err != nil {
 				return 0, err
 			}

@@ -11,6 +11,7 @@ import (
 	"sedspec/internal/checker"
 	"sedspec/internal/core"
 	"sedspec/internal/specstore"
+	"sedspec/internal/workload"
 )
 
 // SwapBenchRow is one device's spec lifecycle measurement: what a fresh
@@ -42,11 +43,11 @@ type SwapBenchRow struct {
 // check cost in steady state against the same replay with another
 // goroutine hot-swapping two equivalent spec versions as fast as the
 // grace period allows.
-func SwapBench(t *Target, storeDir string, ops, iters int) (*SwapBenchRow, error) {
+func SwapBench(t *workload.Target, storeDir string, ops, iters int) (*SwapBenchRow, error) {
 	// Fresh learn, timed.
-	_, att := t.setup()
+	_, att := setup(t)
 	t0 := time.Now()
-	spec, err := t.learn(att)
+	spec, err := learn(t, att)
 	if err != nil {
 		return nil, err
 	}

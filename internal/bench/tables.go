@@ -26,8 +26,8 @@ type Table1Row struct {
 // device-state parameters by class (the paper's Table I taxonomy).
 func Table1(light bool) ([]Table1Row, error) {
 	var rows []Table1Row
-	for _, t := range Targets(light) {
-		_, att := t.setup()
+	for _, t := range workload.Targets(light) {
+		_, att := setup(t)
 		r, err := sedspec.LearnFull(att, t.Train)
 		if err != nil {
 			return nil, fmt.Errorf("bench: table1 %s: %w", t.Name, err)
@@ -92,9 +92,9 @@ type Table2Row struct {
 // Table2 runs the three interaction modes (sequential, random,
 // random-with-delay) against a protected device for the configured virtual
 // hours, counting legitimate test cases flagged as anomalous.
-func Table2(t *Target, cfg FPConfig) (*Table2Row, error) {
-	m, att := t.setup()
-	spec, err := t.learn(att)
+func Table2(t *workload.Target, cfg FPConfig) (*Table2Row, error) {
+	m, att := setup(t)
+	spec, err := learn(t, att)
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +227,9 @@ func Table3Detection() ([]Table3Row, error) {
 // EffectiveCoverage computes the fraction of legitimate code paths
 // (approximated by fuzzing the device with its full benign-plus-rare
 // operation mix) that the execution specification covers.
-func EffectiveCoverage(t *Target, fuzzOps int, seed uint64) (float64, error) {
-	_, att := t.setup()
-	spec, err := t.learn(att)
+func EffectiveCoverage(t *workload.Target, fuzzOps int, seed uint64) (float64, error) {
+	_, att := setup(t)
+	spec, err := learn(t, att)
 	if err != nil {
 		return 0, err
 	}

@@ -17,6 +17,7 @@ import (
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // This file measures how checked-I/O throughput scales when one sealed
@@ -427,7 +428,7 @@ func Throughput(r *CheckerReplay, iters int, counts []int) ([]*ThroughputRow, er
 // session runs the same deterministic workload (one rng seed), so the
 // request streams are identical across sessions and across runs.
 // GOMAXPROCS is pinned per point like Throughput.
-func ThroughputE2E(t *Target, spec *core.Spec, ops int, counts []int) ([]*E2ERow, error) {
+func ThroughputE2E(t *workload.Target, spec *core.Spec, ops int, counts []int) ([]*E2ERow, error) {
 	var rows []*E2ERow
 	var c1 float64
 	prev := runtime.GOMAXPROCS(0)
@@ -436,7 +437,7 @@ func ThroughputE2E(t *Target, spec *core.Spec, ops int, counts []int) ([]*E2ERow
 		gmp := pinGOMAXPROCS(n)
 		p := machine.NewPool(n, t.Build, machine.WithMemory(1<<20))
 		sh := checker.NewShared(spec)
-		work := make([]*Session, n)
+		work := make([]*workload.Session, n)
 		for i, s := range p.Sessions() {
 			sedspec.ProtectShared(s.Attached(), sh)
 			d := sedspec.NewDriver(s.Attached())

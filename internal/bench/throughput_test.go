@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"sedspec/internal/bench"
+	"sedspec/internal/workload"
 )
 
 func TestThroughputScalesAcrossSessions(t *testing.T) {
 	// One device, small iteration counts: the point is that the harness
 	// runs, its invariants hold, and concurrency does not wreck per-op
 	// cost. sedbench runs the full ladder over all five devices.
-	tgt := bench.TargetByName("fdc", true)
+	tgt := workload.TargetByName("fdc", true)
 	r, err := bench.NewCheckerReplay(tgt, 40)
 	if err != nil {
 		t.Fatal(err)

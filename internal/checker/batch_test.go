@@ -50,13 +50,12 @@ var batchEngines = []struct {
 	opts []checker.Option
 }{
 	{"threaded", nil},
-	{"walker", []checker.Option{checker.WithThreadedDispatch(false)}},
 	{"reference", []checker.Option{checker.WithReferenceSimulation()}},
 }
 
 // TestPreIOBatchMatchesSequentialBenign replays the same benign stream
 // through PreIO round by round and through PreIOBatch at several batch
-// sizes, for all three engines: counters must be identical and every
+// sizes, for both engines: counters must be identical and every
 // batched verdict clean.
 func TestPreIOBatchMatchesSequentialBenign(t *testing.T) {
 	spec, reqs, start, att := benignStream(t)

@@ -281,13 +281,9 @@ type Checker struct {
 
 	needResync bool
 	useRef     bool
-	// useWalker pins the sealed switch walker as the dispatch engine
-	// (WithThreadedDispatch(false)); by default the sealed spec's compiled
-	// threaded stream drives the hot loop instead.
-	useWalker bool
 	// tprog is the threaded-code engine for the adopted sealed spec: the
 	// per-version compiled instruction stream with handlers bound. Nil
-	// under WithThreadedDispatch(false) or WithReferenceSimulation.
+	// only under WithReferenceSimulation.
 	tprog *threadedProg
 	// Threaded-engine round state: the in-flight request, batched step
 	// total, parked anomaly, and the current frame's temp/flag banks
@@ -302,10 +298,13 @@ type Checker struct {
 	// round crosses it. tpark holds the resume pc while fastForward runs
 	// (fastforward.go). ff is its scratch, allocated on a session's first
 	// attempt; ffAttempts and ffSkippedSteps count attempts and the walker
-	// steps skipped.
+	// steps skipped. ffOff (set only by tests) walks every step instead:
+	// the full-walk oracle for fast-forward's coverage counts, which the
+	// reference engine does not keep.
 	stepGate       int
 	tpark          int32
 	ff             *ffScratch
+	ffOff          bool
 	ffAttempts     uint64
 	ffSkippedSteps uint64
 	// warnMu guards warnings and audit, and cov and covGen for readers
@@ -550,14 +549,6 @@ func WithReferenceSimulation() Option {
 	return func(c *Checker) { c.useRef = true }
 }
 
-// WithThreadedDispatch selects between the threaded-code engine (true,
-// the default) and the sealed switch walker (false). The walker is kept
-// as the differential baseline; both run the same sealed spec and emit
-// identical anomaly streams.
-func WithThreadedDispatch(on bool) Option {
-	return func(c *Checker) { c.useWalker = !on }
-}
-
 // WithRecorder installs an explicit flight recorder, overriding the
 // auto-created one. WithRecorder(nil) disables recording entirely (the
 // overhead-guard baseline; production keeps the recorder on).
@@ -647,9 +638,7 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 	}
 	if !c.useRef {
 		c.sealed = spec.Seal()
-		if !c.useWalker {
-			c.tprog = buildThreaded(c.sealed)
-		}
+		c.tprog = buildThreaded(c.sealed)
 	}
 	c.noClear = c.sealed != nil && c.sealed.TempsDefinitelyAssigned()
 	if !c.covOff && c.sealed != nil {
@@ -947,11 +936,7 @@ func (c *Checker) adopt(v *specVersion) {
 	c.entryTemps = v.entryTemps
 	c.entryRef = v.entryRef
 	c.specGen = v.gen
-	if c.useWalker {
-		c.tprog = nil
-	} else {
-		c.tprog = v.tprog
-	}
+	c.tprog = v.tprog
 }
 
 // Coverage returns a snapshot of the coverage counters for the spec

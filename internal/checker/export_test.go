@@ -24,6 +24,10 @@ func (c *Checker) FastForward() (attempts, skippedSteps uint64) {
 	return c.ffAttempts, c.ffSkippedSteps
 }
 
+// WithoutFastForward makes the threaded engine walk every loop step, so
+// its coverage counts are a full walk's.
+func WithoutFastForward() Option { return func(c *Checker) { c.ffOff = true } }
+
 // RoundSteps is the last round's walker step count.
 func (c *Checker) RoundSteps() int { return c.roundSteps }
 

@@ -19,8 +19,8 @@ import (
 // of them at once, and resumes the real walk. The budget anomaly (or the
 // loop exit) is then raised by the ordinary handlers at the same block
 // and step count as a full walk: shadow state, Stats, coverage counts and
-// the anomaly stream stay byte-identical to the walker and reference
-// engines, which keep walking every step as oracles.
+// the anomaly stream stay byte-identical to the reference engine, which
+// keeps walking every step as the oracle.
 //
 // The proof is a symbolic pass over the recorded instructions that
 // classes every value as invariant (the same in every iteration), F+c (the

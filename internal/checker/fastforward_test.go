@@ -345,7 +345,7 @@ var loopEngines = []struct {
 	opts []checker.Option
 }{
 	{"threaded", nil},
-	{"walker", []checker.Option{checker.WithThreadedDispatch(false)}},
+	{"threaded-noff", []checker.Option{checker.WithoutFastForward()}},
 	{"reference", []checker.Option{checker.WithReferenceSimulation()}},
 }
 
@@ -373,7 +373,8 @@ func (l *loopLab) run(t *testing.T, eng []checker.Option, shape int, start, limi
 	return run
 }
 
-// check runs all three engines on one request and pins them together.
+// check runs the threaded engine with and without fast-forward and the
+// reference engine on one request and pins them together.
 func (l *loopLab) check(t *testing.T, shape int, start, limit uint32, budget int) loopRun {
 	t.Helper()
 	want := l.run(t, loopEngines[0].opts, shape, start, limit, budget)
@@ -408,8 +409,9 @@ func fuzzBudget(b uint32) int { return 64 + int(b%(1<<20-63)) }
 
 // FuzzLoopFastForward drives every loop shape from fuzzed start values,
 // limits and budgets: the threaded engine (with fast-forward) must match
-// the walker and the reference engine exactly in anomaly, Stats, shadow
-// bytes and coverage, and must never skip a shape it cannot prove.
+// the reference engine exactly in anomaly, Stats and shadow bytes, the
+// full-walk threaded engine in coverage too, and must never skip a shape
+// it cannot prove.
 func FuzzLoopFastForward(f *testing.F) {
 	lab := newLoopLab(f)
 	const b200k, bMax = 200_000 - 64, 1<<20 - 64

@@ -96,11 +96,6 @@ type Shared struct {
 
 	// covOff is the engine-wide coverage switch sessions inherit.
 	covOff bool
-
-	// useWalker is the engine-wide dispatch default sessions inherit
-	// (WithThreadedDispatch on the Shared constructor); individual
-	// sessions may still override it.
-	useWalker bool
 }
 
 // sessionShard is one partition of the session registry plus the retired
@@ -174,7 +169,6 @@ func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
 		reg:           tmpl.obsReg,
 		traceDepth:    tmpl.traceDepth,
 		covOff:        tmpl.covOff,
-		useWalker:     tmpl.useWalker,
 		tenant:        tmpl.tenant,
 	}
 	if s.reg == nil {
@@ -341,6 +335,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 		sealed:        v.sealed,
 		noClear:       v.sealed != nil && v.sealed.TempsDefinitelyAssigned(),
 		prog:          v.prog,
+		tprog:         v.tprog,
 		ver:           v,
 		specGen:       v.gen,
 		mode:          s.mode,
@@ -358,7 +353,6 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 		entryRef:      v.entryRef,
 	}
 	c.covOff = s.covOff
-	c.useWalker = s.useWalker
 	c.hub = s.hub
 	c.tenant = s.tenant
 	for _, o := range opts {
@@ -368,9 +362,6 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 		panic("checker: WithReferenceSimulation is incompatible with a shared engine")
 	}
 	v.sessions.Add(1)
-	if !c.useWalker {
-		c.tprog = v.tprog
-	}
 	if c.env == nil {
 		c.env = interp.NopEnv()
 	}

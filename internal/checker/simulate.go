@@ -8,19 +8,20 @@ import (
 	"sedspec/internal/ir"
 )
 
-// The simulation has two walkers over one shared DSOD-op engine:
+// The simulation has two engines over one set of parameter-check helpers:
 //
-//   - simulateSealed (sealed_sim.go) runs against the dense SealedSpec —
-//     the production hot path, allocation-free in steady state;
+//   - simulateThreaded (threaded.go) runs the compiled instruction stream
+//     of the dense SealedSpec — the production hot path, allocation-free
+//     in steady state;
 //   - simulateRef (below) runs against the mutable Spec's maps — the
-//     pre-seal baseline, retained behind WithReferenceSimulation for
-//     differential testing and overhead accounting.
+//     pre-seal baseline, retained behind WithReferenceSimulation as the
+//     differential-testing oracle.
 //
-// Each walker owns a loop specialized to its op layout (execDSOD over the
-// Spec's DSODOp slices, execDSODSealed over the flattened SealedOp arena)
-// but both delegate every check to the shared parameter-check helpers
-// below, and the differential test in the repository root pins the two
-// engines to byte-identical anomaly streams.
+// Each engine owns a loop specialized to its op layout (execDSOD over the
+// Spec's DSODOp slices, one handler per op over the threaded stream) but
+// both delegate every check to the shared parameter-check helpers below,
+// and the differential tests in the repository root pin the two engines
+// to byte-identical anomaly streams.
 
 // simulate walks the ES-CFG for one I/O request against the shadow device
 // state, returning the first blocking-relevant anomaly, or nil. Anomalies
@@ -31,9 +32,6 @@ import (
 func (c *Checker) simulate(req *interp.Request) *Anomaly {
 	if c.tprog != nil {
 		return c.simulateThreaded(req)
-	}
-	if c.sealed != nil {
-		return c.simulateSealed(req)
 	}
 	return c.simulateRef(req)
 }
@@ -49,7 +47,7 @@ func (c *Checker) simulateRef(req *interp.Request) *Anomaly {
 		clear(c.dmaShadow)
 	}
 	a := c.walkRef(req, &steps)
-	// Mirrors simulateSealed: the step count reaches the round's event
+	// Mirrors simulateThreaded: the step count reaches the round's event
 	// regardless of verdict, the aggregate only on clean rounds.
 	c.roundSteps = steps
 	if a == nil {
@@ -97,39 +95,11 @@ func (c *Checker) walkRef(req *interp.Request, stepsp *int) *Anomaly {
 	return nil
 }
 
-// push opens a frame for the ES block with the given temp-bank size. The
-// callers resolve numTemps from their engine's structures (the sealed
-// per-handler array, or Program().Handlers as the pre-seal code did).
-//
-// The sealed engine carves the banks out of the flat arenas (bump
-// allocation plus memclr; the pop in transitionSealed trims them back);
-// the reference engine keeps the pre-seal per-depth slice-of-slices and
-// element-loop zeroing.
+// push opens a frame for the ES block with the given temp-bank size in
+// the reference engine: the pre-seal per-depth slice-of-slices and
+// element-loop zeroing. The threaded engine carves its banks out of flat
+// arenas instead (pushT in threaded.go).
 func (c *Checker) push(block, numTemps int) {
-	if c.sealed != nil {
-		off := len(c.tempArena)
-		end := off + numTemps
-		if end > cap(c.tempArena) {
-			ta := make([]uint64, end, 2*end)
-			copy(ta, c.tempArena)
-			c.tempArena = ta
-			fa := make([]interp.Flags, end, 2*end)
-			copy(fa, c.flagArena)
-			c.flagArena = fa
-		} else {
-			c.tempArena = c.tempArena[:end]
-			c.flagArena = c.flagArena[:end]
-		}
-		ts := c.tempArena[off:end:end]
-		fs := c.flagArena[off:end:end]
-		if !c.noClear {
-			clear(ts)
-			clear(fs)
-		}
-		c.frames = append(c.frames, simFrame{block: block, temps: ts, flags: fs, off: off})
-		return
-	}
-
 	depth := len(c.frames)
 	for len(c.temps) <= depth {
 		c.temps = append(c.temps, nil)
@@ -152,9 +122,6 @@ func (c *Checker) push(block, numTemps int) {
 // calleeEntry resolves a handler's entry ES block for direct and indirect
 // calls.
 func (c *Checker) calleeEntry(handler int) int {
-	if c.sealed != nil {
-		return c.sealed.HandlerEntry(handler)
-	}
 	return c.spec.BlockFor(ir.BlockRef{Handler: handler, Block: 0})
 }
 
@@ -165,14 +132,6 @@ func (c *Checker) paramField(field int) bool {
 		return c.sealed.ParamField(field)
 	}
 	return c.spec.Params.Contains(field)
-}
-
-// legitimateTarget consults the learned indirect-jump target sets.
-func (c *Checker) legitimateTarget(field int, target uint64) bool {
-	if c.sealed != nil {
-		return c.sealed.LegitimateTarget(field, target)
-	}
-	return c.spec.LegitimateTarget(field, target)
 }
 
 // condOrStop raises a conditional-jump anomaly if the strategy is enabled;
@@ -188,7 +147,7 @@ func (c *Checker) condOrStop(ref ir.BlockRef, src ir.SourceRef, format string, a
 }
 
 // execDSOD runs the block's retained ops from the frame cursor in the
-// reference engine (the sealed twin is execDSODSealed in sealed_sim.go).
+// reference engine (the threaded engine runs one handler per op instead).
 // It reports whether the walker descended into a callee.
 func (c *Checker) execDSOD(f *simFrame, dsod []core.DSODOp, ref ir.BlockRef, req *interp.Request, steps *int) (bool, *Anomaly) {
 	for i := f.op; i < len(dsod); i++ {
@@ -268,7 +227,7 @@ func (c *Checker) execDSOD(f *simFrame, dsod []core.DSODOp, ref ir.BlockRef, req
 			// accounting: the stack buffer escapes through the Env
 			// interface (one heap allocation per DMA-read op) and the
 			// writeback overlay probes the journal unconditionally. The
-			// sealed twin uses the checker's scratch buffer and skips the
+			// threaded twin uses the checker's scratch buffer and skips the
 			// overlay when the journal is empty.
 			var buf [8]byte
 			n := op.Width.Bytes()
@@ -334,7 +293,7 @@ func (c *Checker) execDSOD(f *simFrame, dsod []core.DSODOp, ref ir.BlockRef, req
 			return true, nil
 		case ir.OpCallPtr:
 			target := c.shadow.FuncPtr(op.Field)
-			if c.enabled[StrategyIndirectJump] && !c.legitimateTarget(op.Field, target) {
+			if c.enabled[StrategyIndirectJump] && !c.spec.LegitimateTarget(op.Field, target) {
 				return false, tagEdge(c.anomaly(StrategyIndirectJump, ref, op.Src0,
 					"indirect jump via %q to unauthorized target %#x",
 					c.prog.Fields[op.Field].Name, target), "indirect", target)

@@ -19,12 +19,12 @@ import (
 // (successor pcs are compiled in), no per-op step-counter writes (step
 // totals are batched per block via TOp.StepsAt), and preplanned call
 // frames (callee entry pc and temp-bank size are instruction immediates).
-// The peephole-fused instructions execute two walker ops per dispatch.
+// The peephole-fused instructions execute two spec ops per dispatch.
 //
-// The engine is behaviourally identical to the sealed walker: every
-// anomaly string, step count, coverage tick, and shadow mutation matches,
-// and the three-way differential test in the repository root pins all
-// engines to byte-identical anomaly streams. Steady-state rounds allocate
+// The engine is behaviourally identical to the reference engine
+// (simulate.go): every anomaly string, step count and shadow mutation
+// matches, and the differential tests in the repository root pin the two
+// to byte-identical anomaly streams. Steady-state rounds allocate
 // nothing.
 
 // Negative pc sentinels returned by handlers to end the dispatch loop.
@@ -132,10 +132,11 @@ func init() {
 }
 
 // simulateThreaded runs one round over the compiled stream. Round framing
-// (entry push, coverage round-end, step accounting) mirrors simulateSealed.
-// A round that runs past budget/ffGateDiv steps leaves the dispatch loop
-// once for a loop fast-forward attempt (fastforward.go) and continues
-// where it says.
+// (entry push, step accounting) mirrors simulateRef, plus the coverage
+// entry hit and round end the reference engine does not count. A round
+// that runs past budget/ffGateDiv steps leaves the dispatch loop once for
+// a loop fast-forward attempt (fastforward.go) and continues where it
+// says.
 func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 	tp := c.tprog
 	if !c.batching {
@@ -192,9 +193,10 @@ func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 	return a
 }
 
-// pushT opens a frame with the preplanned temp-bank size: the sealed
-// engine's bump-arena push plus caching the new banks on the checker, so
-// op handlers reach them without a frame load.
+// pushT opens a frame with the preplanned temp-bank size, carving its
+// banks out of the flat arenas (bump allocation plus memclr; the return
+// trims them back) and caching them on the checker, so op handlers reach
+// them without a frame load.
 func (c *Checker) pushT(blockID, numTemps int32) {
 	off := len(c.tempArena)
 	end := off + int(numTemps)
@@ -266,7 +268,7 @@ func (c *Checker) tOverGate(i *tinstr, st int) int32 {
 	} else {
 		pc = i.fn(c, i)
 	}
-	if pc < 0 {
+	if pc < 0 || c.ffOff {
 		return pc
 	}
 	c.tpark = pc
@@ -275,7 +277,7 @@ func (c *Checker) tOverGate(i *tinstr, st int) int32 {
 
 // tGoto performs a resolved block transition: command-end clearing, the
 // access-control check, the coverage tick, and the post-stop frame check,
-// in exactly the sealed walker's order.
+// in exactly transitionRef's order.
 func (c *Checker) tGoto(pc, id, edge int32, cmdEnd bool) int32 {
 	if cmdEnd {
 		c.cmdActive = false
@@ -297,7 +299,7 @@ func (c *Checker) tGoto(pc, id, edge int32, cmdEnd bool) int32 {
 	}
 	if len(c.frames) == 0 {
 		// A disabled-strategy path cleared the frames mid-block; the
-		// walker notices at its next loop head.
+		// reference engine notices at its next loop head.
 		return tpcStop
 	}
 	return pc
@@ -551,7 +553,7 @@ func tConstArithH(c *Checker, i *tinstr) int32 {
 func tBufLoadStoreH(c *Checker, i *tinstr) int32 {
 	v, a := c.bufAccess(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps[i.Idx], 0, 0, false)
 	if a != nil {
-		// The first op of the pair faulted: the walker would have counted
+		// The first op of the pair faulted: the reference engine counts
 		// only that op's step.
 		c.tsteps += int(i.StepsAt) - 1
 		return c.tRaise(a)
@@ -584,7 +586,8 @@ func tConstStoreH(c *Checker, i *tinstr) int32 {
 func tArithStoreH(c *Checker, i *tinstr) int32 {
 	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.mask, uint(i.bits), i.Signed)
 	if divZero {
-		// First op of the pair: the walker counted only up to the arith.
+		// First op of the pair: the reference engine counts only up to
+		// the arith.
 		return c.tDivZero(i.Blk.Ref, i.Op.Src0, int(i.StepsAt)-1)
 	}
 	c.ttemps[i.Dst] = v

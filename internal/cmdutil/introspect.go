@@ -2,25 +2,10 @@ package cmdutil
 
 import (
 	"fmt"
-	"os"
 
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/stream"
 )
-
-// ResolveListen folds the -listen flag with its deprecated -pprof
-// alias: -listen wins when both are set, and using -pprof prints a
-// deprecation note.
-func ResolveListen(listen, pprofAlias string) string {
-	if listen != "" {
-		return listen
-	}
-	if pprofAlias != "" {
-		fmt.Fprintln(os.Stderr, "warning: -pprof is deprecated; use -listen (same server, more endpoints)")
-		return pprofAlias
-	}
-	return ""
-}
 
 // ServeIntrospection starts the unified introspection server on addr
 // over the process-wide metrics registry and telemetry hub, with a

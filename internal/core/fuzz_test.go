@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/core"
 	"sedspec/internal/ir"
 	"sedspec/internal/machine"
+	"sedspec/internal/workload"
 )
 
 // sealCrasher is a blob that once decoded against buildReducible's
@@ -49,7 +49,7 @@ func FuzzDecodeSeal(f *testing.F) {
 		f.Add(data)
 	}
 	seed(learn(f, reducible, reqs(), core.BuildOpts{}))
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		dev, opts := tg.Build()
 		att := machine.New(machine.WithMemory(1<<20)).Attach(dev, opts...)
 		spec, err := sedspec.Learn(att, tg.Train)

@@ -27,7 +27,7 @@ import (
 //     count accumulated since the last flush site (block entry or call), so
 //     the interpreter updates its step counter once per block transition
 //     rather than once per op, while anomalies still report the exact
-//     per-op step totals the sealed walker produces.
+//     per-op step totals the reference engine produces.
 //
 // A ThreadedCode is built inside Seal and stored on the SealedSpec, so it
 // shares the sealed form's immutability contract: compiled streams are part
@@ -432,9 +432,10 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 			term.A2 = int32(b.Term.A)
 			term.CmdDecision = b.Kind == ir.KindCmdDecision
 		default:
-			// The sealed walker cannot follow an NBTD of any other kind
-			// either; a spec that produced one would already misbehave
-			// there. Fail loudly at lowering instead of at enforcement.
+			// The reference engine cannot follow an NBTD of any other
+			// kind either; a spec that produced one would already
+			// misbehave there. Fail loudly at lowering instead of at
+			// enforcement.
 			panic(fmt.Sprintf("core: threaded lowering: block %d has unsupported NBTD terminator %v", id, b.TermKind))
 		}
 		instrs = append(instrs, term)
@@ -503,7 +504,7 @@ func fusesIntoBranch(op *ir.Op, b *SealedBlock) bool {
 
 // opTKind maps a single (unfused) op to its instruction kind. Opaque
 // static calls — whose callee the spec never observed — lower to TNop, as
-// the walkers skip them while still counting the step.
+// the reference engine skips them while still counting the step.
 func (s *SealedSpec) opTKind(op *ir.Op) TKind {
 	switch op.Code {
 	case ir.OpConst:
@@ -550,8 +551,9 @@ func (s *SealedSpec) opTKind(op *ir.Op) TKind {
 	case ir.OpCallPtr:
 		return TCallPtr
 	default:
-		// Ops the walkers' switches fall through on (OpIOOut, OpIRQRaise,
-		// OpIRQLower, OpWork) burn a step with no simulated effect.
+		// Ops the reference engine's switch falls through on (OpIOOut,
+		// OpIRQRaise, OpIRQLower, OpWork) burn a step with no simulated
+		// effect.
 		return TNop
 	}
 }

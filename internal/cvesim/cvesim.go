@@ -85,7 +85,7 @@ func (p *PoC) RunProtected(strategies ...checker.Strategy) (Outcome, error) {
 }
 
 // RunProtectedWith is RunProtected with extra checker options prepended
-// (e.g. checker.WithReferenceSimulation for the sealed-vs-unsealed
+// (e.g. checker.WithReferenceSimulation for the threaded-vs-reference
 // differential).
 func (p *PoC) RunProtectedWith(extra []checker.Option, strategies ...checker.Strategy) (Outcome, error) {
 	m, att := p.attach()

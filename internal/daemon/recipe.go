@@ -6,13 +6,13 @@ import (
 	"sync/atomic"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
 	"sedspec/internal/core"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/ir"
 	"sedspec/internal/machine"
 	"sedspec/internal/specstore"
+	"sedspec/internal/workload"
 )
 
 // recipe is one install corpus resolved to the device recipe that
@@ -27,8 +27,8 @@ type recipe struct {
 	corpus string
 	build  machine.BuildFunc
 	train  sedspec.TrainFunc
-	target *bench.Target // benign corpus; nil for cve corpora
-	poc    *cvesim.PoC   // cve corpus; nil for benign
+	target *workload.Target // benign corpus; nil for cve corpora
+	poc    *cvesim.PoC      // cve corpus; nil for benign
 	prog   *ir.Program
 	want   sedspec.SpecVersion // what a fresh learn of prog publishes
 
@@ -66,7 +66,7 @@ func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 		if corpus != "benign" {
 			return nil, fmt.Errorf("daemon: unknown corpus %q (want \"benign\" or \"cve:<ID>\")", corpus)
 		}
-		tg := bench.TargetByName(device, true)
+		tg := workload.TargetByName(device, true)
 		if tg == nil {
 			return nil, fmt.Errorf("daemon: unknown device %q", device)
 		}

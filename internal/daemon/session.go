@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/machine"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // AttachRequest opens one or more sessions against a tenant's engine.
@@ -101,9 +101,9 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	workload := req.Workload
-	if workload == "" {
-		workload = "benign"
+	kind := req.Workload
+	if kind == "" {
+		kind = "benign"
 	}
 	count := req.Count
 	if count <= 0 {
@@ -119,8 +119,8 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	rc := eng.rc.Load()
 
 	var poc *cvesim.PoC
-	var target *bench.Target
-	switch workload {
+	var target *workload.Target
+	switch kind {
 	case "poc":
 		cve := req.CVE
 		if cve == "" && rc.poc != nil {
@@ -136,14 +136,14 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	case "benign", "mixed":
 		target = rc.target
 		if target == nil {
-			target = bench.TargetByName(req.Device, true)
+			target = workload.TargetByName(req.Device, true)
 		}
 		if target == nil {
 			return nil, fmt.Errorf("daemon: no benign workload for device %q", req.Device)
 		}
 	case "idle":
 	default:
-		return nil, fmt.Errorf("daemon: unknown workload %q", workload)
+		return nil, fmt.Errorf("daemon: unknown workload %q", kind)
 	}
 
 	sessions := make([]*Session, 0, count)
@@ -154,7 +154,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 		s := &Session{
 			ID:       id,
 			Device:   req.Device,
-			Workload: workload,
+			Workload: kind,
 			Ops:      req.Ops,
 			eng:      eng,
 			ms:       ms,
@@ -319,7 +319,7 @@ func (s *Session) setErr(err error) {
 // run is the session goroutine: drive the workload, then idle until
 // detach. It never exits before the stop signal, so the checker and
 // machine stay valid until the control plane retires them.
-func (s *Session) run(poc *cvesim.PoC, target *bench.Target, seed uint64) {
+func (s *Session) run(poc *cvesim.PoC, target *workload.Target, seed uint64) {
 	defer close(s.done)
 	switch s.Workload {
 	case "idle":
@@ -354,7 +354,7 @@ func (s *Session) replayPoC(p *cvesim.PoC) {
 
 // drive loops the benign (or mixed) workload until the ops bound, an
 // error (a blocked anomaly halting the machine lands here), or stop.
-func (s *Session) drive(target *bench.Target, seed uint64) {
+func (s *Session) drive(target *workload.Target, seed uint64) {
 	d := sedspec.NewDriver(s.ms.Attached())
 	w := target.NewSession(d, simclock.NewRand(seed^0x9e3779b97f4a7c15))
 	if w.Prepare != nil {

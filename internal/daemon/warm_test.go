@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/stream"
 	"sedspec/internal/specstore"
+	"sedspec/internal/workload"
 )
 
 // newWarmDaemon builds a daemon on its own hub and registry, so the
@@ -36,7 +36,7 @@ func newWarmDaemon(t *testing.T) (*Daemon, *stream.Hub) {
 // five devices.
 func storeVersions(tn *Tenant) int {
 	n := 0
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		n += len(tn.Versions(tg.Name))
 	}
 	return n
@@ -146,7 +146,7 @@ func TestDaemonWarmPathHits(t *testing.T) {
 		}
 	}
 	learned := map[string]uint64{}
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		info, err := enhT.Install(InstallRequest{Device: tg.Name, Mode: "enhancement"})
 		if err != nil {
 			t.Fatalf("%s: cold install: %v", tg.Name, err)
@@ -181,13 +181,13 @@ func TestDaemonWarmPathHits(t *testing.T) {
 	for _, p := range pocs {
 		checkKey(pocT.Store(), p.Device, "cve:"+p.CVE, p.Build)
 	}
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		checkKey(enhT.Store(), tg.Name, "benign", tg.Build)
 	}
 
 	// First enhance per device learns the child; the rollback to the
 	// learned generation is already a hit.
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		if err := auditMixed(enhT, tg.Name); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestDaemonWarmPathHits(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		if err := auditMixed(enhT, tg.Name); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // spec generations can be diffed (see Drift).
 //
 // The package is deliberately free of internal dependencies: the sealed
-// walker owns the index spaces (core assigns edge slots at Seal), the
+// spec owns the index spaces (core assigns edge slots at Seal), the
 // checker calls HitBlock/HitEdge on its transition path, and everything
 // above (specstore, cmds, the /coverage debug page) consumes the plain
 // Profile/Drift data.

@@ -9,6 +9,10 @@
 // frames, and flow control. Each configuration shifts the command mix and
 // parameter ranges so the learned specification covers the device's
 // legitimate behaviour envelope.
+//
+// Targets binds each evaluated device to its training routine and a live
+// guest Session (benign, rare and bulk-transfer operations); the
+// evaluation harness, the CLIs and the daemon all draw devices from it.
 package workload
 
 import "sedspec/internal/simclock"

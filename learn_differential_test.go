@@ -7,12 +7,12 @@ import (
 
 	"sedspec"
 	"sedspec/internal/analysis"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // learnCorpus is one training corpus learned on a fresh machine.
@@ -36,10 +36,10 @@ func (c learnCorpus) attach() *machine.Attached {
 // and the trace statistics must all be identical.
 func TestOneRunLearnMatchesTwoPass(t *testing.T) {
 	var corpora []learnCorpus
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		corpora = append(corpora, learnCorpus{"light/" + tg.Name, tg.Build, tg.Train})
 	}
-	for _, tg := range bench.Targets(false) {
+	for _, tg := range workload.Targets(false) {
 		if tg.Name == "ehci" || tg.Name == "pcnet" || tg.Name == "sdhci" {
 			corpora = append(corpora, learnCorpus{"full/" + tg.Name, tg.Build, tg.Train})
 		}
@@ -70,7 +70,7 @@ func TestOneRunLearnMatchesTwoPass(t *testing.T) {
 // learns what LearnFull learns from the same composition.
 func enhanceCorpus(t *testing.T) learnCorpus {
 	t.Helper()
-	tg := bench.TargetByName("sdhci", true)
+	tg := workload.TargetByName("sdhci", true)
 	c := learnCorpus{"enhance/sdhci", tg.Build, tg.Train}
 	parent, err := sedspec.Learn(c.attach(), tg.Train)
 	if err != nil {

@@ -437,16 +437,10 @@ func TestSwapHammerAcceptance(t *testing.T) {
 	p := machine.NewPool(n, lifecycleBuild)
 	chks := make([]*checker.Checker, n)
 	for i, s := range p.Sessions() {
-		// A no-op halt keeps the session serving across blocked exploits.
-		// Engines are mixed per session — even sessions adopt each swapped
-		// version's compiled threaded stream, odd ones walk its sealed
-		// block table — so both sealed engines race the RCU publication
-		// path at once.
-		opts := []checker.Option{checker.WithHalt(func() {})}
-		if i%2 == 1 {
-			opts = append(opts, checker.WithThreadedDispatch(false))
-		}
-		chks[i] = sedspec.ProtectShared(s.Attached(), sh, opts...)
+		// A no-op halt keeps the session serving across blocked exploits;
+		// every session adopts each swapped version's compiled threaded
+		// stream, racing the RCU publication path.
+		chks[i] = sedspec.ProtectShared(s.Attached(), sh, checker.WithHalt(func() {}))
 	}
 
 	done := make(chan struct{})

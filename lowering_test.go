@@ -14,6 +14,7 @@ import (
 	"sedspec/internal/bench"
 	"sedspec/internal/core"
 	"sedspec/internal/ir"
+	"sedspec/internal/workload"
 )
 
 // pairName restates the peephole pattern table from DESIGN.md
@@ -97,7 +98,7 @@ func expectedFusion(s *core.SealedSpec) (pairs map[string]int, ops, live int) {
 }
 
 func TestFusionCoverage(t *testing.T) {
-	for _, target := range bench.Targets(true) {
+	for _, target := range workload.Targets(true) {
 		t.Run(target.Name, func(t *testing.T) {
 			r, err := bench.NewCheckerReplay(target, 60)
 			if err != nil {

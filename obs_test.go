@@ -14,6 +14,7 @@ import (
 	"sedspec/internal/cvesim"
 	"sedspec/internal/devices/testdev"
 	"sedspec/internal/obs"
+	"sedspec/internal/workload"
 )
 
 // TestCVEForensicContext replays every CVE proof of concept under
@@ -74,7 +75,7 @@ func TestRecorderOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews the recorder/no-recorder ratio")
 	}
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	r, err := bench.NewCheckerReplay(target, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -96,11 +97,10 @@ func TestRecorderOverheadGuard(t *testing.T) {
 		t.Fatalf("steady-state chunks allocated %d times in every window", minAllocs)
 	}
 	t.Logf("sealed check: recorder on %.1f ns/op, off %.1f ns/op, ratio %.3f", nsOn, nsOff, ratio)
-	// Budget: the recorder's fixed ~15 ns per round was 5% of the switch
-	// walker's round; threaded dispatch shrank the denominator, so the
-	// same absolute cost now reads near 8%. 10% plus 3% measurement slack
-	// keeps the guard catching recorder-cost regressions without failing
-	// on simulation speedups.
+	// Budget: the recorder's fixed ~15 ns per round reads near 8% of a
+	// threaded round. 10% plus 3% measurement slack keeps the guard
+	// catching recorder-cost regressions without failing on simulation
+	// speedups.
 	if ratio > 1.13 {
 		t.Errorf("recorder costs %.1f%% on the sealed path, want <= 10%% (+slack)", 100*(ratio-1))
 	}

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"sedspec"
-	"sedspec/internal/bench"
 	"sedspec/internal/checker"
 	"sedspec/internal/machine"
 	"sedspec/internal/simclock"
+	"sedspec/internal/workload"
 )
 
 // programRun is what one protected benign run leaves behind.
@@ -21,7 +21,7 @@ type programRun struct {
 
 // driveBenign brings a session's device up and runs ops benign ops under
 // its checker, with a fixed workload seed.
-func driveBenign(tg *bench.Target, att *machine.Attached, chk *checker.Checker, ops int) programRun {
+func driveBenign(tg *workload.Target, att *machine.Attached, chk *checker.Checker, ops int) programRun {
 	s := tg.NewSession(sedspec.NewDriver(att), simclock.NewRand(7))
 	err := s.Prepare()
 	for i := 0; err == nil && i < ops; i++ {
@@ -42,7 +42,7 @@ func driveBenign(tg *bench.Target, att *machine.Attached, chk *checker.Checker, 
 // -race this also proves the shared program is only ever read.
 func TestCachedProgramSharedAcrossSessions(t *testing.T) {
 	const ops = 200
-	for _, tg := range bench.Targets(true) {
+	for _, tg := range workload.Targets(true) {
 		t.Run(tg.Name, func(t *testing.T) {
 			lm := machine.New(machine.WithMemory(1 << 20))
 			ldev, laopts := tg.Build()

@@ -19,6 +19,7 @@ import (
 	"sedspec/internal/obs"
 	"sedspec/internal/obs/journal"
 	"sedspec/internal/obs/stream"
+	"sedspec/internal/workload"
 )
 
 // TestStreamDeliverySemantics pins the hub's two delivery contracts at
@@ -141,7 +142,7 @@ func TestStreamOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews the hub/no-hub ratio")
 	}
-	target := bench.TargetByName("fdc", true)
+	target := workload.TargetByName("fdc", true)
 	r, err := bench.NewCheckerReplay(target, 60)
 	if err != nil {
 		t.Fatal(err)
