@@ -71,7 +71,7 @@ func main() {
 	swapStore := flag.String("swap-store", "", "spec store directory for the swap experiment (default: a fresh temp dir)")
 	swapOut := flag.String("swap-out", "BENCH_swap.json", "output file for the swap experiment's JSON rows")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address (profile live runs)")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address (profile live runs)")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.Parse()
 

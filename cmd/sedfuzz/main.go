@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	hold := flag.Bool("hold", false, "after the run, keep serving -listen until interrupted (for probing a finished run)")
 	flag.Parse()

@@ -32,8 +32,8 @@
 // -coverage-dir writes the run's ES-CFG coverage profile (and each
 // blocked PoC's anomaly training-coverage record) as JSON, and -listen
 // serves the unified introspection server (/healthz, /fleet, /metrics,
-// /anomalies live tail, /coverage, /buildinfo, /debug/vars,
-// /debug/pprof) on the given address. Final exports also run on
+// /anomalies live tail, /coverage, /buildinfo, /debug/pprof) on the
+// given address. Final exports also run on
 // SIGINT/SIGTERM.
 //
 // The report subcommand diffs two spec generations' structure and
@@ -125,7 +125,7 @@ func main() {
 	flag.BoolVar(&cfg.enhance, "enhance", false, "audit the device's rare legitimate command in enhancement mode and publish the enhanced spec to -spec-store")
 	flag.StringVar(&cfg.mode, "mode", "protection", "checker working mode: protection or enhancement")
 	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof) on this address")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")

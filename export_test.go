@@ -2,8 +2,10 @@ package sedspec
 
 import (
 	"fmt"
+	"reflect"
 
 	"sedspec/internal/analysis"
+	"sedspec/internal/checker"
 	"sedspec/internal/core"
 	"sedspec/internal/itccfg"
 	"sedspec/internal/machine"
@@ -69,4 +71,75 @@ func twoPassLearn(att *machine.Attached, train TrainFunc) (*LearnResult, error) 
 		Log:    rec.Log(),
 		Trace:  col.Stats(),
 	}, nil
+}
+
+// CompiledFootprint exports the retained-memory walker to the external
+// test package.
+var CompiledFootprint = compiledFootprint
+
+// Footprint is the slice memory a compiled spec keeps alive.
+type Footprint struct {
+	// Bytes is the total backing-array capacity, in bytes, of every
+	// slice reachable from the compiled spec. Each array counts once.
+	Bytes int
+	// ByElem splits Bytes by slice element type.
+	ByElem map[reflect.Type]int
+}
+
+// compiledFootprint walks everything a checker.Compiled references and
+// sums slice capacities. It stops at the source spec and at the device
+// program (and pointers into it), which the compiled form shares with its
+// learner and with every other compiled spec of the same device.
+func compiledFootprint(cv *checker.Compiled) Footprint {
+	fp := Footprint{ByElem: map[reflect.Type]int{}}
+	ptrs := map[uintptr]bool{}
+	arrays := map[uintptr]bool{}
+	specType := reflect.TypeOf(core.Spec{})
+	irPkg := reflect.TypeOf(core.ESBlock{}.Ref).PkgPath()
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				return
+			}
+			el := v.Type().Elem()
+			if el == specType || el.PkgPath() == irPkg || ptrs[v.Pointer()] {
+				return
+			}
+			ptrs[v.Pointer()] = true
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Slice:
+			if v.IsNil() || arrays[v.Pointer()] {
+				return
+			}
+			arrays[v.Pointer()] = true
+			n := v.Cap() * int(v.Type().Elem().Size())
+			fp.Bytes += n
+			fp.ByElem[v.Type().Elem()] += n
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			it := v.MapRange()
+			for it.Next() {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(cv))
+	return fp
 }

@@ -637,8 +637,8 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 		o(c)
 	}
 	if !c.useRef {
-		c.sealed = spec.Seal()
-		c.tprog = buildThreaded(c.sealed)
+		sealed, tc := spec.SealThreaded()
+		c.sealed, c.tprog = sealed, buildThreaded(tc)
 	}
 	c.noClear = c.sealed != nil && c.sealed.TempsDefinitelyAssigned()
 	if !c.covOff && c.sealed != nil {

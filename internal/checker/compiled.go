@@ -27,7 +27,7 @@ type Compiled struct {
 // path of the shared engine: NewShared and Swap compile their spec
 // argument through it.
 func Compile(spec *core.Spec) *Compiled {
-	sealed := spec.Seal()
+	sealed, tc := spec.SealThreaded()
 	cv := &Compiled{
 		spec:   spec,
 		sealed: sealed,
@@ -37,7 +37,7 @@ func Compile(spec *core.Spec) *Compiled {
 		cv.entryTemps = cv.prog.Handlers[es.Ref.Handler].NumTemps
 		cv.entryRef = es.Ref
 	}
-	cv.tprog = buildThreaded(sealed)
+	cv.tprog = buildThreaded(tc)
 	return cv
 }
 

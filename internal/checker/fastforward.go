@@ -93,7 +93,7 @@ func (g *ffGuard) holds(f uint64) bool {
 		a, b = g.k, v
 	}
 	i := g.i
-	return i.Rel.EvalMasked(a, b, i.mask2, uint64(1)<<(i.bits2-1), i.Signed2) == g.taken
+	return i.Rel.EvalMasked(a, b, i.Imm2, uint64(1)<<(i.Bits2-1), i.Signed2) == g.taken
 }
 
 // fastForward runs from the parked resume pc h after a round crossed its
@@ -131,7 +131,7 @@ func (c *Checker) fastForward(h int32) int32 {
 		}
 		i := &code[pc]
 		ff.path = append(ff.path, pc)
-		pc = i.fn(c, i)
+		pc = i.fn(c, i, pc)
 		if pc < 0 {
 			return pc
 		}
@@ -279,7 +279,7 @@ func (c *Checker) ffProve(ff *ffScratch, fi int, f0 uint64) bool {
 	for _, pc := range ff.path {
 		i := &code[pc]
 		switch i.Kind {
-		case core.TNop, core.TNext:
+		case core.TNext:
 		case core.TConst:
 			p.def(i.Dst, ffVal{})
 		case core.TLoad:
@@ -287,11 +287,11 @@ func (c *Checker) ffProve(ff *ffScratch, fi int, f0 uint64) bool {
 		case core.TLoadFunc:
 			p.def(i.Dst, ffVal{})
 		case core.TArith:
-			p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.mask))
+			p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.Imm))
 		case core.TStore:
-			p.store(i.Field, p.use(i.Src), i.IsParam)
+			p.store(i.Field, p.use(i.B), i.Checked)
 		case core.TStoreFunc:
-			if p.use(i.Src).kind != ffInv {
+			if p.use(i.B).kind != ffInv {
 				return false
 			}
 		case core.TDMARead:
@@ -301,16 +301,16 @@ func (c *Checker) ffProve(ff *ffScratch, fi int, f0 uint64) bool {
 			p.def(i.Dst, ffVal{})
 		case core.TLoadArith:
 			p.def(i.Dst, p.load(i.Field))
-			p.def(i.Dst2, p.arith(i.ALU2, i.A2, i.B2, i.mask2))
+			p.def(i.Dst2, p.arith(i.ALU2, i.A2, i.B2, i.Imm2))
 		case core.TConstArith:
 			p.def(i.Dst, ffVal{})
-			p.def(i.Dst2, p.arith(i.ALU2, i.A2, i.B2, i.mask2))
+			p.def(i.Dst2, p.arith(i.ALU2, i.A2, i.B2, i.Imm2))
 		case core.TConstStore:
 			p.def(i.Dst, ffVal{})
-			p.store(i.Field2, p.use(i.Src2), i.IsParam2)
+			p.store(i.Field2, p.use(i.B2), i.Checked2)
 		case core.TArithStore:
-			p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.mask))
-			p.store(i.Field2, p.use(i.Src2), i.IsParam2)
+			p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.Imm))
+			p.store(i.Field2, p.use(i.B2), i.Checked2)
 		case core.TLoadConst:
 			p.def(i.Dst, p.load(i.Field))
 			p.def(i.Dst2, ffVal{})
@@ -318,10 +318,10 @@ func (c *Checker) ffProve(ff *ffScratch, fi int, f0 uint64) bool {
 			p.def(i.Dst, ffVal{})
 			p.def(i.Dst2, ffVal{})
 		case core.TStoreConst:
-			p.store(i.Field, p.use(i.Src), i.IsParam)
+			p.store(i.Field, p.use(i.B), i.Checked)
 			p.def(i.Dst2, ffVal{})
 		case core.TStoreLoad:
-			p.store(i.Field, p.use(i.Src), i.IsParam)
+			p.store(i.Field, p.use(i.B), i.Checked)
 			p.def(i.Dst2, p.load(i.Field2))
 		case core.TSwitch:
 			if p.use(i.A2).kind != ffInv {
@@ -329,7 +329,7 @@ func (c *Checker) ffProve(ff *ffScratch, fi int, f0 uint64) bool {
 			}
 		case core.TBranch, core.TBranchArith:
 			if i.Kind == core.TBranchArith {
-				p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.mask))
+				p.def(i.Dst, p.arith(i.ALU, i.A, i.B, i.Imm))
 			}
 			p.guard(i, ff.ops[nb], f0)
 			nb++
@@ -423,7 +423,7 @@ func (p *ffPass) arith(alu ir.ALU, a, b int32, mask uint64) ffVal {
 // value f0.
 func (p *ffPass) guard(i *tinstr, ops [2]uint64, f0 uint64) {
 	ca, cb := p.use(i.A2), p.use(i.B2)
-	g := ffGuard{i: i, taken: i.Rel.EvalMasked(ops[0], ops[1], i.mask2, uint64(1)<<(i.bits2-1), i.Signed2)}
+	g := ffGuard{i: i, taken: i.Rel.EvalMasked(ops[0], ops[1], i.Imm2, uint64(1)<<(i.Bits2-1), i.Signed2)}
 	switch {
 	case ca.kind == ffInv && cb.kind == ffInv:
 		return

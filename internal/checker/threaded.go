@@ -9,17 +9,20 @@ import (
 	"sedspec/internal/ir"
 )
 
-// simulateThreaded is the third check engine: direct threaded-code
-// dispatch over the stream core.lowerThreaded compiled at Seal time. The
-// hot loop is two loads and an indirect call per instruction —
+// simulateThreaded is the production check engine: direct threaded-code
+// dispatch over the stream core.SealThreaded lowered. The hot loop is two
+// loads and an indirect call per instruction —
 //
-//	for pc >= 0 { i := &code[pc]; pc = i.fn(c, i) }
+//	for pc >= 0 { i := &code[pc]; pc = i.fn(c, i, pc) }
 //
 // — with no op-code re-decoding, no block-table lookups on transitions
 // (successor pcs are compiled in), no per-op step-counter writes (step
 // totals are batched per block via TOp.StepsAt), and preplanned call
 // frames (callee entry pc and temp-bank size are instruction immediates).
 // The peephole-fused instructions execute two spec ops per dispatch.
+// Handlers get their own pc so a slow path (an anomaly report, a buffer
+// op's field geometry, a switch's arm lookup) can read the instruction's
+// cold side, cold[pc].
 //
 // The engine is behaviourally identical to the reference engine
 // (simulate.go): every anomaly string, step count and shadow mutation
@@ -41,55 +44,53 @@ const (
 	tpcGate int32 = -4
 )
 
-// thandler executes one threaded instruction and returns the next pc.
-type thandler func(*Checker, *tinstr) int32
+// thandler executes the threaded instruction i at pc and returns the
+// next pc.
+type thandler func(c *Checker, i *tinstr, pc int32) int32
 
-// tinstr pairs the compiled instruction with its resolved handler. The
-// stream is per-engine (built once per adopted spec version) so the
-// function pointers live next to the operands they dispatch on. The
-// width of each operand bank is pre-resolved into its value mask and bit
-// count so ALU and compare handlers never re-derive them per dispatch.
+// tinstr pairs the compiled instruction with its resolved handler, so the
+// function pointer lives next to the operands it dispatches on.
 type tinstr struct {
 	fn thandler
 	core.TOp
-	mask, mask2 uint64 // Width.Mask() / Width2.Mask()
-	bits, bits2 uint8  // Width.Bits() / Width2.Bits()
 }
 
-// threadedProg is a spec version's executable stream: the shared
-// ThreadedCode with handlers bound. Immutable after build, shared by every
-// session that adopts the version.
+// threadedProg is a spec version's executable form: the lowered stream
+// with handlers bound, its cold side, and the block index. Immutable
+// after build, shared by every session that adopts the version.
 type threadedProg struct {
 	code    []tinstr
+	cold    []core.TCold
 	blockPC []int32
 	entry   int32
 }
 
-// buildThreaded binds handlers to a sealed spec's compiled stream.
-func buildThreaded(sealed *core.SealedSpec) *threadedProg {
-	tc := sealed.Threaded()
+// buildThreaded binds handlers to a freshly lowered stream. The lowered
+// core.TOp slice is not kept: code is the compiled spec's one copy of it.
+func buildThreaded(tc *core.ThreadedCode) *threadedProg {
 	code := make([]tinstr, len(tc.Instrs))
-	for i := range tc.Instrs {
-		fn := tHandlers[tc.Instrs[i].Kind]
+	for pc := range tc.Instrs {
+		op := &tc.Instrs[pc]
+		fn := tHandlers[op.Kind]
 		if fn == nil {
-			panic(fmt.Sprintf("checker: no handler for threaded instruction kind %v", tc.Instrs[i].Kind))
+			panic(fmt.Sprintf("checker: no handler for threaded instruction kind %v", op.Kind))
 		}
-		op := &tc.Instrs[i]
-		code[i] = tinstr{
-			fn: fn, TOp: *op,
-			mask: op.Width.Mask(), bits: uint8(op.Width.Bits()),
-			mask2: op.Width2.Mask(), bits2: uint8(op.Width2.Bits()),
-		}
+		code[pc] = tinstr{fn: fn, TOp: *op}
 	}
-	return &threadedProg{code: code, blockPC: tc.BlockPC, entry: tc.EntryPC}
+	return &threadedProg{code: code, cold: tc.Cold, blockPC: tc.BlockPC, entry: tc.EntryPC}
 }
+
+// tBlk, tOp and tOp2 read instruction pc's cold side: its block (ref,
+// terminator, switch arms), its op, and a fused pair's second op.
+func (c *Checker) tBlk(pc int32) *core.SealedBlock { return c.tprog.cold[pc].Blk }
+func (c *Checker) tOp(pc int32) *ir.Op             { return c.tprog.cold[pc].Op }
+func (c *Checker) tOp2(pc int32) *ir.Op            { return c.tprog.cold[pc].Op2 }
 
 // tHandlers maps instruction kinds to their handlers. Filled by init to
 // keep the handler functions free to reference each other.
 var tHandlers [int(core.TDangling) + 1]thandler
 
 func init() {
-	tHandlers[core.TNop] = tNopH
 	tHandlers[core.TConst] = tConstH
 	tHandlers[core.TLoad] = tLoadH
 	tHandlers[core.TLoadFunc] = tLoadFuncH
@@ -168,7 +169,7 @@ func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 	for {
 		for pc >= 0 {
 			i := &code[pc]
-			pc = i.fn(c, i)
+			pc = i.fn(c, i, pc)
 		}
 		if pc != tpcGate {
 			break
@@ -244,10 +245,10 @@ func (c *Checker) tDivZero(ref ir.BlockRef, src ir.SourceRef, flush int) int32 {
 	return tpcStop
 }
 
-// tBudget raises the per-round step-budget anomaly (steps already
-// flushed by the terminator).
-func (c *Checker) tBudget(i *tinstr) int32 {
-	return c.tRaise(c.condOrStop(i.Blk.Ref, ir.SourceRef{}, "simulation budget exceeded (possible emulation loop)"))
+// tBudget raises the per-round step-budget anomaly at terminator pc
+// (steps already flushed by the terminator).
+func (c *Checker) tBudget(pc int32) int32 {
+	return c.tRaise(c.condOrStop(c.tBlk(pc).Ref, ir.SourceRef{}, "simulation budget exceeded (possible emulation loop)"))
 }
 
 // tOverGate handles a terminator whose step total st crossed the round's
@@ -256,22 +257,22 @@ func (c *Checker) tBudget(i *tinstr) int32 {
 // a round makes at most one fast-forward attempt, the terminator
 // completes normally, and the dispatch loop exits once with the
 // successor pc parked for fastForward.
-func (c *Checker) tOverGate(i *tinstr, st int) int32 {
+func (c *Checker) tOverGate(i *tinstr, pc int32, st int) int32 {
 	if st > c.budget {
 		c.tsteps = st
-		return c.tBudget(i)
+		return c.tBudget(pc)
 	}
 	c.stepGate = c.budget
-	var pc int32
+	var next int32
 	if i.Kind == core.TBranchArith {
-		pc = tBranchH(c, i) // the fused compare already ran
+		next = tBranchH(c, i, pc) // the fused compare already ran
 	} else {
-		pc = i.fn(c, i)
+		next = i.fn(c, i, pc)
 	}
-	if pc < 0 || c.ffOff {
-		return pc
+	if next < 0 || c.ffOff {
+		return next
 	}
-	c.tpark = pc
+	c.tpark = next
 	return tpcGate
 }
 
@@ -307,54 +308,52 @@ func (c *Checker) tGoto(pc, id, edge int32, cmdEnd bool) int32 {
 
 // ---- op handlers ----
 
-func tNopH(_ *Checker, i *tinstr) int32 { return i.Next }
-
-func tConstH(c *Checker, i *tinstr) int32 {
+func tConstH(c *Checker, i *tinstr, _ int32) int32 {
 	c.ttemps[i.Dst] = i.Imm
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tLoadH(c *Checker, i *tinstr) int32 {
+func tLoadH(c *Checker, i *tinstr, _ int32) int32 {
 	c.ttemps[i.Dst] = c.shadow.Int(int(i.Field))
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tLoadFuncH(c *Checker, i *tinstr) int32 {
+func tLoadFuncH(c *Checker, i *tinstr, _ int32) int32 {
 	c.ttemps[i.Dst] = c.shadow.FuncPtr(int(i.Field))
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tArithH(c *Checker, i *tinstr) int32 {
-	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.mask, uint(i.bits), i.Signed)
+func tArithH(c *Checker, i *tinstr, pc int32) int32 {
+	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.Imm, uint(i.Bits), i.Signed)
 	if divZero {
-		return c.tDivZero(i.Blk.Ref, i.Op.Src0, int(i.StepsAt))
+		return c.tDivZero(c.tBlk(pc).Ref, c.tOp(pc).Src0, int(i.StepsAt))
 	}
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = fl
 	return i.Next
 }
 
-func tStoreH(c *Checker, i *tinstr) int32 {
-	if i.IsParam {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op, c.tflags); a != nil {
+func tStoreH(c *Checker, i *tinstr, pc int32) int32 {
+	if i.Checked {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt)
 			return c.tRaise(a)
 		}
 	}
-	c.shadow.SetInt(int(i.Field), c.ttemps[i.Src])
+	c.shadow.SetInt(int(i.Field), c.ttemps[i.B])
 	return i.Next
 }
 
-func tStoreFuncH(c *Checker, i *tinstr) int32 {
-	c.shadow.SetFuncPtr(int(i.Field), c.ttemps[i.Src])
+func tStoreFuncH(c *Checker, i *tinstr, _ int32) int32 {
+	c.shadow.SetFuncPtr(int(i.Field), c.ttemps[i.B])
 	return i.Next
 }
 
-func tBufLoadH(c *Checker, i *tinstr) int32 {
-	v, a := c.bufAccess(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps[i.Idx], 0, 0, false)
+func tBufLoadH(c *Checker, i *tinstr, pc int32) int32 {
+	v, a := c.bufAccess(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps[i.A], 0, 0, false)
 	if a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
@@ -364,16 +363,16 @@ func tBufLoadH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tBufStoreH(c *Checker, i *tinstr) int32 {
-	if _, a := c.bufAccess(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps[i.Idx], 0, byte(c.ttemps[i.Src]), true); a != nil {
+func tBufStoreH(c *Checker, i *tinstr, pc int32) int32 {
+	if _, a := c.bufAccess(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps[i.A], 0, byte(c.ttemps[i.B]), true); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
 	return i.Next
 }
 
-func tIOToBufH(c *Checker, i *tinstr) int32 {
-	if a := c.checkCopyRange(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps); a != nil {
+func tIOToBufH(c *Checker, i *tinstr, pc int32) int32 {
+	if a := c.checkCopyRange(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
@@ -381,13 +380,13 @@ func tIOToBufH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tDMAToBufH(c *Checker, i *tinstr) int32 {
+func tDMAToBufH(c *Checker, i *tinstr, pc int32) int32 {
 	// See execDSOD: inbound DMA is performed against the shadow.
-	if a := c.checkCopyRange(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps); a != nil {
+	if a := c.checkCopyRange(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
-	if a := c.dmaToShadow(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps); a != nil {
+	if a := c.dmaToShadow(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
@@ -398,23 +397,23 @@ func tDMAToBufH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tDMAFromBufH(c *Checker, i *tinstr) int32 {
+func tDMAFromBufH(c *Checker, i *tinstr, pc int32) int32 {
 	// See execDSOD: outbound DMA is bounds-checked, never performed.
-	if a := c.checkCopyRange(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps); a != nil {
+	if a := c.checkCopyRange(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
 	return i.Next
 }
 
-func tDMAReadH(c *Checker, i *tinstr) int32 {
+func tDMAReadH(c *Checker, i *tinstr, pc int32) int32 {
 	buf := &c.dmaBuf
-	n := int(i.bits) >> 3
+	n := int(i.Bits) >> 3
 	addr := c.ttemps[i.A]
 	if err := c.env.DMARead(addr, buf[:n]); err != nil {
 		c.tsteps += int(i.StepsAt)
 		if c.enabled[StrategyParameter] {
-			return c.tRaise(c.anomaly(StrategyParameter, i.Blk.Ref, i.Op.Src0, "DMA read out of guest memory: %v", err))
+			return c.tRaise(c.anomaly(StrategyParameter, c.tBlk(pc).Ref, c.tOp(pc).Src0, "DMA read out of guest memory: %v", err))
 		}
 		c.frames = c.frames[:0]
 		c.needResync = true
@@ -430,38 +429,38 @@ func tDMAReadH(c *Checker, i *tinstr) int32 {
 	}
 	v := binary.LittleEndian.Uint64(buf[:])
 	if n < 8 {
-		v &= i.mask
+		v &= i.Imm
 	}
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tDMAWriteH(c *Checker, i *tinstr) int32 {
+func tDMAWriteH(c *Checker, i *tinstr, _ int32) int32 {
 	// Suppressed guest write: journal it for this round's reads.
-	c.journalDMAWrite(c.ttemps[i.A], c.ttemps[i.Src], uint8(i.bits>>3))
+	c.journalDMAWrite(c.ttemps[i.A], c.ttemps[i.B], i.Bits>>3)
 	return i.Next
 }
 
-func tIOInH(c *Checker, i *tinstr) int32 {
-	c.ttemps[i.Dst] = c.treq.Consume(int(i.bits) >> 3)
+func tIOInH(c *Checker, i *tinstr, _ int32) int32 {
+	c.ttemps[i.Dst] = c.treq.Consume(int(i.Bits) >> 3)
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tIOAddrH(c *Checker, i *tinstr) int32 {
+func tIOAddrH(c *Checker, i *tinstr, _ int32) int32 {
 	c.ttemps[i.Dst] = c.treq.Addr
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tIOLenH(c *Checker, i *tinstr) int32 {
+func tIOLenH(c *Checker, i *tinstr, _ int32) int32 {
 	c.ttemps[i.Dst] = uint64(c.treq.Remaining())
 	c.tflags[i.Dst] = interp.Flags{}
 	return i.Next
 }
 
-func tIOIsWriteH(c *Checker, i *tinstr) int32 {
+func tIOIsWriteH(c *Checker, i *tinstr, _ int32) int32 {
 	if c.treq.Write {
 		c.ttemps[i.Dst] = 1
 	} else {
@@ -471,7 +470,7 @@ func tIOIsWriteH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tEnvReadH(c *Checker, i *tinstr) int32 {
+func tEnvReadH(c *Checker, i *tinstr, _ int32) int32 {
 	// Sync point: synchronize the non-derivable value with the device
 	// environment (paper §V-D).
 	c.ttemps[i.Dst] = c.env.ReadEnv(ir.EnvKind(i.Imm))
@@ -480,25 +479,25 @@ func tEnvReadH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tCallH(c *Checker, i *tinstr) int32 {
+func tCallH(c *Checker, i *tinstr, _ int32) int32 {
 	c.tsteps += int(i.StepsAt)
 	if n := len(c.frames); n > 0 {
-		c.frames[n-1].op = int(i.Next)
+		c.frames[n-1].op = int(i.Next2)
 	}
-	c.pushT(i.CalleeID, i.CalleeTemps)
+	c.pushT(i.ID, int32(i.Imm))
 	if c.cov != nil {
-		c.cov.HitBlock(int(i.CalleeID))
+		c.cov.HitBlock(int(i.ID))
 	}
-	return i.CalleePC
+	return i.Next
 }
 
-func tCallPtrH(c *Checker, i *tinstr) int32 {
+func tCallPtrH(c *Checker, i *tinstr, pc int32) int32 {
 	// Always a flush site: whether the call descends is a runtime decision,
 	// so the batched count commits here either way.
 	c.tsteps += int(i.StepsAt)
 	target := c.shadow.FuncPtr(int(i.Field))
 	if c.enabled[StrategyIndirectJump] && !c.sealed.LegitimateTarget(int(i.Field), target) {
-		return c.tRaise(tagEdge(c.anomaly(StrategyIndirectJump, i.Blk.Ref, i.Op.Src0,
+		return c.tRaise(tagEdge(c.anomaly(StrategyIndirectJump, c.tBlk(pc).Ref, c.tOp(pc).Src0,
 			"indirect jump via %q to unauthorized target %#x",
 			c.prog.Fields[i.Field].Name, target), "indirect", target))
 	}
@@ -524,34 +523,34 @@ func tCallPtrH(c *Checker, i *tinstr) int32 {
 
 // ---- fused handlers ----
 
-func tLoadArithH(c *Checker, i *tinstr) int32 {
+func tLoadArithH(c *Checker, i *tinstr, pc int32) int32 {
 	tt, tf := c.ttemps, c.tflags
 	tt[i.Dst] = c.shadow.Int(int(i.Field))
 	tf[i.Dst] = interp.Flags{}
-	v, fl, divZero := interp.ALUExecPre(i.ALU2, tt[i.A2], tt[i.B2], i.mask2, uint(i.bits2), i.Signed2)
+	v, fl, divZero := interp.ALUExecPre(i.ALU2, tt[i.A2], tt[i.B2], i.Imm2, uint(i.Bits2), i.Signed2)
 	if divZero {
-		return c.tDivZero(i.Blk.Ref, i.Op2.Src0, int(i.StepsAt))
+		return c.tDivZero(c.tBlk(pc).Ref, c.tOp2(pc).Src0, int(i.StepsAt))
 	}
 	tt[i.Dst2] = v
 	tf[i.Dst2] = fl
 	return i.Next
 }
 
-func tConstArithH(c *Checker, i *tinstr) int32 {
+func tConstArithH(c *Checker, i *tinstr, pc int32) int32 {
 	tt, tf := c.ttemps, c.tflags
 	tt[i.Dst] = i.Imm
 	tf[i.Dst] = interp.Flags{}
-	v, fl, divZero := interp.ALUExecPre(i.ALU2, tt[i.A2], tt[i.B2], i.mask2, uint(i.bits2), i.Signed2)
+	v, fl, divZero := interp.ALUExecPre(i.ALU2, tt[i.A2], tt[i.B2], i.Imm2, uint(i.Bits2), i.Signed2)
 	if divZero {
-		return c.tDivZero(i.Blk.Ref, i.Op2.Src0, int(i.StepsAt))
+		return c.tDivZero(c.tBlk(pc).Ref, c.tOp2(pc).Src0, int(i.StepsAt))
 	}
 	tt[i.Dst2] = v
 	tf[i.Dst2] = fl
 	return i.Next
 }
 
-func tBufLoadStoreH(c *Checker, i *tinstr) int32 {
-	v, a := c.bufAccess(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps[i.Idx], 0, 0, false)
+func tBufLoadStoreH(c *Checker, i *tinstr, pc int32) int32 {
+	v, a := c.bufAccess(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps[i.A], 0, 0, false)
 	if a != nil {
 		// The first op of the pair faulted: the reference engine counts
 		// only that op's step.
@@ -560,49 +559,49 @@ func tBufLoadStoreH(c *Checker, i *tinstr) int32 {
 	}
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = interp.Flags{}
-	if i.IsParam2 {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op2, c.tflags); a != nil {
+	if i.Checked2 {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp2(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt)
 			return c.tRaise(a)
 		}
 	}
-	c.shadow.SetInt(int(i.Field2), c.ttemps[i.Src2])
+	c.shadow.SetInt(int(i.Field2), c.ttemps[i.B2])
 	return i.Next
 }
 
-func tConstStoreH(c *Checker, i *tinstr) int32 {
+func tConstStoreH(c *Checker, i *tinstr, pc int32) int32 {
 	c.ttemps[i.Dst] = i.Imm
 	c.tflags[i.Dst] = interp.Flags{}
-	if i.IsParam2 {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op2, c.tflags); a != nil {
+	if i.Checked2 {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp2(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt)
 			return c.tRaise(a)
 		}
 	}
-	c.shadow.SetInt(int(i.Field2), c.ttemps[i.Src2])
+	c.shadow.SetInt(int(i.Field2), c.ttemps[i.B2])
 	return i.Next
 }
 
-func tArithStoreH(c *Checker, i *tinstr) int32 {
-	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.mask, uint(i.bits), i.Signed)
+func tArithStoreH(c *Checker, i *tinstr, pc int32) int32 {
+	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.Imm, uint(i.Bits), i.Signed)
 	if divZero {
 		// First op of the pair: the reference engine counts only up to
 		// the arith.
-		return c.tDivZero(i.Blk.Ref, i.Op.Src0, int(i.StepsAt)-1)
+		return c.tDivZero(c.tBlk(pc).Ref, c.tOp(pc).Src0, int(i.StepsAt)-1)
 	}
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = fl
-	if i.IsParam2 {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op2, c.tflags); a != nil {
+	if i.Checked2 {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp2(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt)
 			return c.tRaise(a)
 		}
 	}
-	c.shadow.SetInt(int(i.Field2), c.ttemps[i.Src2])
+	c.shadow.SetInt(int(i.Field2), c.ttemps[i.B2])
 	return i.Next
 }
 
-func tLoadConstH(c *Checker, i *tinstr) int32 {
+func tLoadConstH(c *Checker, i *tinstr, _ int32) int32 {
 	tt, tf := c.ttemps, c.tflags
 	tt[i.Dst] = c.shadow.Int(int(i.Field))
 	tf[i.Dst] = interp.Flags{}
@@ -611,7 +610,7 @@ func tLoadConstH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tConstConstH(c *Checker, i *tinstr) int32 {
+func tConstConstH(c *Checker, i *tinstr, _ int32) int32 {
 	tt, tf := c.ttemps, c.tflags
 	tt[i.Dst] = i.Imm
 	tf[i.Dst] = interp.Flags{}
@@ -620,18 +619,18 @@ func tConstConstH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tConstBufStoreH(c *Checker, i *tinstr) int32 {
+func tConstBufStoreH(c *Checker, i *tinstr, pc int32) int32 {
 	c.ttemps[i.Dst] = i.Imm
 	c.tflags[i.Dst] = interp.Flags{}
-	if _, a := c.bufAccess(i.Blk.Ref, i.Op2, i.ParamIndexed2, c.ttemps[i.Idx2], 0, byte(c.ttemps[i.Src2]), true); a != nil {
+	if _, a := c.bufAccess(c.tBlk(pc).Ref, c.tOp2(pc), i.Checked2, c.ttemps[i.A2], 0, byte(c.ttemps[i.B2]), true); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
 	}
 	return i.Next
 }
 
-func tBufStoreConstH(c *Checker, i *tinstr) int32 {
-	if _, a := c.bufAccess(i.Blk.Ref, i.Op, i.ParamIndexed, c.ttemps[i.Idx], 0, byte(c.ttemps[i.Src]), true); a != nil {
+func tBufStoreConstH(c *Checker, i *tinstr, pc int32) int32 {
+	if _, a := c.bufAccess(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps[i.A], 0, byte(c.ttemps[i.B]), true); a != nil {
 		c.tsteps += int(i.StepsAt) - 1
 		return c.tRaise(a)
 	}
@@ -640,28 +639,28 @@ func tBufStoreConstH(c *Checker, i *tinstr) int32 {
 	return i.Next
 }
 
-func tStoreConstH(c *Checker, i *tinstr) int32 {
-	if i.IsParam {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op, c.tflags); a != nil {
+func tStoreConstH(c *Checker, i *tinstr, pc int32) int32 {
+	if i.Checked {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt) - 1
 			return c.tRaise(a)
 		}
 	}
-	c.shadow.SetInt(int(i.Field), c.ttemps[i.Src])
+	c.shadow.SetInt(int(i.Field), c.ttemps[i.B])
 	c.ttemps[i.Dst2] = i.Imm2
 	c.tflags[i.Dst2] = interp.Flags{}
 	return i.Next
 }
 
-func tStoreLoadH(c *Checker, i *tinstr) int32 {
-	if i.IsParam {
-		if a := c.checkIntStore(i.Blk.Ref, i.Op, c.tflags); a != nil {
+func tStoreLoadH(c *Checker, i *tinstr, pc int32) int32 {
+	if i.Checked {
+		if a := c.checkIntStore(c.tBlk(pc).Ref, c.tOp(pc), c.tflags); a != nil {
 			c.tsteps += int(i.StepsAt) - 1
 			return c.tRaise(a)
 		}
 	}
 	// SetInt before Int: the loaded field may be the one just stored.
-	c.shadow.SetInt(int(i.Field), c.ttemps[i.Src])
+	c.shadow.SetInt(int(i.Field), c.ttemps[i.B])
 	c.ttemps[i.Dst2] = c.shadow.Int(int(i.Field2))
 	c.tflags[i.Dst2] = interp.Flags{}
 	return i.Next
@@ -669,20 +668,20 @@ func tStoreLoadH(c *Checker, i *tinstr) int32 {
 
 // ---- terminators ----
 
-func tHaltH(c *Checker, i *tinstr) int32 {
+func tHaltH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1 // the block transition itself
 	c.frames = c.frames[:0]
 	return tpcDone
 }
 
-func tReturnH(c *Checker, i *tinstr) int32 {
+func tReturnH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
 	n := len(c.frames)
@@ -706,72 +705,73 @@ func tReturnH(c *Checker, i *tinstr) int32 {
 	return int32(p.op)
 }
 
-func tNextH(c *Checker, i *tinstr) int32 {
+func tNextH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
-	return c.tGoto(i.TgtPC, i.TgtID, i.Edge, i.CmdEnd)
+	return c.tGoto(i.Next, i.ID, i.Edge, i.CmdEnd)
 }
 
-func tNoSuccH(c *Checker, i *tinstr) int32 {
+func tNoSuccH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
-	return c.tRaise(tagEdge(c.condOrStop(i.Blk.Ref, ir.SourceRef{}, "successor outside specification"), "successor", 0))
+	return c.tRaise(tagEdge(c.condOrStop(c.tBlk(pc).Ref, ir.SourceRef{}, "successor outside specification"), "successor", 0))
 }
 
-// tBranchTo resolves a branch arm after the condition evaluated.
-func (c *Checker) tBranchTo(i *tinstr, taken bool) int32 {
+// tBranchTo resolves a branch arm after the condition evaluated. An arm
+// training never took has no successor id.
+func (c *Checker) tBranchTo(i *tinstr, pc int32, taken bool) int32 {
 	if taken {
-		if !i.TakenOK {
-			return c.tRaise(tagEdge(c.condOrStop(i.Blk.Ref, i.Term.Src0, "untraversed %s branch", "taken"), "branch-taken", 0))
+		if i.ID == core.NoBlock {
+			return c.tRaise(tagEdge(c.condOrStop(c.tBlk(pc).Ref, c.tBlk(pc).Term.Src0, "untraversed %s branch", "taken"), "branch-taken", 0))
 		}
-		return c.tGoto(i.TgtPC, i.TgtID, i.Edge, i.CmdEnd)
+		return c.tGoto(i.Next, i.ID, i.Edge, i.CmdEnd)
 	}
-	if !i.NotTakenOK {
-		return c.tRaise(tagEdge(c.condOrStop(i.Blk.Ref, i.Term.Src0, "untraversed %s branch", "not-taken"), "branch-not-taken", 0))
+	if i.ID2 == core.NoBlock {
+		return c.tRaise(tagEdge(c.condOrStop(c.tBlk(pc).Ref, c.tBlk(pc).Term.Src0, "untraversed %s branch", "not-taken"), "branch-not-taken", 0))
 	}
-	return c.tGoto(i.Tgt2PC, i.Tgt2ID, i.Edge2, i.CmdEnd)
+	return c.tGoto(i.Next2, i.ID2, i.Edge2, i.CmdEnd)
 }
 
-func tBranchH(c *Checker, i *tinstr) int32 {
+func tBranchH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
-	return c.tBranchTo(i, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.mask2, uint64(1)<<(i.bits2-1), i.Signed2))
+	return c.tBranchTo(i, pc, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.Imm2, uint64(1)<<(i.Bits2-1), i.Signed2))
 }
 
-func tBranchArithH(c *Checker, i *tinstr) int32 {
+func tBranchArithH(c *Checker, i *tinstr, pc int32) int32 {
 	// The fused trailing compare: full arith semantics first (its step is
 	// included in StepsAt), then the ordinary branch epilogue.
-	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.mask, uint(i.bits), i.Signed)
+	v, fl, divZero := interp.ALUExecPre(i.ALU, c.ttemps[i.A], c.ttemps[i.B], i.Imm, uint(i.Bits), i.Signed)
 	if divZero {
-		return c.tDivZero(i.Blk.Ref, i.Op.Src0, int(i.StepsAt))
+		return c.tDivZero(c.tBlk(pc).Ref, c.tOp(pc).Src0, int(i.StepsAt))
 	}
 	c.ttemps[i.Dst] = v
 	c.tflags[i.Dst] = fl
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
-	return c.tBranchTo(i, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.mask2, uint64(1)<<(i.bits2-1), i.Signed2))
+	return c.tBranchTo(i, pc, i.Rel.EvalMasked(c.ttemps[i.A2], c.ttemps[i.B2], i.Imm2, uint64(1)<<(i.Bits2-1), i.Signed2))
 }
 
-func tSwitchH(c *Checker, i *tinstr) int32 {
+func tSwitchH(c *Checker, i *tinstr, pc int32) int32 {
 	st := c.tsteps + int(i.StepsAt)
 	if st > c.stepGate {
-		return c.tOverGate(i, st)
+		return c.tOverGate(i, pc, st)
 	}
 	c.tsteps = st + 1
-	b := i.Blk
-	t := i.Term
+	b := c.tBlk(pc)
+	t := b.Term
 	sel := c.ttemps[i.A2]
 	tgt, e, ok := c.sealed.CaseNextEdge(b, sel)
 	if i.CmdDecision {
@@ -798,7 +798,7 @@ func tSwitchH(c *Checker, i *tinstr) int32 {
 	return c.tGoto(c.tprog.blockPC[tgt], int32(tgt), e, i.CmdEnd)
 }
 
-func tDanglingH(c *Checker, _ *tinstr) int32 {
+func tDanglingH(c *Checker, _ *tinstr, _ int32) int32 {
 	// Dangling successor: a path the spec cannot follow. The zero BlockRef
 	// marks "no block" in the report.
 	return c.tRaise(tagEdge(c.condOrStop(ir.BlockRef{}, ir.SourceRef{}, "dangling ES successor"), "successor", 0))

@@ -25,7 +25,7 @@ func ServeIntrospection(addr string, budgetNs float64) (*stream.Server, error) {
 		return nil, err
 	}
 	h.Start()
-	fmt.Printf("introspection server on http://%s — /healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/vars /debug/pprof\n",
+	fmt.Printf("introspection server on http://%s — /healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof\n",
 		srv.Addr())
 	return srv, nil
 }

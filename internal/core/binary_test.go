@@ -105,7 +105,8 @@ func TestSpecBinarySealEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Seal().CheckInvariants(); err != nil {
+	ss, tc := back.SealThreaded()
+	if err := ss.CheckInvariants(tc); err != nil {
 		t.Errorf("sealed decoded spec violates invariants: %v", err)
 	}
 }

@@ -18,11 +18,15 @@ const sealCrasher = "SEDS\x01\treducible\x00\x010\x04000000\x04000000\x0000\x00\
 // decodeSeal decodes data against every program that accepts it and
 // seals the result. A blob must either be rejected by DecodeBinary or
 // seal cleanly: Seal panics on a sealed form that breaks its
-// invariants, and an out-of-range reference panics on its own.
-func decodeSeal(progs []*ir.Program, data []byte) {
+// invariants, an out-of-range reference panics on its own, and the
+// sealed tables and threaded stream must pass CheckInvariants.
+func decodeSeal(t *testing.T, progs []*ir.Program, data []byte) {
 	for _, prog := range progs {
 		if spec, err := core.DecodeBinary(prog, data); err == nil {
-			spec.Seal()
+			ss, tc := spec.SealThreaded()
+			if err := ss.CheckInvariants(tc); err != nil {
+				t.Fatalf("%s: accepted blob seals inconsistently: %v", prog.Name, err)
+			}
 		}
 	}
 }
@@ -60,6 +64,6 @@ func FuzzDecodeSeal(f *testing.F) {
 		seed(spec)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeSeal(progs, data)
+		decodeSeal(t, progs, data)
 	})
 }

@@ -19,9 +19,6 @@ import (
 //   - the block table becomes a flat []SealedBlock indexed by ES id, with
 //     the owning handler's NumTemps precomputed into each entry (the
 //     checker's frame push no longer chases Program().Handlers[...]);
-//   - every block's DSOD ops are copied by value into one contiguous arena
-//     and addressed by [start,end) range, so a round's op stream is a
-//     linear scan instead of per-block pointer hops into the program;
 //   - NBTD.CaseNext maps become sorted (selector, next) runs in a shared
 //     case arena resolved by binary search, with a small-map fallback only
 //     above caseMapThreshold entries;
@@ -31,7 +28,9 @@ import (
 //   - the command access table becomes per-command block bitsets behind a
 //     sorted command index (map fallback above cmdMapThreshold), and the
 //     global set a single bitset;
-//   - the parameter selection becomes a field bitset.
+//   - the parameter selection becomes a field bitset;
+//   - the blocks' DSOD ops and terminators become the threaded-code
+//     stream (threaded.go), the one executable form the checker runs.
 
 // caseMapThreshold is the switch-arm count above which a sealed block keeps
 // a map for selector lookup instead of a binary-searched run. Binary search
@@ -68,17 +67,6 @@ type SealedCase struct {
 	Next int32
 }
 
-// SealedOp is one lowered DSOD op: the program op copied by value with its
-// check metadata flattened alongside, so the checker's hot loop reads one
-// contiguous record per op instead of hopping through a pointer to the
-// program and a separate metadata struct. The serialization-only OpRef is
-// dropped — it has no runtime use.
-type SealedOp struct {
-	Op           ir.Op
-	Sync         bool
-	ParamIndexed bool
-}
-
 // SealedBlock is the dense runtime form of an ESBlock. Successor ids are
 // int32 (NoBlock for absent) to keep the entry compact; a tombstone entry
 // (Live == false) stands in for blocks elided by reduction so ids remain
@@ -103,10 +91,6 @@ type SealedBlock struct {
 	TakenNext    int32
 	NotTakenNext int32
 	Next         int32
-
-	// DSOD addresses the block's ops inside the sealed op arena.
-	DSODStart int32
-	DSODEnd   int32
 
 	// Cases addresses the block's sorted switch arms inside the case
 	// arena; CaseMap is non-nil only above caseMapThreshold.
@@ -137,8 +121,8 @@ type SealedBlock struct {
 // SealedSpec is shared read-only by every concurrent enforcement session
 // (checker.Shared hands the same pointer to N goroutines), so nothing may
 // write to a sealed spec after Seal returns. Seal guarantees the sealed
-// data is self-consistent via CheckInvariants — every arena range, case
-// run, successor id, and id-table entry it asserts is exactly what the
+// data is self-consistent via CheckInvariants — every case run, successor
+// id, id-table entry and stream pc it asserts is exactly what the
 // lock-free check path dereferences without bounds re-validation. The two
 // pieces of shared-by-reference state, the device program and the ir.Term
 // pointers inside it, are covered by the same contract: a program is
@@ -149,10 +133,6 @@ type SealedSpec struct {
 
 	prog   *ir.Program
 	blocks []SealedBlock
-
-	// dsod is the contiguous DSOD op arena, in execution order: a round's
-	// op stream is a linear scan over value records.
-	dsod []SealedOp
 
 	cases []SealedCase
 
@@ -187,11 +167,9 @@ type SealedSpec struct {
 	// coverage baseline recorded at Seal.
 	visits []uint64
 
-	// threaded is the compiled threaded-code stream (threaded.go), lowered
-	// from the final sealed structures at Seal time. It shares the sealed
-	// spec's immutability contract and travels with it through RCU
-	// hot-swaps as part of the published spec-version object.
-	threaded *ThreadedCode
+	// lowering is the report of the threaded-code lowering; the stream
+	// itself belongs to whoever sealed the spec through SealThreaded.
+	lowering LoweringReport
 
 	// defAssigned records that the program passed the definitely-assigned
 	// temp analysis (ir.DefiniteTemps) and that every frame entry point —
@@ -202,11 +180,20 @@ type SealedSpec struct {
 	defAssigned bool
 }
 
-// Seal lowers the specification into its dense runtime form. The result
-// shares the device program (and the ir.Term pointers inside it) with the
-// spec but copies everything else; later mutation of the Spec does not
-// affect a sealed snapshot.
+// Seal lowers the specification into its dense runtime form and drops
+// the instruction stream: SealThreaded without its second result.
 func (s *Spec) Seal() *SealedSpec {
+	ss, _ := s.SealThreaded()
+	return ss
+}
+
+// SealThreaded lowers the specification into its dense runtime form and
+// its threaded-code stream. The sealed spec shares the device program
+// (and the ir.Op and ir.Term pointers inside it) with the spec but copies
+// everything else; later mutation of the Spec does not affect either
+// result. The sealed spec keeps the lowering report, not the stream: the
+// caller binds it once.
+func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 	ss := &SealedSpec{
 		Device:   s.Device,
 		Entry:    s.Entry,
@@ -216,21 +203,12 @@ func (s *Spec) Seal() *SealedSpec {
 		params:   newBitset(len(s.prog.Fields)),
 	}
 
-	// DSOD arena: count, then copy. Ops are flattened by value (with their
-	// check metadata) in execution order, so a simulated round walks one
-	// contiguous array instead of hopping through the program's per-block
-	// op slices.
-	nOps, nCases := 0, 0
+	nCases := 0
 	for _, b := range s.Blocks {
-		if b == nil {
-			continue
-		}
-		nOps += len(b.DSOD)
-		if b.NBTD != nil && len(b.NBTD.CaseNext) <= caseMapThreshold {
+		if b != nil && b.NBTD != nil && len(b.NBTD.CaseNext) <= caseMapThreshold {
 			nCases += len(b.NBTD.CaseNext)
 		}
 	}
-	ss.dsod = make([]SealedOp, 0, nOps)
 	ss.cases = make([]SealedCase, 0, nCases)
 	ss.visits = make([]uint64, len(s.Blocks))
 
@@ -263,12 +241,6 @@ func (s *Spec) Seal() *SealedSpec {
 		sb.Ref = b.Ref
 		sb.Next = int32(b.Next)
 		sb.NumTemps = int32(s.prog.Handlers[b.Ref.Handler].NumTemps)
-
-		sb.DSODStart = int32(len(ss.dsod))
-		for _, d := range b.DSOD {
-			ss.dsod = append(ss.dsod, SealedOp{Op: *d.Op, Sync: d.Sync, ParamIndexed: d.ParamIndexed})
-		}
-		sb.DSODEnd = int32(len(ss.dsod))
 
 		sb.TakenNext = NoBlock
 		sb.NotTakenNext = NoBlock
@@ -385,25 +357,26 @@ func (s *Spec) Seal() *SealedSpec {
 			ss.params.set(p.Field)
 		}
 	}
-	if err := ss.CheckInvariants(); err != nil {
-		// A violation here is a sealing bug, not a property of the learned
-		// spec: the mutable Spec validated its own structure when built.
+	// A violation below is a sealing bug, not a property of the learned
+	// spec: the mutable Spec validated its own structure when built. The
+	// table invariants are exactly what the lowering pass dereferences.
+	if err := ss.checkTables(); err != nil {
 		panic("core: Seal produced an inconsistent sealed spec: " + err.Error())
 	}
-	// Lower the verified sealed form into its threaded-code stream; the
-	// invariants above are exactly what the lowering pass dereferences.
-	if ss.Entry >= 0 && ss.Entry < len(ss.blocks) && ss.blocks[ss.Entry].Ref.Block == 0 {
+	if ss.blocks[ss.Entry].Ref.Block == 0 {
 		ss.defAssigned = s.prog.DefiniteTemps()
 	}
-	ss.threaded = ss.lowerThreaded()
-	return ss
+	tc := ss.lowerThreaded(s.Blocks)
+	if err := ss.checkStream(tc); err != nil {
+		panic("core: Seal produced an inconsistent threaded stream: " + err.Error())
+	}
+	return ss, tc
 }
 
 // CheckInvariants verifies the structural invariants the concurrent check
-// path relies on when it dereferences sealed data without revalidation:
+// path relies on when it dereferences sealed data and its threaded-code
+// stream tc without revalidation:
 //
-//   - every live block's DSOD range lies inside the op arena, with
-//     start <= end;
 //   - every case run lies inside the case arena and is strictly sorted by
 //     selector (binary search correctness);
 //   - every successor id (Next, TakenNext, NotTakenNext, case targets,
@@ -416,12 +389,26 @@ func (s *Spec) Seal() *SealedSpec {
 //   - the trained-edge table is well-formed: edgeFrom/edgeTo are the same
 //     length, endpoints are valid ES ids, every per-block edge slot
 //     (NextEdge, TakenEdge, NotTakenEdge, case-run and case-map slots) is
-//     NoEdge or in range, and each slot's recorded source is its block.
+//     NoEdge or in range, and each slot's recorded source is its block;
+//   - every pc an instruction names (Next, Next2) lies inside the stream,
+//     every ES id (ID, ID2) is NoBlock or valid, every edge slot (Edge,
+//     Edge2) is NoEdge or in range, and the cold table matches the
+//     stream's length;
+//   - every live block's BlockPC entry points at that block's first
+//     instruction, and every tombstone's at the dangling instruction.
 //
-// Seal calls this and panics on violation, so a SealedSpec in circulation
-// always satisfies these; the method is exported for tests and for
-// auditing specs deserialized or constructed by other means.
-func (s *SealedSpec) CheckInvariants() error {
+// Seal checks these and panics on violation, so a SealedSpec and stream
+// in circulation always satisfy them; the method is exported for tests
+// and for auditing specs deserialized or constructed by other means.
+func (s *SealedSpec) CheckInvariants(tc *ThreadedCode) error {
+	if err := s.checkTables(); err != nil {
+		return err
+	}
+	return s.checkStream(tc)
+}
+
+// checkTables verifies the sealed tables' half of CheckInvariants.
+func (s *SealedSpec) checkTables() error {
 	checkSucc := func(id int32, what string, block int) error {
 		if id != NoBlock && (id < 0 || int(id) >= len(s.blocks)) {
 			return fmt.Errorf("block %d: %s id %d out of range [0,%d)", block, what, id, len(s.blocks))
@@ -435,9 +422,6 @@ func (s *SealedSpec) CheckInvariants() error {
 		b := &s.blocks[id]
 		if !b.Live {
 			continue
-		}
-		if b.DSODStart < 0 || b.DSODStart > b.DSODEnd || int(b.DSODEnd) > len(s.dsod) {
-			return fmt.Errorf("block %d: DSOD range [%d,%d) outside op arena of %d", id, b.DSODStart, b.DSODEnd, len(s.dsod))
 		}
 		if b.CaseStart < 0 || b.CaseStart > b.CaseEnd || int(b.CaseEnd) > len(s.cases) {
 			return fmt.Errorf("block %d: case range [%d,%d) outside case arena of %d", id, b.CaseStart, b.CaseEnd, len(s.cases))
@@ -569,11 +553,6 @@ func (s *SealedSpec) Block(id int) *SealedBlock {
 	return &s.blocks[id]
 }
 
-// DSOD returns the block's op range inside the contiguous arena.
-func (s *SealedSpec) DSOD(b *SealedBlock) []SealedOp {
-	return s.dsod[b.DSODStart:b.DSODEnd]
-}
-
 // BlockID returns the ES id for original block (handler, block), or
 // NoBlock. This is the sealed replacement for Spec.BlockFor.
 func (s *SealedSpec) BlockID(handler, block int) int {
@@ -603,12 +582,6 @@ func (s *SealedSpec) HandlerTemps(h int) int {
 		return 0
 	}
 	return int(s.handlerTemps[h])
-}
-
-// CaseNext resolves a switch selector against the block's lowered arms.
-func (s *SealedSpec) CaseNext(b *SealedBlock, sel uint64) (int, bool) {
-	next, _, ok := s.CaseNextEdge(b, sel)
-	return next, ok
 }
 
 // CaseNextEdge resolves a switch selector to its successor and the arm's
@@ -647,20 +620,6 @@ func (s *SealedSpec) CaseNextEdge(b *SealedBlock, sel uint64) (next int, edge in
 
 // NumEdges returns the trained-edge slot space size.
 func (s *SealedSpec) NumEdges() int { return len(s.edgeFrom) }
-
-// EdgeEndpoints returns edge slot e's source and target ES ids.
-func (s *SealedSpec) EdgeEndpoints(e int) (from, to int) {
-	return int(s.edgeFrom[e]), int(s.edgeTo[e])
-}
-
-// TrainVisits returns block id's training visit count (the learn-time
-// coverage baseline), or 0 when out of range.
-func (s *SealedSpec) TrainVisits(id int) uint64 {
-	if id < 0 || id >= len(s.visits) {
-		return 0
-	}
-	return s.visits[id]
-}
 
 // LegitimateTarget reports whether storing target in the function-pointer
 // field was observed during training (sorted-slice binary search).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 
 	"sedspec/internal/obs/coverage"
@@ -30,7 +31,7 @@ func (s *SealedSpec) CoverageProfile(gen uint64, snap *coverage.Snapshot) *cover
 		blockHits[to] += snap.Edges[e]
 	}
 
-	rep := &s.Threaded().Report
+	rep := &s.lowering
 	p := &coverage.Profile{
 		Device:     s.Device,
 		Generation: gen,
@@ -42,7 +43,7 @@ func (s *SealedSpec) CoverageProfile(gen uint64, snap *coverage.Snapshot) *cover
 			FusedPairs: rep.FusedPairs(),
 			FusedOps:   rep.FusedOps(),
 			Density:    rep.FusedDensity(),
-			Pairs:      rep.PatternCounts(),
+			Pairs:      maps.Clone(rep.Pairs),
 		},
 	}
 

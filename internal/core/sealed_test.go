@@ -9,12 +9,13 @@ import (
 )
 
 // assertSealedEquivalent checks every sealed lowering against the mutable
-// spec it came from: the flat block table, the DSOD arena, the case runs,
-// the dense id arrays, the indirect-target slices, the access bitsets, and
-// the parameter bitset must answer exactly as the map-based originals.
+// spec it came from: the flat block table, the lowered stream's ops, the
+// case runs, the dense id arrays, the indirect-target slices, the access
+// bitsets, and the parameter bitset must answer exactly as the map-based
+// originals.
 func assertSealedEquivalent(t *testing.T, spec *core.Spec) {
 	t.Helper()
-	ss := spec.Seal()
+	ss, tc := spec.SealThreaded()
 	prog := spec.Program()
 
 	if ss.Device != spec.Device {
@@ -49,17 +50,33 @@ func assertSealedEquivalent(t *testing.T, spec *core.Spec) {
 			t.Errorf("block %d: NumTemps = %d, want %d", id, sb.NumTemps, want)
 		}
 
-		dsod := ss.DSOD(sb)
-		if len(dsod) != len(b.DSOD) {
-			t.Fatalf("block %d: DSOD length %d, want %d", id, len(dsod), len(b.DSOD))
-		}
-		for i := range dsod {
-			if dsod[i].Op != *b.DSOD[i].Op {
-				t.Errorf("block %d op %d: arena op copy diverges", id, i)
-			}
-			if dsod[i].Sync != b.DSOD[i].Sync ||
-				dsod[i].ParamIndexed != b.DSOD[i].ParamIndexed {
-				t.Errorf("block %d op %d: DSOD metadata diverges", id, i)
+		// The block's instructions name the spec's own DSOD ops, in order,
+		// with their check metadata.
+		pos := 0
+		for pc := tc.BlockPC[id]; int(pc) < len(tc.Instrs) && tc.Cold[pc].Blk == sb; pc++ {
+			in, cold := &tc.Instrs[pc], &tc.Cold[pc]
+			for k, op := range []*ir.Op{cold.Op, cold.Op2} {
+				if op == nil {
+					continue
+				}
+				for pos < len(b.DSOD) && b.DSOD[pos].Op != op {
+					pos++
+				}
+				if pos == len(b.DSOD) {
+					t.Fatalf("block %d pc %d: op is not the spec's next DSOD op", id, pc)
+				}
+				checked := in.Checked
+				if k == 1 {
+					checked = in.Checked2
+				}
+				want := b.DSOD[pos].ParamIndexed
+				if op.Code == ir.OpStore {
+					want = spec.Params.Contains(op.Field)
+				}
+				if checked != want {
+					t.Errorf("block %d op %d: DSOD metadata diverges", id, pos)
+				}
+				pos++
 			}
 		}
 
@@ -81,15 +98,15 @@ func assertSealedEquivalent(t *testing.T, spec *core.Spec) {
 			t.Errorf("block %d: branch arms diverge", id)
 		}
 		for sel, want := range n.CaseNext {
-			got, ok := ss.CaseNext(sb, sel)
+			got, _, ok := ss.CaseNextEdge(sb, sel)
 			if !ok || got != want {
-				t.Errorf("block %d: CaseNext(%#x) = %d,%v, want %d,true", id, sel, got, ok, want)
+				t.Errorf("block %d: CaseNextEdge(%#x) = %d,%v, want %d,true", id, sel, got, ok, want)
 			}
 			// A neighbouring unseen selector must miss (probes the binary
 			// search boundaries).
 			if _, seen := n.CaseNext[sel+1]; !seen {
-				if _, ok := ss.CaseNext(sb, sel+1); ok {
-					t.Errorf("block %d: CaseNext(%#x) hit, want miss", id, sel+1)
+				if _, _, ok := ss.CaseNextEdge(sb, sel+1); ok {
+					t.Errorf("block %d: CaseNextEdge(%#x) hit, want miss", id, sel+1)
 				}
 			}
 		}
@@ -215,8 +232,8 @@ func TestSealWideSwitchMapFallback(t *testing.T) {
 func TestSealedInvariants(t *testing.T) {
 	prog := buildReducible(t)
 	spec := learn(t, prog, reqs(), core.BuildOpts{})
-	ss := spec.Seal() // Seal itself asserts (panics on violation)
-	if err := ss.CheckInvariants(); err != nil {
+	ss, tc := spec.SealThreaded() // Seal itself asserts (panics on violation)
+	if err := ss.CheckInvariants(tc); err != nil {
 		t.Fatalf("freshly sealed spec violates invariants: %v", err)
 	}
 
@@ -231,9 +248,12 @@ func TestSealedInvariants(t *testing.T) {
 		mutate  func()
 		restore func()
 	}{
-		{"dsod range", func() { sb.DSODEnd = 1 << 30 }, func(end int32) func() {
-			return func() { sb.DSODEnd = end }
-		}(sb.DSODEnd)},
+		{"stream pc", func() { tc.Instrs[tc.EntryPC].Next = 1 << 30 }, func(next int32) func() {
+			return func() { tc.Instrs[tc.EntryPC].Next = next }
+		}(tc.Instrs[tc.EntryPC].Next)},
+		{"block pc", func() { tc.BlockPC[spec.Entry]++ }, func(pc int32) func() {
+			return func() { tc.BlockPC[spec.Entry] = pc }
+		}(tc.BlockPC[spec.Entry])},
 		{"next id", func() { sb.Next = 1 << 30 }, func(next int32) func() {
 			return func() { sb.Next = next }
 		}(sb.Next)},
@@ -246,12 +266,12 @@ func TestSealedInvariants(t *testing.T) {
 	}
 	for _, c := range corruptions {
 		c.mutate()
-		if err := ss.CheckInvariants(); err == nil {
+		if err := ss.CheckInvariants(tc); err == nil {
 			t.Errorf("%s corruption not detected", c.name)
 		}
 		c.restore()
 	}
-	if err := ss.CheckInvariants(); err != nil {
+	if err := ss.CheckInvariants(tc); err != nil {
 		t.Fatalf("restored spec still violates invariants: %v", err)
 	}
 }
@@ -264,12 +284,21 @@ func TestSealSnapshotIsolation(t *testing.T) {
 	if entry == nil {
 		t.Fatal("entry block missing from sealed spec")
 	}
-	wantOps := len(ss.DSOD(entry))
+	wantOps := 0
+	for _, b := range spec.Blocks {
+		if b != nil {
+			wantOps += len(b.DSOD)
+		}
+	}
+	wantNext := entry.Next
 
 	// Mutating the spec after sealing must not leak into the snapshot.
 	spec.Blocks[spec.Entry].DSOD = nil
 	spec.Blocks[spec.Entry].Next = core.NoBlock
-	if got := len(ss.DSOD(entry)); got != wantOps {
-		t.Errorf("sealed DSOD changed after spec mutation: %d, want %d", got, wantOps)
+	if got := ss.Lowering().Ops; got != wantOps {
+		t.Errorf("sealed DSOD changed after spec mutation: %d ops, want %d", got, wantOps)
+	}
+	if entry.Next != wantNext {
+		t.Errorf("sealed successor changed after spec mutation: %d, want %d", entry.Next, wantNext)
 	}
 }

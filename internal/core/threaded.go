@@ -6,19 +6,21 @@ import (
 	"sedspec/internal/ir"
 )
 
-// Threaded-code lowering: the third and lowest specification form.
+// Threaded-code lowering: the executable specification form.
 //
-// Seal flattens the mutable Spec into the dense SealedSpec; lowerThreaded
-// flattens the SealedSpec one level further, into a single contiguous
-// instruction stream the checker executes by direct dispatch (one indirect
-// call per instruction) instead of re-decoding op codes through a switch.
-// Three properties drive the layout:
+// Seal flattens the mutable Spec into the dense SealedSpec tables and,
+// from the spec's block DSOD and those tables, lowers one contiguous
+// instruction stream the checker executes by direct dispatch (one
+// indirect call per instruction) instead of re-decoding op codes through
+// a switch. Three properties drive the layout:
 //
-//   - operands are pre-flattened: every hot field the handler needs (temp
-//     indices, immediates, widths, resolved successor pcs, precomputed
-//     call-frame sizes) lives in the instruction record itself, int32-sized
-//     where possible, so a handler never chases the program or the sealed
-//     block tables on the fast path;
+//   - operands are pre-flattened: every field a handler reads on a clean
+//     round (temp indices, immediates and width masks, resolved successor
+//     pcs, precomputed call-frame sizes) lives in the instruction record
+//     itself, int32-sized where possible, so a handler never chases the
+//     program or the sealed block tables on the fast path. What only an
+//     anomaly report or a switch's arm lookup reads sits in a parallel
+//     cold table (TCold), so a round touches fewer instruction bytes;
 //   - a peephole fuser merges the dominant check-strategy op pairs
 //     (load+arith, const+arith, bufload+store, and a trailing compare
 //     feeding a conditional branch) into single fused instructions, halving
@@ -29,19 +31,20 @@ import (
 //     rather than once per op, while anomalies still report the exact
 //     per-op step totals the reference engine produces.
 //
-// A ThreadedCode is built inside Seal and stored on the SealedSpec, so it
-// shares the sealed form's immutability contract: compiled streams are part
-// of the spec-version object an RCU hot-swap publishes atomically, and
-// sessions adopting a new version pick up its stream at a round boundary.
+// The sealed spec keeps only the lowering report. The stream itself goes
+// to the one caller that binds it (checker.Compile or checker.New), so a
+// compiled spec retains exactly one executable form.
 
 // TKind enumerates threaded-code instruction kinds. The checker maps each
 // kind to a handler function at engine construction.
 type TKind uint8
 
 const (
-	// TNop occupies a step (opaque calls, unknown ops) with no effect.
+	// TNop marks an op with no simulated effect (opaque calls, unknown
+	// ops): lowering emits no instruction for it and folds its step into
+	// the next one.
 	TNop TKind = iota
-	// Plain op instructions, one per SealedOp.
+	// Plain op instructions, one per DSOD op.
 	TConst
 	TLoad
 	TLoadFunc
@@ -114,89 +117,85 @@ func (k TKind) String() string {
 	return fmt.Sprintf("TKind(%d)", uint8(k))
 }
 
-// TOp is one threaded-code instruction: the operands of one SealedOp (or a
-// fused pair, or a block terminator) flattened into immediate fields. The
-// primary operand bank (Dst..Signed) carries the first — usually only — op;
-// the secondary bank carries a fused pair's second op, and doubles as the
-// branch-condition bank for TBranch/TBranchArith. Cold pointers (Op, Op2,
-// Blk, Term) are touched only on anomaly and lookup-fallback paths.
+// TOp is one threaded-code instruction: the operands of one DSOD op (or a
+// fused pair, or a block terminator) flattened into immediate fields.
+//
+// The primary operand bank (Dst, A, B, Field, Imm, ...) carries the first
+// — usually only — op; the secondary bank carries a fused pair's second
+// op, and doubles as the branch-condition bank for TBranch/TBranchArith
+// (A2 Rel B2 under Imm2's mask). TSwitch keeps its selector temp in A2.
+// Source temps map onto A and B by role: A is op.A, or a buffer op's
+// index op.Idx; B is op.B, or the stored value op.Src of stores, buffer
+// stores and DMA writes. Ops that read more (DMA and I/O copies) take the
+// rest from their ir.Op in TCold.
 type TOp struct {
-	Kind TKind
+	// Imm is the primary op's immediate: a const's value, an env read's
+	// kind, a call's callee temp-bank size, or the value mask of an op
+	// computed at a width (arith, DMA read). Imm2 is the secondary bank's,
+	// the branch compare's mask included.
+	Imm, Imm2 uint64
+
+	// Next is where dispatch continues: the following instruction, a
+	// call's callee entry, or a transition's (taken) successor block. ID
+	// and Edge are that successor's ES id and trained-edge slot. Next2,
+	// ID2 and Edge2 are the alternative: a call's resume pc, or a branch's
+	// not-taken arm. A branch arm training never took has ID NoBlock.
+	Next, ID, Edge    int32
+	Next2, ID2, Edge2 int32
+
+	Dst, A, B, Field     int32
+	Dst2, A2, B2, Field2 int32
+
 	// StepsAt is the walker-step total accumulated in this block since the
 	// last flush site (block entry or call instruction), inclusive of this
 	// instruction's op(s). Op instructions flush it only when raising an
 	// anomaly; call instructions always flush before descending;
 	// terminators flush it for the pre-transition budget check.
 	StepsAt uint16
-
-	// Next is the pc of the following instruction in the stream (the
-	// fall-through successor inside the block).
-	Next int32
-
-	// Primary operand bank.
-	Dst, A, B, Src, Idx int32
-	Field               int32
-	Imm                 uint64
-	ALU                 ir.ALU
-	Width               ir.Width
-	Signed              bool
-	// ParamIndexed / IsParam are the pre-resolved check predicates:
-	// SealedOp.ParamIndexed for buffer ops, ParamField(Field) for stores.
-	ParamIndexed bool
-	IsParam      bool
-
-	// Secondary operand bank: a fused pair's second op, or the branch
-	// condition (A2 Rel B2 at Width2/Signed2) for TBranch/TBranchArith.
-	// TSwitch keeps its selector temp in A2.
-	Dst2, A2, B2, Src2, Idx2 int32
-	Field2                   int32
-	Imm2                     uint64
-	ALU2                     ir.ALU
-	Width2                   ir.Width
-	Signed2                  bool
-	Rel                      ir.Rel
-	ParamIndexed2            bool
-	IsParam2                 bool
-
-	// Preplanned call frame: the callee's entry pc, entry ES id, and
-	// temp-bank size, resolved at lowering so a descent does no handler
-	// table lookups.
-	CalleePC, CalleeID, CalleeTemps int32
-
-	// Terminator plan: resolved successor pcs/ids and trained-edge slots.
-	// TBranch uses Tgt* for the taken arm and Tgt2* for the not-taken arm.
-	TgtPC, Tgt2PC int32
-	TgtID, Tgt2ID int32
-	Edge, Edge2   int32
-	TakenOK       bool
-	NotTakenOK    bool
-	CmdEnd        bool
-	CmdDecision   bool
-
-	// Cold pointers for anomaly reports and switch fallback resolution.
-	Op   *ir.Op
-	Op2  *ir.Op
-	Blk  *SealedBlock
-	Term *ir.Term
+	Kind    TKind
+	ALU     ir.ALU
+	ALU2    ir.ALU
+	Rel     ir.Rel
+	// Bits and Bits2 are the banks' widths in bits.
+	Bits, Bits2     uint8
+	Signed, Signed2 bool
+	// Checked and Checked2 pre-resolve the parameter check: a store to a
+	// selected parameter field, or a buffer access or copy whose index or
+	// length derives from one (DSODOp.ParamIndexed).
+	Checked, Checked2 bool
+	// CmdEnd marks a terminator leaving a command-end block; CmdDecision a
+	// switch on a command-decision block.
+	CmdEnd, CmdDecision bool
 }
 
-// ThreadedCode is a sealed spec's compiled instruction stream. Like the
-// SealedSpec that owns it, it is immutable after Seal: the checker's
-// engines may share one stream across any number of concurrent sessions.
+// TCold is an instruction's cold side, indexed by the same pc: the ops
+// whose source statements anomaly reports quote (Op2 for a fused pair's
+// second op), and the block, which carries the report's block ref, the
+// terminator's source, and the arms a switch resolves its selector
+// against.
+type TCold struct {
+	Op, Op2 *ir.Op
+	Blk     *SealedBlock
+}
+
+// ThreadedCode is a sealed spec's lowered instruction stream, handed out
+// once by SealThreaded. It is immutable: the checker's engines may share
+// one stream across any number of concurrent sessions.
 type ThreadedCode struct {
 	// Instrs is the contiguous instruction stream. Instrs[0] is the shared
-	// TDangling instruction; live blocks follow in ES-id order.
+	// TDangling instruction; live blocks follow in ES-id order. Cold[pc]
+	// is Instrs[pc]'s cold side.
 	Instrs []TOp
+	Cold   []TCold
 	// BlockPC maps an ES id to its block's first instruction; tombstones
 	// map to DanglingPC.
 	BlockPC []int32
 	// EntryPC is the spec entry block's first instruction.
 	EntryPC int32
-	// DanglingPC is the shared TDangling instruction (always 0).
-	DanglingPC int32
-
-	Report LoweringReport
 }
+
+// DanglingPC is the shared TDangling instruction's pc.
+const DanglingPC = 0
 
 // LoweringReport summarizes one lowering pass: op and instruction counts,
 // elided no-effect ops, and per-pattern fused-pair counts. The
@@ -242,25 +241,8 @@ func (r *LoweringReport) FusedDensity() float64 {
 	return float64(r.FusedOps()) / float64(r.Ops)
 }
 
-// PatternCounts returns a copy of the per-pattern pair counts keyed by
-// pattern name, for reports.
-func (r *LoweringReport) PatternCounts() map[string]int {
-	m := make(map[string]int, len(r.Pairs))
-	for k, v := range r.Pairs {
-		m[k] = v
-	}
-	return m
-}
-
-// Threaded returns the spec's compiled threaded-code stream. Specs sealed
-// by Seal carry one already; for externally constructed sealed specs
-// (tests, deserialization) the stream is lowered on demand.
-func (s *SealedSpec) Threaded() *ThreadedCode {
-	if s.threaded != nil {
-		return s.threaded
-	}
-	return s.lowerThreaded()
-}
+// Lowering returns the report of the lowering pass Seal ran.
+func (s *SealedSpec) Lowering() *LoweringReport { return &s.lowering }
 
 // tgroup is one planned instruction of a block's op run: the TKind, how
 // many DSOD ops it consumes (2 for fused pairs), and how many elided
@@ -273,16 +255,14 @@ type tgroup struct {
 	opIdx int32
 }
 
-// lowerThreaded compiles the sealed spec into its threaded-code stream.
-// Two passes: the first plans each live block's instruction groups (the
-// peephole fuser runs here) and assigns block pcs; the second emits
-// instructions with successor pcs resolved.
-func (s *SealedSpec) lowerThreaded() *ThreadedCode {
-	tc := &ThreadedCode{
-		BlockPC:    make([]int32, len(s.blocks)),
-		DanglingPC: 0,
-	}
-	r := &tc.Report
+// lowerThreaded compiles the sealed spec, with the DSOD of its source
+// spec's blocks, into its threaded-code stream, and records the report on
+// the sealed spec. Two passes: the first plans each live block's
+// instruction groups (the peephole fuser runs here) and assigns block
+// pcs; the second emits instructions with successor pcs resolved.
+func (s *SealedSpec) lowerThreaded(src []*ESBlock) *ThreadedCode {
+	tc := &ThreadedCode{BlockPC: make([]int32, len(s.blocks))}
+	r := &s.lowering
 
 	// Pass 1: plan groups per live block, assign pcs. pc 0 is the shared
 	// dangling instruction every tombstone id resolves to.
@@ -290,22 +270,22 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 	plans := make([][]tgroup, len(s.blocks))
 	termFuse := make([]int32, len(s.blocks))
 	tailNops := make([]int, len(s.blocks))
-	pc := int32(1)
+	pc := int32(DanglingPC + 1)
 	for id := range s.blocks {
 		b := &s.blocks[id]
 		termFuse[id] = -1
 		if !b.Live {
-			tc.BlockPC[id] = tc.DanglingPC
+			tc.BlockPC[id] = DanglingPC
 			continue
 		}
-		dsod := s.dsod[b.DSODStart:b.DSODEnd]
+		dsod := src[id].DSOD
 		r.Ops += len(dsod)
 		var gs []tgroup
 		pending := 0 // elided nops since the last emitted instruction
 		for i := 0; i < len(dsod); {
-			op := &dsod[i].Op
+			op := dsod[i].Op
 			if i+1 < len(dsod) {
-				if fk, ok := fusePair(op, &dsod[i+1].Op); ok {
+				if fk, ok := fusePair(op, dsod[i+1].Op); ok {
 					gs = append(gs, tgroup{kind: fk, n: 2, extra: pending, opIdx: int32(i)})
 					pending = 0
 					r.Pairs[tkindNames[fk]]++
@@ -341,55 +321,52 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 
 	// Pass 2: emit.
 	instrs := make([]TOp, 0, pc)
-	instrs = append(instrs, TOp{Kind: TDangling})
+	cold := make([]TCold, 0, pc)
+	instrs = append(instrs, newTOp(TDangling))
+	cold = append(cold, TCold{})
 	for id := range s.blocks {
 		b := &s.blocks[id]
 		if !b.Live {
 			continue
 		}
-		dsod := s.dsod[b.DSODStart:b.DSODEnd]
+		dsod := src[id].DSOD
 		stepsSince := 0
 		for _, g := range plans[id] {
 			d := &dsod[g.opIdx]
 			stepsSince += g.extra + g.n
-			t := TOp{
-				Kind:    g.kind,
-				StepsAt: uint16(stepsSince),
-				Next:    int32(len(instrs)) + 1,
-				Blk:     b,
-			}
-			s.fillPrimary(&t, d)
+			t := newTOp(g.kind)
+			t.StepsAt = uint16(stepsSince)
+			t.Next = int32(len(instrs)) + 1
+			c := TCold{Blk: b}
+			s.fillPrimary(&t, &c, d)
 			if g.n == 2 {
-				s.fillSecond(&t, &dsod[g.opIdx+1])
+				s.fillSecond(&t, &c, &dsod[g.opIdx+1])
 			}
 			switch g.kind {
-			case TCall, TCallPtr:
-				// Flush site: the descent (or, for TCallPtr, the dynamic
-				// decision whether to descend) commits the running count.
+			case TCall:
+				// Flush site, and a preplanned frame: the callee's entry pc,
+				// ES id and temp-bank size are resolved here, so a descent
+				// does no handler table lookups.
+				stepsSince = 0
+				callee := s.HandlerEntry(d.Op.Handler)
+				t.Next2 = t.Next
+				t.Next, t.ID = tc.BlockPC[callee], int32(callee)
+				t.Imm = uint64(s.HandlerTemps(d.Op.Handler))
+			case TCallPtr:
+				// Flush site: whether it descends is decided at run time.
 				stepsSince = 0
 			}
-			if g.kind == TCall {
-				callee := s.HandlerEntry(d.Op.Handler)
-				t.CalleeID = int32(callee)
-				t.CalleeTemps = int32(s.HandlerTemps(d.Op.Handler))
-				t.CalleePC = tc.BlockPC[callee]
-			}
 			instrs = append(instrs, t)
+			cold = append(cold, c)
 		}
 
-		term := TOp{
-			Blk:    b,
-			Term:   b.Term,
-			CmdEnd: b.Kind == ir.KindCmdEnd,
-			Edge:   NoEdge,
-			Edge2:  NoEdge,
-			TgtID:  NoBlock,
-			Tgt2ID: NoBlock,
-		}
+		term := newTOp(TNop) // kind set below
+		term.CmdEnd = b.Kind == ir.KindCmdEnd
+		tcold := TCold{Blk: b}
 		stepsSince += tailNops[id]
 		if fi := termFuse[id]; fi >= 0 {
 			stepsSince++
-			s.fillPrimary(&term, &dsod[fi])
+			s.fillPrimary(&term, &tcold, &dsod[fi])
 		}
 		term.StepsAt = uint16(stepsSince)
 		switch {
@@ -403,9 +380,7 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 				term.Kind = TNoSucc
 			default:
 				term.Kind = TNext
-				term.TgtID = b.Next
-				term.TgtPC = tc.BlockPC[b.Next]
-				term.Edge = b.NextEdge
+				term.Next, term.ID, term.Edge = tc.BlockPC[b.Next], b.Next, b.NextEdge
 			}
 		case b.TermKind == ir.TermBranch:
 			term.Kind = TBranch
@@ -414,18 +389,13 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 			}
 			t := b.Term
 			term.A2, term.B2 = int32(t.A), int32(t.B)
-			term.Width2, term.Signed2, term.Rel = t.Width, t.Signed, t.Rel
-			term.TakenOK = b.TakenSeen && b.TakenNext != NoBlock
-			if term.TakenOK {
-				term.TgtID = b.TakenNext
-				term.TgtPC = tc.BlockPC[b.TakenNext]
-				term.Edge = b.TakenEdge
+			term.Imm2, term.Bits2 = t.Width.Mask(), uint8(t.Width.Bits())
+			term.Signed2, term.Rel = t.Signed, t.Rel
+			if b.TakenSeen && b.TakenNext != NoBlock {
+				term.Next, term.ID, term.Edge = tc.BlockPC[b.TakenNext], b.TakenNext, b.TakenEdge
 			}
-			term.NotTakenOK = b.NotTakenSeen && b.NotTakenNext != NoBlock
-			if term.NotTakenOK {
-				term.Tgt2ID = b.NotTakenNext
-				term.Tgt2PC = tc.BlockPC[b.NotTakenNext]
-				term.Edge2 = b.NotTakenEdge
+			if b.NotTakenSeen && b.NotTakenNext != NoBlock {
+				term.Next2, term.ID2, term.Edge2 = tc.BlockPC[b.NotTakenNext], b.NotTakenNext, b.NotTakenEdge
 			}
 		case b.TermKind == ir.TermSwitch:
 			term.Kind = TSwitch
@@ -439,12 +409,57 @@ func (s *SealedSpec) lowerThreaded() *ThreadedCode {
 			panic(fmt.Sprintf("core: threaded lowering: block %d has unsupported NBTD terminator %v", id, b.TermKind))
 		}
 		instrs = append(instrs, term)
+		cold = append(cold, tcold)
 	}
 
-	tc.Instrs = instrs
+	tc.Instrs, tc.Cold = instrs, cold
 	tc.EntryPC = tc.BlockPC[s.Entry]
 	r.Instrs = len(instrs)
 	return tc
+}
+
+// checkStream verifies the stream half of CheckInvariants.
+func (s *SealedSpec) checkStream(tc *ThreadedCode) error {
+	n := int32(len(tc.Instrs))
+	if len(tc.Cold) != len(tc.Instrs) {
+		return fmt.Errorf("stream: %d instructions vs %d cold entries", n, len(tc.Cold))
+	}
+	if n == 0 || tc.Instrs[DanglingPC].Kind != TDangling {
+		return fmt.Errorf("stream: pc %d is not the dangling instruction", DanglingPC)
+	}
+	if len(tc.BlockPC) != len(s.blocks) {
+		return fmt.Errorf("stream: block index covers %d blocks, spec has %d", len(tc.BlockPC), len(s.blocks))
+	}
+	id := func(v int32) bool { return v == NoBlock || (v >= 0 && int(v) < len(s.blocks)) }
+	edge := func(e int32) bool { return e == NoEdge || (e >= 0 && int(e) < len(s.edgeFrom)) }
+	for pc := range tc.Instrs {
+		t := &tc.Instrs[pc]
+		if t.Next < 0 || t.Next >= n || t.Next2 < 0 || t.Next2 >= n {
+			return fmt.Errorf("pc %d (%v): successor pc %d/%d outside stream of %d", pc, t.Kind, t.Next, t.Next2, n)
+		}
+		if !id(t.ID) || !id(t.ID2) {
+			return fmt.Errorf("pc %d (%v): ES id %d/%d out of range", pc, t.Kind, t.ID, t.ID2)
+		}
+		if !edge(t.Edge) || !edge(t.Edge2) {
+			return fmt.Errorf("pc %d (%v): edge slot %d/%d out of range", pc, t.Kind, t.Edge, t.Edge2)
+		}
+	}
+	for b := range s.blocks {
+		pc := tc.BlockPC[b]
+		if !s.blocks[b].Live {
+			if pc != DanglingPC {
+				return fmt.Errorf("tombstone %d: block pc %d, want the dangling pc", b, pc)
+			}
+			continue
+		}
+		if pc <= DanglingPC || pc >= n || tc.Cold[pc].Blk != &s.blocks[b] || tc.Cold[pc-1].Blk == &s.blocks[b] {
+			return fmt.Errorf("block %d: block pc %d is not its first instruction", b, pc)
+		}
+	}
+	if tc.EntryPC != tc.BlockPC[s.Entry] {
+		return fmt.Errorf("stream: entry pc %d, entry block starts at %d", tc.EntryPC, tc.BlockPC[s.Entry])
+	}
+	return nil
 }
 
 // fusePair reports the fused kind for an adjacent op pair, if the peephole
@@ -558,32 +573,43 @@ func (s *SealedSpec) opTKind(op *ir.Op) TKind {
 	}
 }
 
+// newTOp returns an instruction of kind k with no successor ids or edge
+// slots.
+func newTOp(k TKind) TOp {
+	return TOp{Kind: k, ID: NoBlock, ID2: NoBlock, Edge: NoEdge, Edge2: NoEdge}
+}
+
 // fillPrimary flattens an op into the instruction's primary operand bank.
-func (s *SealedSpec) fillPrimary(t *TOp, d *SealedOp) {
-	op := &d.Op
-	t.Op = op
-	t.Dst, t.A, t.B = int32(op.Dst), int32(op.A), int32(op.B)
-	t.Src, t.Idx = int32(op.Src), int32(op.Idx)
-	t.Field = int32(op.Field)
-	t.Imm = op.Imm
-	t.ALU, t.Width, t.Signed = op.ALU, op.Width, op.Signed
-	t.ParamIndexed = d.ParamIndexed
-	if op.Code == ir.OpStore {
-		t.IsParam = s.ParamField(op.Field)
-	}
+func (s *SealedSpec) fillPrimary(t *TOp, c *TCold, d *DSODOp) {
+	c.Op = d.Op
+	t.Dst, t.A, t.B, t.Field, t.Imm, t.Checked = s.operands(d)
+	t.ALU, t.Bits, t.Signed = d.Op.ALU, uint8(d.Op.Width.Bits()), d.Op.Signed
 }
 
 // fillSecond flattens a fused pair's second op into the secondary bank.
-func (s *SealedSpec) fillSecond(t *TOp, d *SealedOp) {
-	op := &d.Op
-	t.Op2 = op
-	t.Dst2, t.A2, t.B2 = int32(op.Dst), int32(op.A), int32(op.B)
-	t.Src2, t.Idx2 = int32(op.Src), int32(op.Idx)
-	t.Field2 = int32(op.Field)
-	t.Imm2 = op.Imm
-	t.ALU2, t.Width2, t.Signed2 = op.ALU, op.Width, op.Signed
-	t.ParamIndexed2 = d.ParamIndexed
-	if op.Code == ir.OpStore {
-		t.IsParam2 = s.ParamField(op.Field)
+func (s *SealedSpec) fillSecond(t *TOp, c *TCold, d *DSODOp) {
+	c.Op2 = d.Op
+	t.Dst2, t.A2, t.B2, t.Field2, t.Imm2, t.Checked2 = s.operands(d)
+	t.ALU2, t.Bits2, t.Signed2 = d.Op.ALU, uint8(d.Op.Width.Bits()), d.Op.Signed
+}
+
+// operands maps an op's temps, field, immediate and parameter check onto
+// their operand-bank roles (see TOp).
+func (s *SealedSpec) operands(d *DSODOp) (dst, a, b, field int32, imm uint64, checked bool) {
+	op := d.Op
+	dst, a, b, field = int32(op.Dst), int32(op.A), int32(op.B), int32(op.Field)
+	imm, checked = op.Width.Mask(), d.ParamIndexed
+	switch op.Code {
+	case ir.OpConst, ir.OpEnvRead:
+		imm = op.Imm
+	case ir.OpStore:
+		b, checked = int32(op.Src), s.ParamField(op.Field)
+	case ir.OpStoreFunc, ir.OpDMAWrite:
+		b = int32(op.Src)
+	case ir.OpBufLoad:
+		a = int32(op.Idx)
+	case ir.OpBufStore:
+		a, b = int32(op.Idx), int32(op.Src)
 	}
+	return dst, a, b, field, imm, checked
 }

@@ -185,7 +185,7 @@ func (m *MetricsSnapshot) Anomalies() uint64 {
 }
 
 // MarshalJSON renders the snapshot in the device × strategy × verdict
-// shape the -metrics export and /debug/vars serve. Buckets and outcomes
+// shape the -metrics export serves. Buckets and outcomes
 // are emitted as ordered slices (ascending bucket index; strategy then
 // verdict order), not maps, so the export is byte-for-byte deterministic
 // and semantically ordered — stable for CI diffs and golden tests.
@@ -282,7 +282,7 @@ func (g *Registry) CountSwap(device string) {
 }
 
 // defaultRegistry is the process-wide registry checkers register with
-// unless redirected, mirroring expvar's package-level default.
+// unless redirected.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
@@ -592,15 +592,4 @@ func (g *Registry) Recorders() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.recs)
-}
-
-// String renders the current snapshot as JSON, making a Registry an
-// expvar.Var: expvar.Publish("sedspec", obs.Default()) serves the
-// metrics on /debug/vars.
-func (g *Registry) String() string {
-	b, err := json.Marshal(g.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
 }

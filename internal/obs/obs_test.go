@@ -146,10 +146,10 @@ func TestRegistryJSON(t *testing.T) {
 	r := g.NewRecorder("fdc", 0, 8)
 	r.Record(Event{Steps: 4, Latency: 0, Verdict: VerdictOK, Tick: 3})
 	r.Record(Event{Steps: 6, Strategy: 1, Verdict: VerdictBlocked, Tick: 9})
-	s := g.String()
+	s := registryJSON(t, g)
 	var decoded map[string]any
 	if err := json.Unmarshal([]byte(s), &decoded); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, s)
+		t.Fatalf("export is not JSON: %v\n%s", err, s)
 	}
 	for _, want := range []string{`"device":"fdc"`, `"rounds":2`, `"strategy":"parameter-check"`, `"verdict":"blocked"`, `"latency_ticks"`, `"steps"`} {
 		if !strings.Contains(s, want) {

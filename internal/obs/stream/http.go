@@ -2,13 +2,11 @@ package stream
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"sedspec/internal/obs"
@@ -27,8 +25,8 @@ type ServerOptions struct {
 }
 
 // Server is the unified introspection surface: health, fleet
-// snapshots, Prometheus metrics, the live anomaly tail, coverage,
-// expvar, and pprof — all on the server's own *http.ServeMux, so any
+// snapshots, Prometheus metrics, the live anomaly tail, coverage, and
+// pprof — all on the server's own *http.ServeMux, so any
 // number of servers (tests, two CLIs sharing a process) coexist
 // without the default mux's duplicate-registration panic.
 type Server struct {
@@ -40,11 +38,6 @@ type Server struct {
 	health *Health
 	opts   ServerOptions
 }
-
-// expvarOnce guards the one process-global side effect: publishing the
-// first server's registry under the "sedspec_obs" expvar name (expvar
-// panics on duplicate publication). Later servers serve the same var.
-var expvarOnce sync.Once
 
 // readHeaderTimeout bounds how long a client may take to send its
 // request headers, so a stalled or slow-drip connection cannot hold a
@@ -73,14 +66,12 @@ func NewServer(opts ServerOptions) *Server {
 		health: opts.Health,
 		opts:   opts,
 	}
-	expvarOnce.Do(func() { expvar.Publish("sedspec_obs", s.reg) })
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/fleet", s.handleFleet)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/anomalies", s.handleAnomalies)
 	s.mux.HandleFunc("/buildinfo", s.handleBuildInfo)
 	s.mux.Handle("/coverage", coverage.Handler())
-	s.mux.Handle("/debug/vars", expvar.Handler())
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -95,9 +95,6 @@ func TestEndpoints(t *testing.T) {
 	if w = get(t, s, "/anomalies?limit=x"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad limit = %d", w.Code)
 	}
-	if w = get(t, s, "/debug/vars"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "sedspec_obs") {
-		t.Errorf("/debug/vars = %d", w.Code)
-	}
 	if w = get(t, s, "/debug/pprof/cmdline"); w.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d", w.Code)
 	}

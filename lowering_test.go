@@ -1,5 +1,5 @@
 // Fusion-coverage acceptance for the threaded-code lowering: an
-// independent greedy scan over each benchmark device's sealed DSOD
+// independent greedy scan over each benchmark device's spec DSOD
 // re-derives which peephole patterns the op streams offer, and the
 // lowering report must account for exactly those — every used pattern
 // present with the right count, no phantom pairs, and the instruction
@@ -66,15 +66,14 @@ func pairName(a, b ir.OpCode) (string, bool) {
 // expectedFusion greedily scans every live block's op run left to right —
 // the fuser's documented strategy — and returns the per-pattern pair
 // counts it should produce, the total op count, and the live block count.
-func expectedFusion(s *core.SealedSpec) (pairs map[string]int, ops, live int) {
+func expectedFusion(s *core.Spec) (pairs map[string]int, ops, live int) {
 	pairs = map[string]int{}
-	for id := 0; id < s.NumBlocks(); id++ {
-		b := s.Block(id)
+	for _, b := range s.Blocks {
 		if b == nil {
 			continue
 		}
 		live++
-		dsod := s.DSOD(b)
+		dsod := b.DSOD
 		ops += len(dsod)
 		for i := 0; i < len(dsod); {
 			if i+1 < len(dsod) {
@@ -86,9 +85,9 @@ func expectedFusion(s *core.SealedSpec) (pairs map[string]int, ops, live int) {
 			}
 			// Trailing compare feeding the block's conditional branch
 			// fuses into the terminator.
-			if i == len(dsod)-1 && dsod[i].Op.Code == ir.OpArith &&
-				b.HasNBTD && b.TermKind == ir.TermBranch && b.Term != nil &&
-				(b.Term.A == dsod[i].Op.Dst || b.Term.B == dsod[i].Op.Dst) {
+			if n := b.NBTD; i == len(dsod)-1 && dsod[i].Op.Code == ir.OpArith &&
+				n != nil && n.Kind == ir.TermBranch && n.Term != nil &&
+				(n.Term.A == dsod[i].Op.Dst || n.Term.B == dsod[i].Op.Dst) {
 				pairs["arith+branch"]++
 			}
 			i++
@@ -105,9 +104,9 @@ func TestFusionCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 			sealed := r.Spec.Seal()
-			rep := &sealed.Threaded().Report
+			rep := sealed.Lowering()
 
-			wantPairs, wantOps, live := expectedFusion(sealed)
+			wantPairs, wantOps, live := expectedFusion(r.Spec)
 			if len(wantPairs) == 0 {
 				t.Fatal("device spec offers no fusion opportunities; the fused fast path is unexercised")
 			}
