@@ -1,6 +1,7 @@
 // Batched-delivery differentials: for every CVE case study the batched
 // check path (PreIOBatch) must be byte-identical to per-round delivery
-// (PreIO) in both modes, on both engines and across batch sizes. The
+// (PreIO) in both modes and across batch sizes, and per-round delivery
+// identical on the Checker and the Reference oracle. The
 // exploit's request stream is captured once under live protection, then
 // replayed machine-less through fresh checkers sharing a frozen
 // environment, so the only variable between configurations is the
@@ -106,33 +107,28 @@ type streamRun struct {
 	coverage *coverage.Snapshot
 }
 
-// finish snapshots the checker's counters, warnings, shadow state and
+// finish snapshots the engine's counters, warnings, shadow state and
 // coverage into the run.
-func (run *streamRun) finish(chk *checker.Checker) {
+func (run *streamRun) finish(chk engine) {
 	run.stats = chk.Stats()
 	run.warnings = chk.Warnings()
 	run.shadow = bytes.Clone(chk.Shadow().Bytes())
-	run.coverage = chk.Coverage()
+	run.coverage = coverageOf(chk)
 }
 
-// newReplayChecker builds a fresh checker for one replay configuration.
+// newReplayEngine builds a fresh engine for one replay configuration.
 // No halt hook is installed: replay continues past blocking anomalies so
 // every configuration processes the identical full stream.
-func newReplayChecker(c *capturedPoC, mode checker.Mode, budget, engine []checker.Option) *checker.Checker {
-	opts := []checker.Option{
-		checker.WithMode(mode),
-		checker.WithEnv(c.att),
-	}
-	opts = append(opts, budget...)
-	opts = append(opts, engine...)
-	return checker.New(c.spec, c.start, opts...)
+func newReplayEngine(c *capturedPoC, mode checker.Mode, budget []checker.Option, build engineFunc) engine {
+	opts := append([]checker.Option{checker.WithMode(mode), checker.WithEnv(c.att)}, budget...)
+	return build(c.spec, c.start, opts...)
 }
 
 // replayPerRound is the baseline delivery: one PreIO per request, with
 // the dispatcher's PostIO resync point emulated after each round.
-func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, budget, engine []checker.Option) streamRun {
+func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, budget []checker.Option, build engineFunc) streamRun {
 	t.Helper()
-	chk := newReplayChecker(c, mode, budget, engine)
+	chk := newReplayEngine(c, mode, budget, build)
 	var run streamRun
 	for _, req := range c.cloneReqs() {
 		if err := chk.PreIO(nil, req); err != nil {
@@ -150,13 +146,14 @@ func replayPerRound(t *testing.T, c *capturedPoC, mode checker.Mode, budget, eng
 	return run
 }
 
-// replayBatched delivers the same stream through PreIOBatch in windows
-// of the given size, consuming checked prefixes and re-presenting the
-// tail after each short-circuit — exactly the dispatcher's protocol,
-// with the same emulated resync point between deliveries.
-func replayBatched(t *testing.T, c *capturedPoC, mode checker.Mode, budget, engine []checker.Option, size int) streamRun {
+// replayBatched delivers the same stream through the Checker's
+// PreIOBatch in windows of the given size, consuming checked prefixes and
+// re-presenting the tail after each short-circuit — exactly the
+// dispatcher's protocol, with the same emulated resync point between
+// deliveries.
+func replayBatched(t *testing.T, c *capturedPoC, mode checker.Mode, budget []checker.Option, size int) streamRun {
 	t.Helper()
-	chk := newReplayChecker(c, mode, budget, engine)
+	chk := newReplayEngine(c, mode, budget, threadedEngine).(*checker.Checker)
 	var run streamRun
 	stream := c.cloneReqs()
 	for i := 0; i < len(stream); {
@@ -223,11 +220,10 @@ func assertSameStream(t *testing.T, label string, got, want streamRun) {
 // TestBatchedDifferential replays every case study's captured exploit
 // stream under per-round delivery with both engines and under batched
 // delivery with the threaded engine at batch sizes 1, 4, 16, and
-// whole-stream (plus the reference engine at one size), in both modes
-// and at both budgets. All configurations must produce the identical
-// anomaly stream, warning stream, counters and shadow state, and the
-// threaded runs the identical coverage — per-round threaded is the
-// baseline.
+// whole-stream, in both modes and at both budgets. All configurations
+// must produce the identical anomaly stream, warning stream, counters and
+// shadow state, and the threaded runs the identical coverage — per-round
+// threaded is the baseline.
 func TestBatchedDifferential(t *testing.T) {
 	for _, p := range cvesim.All() {
 		p := p
@@ -248,10 +244,8 @@ func TestBatchedDifferential(t *testing.T) {
 								replayPerRound(t, cap, mode, b.opts, referenceEngine), baseline)
 							for _, size := range sizes {
 								assertSameStream(t, fmt.Sprintf("batched/threaded/size=%d", size),
-									replayBatched(t, cap, mode, b.opts, threadedEngine, size), baseline)
+									replayBatched(t, cap, mode, b.opts, size), baseline)
 							}
-							assertSameStream(t, "batched/reference/size=16",
-								replayBatched(t, cap, mode, b.opts, referenceEngine, 16), baseline)
 						})
 					}
 				})

@@ -3,18 +3,9 @@
 //
 // Usage:
 //
-//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|throughput|batch|swap]
+//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|throughput]
 //	         [-full] [-frames N] [-mib N]
 //	         [-throughput-ops N] [-throughput-iters N] [-throughput-e2e-ops N] [-throughput-out FILE]
-//	         [-batch-ops N] [-batch-iters N] [-batch-size N] [-batch-out FILE]
-//	         [-swap-iters N] [-swap-store DIR] [-swap-out FILE]
-//
-// The swap experiment measures the spec lifecycle subsystem: store
-// cache-hit load vs a fresh learn, per-I/O check cost while another
-// goroutine hot-swaps spec versions continuously, and per-swap latency
-// (publication + grace period). Rows go to -swap-out (default
-// BENCH_swap.json); -swap-store reuses an existing store directory so a
-// second run exercises the warm cache.
 //
 // The throughput experiment measures checked-I/O scaling when one sealed
 // spec is shared across 1, 2, 4, 8 concurrent enforcement sessions per
@@ -26,13 +17,11 @@
 // allocation-free at steady state; any point that allocates fails the
 // experiment.
 //
-// The batch experiment isolates what batched delivery (PreIOBatch ring
-// sweeps) amortizes against the per-round path on a single session per
-// device, and writes -batch-out (default BENCH_batch.json).
-//
 // An unknown -experiment name is an error that lists the valid names.
-// Per-I/O check cost by device, steps and allocations per I/O, and the
-// coverage counters' price are perfbench's checker.* and obs.* metrics.
+// Per-I/O check cost by device, steps and allocations per I/O, the
+// coverage counters' price, batched delivery (checker.replay_batch_ns),
+// spec-store loads (specstore.get_us) and hot-swap latency
+// (daemon.swap_ms_p50) are perfbench's metrics.
 //
 // With -full, Table II runs the paper's 10/20/30 virtual hours (slow);
 // otherwise a scaled-down 2/4/6-hour study with a proportionally raised
@@ -46,11 +35,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"sedspec/internal/bench"
 	"sedspec/internal/cmdutil"
-	"sedspec/internal/obs"
 	"sedspec/internal/workload"
 )
 
@@ -63,14 +50,6 @@ func main() {
 	tpIters := flag.Int("throughput-iters", 200_000, "timed replay rounds per session for the throughput experiment")
 	tpE2EOps := flag.Int("throughput-e2e-ops", 200, "benign ops per full guest session for the e2e throughput rows")
 	tpOut := flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput experiment's JSON rows")
-	batchOps := flag.Int("batch-ops", 60, "benign session ops captured per device for the batch replay")
-	batchIters := flag.Int("batch-iters", 600_000, "timed replay rounds per delivery path for the batch experiment")
-	batchSize := flag.Int("batch-size", bench.DefaultBatchSize, "requests per batched delivery window")
-	batchOut := flag.String("batch-out", "BENCH_batch.json", "output file for the batch experiment's JSON rows")
-	swapIters := flag.Int("swap-iters", 200_000, "timed replay rounds per phase for the swap experiment")
-	swapStore := flag.String("swap-store", "", "spec store directory for the swap experiment (default: a fresh temp dir)")
-	swapOut := flag.String("swap-out", "BENCH_swap.json", "output file for the swap experiment's JSON rows")
-	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address (profile live runs)")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.Parse()
@@ -78,28 +57,20 @@ func main() {
 	cfg := runConfig{
 		full: *full, frames: *frames, mib: *mib,
 		tpOps: *tpOps, tpIters: *tpIters, tpE2EOps: *tpE2EOps, tpOut: *tpOut,
-		batchOps: *batchOps, batchIters: *batchIters, batchSize: *batchSize, batchOut: *batchOut,
-		swapIters: *swapIters, swapStore: *swapStore, swapOut: *swapOut,
 	}
-	if err := realMain(*experiment, cfg, *metrics, *listen, *budget); err != nil {
+	if err := realMain(*experiment, cfg, *listen, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedbench:", err)
 		os.Exit(1)
 	}
 }
 
-// realMain brackets run with the observability plumbing so the final
-// metrics export happens on the error path and on SIGINT/SIGTERM
-// too (os.Exit skips defers).
-func realMain(experiment string, cfg runConfig, metrics, listenAddr string, budget float64) error {
+// realMain starts the introspection server when asked, then runs the
+// experiments.
+func realMain(experiment string, cfg runConfig, listenAddr string, budget float64) error {
 	if listenAddr != "" {
 		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
 			return fmt.Errorf("listen: %w", err)
 		}
-	}
-	fl := cmdutil.NewFlusher()
-	defer fl.Flush()
-	if metrics != "" {
-		fl.Add(obs.ExportEvery(metrics, time.Second, obs.Default()))
 	}
 	return run(experiment, cfg)
 }
@@ -111,18 +82,11 @@ type runConfig struct {
 	tpIters     int
 	tpE2EOps    int
 	tpOut       string
-	batchOps    int
-	batchIters  int
-	batchSize   int
-	batchOut    string
-	swapIters   int
-	swapStore   string
-	swapOut     string
 }
 
 // experiments lists the names -experiment accepts besides "all", in the
 // order run executes them.
-var experiments = []string{"table1", "table2", "table3", "fig34", "fig5", "comparison", "throughput", "batch", "swap", "ablation"}
+var experiments = []string{"table1", "table2", "table3", "fig34", "fig5", "comparison", "throughput", "ablation"}
 
 func run(experiment string, cfg runConfig) error {
 	if experiment != "all" && !slices.Contains(experiments, experiment) {
@@ -271,69 +235,6 @@ func run(experiment string, cfg runConfig) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", cfg.tpOut)
-		fmt.Fprintln(w)
-	}
-
-	if want("batch") {
-		var rows []*bench.BatchBenchRow
-		for _, t := range workload.Targets(true) {
-			row, err := bench.BatchOverhead(t, cfg.batchOps, cfg.batchIters, cfg.batchSize)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "batch %-6s per-round %8.1f ns/op  batched %8.1f ns/op  -%5.1f%%  (window %d, 0 allocs/op)\n",
-				row.Device, row.PerRoundNsPerOp, row.BatchedNsPerOp, row.SpeedupPct, row.BatchSize)
-		}
-		f, err := os.Create(cfg.batchOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteBatchJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.batchOut)
-		fmt.Fprintln(w)
-	}
-
-	if want("swap") {
-		dir := cfg.swapStore
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "sedspec-store-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		var rows []*bench.SwapBenchRow
-		for _, t := range workload.Targets(true) {
-			row, err := bench.SwapBench(t, dir, 60, cfg.swapIters)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "swap %-6s learn %8.2f ms  store load %8.3f ms  hit %6.0fx | steady %7.1f ns/op  under-swap %7.1f ns/op (%.2fx) | %5d swaps @ %.1f us\n",
-				row.Device, float64(row.LearnNs)/1e6, float64(row.StoreLoadNs)/1e6, row.CacheSpeedup,
-				row.SteadyNsPerOp, row.UnderSwapNsPerOp, row.SwapCostRatio,
-				row.Swaps, row.SwapLatencyNs/1e3)
-		}
-		f, err := os.Create(cfg.swapOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteSwapJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.swapOut)
 		fmt.Fprintln(w)
 	}
 

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"sedspec"
 	"sedspec/internal/bench"
@@ -29,7 +28,6 @@ import (
 	"sedspec/internal/fuzzer"
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
-	"sedspec/internal/obs"
 	"sedspec/internal/simclock"
 	"sedspec/internal/workload"
 )
@@ -39,7 +37,6 @@ func main() {
 	n := flag.Int("n", 20000, "raw random requests to hammer")
 	seed := flag.Uint64("seed", 1, "random seed")
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
-	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	hold := flag.Bool("hold", false, "after the run, keep serving -listen until interrupted (for probing a finished run)")
@@ -54,14 +51,7 @@ func main() {
 		}
 		serving = true
 	}
-	fl := cmdutil.NewFlusher()
-	if *metrics != "" {
-		fl.Add(obs.ExportEvery(*metrics, time.Second, obs.Default()))
-	}
-
-	err := run(*device, *n, *seed, *specIn)
-	fl.Flush()
-	if err != nil {
+	if err := run(*device, *n, *seed, *specIn); err != nil {
 		fmt.Fprintln(os.Stderr, "sedfuzz:", err)
 		os.Exit(1)
 	}

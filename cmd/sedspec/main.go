@@ -7,7 +7,7 @@
 //	sedspec -device fdc|ehci|pcnet|sdhci|scsi [-out spec.json]
 //	        [-spec-in spec.bin] [-spec-out spec.bin] [-spec-store DIR]
 //	        [-dot cfg.dot] [-attack] [-enhance]
-//	        [-mode protection|enhancement] [-metrics metrics.json]
+//	        [-mode protection|enhancement]
 //	        [-trace-on-anomaly DIR] [-coverage-dir DIR]
 //	        [-listen ADDR]
 //
@@ -26,15 +26,13 @@
 // spec is published to the store as the next generation (diff the pair
 // with the report subcommand).
 //
-// Observability: -metrics periodically exports the checker metrics
-// registry as JSON (final export on exit), -trace-on-anomaly writes each
-// blocked PoC's flight-recorder timeline as DIR/<CVE>.trace,
-// -coverage-dir writes the run's ES-CFG coverage profile (and each
-// blocked PoC's anomaly training-coverage record) as JSON, and -listen
-// serves the unified introspection server (/healthz, /fleet, /metrics,
-// /anomalies live tail, /coverage, /buildinfo, /debug/pprof) on the
-// given address. Final exports also run on
-// SIGINT/SIGTERM.
+// Observability: -trace-on-anomaly writes each blocked PoC's
+// flight-recorder timeline as DIR/<CVE>.trace, -coverage-dir writes the
+// run's ES-CFG coverage profile (and each blocked PoC's anomaly
+// training-coverage record) as JSON, and -listen serves the unified
+// introspection server (/healthz, /fleet, /metrics, /anomalies live tail,
+// /coverage, /buildinfo, /debug/pprof) on the given address. Final
+// exports also run on SIGINT/SIGTERM.
 //
 // The report subcommand diffs two spec generations' structure and
 // coverage; the watch subcommand tails a running process's telemetry
@@ -67,7 +65,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"sedspec"
 	"sedspec/internal/checker"
@@ -124,14 +121,13 @@ func main() {
 	flag.BoolVar(&cfg.attack, "attack", false, "replay the device's CVE proof(s) of concept")
 	flag.BoolVar(&cfg.enhance, "enhance", false, "audit the device's rare legitimate command in enhancement mode and publish the enhanced spec to -spec-store")
 	flag.StringVar(&cfg.mode, "mode", "protection", "checker working mode: protection or enhancement")
-	metrics := flag.String("metrics", "", "periodically export checker metrics as JSON to this file")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
 	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")
 	flag.Parse()
 
-	if err := realMain(cfg, *metrics, *listen, *budget); err != nil {
+	if err := realMain(cfg, *listen, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "sedspec:", err)
 		os.Exit(1)
 	}
@@ -152,9 +148,9 @@ type runConfig struct {
 }
 
 // realMain brackets run with the observability plumbing so the final
-// metrics export happens on the error path and on SIGINT/SIGTERM
-// too (os.Exit skips defers).
-func realMain(cfg runConfig, metrics, listenAddr string, budget float64) error {
+// exports happen on the error path and on SIGINT/SIGTERM too (os.Exit
+// skips defers).
+func realMain(cfg runConfig, listenAddr string, budget float64) error {
 	if listenAddr != "" {
 		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
 			return fmt.Errorf("listen: %w", err)
@@ -162,10 +158,6 @@ func realMain(cfg runConfig, metrics, listenAddr string, budget float64) error {
 	}
 	fl := cmdutil.NewFlusher()
 	defer fl.Flush()
-	if metrics != "" {
-		stop := obs.ExportEvery(metrics, time.Second, obs.Default())
-		fl.Add(stop)
-	}
 	return run(cfg, fl)
 }
 

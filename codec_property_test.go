@@ -44,7 +44,7 @@ func TestBinaryCodecPreservesEnforcement(t *testing.T) {
 	for _, p := range cvesim.All() {
 		for _, mode := range []checker.Mode{checker.ModeProtection, checker.ModeEnhancement} {
 			t.Run(fmt.Sprintf("%s/%s", p.CVE, mode), func(t *testing.T) {
-				baseline := replayPoC(t, p, mode, diffBudgets[0].opts, nil)
+				baseline := replayPoC(t, p, mode, diffBudgets[0].opts, threadedEngine)
 				decoded := replayPoCBinary(t, p, mode)
 				assertSameRun(t, "binary round trip", decoded, baseline)
 			})

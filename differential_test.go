@@ -1,12 +1,13 @@
-// Differential tests pinning the two check engines to each other: across
-// all nine CVE case studies, in both protection and enhancement modes, at
-// a reduced budget and at the default one, the threaded-code stream (the
-// deployed engine, with its loop fast-forward) and the pre-seal reference
-// engine (the oracle) must produce the same anomaly stream, the same
-// warning stream, the same counters and the same shadow device state.
-// This is the correctness argument for the lowering — any divergence in
-// transition semantics, access control, DSOD execution, peephole fusion,
-// or step batching shows up here.
+// Differential tests pinning the production check engine to its oracle:
+// across all nine CVE case studies, in both protection and enhancement
+// modes, at a reduced budget and at the default one, the Checker (the
+// threaded-code stream every deployment runs, with its loop fast-forward)
+// and the Reference (the pre-seal interpreter over the unsealed Spec)
+// must produce the same anomaly stream, the same warning stream, the same
+// counters and the same shadow device state. This is the correctness
+// argument for the lowering — any divergence in transition semantics,
+// access control, DSOD execution, peephole fusion, or step batching shows
+// up here.
 package sedspec_test
 
 import (
@@ -18,7 +19,9 @@ import (
 
 	"sedspec"
 	"sedspec/internal/checker"
+	"sedspec/internal/core"
 	"sedspec/internal/cvesim"
+	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs/coverage"
 )
@@ -30,15 +33,50 @@ type diffRun struct {
 	warnings []checker.Anomaly
 	err      string
 	// shadow is the shadow device state after the replay; coverage the
-	// checker's ES-CFG coverage counts (nil under the reference engine,
-	// which keeps none).
+	// checker's ES-CFG coverage counts (nil under the Reference, which
+	// keeps none).
 	shadow   []byte
 	coverage *coverage.Snapshot
 }
 
-// captureRun classifies an exploit's outcome and snapshots the checker's
+// engine is what the differentials observe on either check engine.
+type engine interface {
+	machine.Interposer
+	machine.PostInterposer
+	Stats() checker.Stats
+	Warnings() []checker.Anomaly
+	Shadow() *interp.State
+	NeedsResync() bool
+	ResyncShadow(*interp.State)
+}
+
+// engineFunc builds one of the two engines over a spec.
+type engineFunc func(spec *core.Spec, initial *interp.State, opts ...checker.Option) engine
+
+// The two check engines the differentials pin together: the threaded-code
+// stream compiled at Seal time (the deployed engine) and the pre-seal
+// reference interpreter (the oracle).
+var (
+	threadedEngine engineFunc = func(spec *core.Spec, initial *interp.State, opts ...checker.Option) engine {
+		return checker.New(spec, initial, opts...)
+	}
+	referenceEngine engineFunc = func(spec *core.Spec, initial *interp.State, opts ...checker.Option) engine {
+		return checker.NewReference(spec, initial, opts...)
+	}
+)
+
+// coverageOf snapshots an engine's ES-CFG coverage counts; nil for the
+// Reference, which keeps none.
+func coverageOf(e engine) *coverage.Snapshot {
+	if c, ok := e.(*checker.Checker); ok {
+		return c.Coverage()
+	}
+	return nil
+}
+
+// captureRun classifies an exploit's outcome and snapshots the engine's
 // observable state.
-func captureRun(chk *checker.Checker, err error) diffRun {
+func captureRun(chk engine, err error) diffRun {
 	var run diffRun
 	var anom *checker.Anomaly
 	switch {
@@ -53,7 +91,7 @@ func captureRun(chk *checker.Checker, err error) diffRun {
 	run.stats = chk.Stats()
 	run.warnings = chk.Warnings()
 	run.shadow = bytes.Clone(chk.Shadow().Bytes())
-	run.coverage = chk.Coverage()
+	run.coverage = coverageOf(chk)
 	return run
 }
 
@@ -68,18 +106,11 @@ var diffBudgets = []struct {
 	{"budget=default", nil},
 }
 
-// The two check engines the differentials pin together: the threaded-code
-// stream compiled at Seal time (the deployed engine) and the pre-seal
-// reference interpreter (the oracle).
-var (
-	threadedEngine  []checker.Option
-	referenceEngine = []checker.Option{checker.WithReferenceSimulation()}
-)
-
 // replayPoC learns a spec from the PoC's training routine, protects the
-// device with the requested engine and mode, replays the exploit, and
-// captures the full observable checker state.
-func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, budget, engine []checker.Option) diffRun {
+// device with the requested engine and mode, wired as sedspec.Protect
+// wires a checker, replays the exploit, and captures the full observable
+// checker state.
+func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, budget []checker.Option, build engineFunc) diffRun {
 	t.Helper()
 	m := machine.New(machine.WithMemory(1 << 20))
 	dev, aopts := p.Build()
@@ -88,9 +119,15 @@ func replayPoC(t *testing.T, p *cvesim.PoC, mode checker.Mode, budget, engine []
 	if err != nil {
 		t.Fatalf("learn: %v", err)
 	}
-	opts := append([]checker.Option{checker.WithMode(mode)}, budget...)
-	opts = append(opts, engine...)
-	chk := sedspec.Protect(att, spec, opts...)
+	opts := append([]checker.Option{
+		checker.WithEnv(att),
+		checker.WithHalt(m.Halt),
+		checker.WithClock(m.Clock),
+		checker.WithSessionID(att.SessionID()),
+		checker.WithMode(mode),
+	}, budget...)
+	chk := build(spec, att.Dev().State(), opts...)
+	att.AddInterposer(chk)
 	return captureRun(chk, p.Exploit(sedspec.NewDriver(att), m))
 }
 
@@ -252,7 +289,7 @@ func TestConcurrentSessionsDifferential(t *testing.T) {
 func TestEngineDifferentialBenign(t *testing.T) {
 	for _, p := range cvesim.All() {
 		t.Run(p.CVE, func(t *testing.T) {
-			run := func(engine []checker.Option) checker.Stats {
+			run := func(build engineFunc) checker.Stats {
 				m := machine.New(machine.WithMemory(1 << 20))
 				dev, aopts := p.Build()
 				att := m.Attach(dev, aopts...)
@@ -260,13 +297,12 @@ func TestEngineDifferentialBenign(t *testing.T) {
 				if err != nil {
 					t.Fatalf("learn: %v", err)
 				}
-				opts := []checker.Option{checker.WithBudget(200_000)}
-				opts = append(opts, engine...)
-				chk := sedspec.Protect(att, spec, opts...)
+				chk := build(spec, att.Dev().State(), checker.WithEnv(att),
+					checker.WithHalt(m.Halt), checker.WithBudget(200_000))
+				att.AddInterposer(chk)
 				if err := p.Train(sedspec.NewDriver(att)); err != nil {
 					t.Fatalf("benign replay: %v", err)
 				}
-				_ = m
 				return chk.Stats()
 			}
 			baseline := run(threadedEngine)

@@ -44,7 +44,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		baseline := replayPerRound(t, &c, mode, budget, threadedEngine)
 		assertSameStream(t, "per-round/reference", replayPerRound(t, &c, mode, budget, referenceEngine), baseline)
-		assertSameStream(t, "batched/threaded", replayBatched(t, &c, mode, budget, threadedEngine, 1+int(window)), baseline)
+		assertSameStream(t, "batched/threaded", replayBatched(t, &c, mode, budget, 1+int(window)), baseline)
 	})
 }
 

@@ -46,9 +46,10 @@ type CheckerReplay struct {
 
 // NewCheckerReplay learns the target's spec, brings the device up, and
 // records the request stream of ops benign session operations. The
-// captured stream is validated by replaying it through both engines for
-// two full cycles: a clean capture raises zero anomalies, which is what
-// makes cyclic replay a faithful per-I/O overhead probe.
+// captured stream is validated by replaying it through the production
+// Checker and the Reference oracle for two full cycles: a clean capture
+// raises zero anomalies, which is what makes cyclic replay a faithful
+// per-I/O overhead probe.
 func NewCheckerReplay(t *workload.Target, ops int) (*CheckerReplay, error) {
 	_, att := setup(t)
 	spec, err := learn(t, att)
@@ -77,10 +78,11 @@ func NewCheckerReplay(t *workload.Target, ops int) (*CheckerReplay, error) {
 	}
 
 	r := &CheckerReplay{Target: t, Spec: spec, Reqs: rec.reqs, att: att, start: start}
-	for _, engine := range []string{"threaded", "reference"} {
-		if err := r.validate(engine); err != nil {
-			return nil, err
-		}
+	if err := r.validate("threaded", r.NewChecker()); err != nil {
+		return nil, err
+	}
+	if err := r.validate("reference", checker.NewReference(spec, start, checker.WithEnv(att))); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -127,21 +129,27 @@ func (r *CheckerReplay) CloneReqs() []*interp.Request {
 	return out
 }
 
-// validate replays two full cycles through one of the two engines
-// ("threaded", "reference") and fails on any anomaly.
-func (r *CheckerReplay) validate(engine string) error {
-	var opts []checker.Option
-	if engine == "reference" {
-		opts = append(opts, checker.WithReferenceSimulation())
-	}
-	chk := r.NewChecker(opts...)
+// replayEngine is what validate drives: a Checker or the Reference.
+type replayEngine interface {
+	machine.Interposer
+	ResyncShadow(*interp.State)
+	Stats() checker.Stats
+}
+
+// validate replays two full cycles through eng, resynchronizing the
+// shadow at each wrap as Step does, and fails on any anomaly.
+func (r *CheckerReplay) validate(engine string, eng replayEngine) error {
 	for i := 0; i < 2*len(r.Reqs); i++ {
-		if err := r.Step(chk, i); err != nil {
+		j := i % len(r.Reqs)
+		if j == 0 {
+			eng.ResyncShadow(r.start)
+		}
+		if err := eng.PreIO(nil, r.Reqs[j]); err != nil {
 			return fmt.Errorf("bench: %s replay (%s engine) request %d: %w",
-				r.Target.Name, engine, i%len(r.Reqs), err)
+				r.Target.Name, engine, j, err)
 		}
 	}
-	if st := chk.Stats(); st.ParamAnomalies+st.IndirectAnomalies+st.CondAnomalies != 0 {
+	if st := eng.Stats(); st.ParamAnomalies+st.IndirectAnomalies+st.CondAnomalies != 0 {
 		return fmt.Errorf("bench: %s replay (%s engine): captured stream raised anomalies: %+v",
 			r.Target.Name, engine, st)
 	}

@@ -56,6 +56,13 @@ import (
 // scaling_x below N either way. host_cpus and degraded_parallelism in
 // the JSON record which regime produced the numbers.
 
+// DefaultBatchSize is the batched rows' delivery window: large enough
+// that the per-delivery fixed costs (epoch bracket, arena and journal
+// reset, counter and summary publication) are fully amortized — the
+// per-round delta is flat from ~16 up — and sized like a full ring sweep
+// on the ring/doorbell devices.
+const DefaultBatchSize = 64
+
 // ThroughputRow is one (device, session-count, delivery-path) scaling
 // measurement of the concurrent check loop.
 type ThroughputRow struct {

@@ -50,16 +50,13 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 		}
 	}
 	// One arena reset and one DMA-journal epoch for the whole batch. The
-	// engines skip their per-round resets while c.batching is set; the
+	// engine skips its per-round resets while c.batching is set; the
 	// journal accumulates each clean round's writebacks so later rounds
 	// observe the guest memory the device will have produced.
 	c.frames = c.frames[:0]
 	c.tempArena = c.tempArena[:0]
 	c.flagArena = c.flagArena[:0]
 	c.dmaLog = c.dmaLog[:0]
-	if len(c.dmaShadow) > 0 {
-		clear(c.dmaShadow)
-	}
 	c.batching = true
 	c.batchSteps = 0
 	round0 := c.stats.rounds.Load()
@@ -110,7 +107,7 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 	for k, req := range reqs {
 		round := round0 + uint64(k) + 1
 		req.Rewind()
-		anomaly := c.simulate(req)
+		anomaly := c.simulateThreaded(req)
 		req.Rewind()
 		checked = k + 1
 		if anomaly == nil {

@@ -45,53 +45,40 @@ func benignStream(t *testing.T) (*sedspec.Spec, []*interp.Request, *interp.State
 	return spec, cap.reqs, start, att
 }
 
-var batchEngines = []struct {
-	name string
-	opts []checker.Option
-}{
-	{"threaded", nil},
-	{"reference", []checker.Option{checker.WithReferenceSimulation()}},
-}
-
 // TestPreIOBatchMatchesSequentialBenign replays the same benign stream
 // through PreIO round by round and through PreIOBatch at several batch
-// sizes, for both engines: counters must be identical and every
-// batched verdict clean.
+// sizes: counters must be identical and every batched verdict clean.
 func TestPreIOBatchMatchesSequentialBenign(t *testing.T) {
 	spec, reqs, start, att := benignStream(t)
-	for _, eng := range batchEngines {
-		opts := append([]checker.Option{checker.WithEnv(att)}, eng.opts...)
+	opts := []checker.Option{checker.WithEnv(att)}
 
-		seq := checker.New(spec, start, opts...)
-		for _, req := range reqs {
-			if err := seq.PreIO(nil, req); err != nil {
-				t.Fatalf("%s: sequential PreIO: %v", eng.name, err)
+	seq := checker.New(spec, start, opts...)
+	for _, req := range reqs {
+		if err := seq.PreIO(nil, req); err != nil {
+			t.Fatalf("sequential PreIO: %v", err)
+		}
+	}
+	want := seq.Stats()
+	if want.Rounds == 0 || want.StepsSimulated == 0 {
+		t.Fatalf("degenerate baseline: %+v", want)
+	}
+
+	for _, size := range []int{1, 3, 7, len(reqs)} {
+		chk := checker.New(spec, start, opts...)
+		for i := 0; i < len(reqs); i += size {
+			end := i + size
+			if end > len(reqs) {
+				end = len(reqs)
 			}
-		}
-		want := seq.Stats()
-		if want.Rounds == 0 || want.StepsSimulated == 0 {
-			t.Fatalf("%s: degenerate baseline: %+v", eng.name, want)
-		}
-
-		for _, size := range []int{1, 3, 7, len(reqs)} {
-			chk := checker.New(spec, start, opts...)
-			for i := 0; i < len(reqs); i += size {
-				end := i + size
-				if end > len(reqs) {
-					end = len(reqs)
-				}
-				vs := chk.PreIOBatch(reqs[i:end])
-				for k, v := range vs {
-					if !v.Checked || v.Blocked || v.Err != nil {
-						t.Fatalf("%s/size=%d: request %d verdict %+v, want clean",
-							eng.name, size, i+k, v)
-					}
+			vs := chk.PreIOBatch(reqs[i:end])
+			for k, v := range vs {
+				if !v.Checked || v.Blocked || v.Err != nil {
+					t.Fatalf("size=%d: request %d verdict %+v, want clean", size, i+k, v)
 				}
 			}
-			if got := chk.Stats(); got != want {
-				t.Errorf("%s/size=%d: stats diverge:\n  got:  %+v\n  want: %+v",
-					eng.name, size, got, want)
-			}
+		}
+		if got := chk.Stats(); got != want {
+			t.Errorf("size=%d: stats diverge:\n  got:  %+v\n  want: %+v", size, got, want)
 		}
 	}
 }

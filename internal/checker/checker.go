@@ -246,45 +246,20 @@ func (s *statCounters) snapshot() Stats {
 	}
 }
 
-// Checker is the ES-Checker proxy. It implements machine.Interposer (and
-// the PostInterposer extension). One Checker is driven by one goroutine at
-// a time, like the per-device dispatch path it guards; for N parallel
-// guest sessions build one Shared engine and give each session its own
-// Checker via Shared.NewSession — the sessions then run concurrently
-// against one immutable sealed spec, with no lock on the check path.
+// Checker is the ES-Checker proxy, the production check engine. It
+// implements machine.Interposer (and the PostInterposer extension). One
+// Checker is driven by one goroutine at a time, like the per-device
+// dispatch path it guards; for N parallel guest sessions build one Shared
+// engine and give each session its own Checker via Shared.NewSession —
+// the sessions then run concurrently against one immutable sealed spec,
+// with no lock on the check path.
 type Checker struct {
+	sim
 	spec *core.Spec
-	// sealed is the dense runtime form the simulation runs against; nil
-	// only under WithReferenceSimulation.
+	// sealed is the dense runtime form the simulation runs against, and
+	// tprog its threaded-code stream with handlers bound.
 	sealed *core.SealedSpec
-	// prog caches spec.Program() for the hot path.
-	prog *ir.Program
-	mode Mode
-	// enabled strategies, indexed by Strategy (all on by default). An
-	// array rather than a map: it is consulted on the simulation's hot
-	// path.
-	enabled [4]bool
-	env     interp.Env
-	haltFn  func()
-	budget  int
-	// accessControl gates the command access table check (ablation
-	// switch; on by default).
-	accessControl bool
-
-	shadow *interp.State
-
-	cmdActive bool
-	activeCmd uint64
-	// suppressAccess disables access-vector checks after a shadow resync
-	// until the next command-decision block restores tracking.
-	suppressAccess bool
-
-	needResync bool
-	useRef     bool
-	// tprog is the threaded-code engine for the adopted sealed spec: the
-	// per-version compiled instruction stream with handlers bound. Nil
-	// only under WithReferenceSimulation.
-	tprog *threadedProg
+	tprog  *threadedProg
 	// Threaded-engine round state: the in-flight request, batched step
 	// total, parked anomaly, and the current frame's temp/flag banks
 	// (cached off the frame so op handlers skip a frame load).
@@ -298,13 +273,10 @@ type Checker struct {
 	// round crosses it. tpark holds the resume pc while fastForward runs
 	// (fastforward.go). ff is its scratch, allocated on a session's first
 	// attempt; ffAttempts and ffSkippedSteps count attempts and the walker
-	// steps skipped. ffOff (set only by tests) walks every step instead:
-	// the full-walk oracle for fast-forward's coverage counts, which the
-	// reference engine does not keep.
+	// steps skipped.
 	stepGate       int
 	tpark          int32
 	ff             *ffScratch
-	ffOff          bool
 	ffAttempts     uint64
 	ffSkippedSteps uint64
 	// warnMu guards warnings and audit, and cov and covGen for readers
@@ -314,7 +286,6 @@ type Checker struct {
 	warnMu   sync.Mutex
 	warnings []Anomaly
 	audit    []AuditRecord
-	stats    statCounters
 
 	// shared is non-nil for session checkers built by Shared.NewSession:
 	// the engine whose sealed spec this checker shares and whose aggregate
@@ -333,72 +304,36 @@ type Checker struct {
 	specGen uint64
 	epoch   atomic.Uint64
 
-	// rec is the flight recorder fed one event per checked I/O; nil only
-	// when recording was explicitly disabled with WithRecorder(nil).
-	// clock supplies event timestamps in simclock ticks (nil reads as
-	// tick zero, e.g. in detached replay benchmarks).
-	rec   *obs.Recorder
-	clock *simclock.Clock
-	// sessionID is the guest-session identity stamped into events and
-	// anomalies; -1 until assigned (serial checkers resolve it to 0,
-	// Shared.NewSession auto-assigns).
-	sessionID int
-	// traceDepth is the last-K window Freeze copies into an
-	// AnomalyContext on a blocking anomaly.
-	traceDepth int
-	// obsReg is the registry the auto-created recorder registers with
-	// (nil selects obs.Default()); recSet records that WithRecorder was
-	// applied, including WithRecorder(nil) to disable recording.
-	obsReg *obs.Registry
-	recSet bool
-	// hub is the telemetry hub lifecycle and anomaly events publish
-	// into (stream.Default() unless WithStream redirected or disabled
-	// it). Only the rare paths touch it — blocked anomalies, warnings,
-	// attach/detach — never a clean check round. hubSet records that
-	// WithStream was applied, including WithStream(nil) to disable
-	// publication; closed makes Close idempotent for serial checkers.
-	hub    *stream.Hub
-	hubSet bool
+	// closed makes Close idempotent for serial checkers.
 	closed bool
-	// tenant is the control-plane namespace stamped onto every published
-	// event (empty for single-tenant CLI runs).
-	tenant string
 	// roundSteps is the last round's walker step count, captured for the
 	// round's event.
 	roundSteps int
 	// cov is the session's one ES-CFG coverage map, sized for the
 	// adopted sealed generation's block and edge tables; covGen is that
-	// generation. cov is nil when disabled (WithCoverage(false)) or under
-	// WithReferenceSimulation. Adopting a new generation hands the old
-	// map to the engine's retired bank (Shared.moveSession) and
-	// starts a fresh one, so a session holds one map however many swaps
-	// it lives through.
+	// generation. cov is nil when disabled (WithCoverage(false)).
+	// Adopting a new generation hands the old map to the engine's retired
+	// bank (Shared.moveSession) and starts a fresh one, so a session holds
+	// one map however many swaps it lives through.
 	cov    *coverage.Map
 	covGen uint64
-	covOff bool
 	// entryRef is the entry block's reference, stamped into clean-round
 	// events.
 	entryRef ir.BlockRef
 
-	frames []simFrame
-	temps  [][]uint64
-	flags  [][]interp.Flags
-	// tempArena/flagArena back the sealed engine's frame banks: one flat
-	// bump allocation per arena, so a push is an arena extension plus a
-	// memclr and nested frames' banks sit adjacent in cache. The reference
-	// engine keeps the pre-seal per-depth slices above.
+	// tempArena/flagArena back the frame banks: one flat bump allocation
+	// per arena, so a push is an arena extension plus a memclr and nested
+	// frames' banks sit adjacent in cache.
 	tempArena []uint64
 	flagArena []interp.Flags
 
-	// dmaShadow journals guest-memory writes the simulation suppresses
+	// dmaLog journals guest-memory writes the simulation suppresses
 	// (descriptor writebacks), overlaid on subsequent reads within the
 	// same round so loops that terminate via writeback terminate in the
-	// simulation too. It never reaches real guest memory. The reference
-	// engine uses the map; the sealed engine uses dmaLog, an append-only
-	// journal scanned linearly on overlay — a round writes back at most a
-	// few descriptor words, where a scan beats hashing.
-	dmaShadow map[uint64]byte
-	dmaLog    []dmaWrite
+	// simulation too. It never reaches real guest memory. The journal is
+	// append-only and scanned linearly on overlay — a round writes back at
+	// most a few descriptor words, where a scan beats hashing.
+	dmaLog []dmaWrite
 	// dmaLo/dmaHi bound the address range the journal covers, so reads
 	// outside it — the common case in a schedule walk, where most reads
 	// touch descriptors not yet written back — skip the overlay scan on
@@ -408,17 +343,12 @@ type Checker struct {
 	// entryTemps is the temp-bank size of the entry block's handler,
 	// resolved once at construction for the per-round entry push.
 	entryTemps int
-	// dmaBuf is the word-sized scratch buffer for OpDMARead. It lives on
-	// the checker (not the stack) because slices passed through the
-	// interp.Env interface escape, and a stack buffer would cost one heap
-	// allocation per DMA-read op.
-	dmaBuf [8]byte
 	// noClear is set when the sealed program passed the
 	// definitely-assigned temp analysis: frame pushes skip zeroing the
 	// temp and flag banks because no path can read another round's
 	// residue (core.SealedSpec.TempsDefinitelyAssigned).
 	noClear bool
-	// batching is true while PreIOBatch drives the engines: per-round
+	// batching is true while PreIOBatch drives the engine: per-round
 	// arena resets, DMA journal truncation, coverage ticks, and obs/stat
 	// publication are lifted to the batch boundary.
 	batching bool
@@ -492,25 +422,93 @@ func (w *dmaWrite) overlay(buf []byte, addr uint64, n int) {
 	}
 }
 
-type simFrame struct {
-	block int
-	op    int
-	temps []uint64
-	flags []interp.Flags
-	// off is the frame's start offset in the sealed engine's arenas; the
-	// pop trims the arenas back to it. Unused by the reference engine.
-	off int
+// config is the check configuration every Option writes. A Checker, a
+// Shared engine and a Reference each hold one; a Shared engine's sessions
+// start from a copy of the engine's.
+type config struct {
+	mode Mode
+	// enabled strategies, indexed by Strategy (all on by default). An
+	// array rather than a map: it is consulted on the simulation's hot
+	// path.
+	enabled [4]bool
+	budget  int
+	// accessControl gates the command access table check (ablation
+	// switch; on by default).
+	accessControl bool
+	env           interp.Env
+	haltFn        func()
+
+	// rec is the flight recorder fed one event per checked I/O; nil only
+	// when recording was explicitly disabled with WithRecorder(nil).
+	// recSet records that WithRecorder was applied; without it the checker
+	// auto-creates a recorder registered with obsReg (nil selects
+	// obs.Default()). clock supplies event timestamps in simclock ticks
+	// (nil reads as tick zero, e.g. in detached replay benchmarks).
+	rec    *obs.Recorder
+	recSet bool
+	obsReg *obs.Registry
+	clock  *simclock.Clock
+	// sessionID is the guest-session identity stamped into events and
+	// anomalies; -1 until assigned (serial checkers resolve it to 0,
+	// Shared.NewSession auto-assigns).
+	sessionID int
+	// traceDepth is the last-K window Freeze copies into an
+	// AnomalyContext on a blocking anomaly.
+	traceDepth int
+	covOff     bool
+	// hub is the telemetry hub lifecycle and anomaly events publish
+	// into (stream.Default() unless WithStream redirected or disabled
+	// it). Only the rare paths touch it — blocked anomalies, warnings,
+	// attach/detach — never a clean check round. hubSet records that
+	// WithStream was applied, including WithStream(nil) to disable
+	// publication.
+	hub    *stream.Hub
+	hubSet bool
+	// tenant is the control-plane namespace stamped onto every published
+	// event (empty for single-tenant CLI runs).
+	tenant string
+	// ffOff (set only by tests) makes the threaded engine walk every step
+	// instead of fast-forwarding loops: the full-walk oracle for
+	// fast-forward's coverage counts, which the reference engine does not
+	// keep.
+	ffOff bool
 }
 
-// Option configures a Checker.
-type Option func(*Checker)
+// newConfig returns the construction defaults with opts applied.
+func newConfig(opts []Option) config {
+	cfg := config{
+		mode:          ModeProtection,
+		budget:        1 << 20,
+		enabled:       [4]bool{false, true, true, true},
+		accessControl: true,
+		sessionID:     -1,
+		traceDepth:    32,
+	}
+	cfg.apply(opts)
+	return cfg
+}
+
+// apply runs opts over the configuration and restores the one default an
+// option may clear: a nil environment reads as interp.NopEnv.
+func (cfg *config) apply(opts []Option) {
+	for _, o := range opts {
+		o(cfg)
+	}
+	if cfg.env == nil {
+		cfg.env = interp.NopEnv()
+	}
+}
+
+// Option configures a Checker, a Shared engine (and through it its
+// sessions) or a Reference.
+type Option func(*config)
 
 // WithMode sets the working mode (default protection).
-func WithMode(m Mode) Option { return func(c *Checker) { c.mode = m } }
+func WithMode(m Mode) Option { return func(c *config) { c.mode = m } }
 
 // WithStrategies enables only the listed strategies (default: all three).
 func WithStrategies(ss ...Strategy) Option {
-	return func(c *Checker) {
+	return func(c *config) {
 		c.enabled = [4]bool{}
 		for _, s := range ss {
 			c.enabled[s] = true
@@ -520,52 +518,44 @@ func WithStrategies(ss ...Strategy) Option {
 
 // WithHalt sets the halt hook invoked on blocking anomalies (typically
 // machine.Halt).
-func WithHalt(fn func()) Option { return func(c *Checker) { c.haltFn = fn } }
+func WithHalt(fn func()) Option { return func(c *config) { c.haltFn = fn } }
 
 // WithEnv provides machine services for sync points and read-only DMA
 // (typically the device's machine attachment).
-func WithEnv(env interp.Env) Option { return func(c *Checker) { c.env = env } }
+func WithEnv(env interp.Env) Option { return func(c *config) { c.env = env } }
 
 // WithAccessControl toggles the command access table check (default on;
 // the ablation turns it off).
 func WithAccessControl(on bool) Option {
-	return func(c *Checker) { c.accessControl = on }
+	return func(c *config) { c.accessControl = on }
 }
 
 // WithBudget bounds simulated steps per round (default 1<<20).
 func WithBudget(n int) Option {
-	return func(c *Checker) {
+	return func(c *config) {
 		if n > 0 {
 			c.budget = n
 		}
 	}
 }
 
-// WithReferenceSimulation makes the checker simulate against the mutable
-// Spec's map-based structures instead of the sealed form. This is the
-// pre-seal baseline engine, kept for differential testing and overhead
-// accounting; production deployments use the (default) sealed fast path.
-func WithReferenceSimulation() Option {
-	return func(c *Checker) { c.useRef = true }
-}
-
 // WithRecorder installs an explicit flight recorder, overriding the
 // auto-created one. WithRecorder(nil) disables recording entirely (the
 // overhead-guard baseline; production keeps the recorder on).
 func WithRecorder(rec *obs.Recorder) Option {
-	return func(c *Checker) { c.rec, c.recSet = rec, true }
+	return func(c *config) { c.rec, c.recSet = rec, true }
 }
 
 // WithObs selects the metrics registry the checker's auto-created
 // recorder registers with (default obs.Default()).
 func WithObs(reg *obs.Registry) Option {
-	return func(c *Checker) { c.obsReg = reg }
+	return func(c *config) { c.obsReg = reg }
 }
 
 // WithSessionID stamps the guest-session identity into events and
 // anomalies (the facade wires the attachment's session ID).
 func WithSessionID(id int) Option {
-	return func(c *Checker) {
+	return func(c *config) {
 		if id >= 0 {
 			c.sessionID = id
 		}
@@ -575,21 +565,21 @@ func WithSessionID(id int) Option {
 // WithClock supplies the virtual clock whose ticks timestamp recorded
 // events (typically the hosting machine's).
 func WithClock(clk *simclock.Clock) Option {
-	return func(c *Checker) { c.clock = clk }
+	return func(c *config) { c.clock = clk }
 }
 
 // WithCoverage toggles the ES-CFG coverage counters (default on; the
-// overhead-guard baseline and ablations turn them off). Coverage rides
-// the sealed engine only — the reference engine never counts.
+// overhead-guard baseline and ablations turn them off). The Reference
+// oracle never counts.
 func WithCoverage(on bool) Option {
-	return func(c *Checker) { c.covOff = !on }
+	return func(c *config) { c.covOff = !on }
 }
 
 // WithStream selects the telemetry hub the checker publishes anomaly
 // and lifecycle events into (default stream.Default()). WithStream(nil)
 // disables publication entirely.
 func WithStream(h *stream.Hub) Option {
-	return func(c *Checker) { c.hub, c.hubSet = h, true }
+	return func(c *config) { c.hub, c.hubSet = h, true }
 }
 
 // WithTenant stamps a control-plane tenant name onto every event the
@@ -597,60 +587,32 @@ func WithStream(h *stream.Hub) Option {
 // daemon's anomaly tail attributes each record to the namespace that
 // owns the session. Empty (the default) means single-tenant.
 func WithTenant(name string) Option {
-	return func(c *Checker) { c.tenant = name }
+	return func(c *config) { c.tenant = name }
 }
 
 // WithTraceDepth bounds how many trailing events a blocking anomaly
 // freezes into its AnomalyContext (default 32, capped by the ring).
 func WithTraceDepth(k int) Option {
-	return func(c *Checker) {
+	return func(c *config) {
 		if k > 0 {
 			c.traceDepth = k
 		}
 	}
 }
 
-// baseChecker returns a checker with the construction defaults shared by
-// New and the Shared engine's option template.
-func baseChecker() *Checker {
-	return &Checker{
-		mode:          ModeProtection,
-		budget:        1 << 20,
-		enabled:       [4]bool{false, true, true, true},
-		accessControl: true,
-		sessionID:     -1,
-		traceDepth:    32,
-	}
-}
-
 // New builds a checker for a specification. initial is the device control
 // structure at deployment time, cloned into the shadow device state. The
-// specification is sealed (lowered to its dense runtime form) here, at
-// deployment: later mutation of spec does not affect the checker.
+// specification is compiled (sealed and lowered to its threaded stream)
+// here, at deployment: later mutation of spec does not affect the
+// checker.
 func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
-	c := baseChecker()
-	c.spec = spec
-	c.prog = spec.Program()
+	c := &Checker{specGen: 1}
+	c.config = newConfig(opts)
+	c.bind(Compile(spec))
 	c.shadow = spec.InitialShadow(initial)
-	c.specGen = 1
-	for _, o := range opts {
-		o(c)
-	}
-	if !c.useRef {
-		sealed, tc := spec.SealThreaded()
-		c.sealed, c.tprog = sealed, buildThreaded(tc)
-	}
-	c.noClear = c.sealed != nil && c.sealed.TempsDefinitelyAssigned()
-	if !c.covOff && c.sealed != nil {
+	if !c.covOff {
 		c.cov = coverage.NewMap(c.sealed.NumBlocks(), c.sealed.NumEdges())
 		c.covGen = c.specGen
-	}
-	if es := spec.Block(spec.Entry); es != nil {
-		c.entryTemps = c.prog.Handlers[es.Ref.Handler].NumTemps
-		c.entryRef = es.Ref
-	}
-	if c.env == nil {
-		c.env = interp.NopEnv()
 	}
 	if c.sessionID < 0 {
 		c.sessionID = 0
@@ -675,11 +637,17 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 	return c
 }
 
-// Mode returns the working mode.
-func (c *Checker) Mode() Mode { return c.mode }
-
-// Stats returns a copy of the counters.
-func (c *Checker) Stats() Stats { return c.stats.snapshot() }
+// bind points the checker at a compiled spec: the sealed tables, the
+// threaded stream and the entry material every round needs.
+func (c *Checker) bind(cv *Compiled) {
+	c.spec = cv.spec
+	c.sealed = cv.sealed
+	c.tprog = cv.tprog
+	c.prog = cv.prog
+	c.entryTemps = cv.entryTemps
+	c.entryRef = cv.entryRef
+	c.noClear = cv.sealed.TempsDefinitelyAssigned()
+}
 
 // Warnings returns a copy of the anomalies raised in enhancement mode
 // without blocking. Returning a copy keeps callers from mutating checker
@@ -743,36 +711,6 @@ func (c *Checker) ClearAudit() {
 // checked against (1 for serial checkers and before any hot-swap).
 func (c *Checker) SpecGen() uint64 { return c.specGen }
 
-// Shadow exposes the shadow device state for tests and diagnostics.
-func (c *Checker) Shadow() *interp.State { return c.shadow }
-
-// NeedsResync reports whether the last check round desynchronized the
-// shadow from the device — a warning or an unobserved path — i.e.
-// whether PostIO would resynchronize at the next dispatch. Machine-less
-// replay harnesses use it to emulate the dispatcher's resync point.
-func (c *Checker) NeedsResync() bool { return c.needResync }
-
-// ResyncShadow re-initializes the shadow device state from the real
-// control structure and drops command tracking. Rollback recovery calls
-// it after restoring a machine snapshot, since the restored device state
-// no longer matches the simulation's.
-func (c *Checker) ResyncShadow(real *interp.State) {
-	copy(c.shadow.Bytes(), real.Bytes())
-	c.cmdActive = false
-	c.suppressAccess = true
-	c.needResync = false
-	c.stats.resyncs.Add(1)
-}
-
-// blockingAnomaly reports whether the anomaly stops execution in the
-// current mode.
-func (c *Checker) blockingAnomaly(s Strategy) bool {
-	if c.mode == ModeProtection {
-		return true
-	}
-	return s == StrategyParameter
-}
-
 var (
 	_ machine.Interposer     = (*Checker)(nil)
 	_ machine.PostInterposer = (*Checker)(nil)
@@ -799,7 +737,7 @@ func (c *Checker) PreIO(_ machine.Device, req *interp.Request) error {
 	}
 	round := c.stats.rounds.Add(1)
 	req.Rewind()
-	anomaly := c.simulate(req)
+	anomaly := c.simulateThreaded(req)
 	req.Rewind()
 	return c.finishRound(req, round, anomaly)
 }
@@ -816,27 +754,10 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		}
 		return nil
 	}
-	anomaly.Device = c.spec.Device
-	anomaly.Round = round
-	anomaly.SpecGen = c.specGen
-	if anomaly.EdgeKind == "" {
-		// Untagged sites default by strategy: parameter-check anomalies
-		// (overflow, bounds, DMA) concern an op, not a transition.
-		switch anomaly.Strategy {
-		case StrategyParameter:
-			anomaly.EdgeKind = "parameter"
-		case StrategyIndirectJump:
-			anomaly.EdgeKind = "indirect"
-		default:
-			anomaly.EdgeKind = "control"
-		}
-	}
 	if c.shared != nil {
 		anomaly.Session = c.sessionID
 	}
-	c.countAnomaly(anomaly.Strategy)
-	if c.blockingAnomaly(anomaly.Strategy) {
-		c.stats.blocked.Add(1)
+	if c.settle(anomaly, c.spec.Device, round, c.specGen) {
 		if c.rec != nil {
 			c.record(req, round, anomaly.Strategy, obs.VerdictBlocked, anomaly.Block)
 			anomaly.Ctx = c.rec.Freeze(c.traceDepth)
@@ -867,7 +788,6 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		}
 		return anomaly
 	}
-	c.stats.warnings.Add(1)
 	if c.rec != nil {
 		c.record(req, round, anomaly.Strategy, obs.VerdictWarned, anomaly.Block)
 	}
@@ -929,14 +849,8 @@ func (c *Checker) adopt(v *specVersion) {
 	}
 	c.shared.moveSession(c, v, m)
 	c.ver = v
-	c.spec = v.spec
-	c.sealed = v.sealed
-	c.noClear = v.sealed != nil && v.sealed.TempsDefinitelyAssigned()
-	c.prog = v.prog
-	c.entryTemps = v.entryTemps
-	c.entryRef = v.entryRef
 	c.specGen = v.gen
-	c.tprog = v.tprog
+	c.bind(v.Compiled)
 }
 
 // Coverage returns a snapshot of the coverage counters for the spec
@@ -958,11 +872,8 @@ func (c *Checker) Coverage() *coverage.Snapshot {
 
 // CoverageProfile relates the checker's runtime coverage to the sealed
 // structure and training baseline of its current generation; nil when
-// coverage is disabled or the checker runs the reference engine.
+// coverage is disabled.
 func (c *Checker) CoverageProfile() *coverage.Profile {
-	if c.sealed == nil {
-		return nil
-	}
 	snap := c.Coverage()
 	if snap == nil {
 		return nil
@@ -1027,39 +938,4 @@ func (c *Checker) DumpTrace(w io.Writer) error {
 		return err
 	}
 	return obs.WriteTimeline(w, ring.Snapshot())
-}
-
-// PostIO implements machine.PostInterposer: after warning rounds the
-// shadow state is resynchronized from the real device control structure,
-// since the simulation could not follow the unobserved path.
-func (c *Checker) PostIO(dev machine.Device, _ *interp.Request, _ *interp.Result) {
-	if !c.needResync {
-		return
-	}
-	copy(c.shadow.Bytes(), dev.State().Bytes())
-	c.cmdActive = false
-	c.suppressAccess = true
-	c.needResync = false
-	c.stats.resyncs.Add(1)
-}
-
-func (c *Checker) countAnomaly(s Strategy) {
-	switch s {
-	case StrategyParameter:
-		c.stats.paramAnomalies.Add(1)
-	case StrategyIndirectJump:
-		c.stats.indirectAnomalies.Add(1)
-	case StrategyConditionalJump:
-		c.stats.condAnomalies.Add(1)
-	}
-}
-
-func (c *Checker) anomaly(s Strategy, ref ir.BlockRef, src ir.SourceRef, format string, args ...any) *Anomaly {
-	return &Anomaly{
-		Strategy: s,
-		Block:    ref,
-		Src:      src,
-		Detail:   fmt.Sprintf(format, args...),
-		Session:  -1,
-	}
 }

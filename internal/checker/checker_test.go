@@ -7,6 +7,7 @@ import (
 	"sedspec"
 	"sedspec/internal/checker"
 	"sedspec/internal/devices/testdev"
+	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 )
 
@@ -281,22 +282,34 @@ func TestResyncShadowRestoresTracking(t *testing.T) {
 	_ = m
 }
 
+// resyncEngine is what TestPostIOResyncAfterWarningRound observes on
+// both engines.
+type resyncEngine interface {
+	Stats() checker.Stats
+	Shadow() *interp.State
+	AccessSuppressed() bool
+	CommandActive() (bool, uint64)
+}
+
 func TestPostIOResyncAfterWarningRound(t *testing.T) {
+	enhance := checker.WithMode(checker.ModeEnhancement)
 	for _, tc := range []struct {
-		name string
-		opts []checker.Option
+		name    string
+		protect func(*machine.Attached, *sedspec.Spec) resyncEngine
 	}{
-		{"sealed", nil},
-		{"reference", []checker.Option{checker.WithReferenceSimulation()}},
+		{"sealed", func(att *machine.Attached, spec *sedspec.Spec) resyncEngine {
+			return sedspec.Protect(att, spec, enhance)
+		}},
+		{"reference", func(att *machine.Attached, spec *sedspec.Spec) resyncEngine {
+			ref := checker.NewReference(spec, att.Dev().State(),
+				checker.WithEnv(att), checker.WithHalt(att.Machine().Halt), enhance)
+			att.AddInterposer(ref)
+			return ref
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, att := setup(t)
-			spec := learn(t, att)
-			opts := append([]checker.Option{checker.WithMode(checker.ModeEnhancement)}, tc.opts...)
-			chk := sedspec.Protect(att, spec, opts...)
-			if chk.Sealed() == (tc.name == "reference") {
-				t.Fatalf("engine selection wrong for %s", tc.name)
-			}
+			chk := tc.protect(att, learn(t, att))
 			d := sedspec.NewDriver(att)
 
 			// The diag command warns; the round completes and PostIO must

@@ -3,17 +3,15 @@ package checker
 import "slices"
 
 // Test-only accessors for internal state: command tracking for the
-// shadow-resync tests, coverage retention for the retention tests.
+// shadow-resync tests (on both engines), coverage retention for the
+// retention tests.
 
 // AccessSuppressed reports whether access-vector checks are currently
 // suppressed (post-resync, until the next command-decision block).
-func (c *Checker) AccessSuppressed() bool { return c.suppressAccess }
+func (s *sim) AccessSuppressed() bool { return s.suppressAccess }
 
 // CommandActive reports the active-command tracking state.
-func (c *Checker) CommandActive() (bool, uint64) { return c.cmdActive, c.activeCmd }
-
-// Sealed reports whether the checker runs the sealed fast path.
-func (c *Checker) Sealed() bool { return c.sealed != nil }
+func (s *sim) CommandActive() (bool, uint64) { return s.cmdActive, s.activeCmd }
 
 // MergeStats exposes Stats.merge for the aggregation property tests.
 func MergeStats(a, b Stats) Stats { return a.merge(b) }
@@ -26,10 +24,13 @@ func (c *Checker) FastForward() (attempts, skippedSteps uint64) {
 
 // WithoutFastForward makes the threaded engine walk every loop step, so
 // its coverage counts are a full walk's.
-func WithoutFastForward() Option { return func(c *Checker) { c.ffOff = true } }
+func WithoutFastForward() Option { return func(c *config) { c.ffOff = true } }
 
 // RoundSteps is the last round's walker step count.
 func (c *Checker) RoundSteps() int { return c.roundSteps }
+
+// RoundSteps is the last round's walker step count.
+func (r *Reference) RoundSteps() int { return r.steps }
 
 // RetainedGens lists, in ascending order, the generations whose
 // coverage some shard's retired bank still holds.

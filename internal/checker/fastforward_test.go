@@ -340,23 +340,35 @@ type loopRun struct {
 	skipped  uint64
 }
 
-var loopEngines = []struct {
-	name string
-	opts []checker.Option
-}{
-	{"threaded", nil},
-	{"threaded-noff", []checker.Option{checker.WithoutFastForward()}},
-	{"reference", []checker.Option{checker.WithReferenceSimulation()}},
+// loopEngine is what a loop run observes on either engine.
+type loopEngine interface {
+	machine.Interposer
+	Stats() checker.Stats
+	Shadow() *interp.State
+	RoundSteps() int
 }
 
-// run checks one request on a fresh checker from the trained state.
-func (l *loopLab) run(t *testing.T, eng []checker.Option, shape int, start, limit uint32, budget int) loopRun {
+var loopEngines = []struct {
+	name  string
+	build func(*core.Spec, *interp.State, ...checker.Option) loopEngine
+}{
+	{"threaded", func(spec *core.Spec, start *interp.State, opts ...checker.Option) loopEngine {
+		return checker.New(spec, start, opts...)
+	}},
+	{"threaded-noff", func(spec *core.Spec, start *interp.State, opts ...checker.Option) loopEngine {
+		return checker.New(spec, start, append(opts, checker.WithoutFastForward())...)
+	}},
+	{"reference", func(spec *core.Spec, start *interp.State, opts ...checker.Option) loopEngine {
+		return checker.NewReference(spec, start, opts...)
+	}},
+}
+
+// run checks one request on a fresh engine from the trained state.
+func (l *loopLab) run(t *testing.T, eng int, shape int, start, limit uint32, budget int) loopRun {
 	t.Helper()
-	opts := []checker.Option{
+	chk := loopEngines[eng].build(l.spec, l.start,
 		checker.WithEnv(l.att), checker.WithBudget(budget),
-		checker.WithRecorder(nil), checker.WithStream(nil),
-	}
-	chk := checker.New(l.spec, l.start, append(opts, eng...)...)
+		checker.WithRecorder(nil), checker.WithStream(nil))
 	var run loopRun
 	if err := chk.PreIO(nil, loopReq(shape, start, limit)); err != nil {
 		var a *checker.Anomaly
@@ -367,9 +379,11 @@ func (l *loopLab) run(t *testing.T, eng []checker.Option, shape int, start, limi
 	}
 	run.stats = chk.Stats()
 	run.shadow = bytes.Clone(chk.Shadow().Bytes())
-	run.coverage = chk.Coverage()
 	run.steps = chk.RoundSteps()
-	_, run.skipped = chk.FastForward()
+	if c, ok := chk.(*checker.Checker); ok {
+		run.coverage = c.Coverage()
+		_, run.skipped = c.FastForward()
+	}
 	return run
 }
 
@@ -377,10 +391,10 @@ func (l *loopLab) run(t *testing.T, eng []checker.Option, shape int, start, limi
 // reference engine on one request and pins them together.
 func (l *loopLab) check(t *testing.T, shape int, start, limit uint32, budget int) loopRun {
 	t.Helper()
-	want := l.run(t, loopEngines[0].opts, shape, start, limit, budget)
-	for _, eng := range loopEngines[1:] {
-		got := l.run(t, eng.opts, shape, start, limit, budget)
-		label := fmt.Sprintf("%s start=%#x limit=%#x budget=%d: %s", shapeNames[shape], start, limit, budget, eng.name)
+	want := l.run(t, 0, shape, start, limit, budget)
+	for eng := 1; eng < len(loopEngines); eng++ {
+		got := l.run(t, eng, shape, start, limit, budget)
+		label := fmt.Sprintf("%s start=%#x limit=%#x budget=%d: %s", shapeNames[shape], start, limit, budget, loopEngines[eng].name)
 		if got.anomaly != want.anomaly {
 			t.Errorf("%s: anomaly %q, threaded %q", label, got.anomaly, want.anomaly)
 		}

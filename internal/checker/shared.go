@@ -51,27 +51,11 @@ type Shared struct {
 	// Swap stores a successor and grace-waits.
 	cur atomic.Pointer[specVersion]
 
-	mode          Mode
-	enabled       [4]bool
-	budget        int
-	accessControl bool
-
-	// env and haltFn are session defaults, overridable per session with
-	// WithEnv / WithHalt (each guest's machine is its own environment).
-	env    interp.Env
-	haltFn func()
-
-	// reg is the observability registry every session's flight recorder
-	// reports into; traceDepth is the session default for anomaly freezes.
-	reg        *obs.Registry
-	traceDepth int
-
-	// hub is the telemetry hub sessions inherit (overridable per session
-	// with WithStream); the engine itself publishes swap events into it.
-	hub *stream.Hub
-	// tenant is the control-plane namespace sessions inherit and the
-	// engine stamps onto its own swap events (empty for single-tenant).
-	tenant string
+	// cfg is the check configuration every session starts from; per-session
+	// options (typically WithEnv and WithHalt: each guest's machine is its
+	// own environment) override it. Its registry (cfg.obsReg) and hub are
+	// resolved, and the engine reports its own swaps into them.
+	cfg config
 
 	scratchPool sync.Pool
 
@@ -93,9 +77,6 @@ type Shared struct {
 	warnMu          sync.Mutex
 	retiredWarnings []Anomaly
 	retiredAudit    []AuditRecord
-
-	// covOff is the engine-wide coverage switch sessions inherit.
-	covOff bool
 }
 
 // sessionShard is one partition of the session registry plus the retired
@@ -141,9 +122,7 @@ type scratch struct {
 
 // NewShared seals the specification once and returns the engine that
 // enforces it across sessions. Options fix the check configuration every
-// session inherits; WithReferenceSimulation is rejected — the reference
-// engine walks the mutable Spec and exists for differential testing, not
-// for concurrent deployment.
+// session inherits.
 func NewShared(spec *core.Spec, opts ...Option) *Shared {
 	return NewSharedCompiled(Compile(spec), opts...)
 }
@@ -151,32 +130,15 @@ func NewShared(spec *core.Spec, opts ...Option) *Shared {
 // NewSharedCompiled is NewShared for an already compiled spec: the
 // engine publishes cv as its first generation without sealing again.
 func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
-	tmpl := baseChecker()
-	for _, o := range opts {
-		o(tmpl)
+	s := &Shared{device: cv.spec.Device, cfg: newConfig(opts)}
+	// A recorder, clock and session ID belong to one session: every
+	// session gets its own.
+	s.cfg.rec, s.cfg.recSet, s.cfg.clock, s.cfg.sessionID = nil, false, nil, -1
+	if s.cfg.obsReg == nil {
+		s.cfg.obsReg = obs.Default()
 	}
-	if tmpl.useRef {
-		panic("checker: WithReferenceSimulation is incompatible with a shared engine")
-	}
-	s := &Shared{
-		device:        cv.spec.Device,
-		mode:          tmpl.mode,
-		enabled:       tmpl.enabled,
-		budget:        tmpl.budget,
-		accessControl: tmpl.accessControl,
-		env:           tmpl.env,
-		haltFn:        tmpl.haltFn,
-		reg:           tmpl.obsReg,
-		traceDepth:    tmpl.traceDepth,
-		covOff:        tmpl.covOff,
-		tenant:        tmpl.tenant,
-	}
-	if s.reg == nil {
-		s.reg = obs.Default()
-	}
-	s.hub = tmpl.hub
-	if !tmpl.hubSet {
-		s.hub = stream.Default()
+	if !s.cfg.hubSet {
+		s.cfg.hub = stream.Default()
 	}
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
@@ -192,7 +154,7 @@ func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
 }
 
 // Mode returns the working mode every session enforces.
-func (s *Shared) Mode() Mode { return s.mode }
+func (s *Shared) Mode() Mode { return s.cfg.mode }
 
 // Sealed exposes the current sealed specification (diagnostics, tests).
 func (s *Shared) Sealed() *core.SealedSpec { return s.cur.Load().sealed }
@@ -277,9 +239,7 @@ func (s *Shared) Publish(cv *Compiled) error {
 	next.gen = old.gen + 1
 	s.cur.Store(next)
 	s.swaps.Add(1)
-	if s.reg != nil {
-		s.reg.CountSwap(s.device)
-	}
+	s.cfg.obsReg.CountSwap(s.device)
 
 	// Grace period. A session's epoch is odd while it is inside PreIO or
 	// PreIOBatch (mid-round) and even between rounds. Any round entered
@@ -304,9 +264,9 @@ func (s *Shared) Publish(cv *Compiled) error {
 		}
 	}
 	s.swapMu.Unlock()
-	s.hub.Publish(stream.Event{
+	s.cfg.hub.Publish(stream.Event{
 		Kind:    stream.KindSwap,
-		Tenant:  s.tenant,
+		Tenant:  s.cfg.tenant,
 		Device:  s.device,
 		Session: -1,
 		SpecGen: next.gen,
@@ -318,9 +278,9 @@ func (s *Shared) Publish(cv *Compiled) error {
 // NewSession opens an enforcement session: a Checker sharing this
 // engine's sealed spec, with its own shadow device state cloned from
 // initial and its own recycled scratch. Per-session options typically
-// wire the session's machine (WithEnv, WithHalt); WithReferenceSimulation
-// panics. The returned Checker is driven by one goroutine, concurrently
-// with any number of sibling sessions.
+// wire the session's machine (WithEnv, WithHalt). The returned Checker
+// is driven by one goroutine, concurrently with any number of sibling
+// sessions.
 //
 // Every session gets its own flight recorder registered with the
 // engine's observability registry, under an auto-assigned session ID
@@ -330,41 +290,12 @@ func (s *Shared) Publish(cv *Compiled) error {
 // lives on, so open/close traffic spreads across shard locks.
 func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	v := s.cur.Load()
-	c := &Checker{
-		spec:          v.spec,
-		sealed:        v.sealed,
-		noClear:       v.sealed != nil && v.sealed.TempsDefinitelyAssigned(),
-		prog:          v.prog,
-		tprog:         v.tprog,
-		ver:           v,
-		specGen:       v.gen,
-		mode:          s.mode,
-		enabled:       s.enabled,
-		budget:        s.budget,
-		accessControl: s.accessControl,
-		entryTemps:    v.entryTemps,
-		env:           s.env,
-		haltFn:        s.haltFn,
-		shadow:        v.spec.InitialShadow(initial),
-		shared:        s,
-		sessionID:     -1,
-		traceDepth:    s.traceDepth,
-		obsReg:        s.reg,
-		entryRef:      v.entryRef,
-	}
-	c.covOff = s.covOff
-	c.hub = s.hub
-	c.tenant = s.tenant
-	for _, o := range opts {
-		o(c)
-	}
-	if c.useRef {
-		panic("checker: WithReferenceSimulation is incompatible with a shared engine")
-	}
+	c := &Checker{ver: v, specGen: v.gen, shared: s}
+	c.config = s.cfg
+	c.apply(opts)
+	c.bind(v.Compiled)
+	c.shadow = v.spec.InitialShadow(initial)
 	v.sessions.Add(1)
-	if c.env == nil {
-		c.env = interp.NopEnv()
-	}
 	if !c.covOff {
 		c.cov = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
 		c.covGen = v.gen
@@ -728,7 +659,7 @@ func (s *Shared) collectCoverage(gen uint64) map[uint64]*coverage.Snapshot {
 // its sealed structure and training baseline; nil when coverage is
 // disabled.
 func (s *Shared) CoverageProfile() *coverage.Profile {
-	if s.covOff {
+	if s.cfg.covOff {
 		return nil
 	}
 	v := s.cur.Load()
@@ -737,13 +668,13 @@ func (s *Shared) CoverageProfile() *coverage.Profile {
 
 // Registry returns the observability registry the engine's sessions
 // report into.
-func (s *Shared) Registry() *obs.Registry { return s.reg }
+func (s *Shared) Registry() *obs.Registry { return s.cfg.obsReg }
 
 // Metrics returns the engine's device row from the observability
 // registry: one MetricsSnapshot aggregating every session's recorder,
 // open and retired. Safe to call while sessions run.
 func (s *Shared) Metrics() obs.MetricsSnapshot {
-	return s.reg.Snapshot().Device(s.device)
+	return s.cfg.obsReg.Snapshot().Device(s.device)
 }
 
 // EngineStatus folds the engine's session registry, aggregate
@@ -756,7 +687,7 @@ func (s *Shared) EngineStatus() stream.EngineStatus {
 	st := s.Stats()
 	es := stream.EngineStatus{
 		Device:     s.device,
-		Tenant:     s.tenant,
+		Tenant:     s.cfg.tenant,
 		Generation: v.gen,
 		Sessions:   s.Sessions(),
 		Swaps:      s.swaps.Load(),
@@ -766,7 +697,7 @@ func (s *Shared) EngineStatus() stream.EngineStatus {
 
 		WarningsDropped: st.WarningsDropped,
 	}
-	if !s.covOff {
+	if !s.cfg.covOff {
 		if snap := s.collectCoverage(v.gen)[v.gen]; snap != nil {
 			cov := &stream.GenCoverage{
 				Generation:  v.gen,

@@ -142,41 +142,35 @@ func TestSharedScratchRecycled(t *testing.T) {
 	if err := benign(d); err != nil { // settle steady state
 		t.Fatal(err)
 	}
-	// Measure the per-session check loop alone (the interposer's PreIO on
-	// a captured request), the path every checked I/O pays.
+	// Measure the per-session check loop alone, the path every checked
+	// I/O pays: the interposer's PreIO on a captured request, and
+	// PreIOBatch on a burst of them. The first call of each warms it (the
+	// batch grows its verdict buffer).
 	req := interp.NewWrite(interp.SpacePIO, testdev.PortCmd, []byte{testdev.CmdStatus})
-	if err := c.PreIO(nil, req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := c.PreIO(nil, req); err != nil {
-			t.Fatal(err)
+	burst := []*interp.Request{req, req, req, req, req, req, req, req}
+	for _, tc := range []struct {
+		name  string
+		check func()
+	}{
+		{"PreIO", func() {
+			if err := c.PreIO(nil, req); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"PreIOBatch", func() {
+			for k, v := range c.PreIOBatch(burst) {
+				if !v.Checked || v.Blocked {
+					t.Fatalf("batched request %d verdict %+v, want clean", k, v)
+				}
+			}
+		}},
+	} {
+		tc.check()
+		if allocs := testing.AllocsPerRun(100, tc.check); allocs != 0 {
+			t.Errorf("%s: steady-state check loop allocates %.1f/op, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state check loop allocates %.1f/op, want 0", allocs)
 	}
 	c.Close()
-}
-
-func TestSharedRejectsReferenceSimulation(t *testing.T) {
-	_, att := setup(t)
-	spec := learn(t, att)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: WithReferenceSimulation did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("NewShared", func() {
-		checker.NewShared(spec, checker.WithReferenceSimulation())
-	})
-	sh := checker.NewShared(spec)
-	mustPanic("NewSession", func() {
-		sh.NewSession(att.Dev().State(), checker.WithReferenceSimulation())
-	})
 }
 
 func TestSharedStatsWhileRunning(t *testing.T) {

@@ -24,8 +24,8 @@ import (
 // op's field geometry, a switch's arm lookup) can read the instruction's
 // cold side, cold[pc].
 //
-// The engine is behaviourally identical to the reference engine
-// (simulate.go): every anomaly string, step count and shadow mutation
+// The engine is behaviourally identical to the Reference oracle
+// (reference.go): every anomaly string, step count and shadow mutation
 // matches, and the differential tests in the repository root pin the two
 // to byte-identical anomaly streams. Steady-state rounds allocate
 // nothing.
@@ -133,8 +133,8 @@ func init() {
 }
 
 // simulateThreaded runs one round over the compiled stream. Round framing
-// (entry push, step accounting) mirrors simulateRef, plus the coverage
-// entry hit and round end the reference engine does not count. A round
+// (entry push, step accounting) mirrors Reference.simulate, plus the
+// coverage entry hit and round end the oracle does not count. A round
 // that runs past budget/ffGateDiv steps leaves the dispatch loop once for
 // a loop fast-forward attempt (fastforward.go) and continues where it
 // says.
@@ -240,8 +240,7 @@ func (c *Checker) tDivZero(ref ir.BlockRef, src ir.SourceRef, flush int) int32 {
 	if c.enabled[StrategyParameter] {
 		return c.tRaise(c.anomaly(StrategyParameter, ref, src, "division by zero"))
 	}
-	c.frames = c.frames[:0]
-	c.needResync = true
+	c.stop()
 	return tpcStop
 }
 
@@ -278,7 +277,7 @@ func (c *Checker) tOverGate(i *tinstr, pc int32, st int) int32 {
 
 // tGoto performs a resolved block transition: command-end clearing, the
 // access-control check, the coverage tick, and the post-stop frame check,
-// in exactly transitionRef's order.
+// in exactly Reference.transition's order.
 func (c *Checker) tGoto(pc, id, edge int32, cmdEnd bool) int32 {
 	if cmdEnd {
 		c.cmdActive = false
@@ -381,7 +380,7 @@ func tIOToBufH(c *Checker, i *tinstr, pc int32) int32 {
 }
 
 func tDMAToBufH(c *Checker, i *tinstr, pc int32) int32 {
-	// See execDSOD: inbound DMA is performed against the shadow.
+	// See Reference.execDSOD: inbound DMA is performed against the shadow.
 	if a := c.checkCopyRange(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
@@ -398,7 +397,7 @@ func tDMAToBufH(c *Checker, i *tinstr, pc int32) int32 {
 }
 
 func tDMAFromBufH(c *Checker, i *tinstr, pc int32) int32 {
-	// See execDSOD: outbound DMA is bounds-checked, never performed.
+	// See Reference.execDSOD: outbound DMA is bounds-checked, never performed.
 	if a := c.checkCopyRange(c.tBlk(pc).Ref, c.tOp(pc), i.Checked, c.ttemps); a != nil {
 		c.tsteps += int(i.StepsAt)
 		return c.tRaise(a)
@@ -415,8 +414,7 @@ func tDMAReadH(c *Checker, i *tinstr, pc int32) int32 {
 		if c.enabled[StrategyParameter] {
 			return c.tRaise(c.anomaly(StrategyParameter, c.tBlk(pc).Ref, c.tOp(pc).Src0, "DMA read out of guest memory: %v", err))
 		}
-		c.frames = c.frames[:0]
-		c.needResync = true
+		c.stop()
 		return tpcStop
 	}
 	// Overlay this round's suppressed writebacks (skipped entirely in the
@@ -503,8 +501,7 @@ func tCallPtrH(c *Checker, i *tinstr, pc int32) int32 {
 	}
 	if target >= uint64(len(c.prog.Handlers)) {
 		// Unchecked corrupted pointer: the device would crash.
-		c.frames = c.frames[:0]
-		c.needResync = true
+		c.stop()
 		return tpcStop
 	}
 	callee := c.sealed.HandlerEntry(int(target))

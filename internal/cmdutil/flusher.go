@@ -10,11 +10,11 @@ import (
 	"syscall"
 )
 
-// Flusher runs registered final-export steps (metrics files, coverage
-// profiles, span traces) exactly once — on normal exit via a deferred
-// Flush, or on SIGINT/SIGTERM, so an interrupted run still leaves its
-// telemetry on disk. The signal path exits with the conventional 128+sig
-// status after flushing.
+// Flusher runs registered final-export steps (sedspec's coverage
+// profiles and stored coverage) exactly once — on normal exit via a
+// deferred Flush, or on SIGINT/SIGTERM, so an interrupted run still
+// leaves its telemetry on disk. The signal path exits with the
+// conventional 128+sig status after flushing.
 type Flusher struct {
 	mu    sync.Mutex
 	steps []func() error

@@ -81,20 +81,12 @@ func (p *PoC) RunUnprotected() (Outcome, error) {
 // attaches a checker restricted to the given strategies (none = all
 // three), and replays the exploit.
 func (p *PoC) RunProtected(strategies ...checker.Strategy) (Outcome, error) {
-	return p.RunProtectedWith(nil, strategies...)
-}
-
-// RunProtectedWith is RunProtected with extra checker options prepended
-// (e.g. checker.WithReferenceSimulation for the threaded-vs-reference
-// differential).
-func (p *PoC) RunProtectedWith(extra []checker.Option, strategies ...checker.Strategy) (Outcome, error) {
 	m, att := p.attach()
 	spec, err := sedspec.Learn(att, p.Train)
 	if err != nil {
 		return Outcome{}, err
 	}
 	var opts []checker.Option
-	opts = append(opts, extra...)
 	if len(strategies) > 0 {
 		opts = append(opts, checker.WithStrategies(strategies...))
 	}

@@ -63,8 +63,7 @@ func fillDeterministic() *Registry {
 	return g
 }
 
-// registryJSON is the registry's JSON export: its snapshot marshalled,
-// as the -metrics exporter writes it.
+// registryJSON is the registry's JSON export: its snapshot marshalled.
 func registryJSON(t *testing.T, g *Registry) string {
 	t.Helper()
 	b, err := json.Marshal(g.Snapshot())

@@ -185,7 +185,7 @@ func (m *MetricsSnapshot) Anomalies() uint64 {
 }
 
 // MarshalJSON renders the snapshot in the device × strategy × verdict
-// shape the -metrics export serves. Buckets and outcomes
+// shape embedders export. Buckets and outcomes
 // are emitted as ordered slices (ascending bucket index; strategy then
 // verdict order), not maps, so the export is byte-for-byte deterministic
 // and semantically ordered — stable for CI diffs and golden tests.

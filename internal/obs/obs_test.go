@@ -2,11 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestKindOf(t *testing.T) {
@@ -188,40 +185,6 @@ func TestFreezeAndTimeline(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "blocked parameter-check") {
 		t.Errorf("ring timeline missing verdict:\n%s", sb.String())
-	}
-}
-
-func TestExportEvery(t *testing.T) {
-	g := NewRegistry()
-	r := g.NewRecorder("fdc", 0, 8)
-	r.Record(Event{Steps: 3, Verdict: VerdictOK})
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	stop := ExportEvery(path, time.Millisecond, g)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic export never wrote the file")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.Record(Event{Steps: 3, Verdict: VerdictOK})
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(b, &map[string]any{}); err != nil {
-		t.Fatalf("export is not JSON: %v", err)
-	}
-	_ = snap
-	if !strings.Contains(string(b), `"rounds": 2`) {
-		t.Errorf("final export missing both rounds:\n%s", b)
 	}
 }
 

@@ -2,13 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
-	"sync"
-	"time"
 )
 
 // AnomalyContext is the forensic record attached to a blocking anomaly:
@@ -77,42 +73,5 @@ func writeEvents(w io.Writer, events []Event) {
 		fmt.Fprintf(w, "%8d %12d %8d %4d %4d %8s %#10x %6d %6d %4d/%-5d  %s\n",
 			ev.Seq, ev.Tick, ev.Round, ev.Session, ev.SpecGen, ev.Kind, ev.Addr, ev.Len,
 			ev.Steps, ev.Handler, ev.Block, verdict)
-	}
-}
-
-// ExportEvery periodically writes the registry's snapshot as indented
-// JSON to path, and once more when the returned stop function runs.
-// The commands' -metrics flag is backed by this.
-func ExportEvery(path string, every time.Duration, g *Registry) (stop func() error) {
-	write := func() error {
-		b, err := json.MarshalIndent(g.Snapshot(), "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	if every > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					_ = write() // transient write errors surface from the final write
-				}
-			}
-		}()
-	}
-	var once sync.Once
-	return func() error {
-		once.Do(func() { close(done) })
-		wg.Wait()
-		return write()
 	}
 }
