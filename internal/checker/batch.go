@@ -15,10 +15,10 @@ var _ machine.BatchInterposer = (*Checker)(nil)
 // PreIOBatch checks a whole burst of requests — a descriptor-ring sweep,
 // an EHCI schedule walk, a SCSI CDB push — in one call, amortizing the
 // per-round fixed costs across the batch: one frame-arena reset, one
-// DMA-journal epoch, one coverage counter tick, and one obs/metrics
-// publication per batch instead of per round. Per-op anomaly step
-// totals and per-I/O verdicts are exactly those of the equivalent PreIO
-// sequence.
+// DMA-journal epoch and one Stats publication per batch instead of per
+// round, and one ring event for the batch's clean rounds. Per-op anomaly
+// step totals, per-I/O verdicts and the session's publication schedule
+// are exactly those of the equivalent PreIO sequence.
 //
 // The batch simulates ahead of the device: request k+1 is checked
 // before the device has consumed request k. That is sound because the
@@ -62,9 +62,9 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 	round0 := c.stats.rounds.Load()
 	checked := 0
 	pub := uint64(0)
-	// Clean rounds do not materialize individual ring events: their
-	// histogram counts go through the recorder's deferred table and the
-	// batch appends one KindBatch summary covering the clean prefix —
+	// Clean rounds do not materialize individual ring events: each is
+	// counted into the recorder's histograms one by one, and the batch
+	// appends one KindBatch summary covering the clean prefix —
 	// before any anomaly event, so the ring stays in round order. The
 	// clock is frozen during check-ahead, so one timestamp read serves
 	// the whole batch.
@@ -115,10 +115,11 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 			// needs writing. Latency is zero by construction — the clock
 			// does not advance while the batch checks ahead of the device.
 			if c.rec != nil {
-				c.rec.CommitOKDeferred(0, uint32(c.roundSteps))
+				c.rec.Count(0, uint32(c.roundSteps), obs.StrategyNone, obs.VerdictOK)
 				okRounds++
 				okSteps += uint64(c.roundSteps)
 			}
+			c.endRound()
 			vs[k].Checked = true
 			if c.needResync {
 				break
@@ -130,6 +131,7 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 			emitSummary()
 		}
 		err := c.finishRound(req, round, anomaly)
+		c.endRound()
 		vs[k] = Verdict{Checked: true, Blocked: err != nil, Err: err}
 		if err != nil && c.haltFn != nil {
 			// finishRound defers the halt in batch mode; the dispatcher
@@ -143,9 +145,6 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 		emitSummary()
 	}
 	c.batching = false
-	if c.cov != nil {
-		c.cov.RoundEndN(checked)
-	}
 	if c.shared != nil {
 		c.epoch.Add(1)
 	}

@@ -349,9 +349,12 @@ type Checker struct {
 	// residue (core.SealedSpec.TempsDefinitelyAssigned).
 	noClear bool
 	// batching is true while PreIOBatch drives the engine: per-round
-	// arena resets, DMA journal truncation, coverage ticks, and obs/stat
-	// publication are lifted to the batch boundary.
+	// arena resets, DMA journal truncation and Stats publication are
+	// lifted to the batch boundary.
 	batching bool
+	// unpublished counts the checked rounds since the last publish, on
+	// the PreIO and PreIOBatch paths alike.
+	unpublished int
 	// batchSteps accumulates clean rounds' step counts within a batch so
 	// stepsSimulated is published once per batch instead of per round.
 	batchSteps uint64
@@ -739,7 +742,41 @@ func (c *Checker) PreIO(_ machine.Device, req *interp.Request) error {
 	req.Rewind()
 	anomaly := c.simulateThreaded(req)
 	req.Rewind()
-	return c.finishRound(req, round, anomaly)
+	err := c.finishRound(req, round, anomaly)
+	c.endRound()
+	return err
+}
+
+// publishInterval is the session's publication cadence in checked
+// rounds. Large enough to amortize the pending-cell walks and the atomic
+// adds to well under a nanosecond per round, small enough that live
+// aggregate readers stay fresh.
+const publishInterval = 64
+
+// endRound ticks the session's round counter and publishes every
+// publishInterval rounds.
+func (c *Checker) endRound() {
+	c.unpublished++
+	if c.unpublished >= publishInterval {
+		c.publish()
+	}
+}
+
+// publish folds the session's pending recorder cells and coverage counts
+// into their atomic banks, which the registry and the shared engine's
+// aggregates read. Besides the endRound cadence it runs before an
+// anomaly round is accounted, on adopting a new generation, on Close and
+// in the owner-side reads Coverage and Snapshot; so an aggregate lags a
+// live session by at most publishInterval rounds and is exact after any
+// of those. Owner goroutine (or a quiesced session) only.
+func (c *Checker) publish() {
+	c.unpublished = 0
+	if c.rec != nil {
+		c.rec.Publish()
+	}
+	if c.cov != nil {
+		c.cov.Flush()
+	}
 }
 
 // finishRound runs the post-simulation half of a check round: event
@@ -754,6 +791,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		}
 		return nil
 	}
+	c.publish()
 	if c.shared != nil {
 		anomaly.Session = c.sessionID
 	}
@@ -842,7 +880,9 @@ const MaxPendingWarnings = 1024
 // shape.
 func (c *Checker) adopt(v *specVersion) {
 	// Fresh counters for the new generation: its sealed block and edge
-	// slots are a new index space. The old map goes to the engine.
+	// slots are a new index space. The old map, published, goes to the
+	// engine.
+	c.publish()
 	var m *coverage.Map
 	if !c.covOff {
 		m = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
@@ -855,19 +895,16 @@ func (c *Checker) adopt(v *specVersion) {
 
 // Coverage returns a snapshot of the coverage counters for the spec
 // generation the checker currently enforces, or nil when coverage is
-// disabled. It publishes any pending counts first, so it must be called
-// from the goroutine driving the session or after the session quiesced;
-// for a live cross-goroutine view use the shared engine's
-// CoverageSnapshots, which reads only the published bank.
+// disabled. It publishes the session's pending counts first, so it must
+// be called from the goroutine driving the session or after the session
+// quiesced; for a live cross-goroutine view use the shared engine's
+// CoverageSnapshots, which reads only the published banks.
 func (c *Checker) Coverage() *coverage.Snapshot {
-	c.warnMu.Lock()
-	m := c.cov
-	c.warnMu.Unlock()
-	if m == nil {
+	if c.cov == nil {
 		return nil
 	}
-	m.Flush()
-	return m.Snapshot()
+	c.publish()
+	return c.cov.Snapshot()
 }
 
 // CoverageProfile relates the checker's runtime coverage to the sealed
@@ -891,12 +928,7 @@ func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v ob
 	if c.clock != nil {
 		tick = c.clock.Now().Microseconds()
 	}
-	var ev *obs.Event
-	if c.batching {
-		ev = c.rec.Append(tick)
-	} else {
-		ev = c.rec.AppendCommitted(tick, uint32(c.roundSteps), uint8(strat), v)
-	}
+	ev := c.rec.Append(tick)
 	ev.Round = round
 	ev.Addr = req.Addr
 	ev.Steps = uint32(c.roundSteps)
@@ -907,21 +939,23 @@ func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v ob
 	ev.SpecGen = uint16(c.specGen)
 	ev.Strategy = uint8(strat)
 	ev.Verdict = v
-	if c.batching {
-		c.rec.CommitDeferred(ev)
-	}
+	c.rec.Count(ev.Latency, ev.Steps, ev.Strategy, v)
 }
 
 // Recorder exposes the checker's flight recorder (nil when disabled).
 func (c *Checker) Recorder() *obs.Recorder { return c.rec }
 
 // Snapshot reads this checker's own observability metrics: round counts
-// by strategy and verdict plus the latency/step histograms. Safe to call
-// from other goroutines while the session runs.
+// by strategy and verdict plus the latency/step histograms. Like
+// Coverage it publishes the session's pending counts first, so it is
+// exact but must be called from the goroutine driving the session or
+// after the session quiesced; the registry is the live cross-goroutine
+// view.
 func (c *Checker) Snapshot() obs.MetricsSnapshot {
 	if c.rec == nil {
 		return obs.MetricsSnapshot{Device: c.spec.Device}
 	}
+	c.publish()
 	return c.rec.Snapshot()
 }
 

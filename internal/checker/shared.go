@@ -86,7 +86,7 @@ type Shared struct {
 type sessionShard struct {
 	mu       sync.Mutex
 	sessions []*Checker
-	retired  statCounters
+	retired  Stats
 	// retiredCov accumulates the coverage counters of sessions that
 	// closed or moved on, one bank per generation (counter index spaces
 	// are per-generation). A bank lives only while its generation is
@@ -348,6 +348,7 @@ func (c *Checker) Close() {
 		return
 	}
 	c.closed = true
+	c.publish()
 	if c.rec != nil {
 		c.rec.Close()
 	}
@@ -378,17 +379,7 @@ func (c *Checker) Close() {
 			break
 		}
 	}
-	snap := c.stats.snapshot()
-	sh.retired.rounds.Add(snap.Rounds)
-	sh.retired.paramAnomalies.Add(snap.ParamAnomalies)
-	sh.retired.indirectAnomalies.Add(snap.IndirectAnomalies)
-	sh.retired.condAnomalies.Add(snap.CondAnomalies)
-	sh.retired.blocked.Add(snap.Blocked)
-	sh.retired.warnings.Add(snap.Warnings)
-	sh.retired.resyncs.Add(snap.Resyncs)
-	sh.retired.stepsSimulated.Add(snap.StepsSimulated)
-	sh.retired.syncPointsResolved.Add(snap.SyncPointsResolved)
-	sh.retired.warningsDropped.Add(snap.WarningsDropped)
+	sh.retired = sh.retired.merge(final)
 	c.warnMu.Lock()
 	if len(c.warnings) > 0 || len(c.audit) > 0 {
 		s.warnMu.Lock()
@@ -396,7 +387,7 @@ func (c *Checker) Close() {
 		s.retiredWarnings, kw = appendCapped(s.retiredWarnings, c.warnings)
 		s.retiredAudit, ka = appendCapped(s.retiredAudit, c.audit)
 		s.warnMu.Unlock()
-		sh.retired.warningsDropped.Add(uint64(max(len(c.warnings)-kw, len(c.audit)-ka)))
+		sh.retired.WarningsDropped += uint64(max(len(c.warnings)-kw, len(c.audit)-ka))
 	}
 	c.warnings, c.audit = nil, nil
 	last := s.foldCoverageLocked(sh, c)
@@ -448,14 +439,12 @@ func (s *Shared) moveSession(c *Checker, next *specVersion, m *coverage.Map) {
 // session runs it, or it is current) or is dropped otherwise. It
 // reports whether c was the last session on the version. The caller
 // holds sh.mu and c.warnMu, so a concurrent aggregate sees c's counts
-// exactly once, either in the map or in the bank; it also owns the
-// session's goroutine or a quiesced session, so publishing the map's
-// pending counts here is safe.
+// exactly once, either in the map or in the bank; it has published the
+// map's pending counts (adopt and Close publish first).
 func (s *Shared) foldCoverageLocked(sh *sessionShard, c *Checker) (last bool) {
 	v := c.ver
 	n := v.sessions.Add(-1)
 	if c.cov != nil && (n > 0 || v == s.cur.Load()) {
-		c.cov.Flush()
 		c.cov.AddTo(sh.bankFor(v))
 	}
 	return n == 0
@@ -525,7 +514,7 @@ func (s *Shared) Stats() Stats {
 	var agg Stats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		agg = agg.merge(sh.retired.snapshot())
+		agg = agg.merge(sh.retired)
 		for _, c := range sh.sessions {
 			agg = agg.merge(c.stats.snapshot())
 		}

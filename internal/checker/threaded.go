@@ -134,7 +134,7 @@ func init() {
 
 // simulateThreaded runs one round over the compiled stream. Round framing
 // (entry push, step accounting) mirrors Reference.simulate, plus the
-// coverage entry hit and round end the oracle does not count. A round
+// coverage entry hit the oracle does not count. A round
 // that runs past budget/ffGateDiv steps leaves the dispatch loop once for
 // a loop fast-forward attempt (fastforward.go) and continues where it
 // says.
@@ -185,9 +185,6 @@ func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 		} else {
 			c.stats.stepsSimulated.Add(uint64(c.tsteps))
 		}
-	}
-	if c.cov != nil && !c.batching {
-		c.cov.RoundEnd()
 	}
 	c.treq = nil
 	c.tanom = nil

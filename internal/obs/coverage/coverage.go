@@ -14,26 +14,20 @@ package coverage
 import "sync/atomic"
 
 // Map counts runtime hits against one sealed spec generation. The hot
-// side is single-writer: HitBlock/HitEdge/RoundEnd belong to the one
-// goroutine driving the session and are plain increments on pre-sized
-// pending arrays — no atomics, no allocation. Every flushInterval rounds
-// (and on Flush) the pending deltas are folded into a published bank of
-// atomic counters, which is the only side Snapshot reads; a concurrent
-// snapshot therefore lags the live session by at most flushInterval
-// rounds and is a consistent lower bound.
+// side is single-writer: HitBlock/HitEdge belong to the one goroutine
+// driving the session and are plain increments on pre-sized pending
+// arrays — no atomics, no allocation. Flush folds the pending deltas
+// into a published bank of atomic counters, which is the only side
+// Snapshot reads; the session's owner flushes on its own schedule (the
+// checker publishes every 64 rounds), so a concurrent snapshot lags the
+// live session by at most that schedule and is a consistent lower bound.
 type Map struct {
 	blocks []atomic.Uint64
 	edges  []atomic.Uint64
 
 	pendBlocks []uint64
 	pendEdges  []uint64
-	sinceFlush uint32
 }
-
-// flushInterval is the publication cadence in rounds. Large enough to
-// amortize the pending-array scan and the atomic adds to well under a
-// nanosecond per round, small enough that live snapshots stay fresh.
-const flushInterval = 64
 
 // NewMap returns a zeroed map sized for a sealed spec's block and edge
 // tables.
@@ -60,32 +54,11 @@ func (m *Map) HitEdge(e int) { m.pendEdges[e]++ }
 // from it and adds their multiple for the iterations it skips.
 func (m *Map) Pending() (blocks, edges []uint64) { return m.pendBlocks, m.pendEdges }
 
-// RoundEnd marks the end of one checked round and publishes the pending
-// counts every flushInterval rounds. Single-writer.
-func (m *Map) RoundEnd() {
-	m.sinceFlush++
-	if m.sinceFlush >= flushInterval {
-		m.Flush()
-	}
-}
-
-// RoundEndN marks the end of a batch of n checked rounds in one tick:
-// the batched check path pays the publication check once per batch
-// instead of once per round, at the same flushInterval cadence.
-// Single-writer.
-func (m *Map) RoundEndN(n int) {
-	m.sinceFlush += uint32(n)
-	if m.sinceFlush >= flushInterval {
-		m.Flush()
-	}
-}
-
 // Flush publishes all pending counts into the snapshot-visible bank. It
 // must be called from the session's driving goroutine, or from a caller
 // that synchronized with it (a quiesced or closed session); the shared
 // engine calls it when a session's map folds into a retired bank.
 func (m *Map) Flush() {
-	m.sinceFlush = 0
 	for i, v := range m.pendBlocks {
 		if v != 0 {
 			m.blocks[i].Add(v)
@@ -102,8 +75,8 @@ func (m *Map) Flush() {
 
 // Snapshot returns a point-in-time copy of the published counters. Safe
 // to call concurrently with a live session's increments: it reads only
-// the atomic bank, so it may trail the session by up to flushInterval
-// rounds — a consistent lower bound, which Merge and the shared-engine
+// the atomic bank, so it may trail the session by the rounds not yet
+// flushed — a consistent lower bound, which Merge and the shared-engine
 // aggregation tolerate because counters only grow.
 func (m *Map) Snapshot() *Snapshot {
 	s := &Snapshot{

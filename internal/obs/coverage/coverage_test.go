@@ -45,7 +45,8 @@ func TestMapSnapshotMergeClone(t *testing.T) {
 }
 
 // TestMapConcurrentCounts: the map is single-writer, so concurrency is
-// one session goroutine counting (with periodic RoundEnd publication)
+// one session goroutine counting (flushing every 64 rounds, as the
+// checker does)
 // against snapshot readers — under -race this pins the contract that
 // readers touch only the atomic bank. Cross-session totals come from
 // merging each session's own map.
@@ -58,7 +59,9 @@ func TestMapConcurrentCounts(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			m.HitBlock(i % 4)
 			m.HitEdge(3 - i%4)
-			m.RoundEnd()
+			if i%64 == 63 {
+				m.Flush()
+			}
 		}
 	}()
 	var wg sync.WaitGroup

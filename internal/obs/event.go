@@ -10,13 +10,15 @@
 // is fixed here so that a recorded ring is self-describing.
 //
 // Concurrency contract: a Recorder has exactly one writer — the
-// goroutine driving its enforcement session. The metric bank behind it
-// is written with atomics, so cross-goroutine readers may snapshot
-// metrics at any time (Registry.Snapshot, Recorder.Snapshot). The ring
-// is NOT synchronized: it is read by its own writer (the anomaly path
-// freezes it into an AnomalyContext) or after the session has quiesced
-// (DumpTrace between experiments). This keeps the steady-state record
-// cost to two uncontended atomic adds and one 56-byte slot store.
+// goroutine driving its enforcement session. A clean round is counted
+// into a plain pending cell; Publish folds the pending cells into the
+// atomic metric bank, so cross-goroutine readers may snapshot metrics at
+// any time (Registry.Snapshot, Recorder.Snapshot) and see every round
+// the writer has published. The ring is NOT synchronized: it is read by
+// its own writer (the anomaly path freezes it into an AnomalyContext) or
+// after the session has quiesced (DumpTrace between experiments). This
+// keeps the steady-state record cost to one plain increment and one
+// 56-byte slot store.
 package obs
 
 import "fmt"

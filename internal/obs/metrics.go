@@ -41,11 +41,12 @@ func BucketLabel(i int) string {
 // bank is one recorder's metric storage. It has a single writer (the
 // session goroutine) but is read concurrently by snapshots, so every
 // counter is atomic. The latency and steps histograms are fused into one
-// bucket matrix so the common OK round costs exactly one atomic add:
-// snapshots recover the two marginal histograms (and the round total) by
-// summing rows and columns, which keeps the third counter and the second
-// histogram add off the hot path. The outcome matrix is touched only on
-// the rare anomaly path.
+// bucket matrix so a round is one cell: snapshots recover the two
+// marginal histograms (and the round total) by summing rows and columns,
+// which keeps a third counter and a second histogram add off the hot
+// path. Clean rounds reach the cells through the recorder's pending
+// image, one add per distinct cell at each Publish. The outcome matrix is
+// touched only on the rare anomaly path.
 type bank struct {
 	// outcomes counts anomalous rounds by strategy × verdict. The
 	// [StrategyNone][VerdictOK] cell is never written on the hot path;
@@ -301,27 +302,12 @@ type Recorder struct {
 	bank     bank
 	closed   bool
 
-	// pendCount is a write-combining image of the bank's bucket matrix
-	// for OK-round adds within a batched check (CommitDeferred), folded
-	// into the bank by FlushDeferred. It is indexed directly by
-	// latencyBucket<<5 | stepsBucket — the full key space — so no two
-	// cells ever collide and a deferred round costs a plain increment
-	// where AppendCommitted pays an atomic. pendDirty lists the distinct
-	// cells touched since the last flush (at most one new cell per deferred
-	// round, so pendFlushInterval entries bound it); flushing walks the
-	// dirty list, not the table. The table survives batch boundaries and
-	// self-publishes every pendFlushInterval deferred rounds, so a live
-	// Snapshot trails a batched session by a bounded number of OK rounds
-	// (anomalies always flush first). lastLat / lastSteps / lastIdx
-	// memoize the previous round's raw values so back-to-back identical
-	// rounds skip bucketing entirely.
-	pendCount  [NumBuckets * NumBuckets]uint32
-	pendDirty  [pendFlushInterval]uint16
-	pendDirtyN int
-	pendRounds uint32
-	lastLat    uint32
-	lastSteps  uint32
-	lastIdx    int16
+	// pend counts the clean rounds not yet published, indexed
+	// latencyBucket<<5 | stepsBucket — the full key space, so no two cells
+	// collide and counting a round is one plain increment. dirty marks the
+	// cells pend holds, one bit each, so Publish walks only those.
+	pend  [NumBuckets * NumBuckets]uint32
+	dirty [NumBuckets * NumBuckets / 64]uint64
 }
 
 // NewRecorder opens a recorder for one enforcement session and
@@ -338,7 +324,6 @@ func (g *Registry) NewRecorder(device string, session int, ringSize int) *Record
 		device:  device,
 		session: uint32(session & math.MaxUint32),
 		ring:    newRing(ringSize),
-		lastIdx: -1,
 	}
 	g.mu.Lock()
 	g.recs = append(g.recs, r)
@@ -358,128 +343,58 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 // Append claims the next ring slot and stamps the sequencing fields
 // (Seq, Session, Tick, and the Latency delta since the previous event).
 // The caller must assign every payload field — the slot is not cleared,
-// so an unassigned field would leak the overwritten event's value. A
-// batched check path finishes the record with CommitDeferred; per-round
-// delivery uses AppendCommitted instead. Claiming the slot first lets
-// the check hot path write each event field exactly once, directly
-// into the ring.
+// so an unassigned field would leak the overwritten event's value — and
+// counts the round with Count. Claiming the slot first lets the check hot
+// path write each event field exactly once, directly into the ring.
 func (r *Recorder) Append(tick int64) *Event {
-	return r.claim(tick, r.advance(tick))
-}
-
-// AppendCommitted is Append for per-round delivery, with the round
-// already counted: it folds the round into the metric bank (one
-// uncontended atomic add, two on anomalies) from the values the caller
-// is about to write — steps, strategy, verdict — and then claims and
-// stamps the slot, so the locked add does not queue behind the slot
-// stores. Snapshot reads only the bank, so counting before the slot is
-// filled is not observable. Any counts still deferred from an earlier
-// batched stretch are published first, so the bank never records a
-// later round ahead of an earlier one. The caller then assigns the
-// remaining payload fields, as after Append.
-func (r *Recorder) AppendCommitted(tick int64, steps uint32, strat uint8, v Verdict) *Event {
-	lat := r.advance(tick)
-	if r.pendDirtyN > 0 {
-		r.FlushDeferred()
-	}
-	r.bank.count(lat, steps, strat, v)
-	return r.claim(tick, lat)
-}
-
-// advance steps the event sequence and returns the virtual time since
-// the previous event, saturated to 32 bits.
-func (r *Recorder) advance(tick int64) uint32 {
 	r.seq++
 	d := tick - r.lastTick
 	r.lastTick = tick
+	var lat uint32 // saturated to 32 bits
 	switch {
-	case d <= 0:
-		return 0
 	case d >= math.MaxUint32:
-		return math.MaxUint32
-	default:
-		return uint32(d)
+		lat = math.MaxUint32
+	case d > 0:
+		lat = uint32(d)
 	}
-}
-
-// claim takes the next ring slot and stamps its sequencing fields.
-func (r *Recorder) claim(tick int64, lat uint32) *Event {
 	ev := &r.ring.slots[r.ring.head&r.ring.mask]
 	r.ring.head++
 	ev.Seq, ev.Session, ev.Tick, ev.Latency = r.seq, r.session, tick, lat
 	return ev
 }
 
-// CommitDeferred finishes an Append on batched check paths: OK rounds
-// accumulate in a small pending buffer and reach the atomic bank in one
-// add per distinct histogram cell at the next FlushDeferred; anomalous
-// rounds flush the buffer first and then commit directly, preserving
-// Snapshot's rounds-before-anomalies read invariant.
-func (r *Recorder) CommitDeferred(ev *Event) {
-	if ev.Verdict != VerdictOK {
-		r.FlushDeferred()
-		r.bank.record(ev)
+// Count folds one round into the recorder's metrics. A clean round is a
+// plain increment of its pending cell and reaches the atomic bank at the
+// next Publish. An anomalous round publishes everything pending and then
+// commits straight to the bank, so the bank never counts a later round
+// ahead of an earlier one and Snapshot keeps rounds >= anomalies.
+// Single-writer, like Append.
+func (r *Recorder) Count(latency, steps uint32, strat uint8, v Verdict) {
+	if v != VerdictOK {
+		r.Publish()
+		r.bank.count(latency, steps, strat, v)
 		return
 	}
-	r.CommitOKDeferred(ev.Latency, ev.Steps)
-}
-
-// CommitOKDeferred folds one clean batched round into the deferred
-// write-combining table without materializing a ring event. Batched
-// delivery coalesces its clean rounds into a single KindBatch ring
-// summary per batch; the histograms — and therefore Rounds — still
-// count every round individually through here, so Snapshot totals are
-// identical to per-round delivery.
-func (r *Recorder) CommitOKDeferred(latency, steps uint32) {
-	// Inlinable memo fast path: same raw values as the previous round and
-	// room before the next self-paced flush.
-	if latency == r.lastLat && steps == r.lastSteps && r.lastIdx >= 0 &&
-		r.pendRounds < pendFlushInterval-1 {
-		r.pendRounds++
-		r.pendCount[r.lastIdx]++
-		return
+	i := bucketOf(uint64(latency))<<5 | bucketOf(uint64(steps))
+	if r.pend[i] == 0 {
+		r.dirty[i>>6] |= 1 << (i & 63)
 	}
-	r.commitOKSlow(latency, steps)
+	r.pend[i]++
 }
 
-func (r *Recorder) commitOKSlow(latency, steps uint32) {
-	r.pendRounds++
-	if latency == r.lastLat && steps == r.lastSteps && r.lastIdx >= 0 {
-		r.pendCount[r.lastIdx]++
-	} else {
-		r.lastLat, r.lastSteps = latency, steps
-		i := uint32(bucketOf(uint64(latency)))<<5 | uint32(bucketOf(uint64(steps)))
-		if r.pendCount[i] == 0 {
-			r.pendDirty[r.pendDirtyN] = uint16(i)
-			r.pendDirtyN++
+// Publish folds the pending clean-round counts into the atomic bank that
+// Snapshot reads. The session's owner calls it on its own schedule (the
+// checker: every 64 rounds, before an anomaly, on a spec adoption and on
+// owner-side reads); Close calls it too, so final totals are exact.
+func (r *Recorder) Publish() {
+	for w := range r.dirty {
+		for set := r.dirty[w]; set != 0; set &= set - 1 {
+			i := w<<6 | bits.TrailingZeros64(set)
+			r.bank.cells[i>>5][i&(NumBuckets-1)].Add(uint64(r.pend[i]))
+			r.pend[i] = 0
 		}
-		r.pendCount[i]++
-		r.lastIdx = int16(i)
+		r.dirty[w] = 0
 	}
-	if r.pendRounds >= pendFlushInterval {
-		r.FlushDeferred()
-	}
-}
-
-// pendFlushInterval bounds how many OK rounds CommitDeferred may hold
-// back before self-publishing, mirroring the coverage map's cadence: a
-// concurrent Snapshot of a batched session lags by at most this many
-// rounds and reads a consistent lower bound.
-const pendFlushInterval = 64
-
-// FlushDeferred publishes pending CommitDeferred counts into the atomic
-// bank. The recorder self-paces it every pendFlushInterval deferred
-// rounds; anomalous rounds and Close force it so outcome ordering and
-// final totals are exact.
-func (r *Recorder) FlushDeferred() {
-	for k := 0; k < r.pendDirtyN; k++ {
-		i := r.pendDirty[k]
-		r.bank.cells[i>>5][i&(NumBuckets-1)].Add(uint64(r.pendCount[i]))
-		r.pendCount[i] = 0
-	}
-	r.pendDirtyN = 0
-	r.pendRounds = 0
-	r.lastIdx = -1
 }
 
 // Record stamps sequencing fields into ev and stores it — the
@@ -496,7 +411,8 @@ func (r *Recorder) Record(ev Event) {
 func (r *Recorder) Ring() *Ring { return &r.ring }
 
 // Snapshot reads the recorder's own metric bank. Safe to call from any
-// goroutine while the session runs.
+// goroutine while the session runs; it sees the rounds published so far,
+// not those still pending (see Publish).
 func (r *Recorder) Snapshot() MetricsSnapshot {
 	m := MetricsSnapshot{Device: r.device}
 	// Read outcomes before cells: record commits the histogram cell first
@@ -529,7 +445,7 @@ func (r *Recorder) Snapshot() MetricsSnapshot {
 // and unregisters it, so aggregate accounting survives session churn.
 // Idempotent; the ring stays readable after Close.
 func (r *Recorder) Close() {
-	r.FlushDeferred()
+	r.Publish()
 	g := r.reg
 	if g == nil {
 		return

@@ -190,3 +190,44 @@ func TestFreezeAndTimeline(t *testing.T) {
 
 // The debug HTTP surface moved to the stream package's unified
 // introspection server; see internal/obs/stream/http_test.go.
+
+// TestCountPublish pins the recorder's one count path: clean rounds stay
+// pending (invisible to Snapshot) until Publish, land in the same cells
+// Record would fill, and an anomalous round publishes everything pending
+// before it commits, so Snapshot never shows an anomaly without its
+// round. Close publishes what is left.
+func TestCountPublish(t *testing.T) {
+	g := NewRegistry()
+	counted := g.NewRecorder("fdc", 0, 16)
+	direct := NewRegistry().NewRecorder("fdc", 0, 16)
+	for i := uint32(0); i < 40; i++ {
+		counted.Count(i%3, 5+i%70, StrategyNone, VerdictOK)
+		direct.Record(Event{Steps: 5 + i%70, Verdict: VerdictOK})
+	}
+	if got := counted.Snapshot().Rounds; got != 0 {
+		t.Fatalf("unpublished rounds visible: %d", got)
+	}
+	counted.Publish()
+	snap := counted.Snapshot()
+	if snap.Rounds != 40 || snap.Steps != direct.Snapshot().Steps {
+		t.Fatalf("published %d rounds, steps %+v; want 40, %+v", snap.Rounds, snap.Steps, direct.Snapshot().Steps)
+	}
+	if snap.Latency.Buckets[0] != 14 || snap.Latency.Buckets[1] != 13 || snap.Latency.Buckets[2] != 13 {
+		t.Fatalf("latency buckets %v, want 14/13/13 over buckets 0-2", snap.Latency.Buckets[:3])
+	}
+
+	for i := 0; i < 5; i++ {
+		counted.Count(1, 9, StrategyNone, VerdictOK)
+	}
+	counted.Count(1, 9, 2, VerdictBlocked)
+	snap = counted.Snapshot()
+	if snap.Rounds != 46 || snap.Anomalies() != 1 || snap.Outcomes[2][VerdictBlocked] != 1 {
+		t.Fatalf("after anomaly: rounds %d anomalies %d, want 46 and 1", snap.Rounds, snap.Anomalies())
+	}
+
+	counted.Count(1, 9, StrategyNone, VerdictOK)
+	counted.Close()
+	if got := g.Snapshot().Device("fdc").Rounds; got != 47 {
+		t.Fatalf("after close: registry rounds %d, want 47", got)
+	}
+}

@@ -3,9 +3,9 @@ package obs
 import "testing"
 
 // Micro-benchmarks of the recorder hot path and its two halves. The
-// checker-facing cost (AppendCommitted + field fills) is guarded
-// end-to-end by TestRecorderOverheadGuard in the root package; these
-// pin where a regression lives when that guard trips.
+// checker-facing cost (Append + field fills + Count, published every 64
+// rounds) is guarded end-to-end by TestRecorderOverheadGuard in the root
+// package; these pin where a regression lives when that guard trips.
 
 func BenchmarkRecordOnly(b *testing.B) {
 	g := NewRegistry()
@@ -13,7 +13,13 @@ func BenchmarkRecordOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Record(Event{Tick: int64(i), Round: uint64(i), Addr: 0x3f5, Steps: 20, Kind: KindPIOWrite})
+		ev := r.Append(int64(i))
+		ev.Round, ev.Addr, ev.Steps, ev.Kind = uint64(i), 0x3f5, 20, KindPIOWrite
+		ev.Strategy, ev.Verdict = StrategyNone, VerdictOK
+		r.Count(ev.Latency, ev.Steps, ev.Strategy, ev.Verdict)
+		if i%64 == 63 {
+			r.Publish()
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ func TestUnprotectRetiresSharedSession(t *testing.T) {
 	// Protect the same attachment again and repeat the workload: exactly
 	// twice the rounds, one live recorder, and a registry aggregate that
 	// matches — no double counting across the detach.
-	sedspec.ProtectShared(att, sh)
+	sess := sedspec.ProtectShared(att, sh)
 	if err := benignTrain(d); err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +264,9 @@ func TestUnprotectRetiresSharedSession(t *testing.T) {
 	if reg.Recorders() != 1 {
 		t.Errorf("live recorders = %d, want 1", reg.Recorders())
 	}
+	// The registry trails a live session by up to 64 unpublished rounds;
+	// the session's owner-side read publishes them.
+	sess.Snapshot()
 	if got := reg.Snapshot().Device(spec.Device).Rounds; got != 2*once {
 		t.Errorf("registry rounds = %d, want %d", got, 2*once)
 	}
