@@ -35,19 +35,19 @@
 // exports also run on SIGINT/SIGTERM.
 //
 // The report subcommand diffs two spec generations' structure and
-// coverage; the watch subcommand tails a running process's telemetry
-// stream:
+// coverage:
 //
 //	sedspec report -spec-store DIR -device fdc -from 1 -to 2 [-json]
-//	sedspec watch ADDR [-kinds anomaly,swap] [-json] [-n 10] [-recent]
-//	              [-since 15m|SEQ] [-retry] [-retry-max 15s]
 //
-// The logs subcommand queries a daemon's durable telemetry journal —
-// history that survives restarts — and with -follow splices it into
-// the live tail, deduplicated by hub sequence number:
+// The logs subcommand reads a running process's telemetry events: the
+// daemon's durable journal — history that survives restarts — or, on a
+// server without one, the hub's in-memory recent ring. With -follow it
+// splices the history into the live tail, deduplicated by hub sequence
+// number, and reconnects when the tail drops:
 //
 //	sedspec logs ADDR [-since 15m] [-until TIME] [-kinds anomaly]
 //	             [-tenant T] [-device D] [-json] [-n N] [-follow]
+//	             [-retry-max 15s]
 //
 // The control-plane subcommands drive a running sedspecd fleet daemon
 // over its HTTP/JSON API (see cmd/sedspecd):
@@ -81,13 +81,6 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "report" {
 		if err := runReport(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "sedspec report:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "watch" {
-		if err := runWatch(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sedspec watch:", err)
 			os.Exit(1)
 		}
 		return

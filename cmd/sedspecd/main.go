@@ -34,7 +34,8 @@
 // <store>/.journal (a dot-prefixed directory can never collide with a
 // tenant namespace): anomalies, audits, swaps, spec publications, and
 // session finals survive restarts, and a fresh boot replays the tail
-// so `sedspec watch -recent` and /fleet carry pre-restart history.
+// so /anomalies (which a reconnecting `sedspec logs -follow` replays)
+// and /fleet carry pre-restart history.
 // Pass -journal off to run fully in-memory.
 //
 // On SIGINT/SIGTERM the daemon drains: every session goroutine is

@@ -455,10 +455,7 @@ type config struct {
 	// anomalies; -1 until assigned (serial checkers resolve it to 0,
 	// Shared.NewSession auto-assigns).
 	sessionID int
-	// traceDepth is the last-K window Freeze copies into an
-	// AnomalyContext on a blocking anomaly.
-	traceDepth int
-	covOff     bool
+	covOff    bool
 	// hub is the telemetry hub lifecycle and anomaly events publish
 	// into (stream.Default() unless WithStream redirected or disabled
 	// it). Only the rare paths touch it — blocked anomalies, warnings,
@@ -485,7 +482,6 @@ func newConfig(opts []Option) config {
 		enabled:       [4]bool{false, true, true, true},
 		accessControl: true,
 		sessionID:     -1,
-		traceDepth:    32,
 	}
 	cfg.apply(opts)
 	return cfg
@@ -591,16 +587,6 @@ func WithStream(h *stream.Hub) Option {
 // owns the session. Empty (the default) means single-tenant.
 func WithTenant(name string) Option {
 	return func(c *config) { c.tenant = name }
-}
-
-// WithTraceDepth bounds how many trailing events a blocking anomaly
-// freezes into its AnomalyContext (default 32, capped by the ring).
-func WithTraceDepth(k int) Option {
-	return func(c *config) {
-		if k > 0 {
-			c.traceDepth = k
-		}
-	}
 }
 
 // New builds a checker for a specification. initial is the device control
@@ -779,6 +765,10 @@ func (c *Checker) publish() {
 	}
 }
 
+// freezeDepth is how many trailing flight-recorder events a blocking
+// anomaly freezes into its AnomalyContext (capped by the ring).
+const freezeDepth = 32
+
 // finishRound runs the post-simulation half of a check round: event
 // recording, anomaly stamping and accounting, blocking or warning. It
 // returns the anomaly when it blocks in the current mode, nil
@@ -798,7 +788,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 	if c.settle(anomaly, c.spec.Device, round, c.specGen) {
 		if c.rec != nil {
 			c.record(req, round, anomaly.Strategy, obs.VerdictBlocked, anomaly.Block)
-			anomaly.Ctx = c.rec.Freeze(c.traceDepth)
+			anomaly.Ctx = c.rec.Freeze(freezeDepth)
 		}
 		c.hub.Publish(stream.Event{
 			Kind:    stream.KindAnomaly,

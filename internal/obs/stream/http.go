@@ -2,7 +2,6 @@ package stream
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -110,8 +109,9 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	// Only the header read is bounded: /anomalies and `sedspec watch`
-	// hold responses open, so a read or write timeout would cut them.
+	// Only the header read is bounded: /anomalies?follow=1 (the tail
+	// `sedspec logs -follow` reads) holds responses open, so a read or
+	// write timeout would cut it.
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = s.srv.Serve(ln) }()
 	return nil
@@ -206,10 +206,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // handleAnomalies serves the event stream. Without follow=1 it returns
 // a bounded NDJSON read of the hub's retained recent events (limit=N,
 // default 64). With follow=1 it subscribes and streams live events as
-// NDJSON — or SSE frames when sse=1 or the client accepts
-// text/event-stream — until the client disconnects. A lagging tail's
-// gaps surface as synthesized kind="drop" records carrying the exact
-// number of events shed since the previous record.
+// NDJSON until the client disconnects. A lagging tail's gaps surface as
+// synthesized kind="drop" records carrying the exact number of events
+// shed since the previous record.
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	mask, err := ParseKinds(q.Get("kinds"))
@@ -223,24 +222,8 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		mask &^= MaskOf(KindHealth)
 	}
 
-	sse := q.Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream"
-	writeEvent := func(enc *json.Encoder, ev *Event) error {
-		if sse {
-			if _, err := fmt.Fprintf(w, "data: "); err != nil {
-				return err
-			}
-		}
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		if sse {
-			if _, err := fmt.Fprintf(w, "\n"); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
 	if q.Get("follow") != "1" {
 		limit := 64
 		if v := q.Get("limit"); v != "" {
@@ -251,21 +234,14 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 			}
 			limit = n
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
 		for _, ev := range s.hub.Recent(mask, limit) {
-			if writeEvent(enc, &ev) != nil {
+			if enc.Encode(&ev) != nil {
 				return
 			}
 		}
 		return
 	}
 
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
@@ -274,7 +250,6 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 
 	sub := s.hub.Subscribe(WithKinds(mask), WithBuffer(s.opts.FollowBuffer))
 	defer sub.Close()
-	enc := json.NewEncoder(w)
 	done := r.Context().Done()
 	var reported uint64
 	for {
@@ -290,11 +265,11 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 				Dropped: d - reported,
 			}
 			reported = d
-			if writeEvent(enc, &notice) != nil {
+			if enc.Encode(&notice) != nil {
 				return
 			}
 		}
-		if writeEvent(enc, &ev) != nil {
+		if enc.Encode(&ev) != nil {
 			return
 		}
 		if flusher != nil {

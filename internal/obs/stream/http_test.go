@@ -119,74 +119,64 @@ func TestHealthzDegraded(t *testing.T) {
 }
 
 // TestAnomaliesFollow tails the live stream over a real listener: the
-// client must see events published after it attached, in order, and the
-// SSE variant must frame them as data: lines.
+// client must see events published after it attached, in order, as
+// NDJSON lines.
 func TestAnomaliesFollow(t *testing.T) {
 	s, _, hub := testServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, tc := range []struct {
-		name, query, prefix string
-	}{
-		{"ndjson", "follow=1&kinds=audit", ""},
-		{"sse", "follow=1&kinds=audit&sse=1", "data: "},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/anomalies?"+tc.query, nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
+	t.Run("ndjson", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/anomalies?follow=1&kinds=audit", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
 
-			// Publish until the subscriber is attached (the GET races the
-			// subscription), then a recognizable tail.
-			go func() {
-				for i := 0; ; i++ {
-					hub.Publish(Event{Kind: KindAudit, Device: "fdc", Session: i,
-						Audit: &AuditInfo{Strategy: "parameter-check", Round: uint64(i)}})
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(time.Millisecond):
-					}
+		// Publish until the subscriber is attached (the GET races the
+		// subscription), then a recognizable tail.
+		go func() {
+			for i := 0; ; i++ {
+				hub.Publish(Event{Kind: KindAudit, Device: "fdc", Session: i,
+					Audit: &AuditInfo{Strategy: "parameter-check", Round: uint64(i)}})
+				select {
+				case <-ctx.Done():
+					return
+				case <-time.After(time.Millisecond):
 				}
-			}()
+			}
+		}()
 
-			sc := bufio.NewScanner(resp.Body)
-			var last int = -1
-			for n := 0; n < 5 && sc.Scan(); n++ {
-				line := strings.TrimSpace(sc.Text())
-				if line == "" {
-					n--
-					continue
-				}
-				if tc.prefix != "" && !strings.HasPrefix(line, tc.prefix) {
-					t.Fatalf("frame %q missing prefix %q", line, tc.prefix)
-				}
-				var ev Event
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, tc.prefix)), &ev); err != nil {
-					t.Fatalf("bad line %q: %v", line, err)
-				}
-				if ev.Kind != KindAudit {
-					t.Fatalf("kind filter leaked %v", ev.Kind)
-				}
-				if ev.Session <= last {
-					t.Fatalf("events out of order: %d after %d", ev.Session, last)
-				}
-				last = ev.Session
+		sc := bufio.NewScanner(resp.Body)
+		var last int = -1
+		for n := 0; n < 5 && sc.Scan(); n++ {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" {
+				n--
+				continue
 			}
-			if err := sc.Err(); err != nil && ctx.Err() == nil {
-				t.Fatal(err)
+			var ev Event
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad line %q: %v", line, err)
 			}
-			if last < 0 {
-				t.Fatal("no events received")
+			if ev.Kind != KindAudit {
+				t.Fatalf("kind filter leaked %v", ev.Kind)
 			}
-		})
-	}
+			if ev.Session <= last {
+				t.Fatalf("events out of order: %d after %d", ev.Session, last)
+			}
+			last = ev.Session
+		}
+		if err := sc.Err(); err != nil && ctx.Err() == nil {
+			t.Fatal(err)
+		}
+		if last < 0 {
+			t.Fatal("no events received")
+		}
+	})
 }
 
 // TestFollowDropNotice: a lagging tail is told how many events it

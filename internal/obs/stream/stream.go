@@ -220,7 +220,7 @@ type Event struct {
 }
 
 // String renders the event as one human-readable line (the format
-// `sedspec watch` prints).
+// `sedspec logs` prints without -json).
 func (e *Event) String() string {
 	ts := time.Unix(0, e.TimeNs).Format("15:04:05.000")
 	var sb strings.Builder
@@ -349,8 +349,8 @@ func (h *Hub) retain(ev Event) {
 // events enter the recent ring in order and the sequence counter
 // resumes past the highest restored seq, so post-restart publications
 // extend the pre-restart total order instead of re-issuing already
-// journaled sequence numbers (a `watch` client's dedup cursor keeps
-// working across the restart). Events whose seq is not beyond the
+// journaled sequence numbers (a `sedspec logs -follow` client's dedup
+// cursor keeps working across the restart). Events whose seq is not beyond the
 // hub's current counter are skipped — Restore only moves time forward.
 // Call before any subscriber attaches; restored events are not fanned
 // out (they are history, not news).
