@@ -50,15 +50,14 @@ func main() {
 	tpIters := flag.Int("throughput-iters", 200_000, "timed replay rounds per session for the throughput experiment")
 	tpE2EOps := flag.Int("throughput-e2e-ops", 200, "benign ops per full guest session for the e2e throughput rows")
 	tpOut := flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput experiment's JSON rows")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address (profile live runs)")
-	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address (profile live runs)")
 	flag.Parse()
 
 	cfg := runConfig{
 		full: *full, frames: *frames, mib: *mib,
 		tpOps: *tpOps, tpIters: *tpIters, tpE2EOps: *tpE2EOps, tpOut: *tpOut,
 	}
-	if err := realMain(*experiment, cfg, *listen, *budget); err != nil {
+	if err := realMain(*experiment, cfg, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "sedbench:", err)
 		os.Exit(1)
 	}
@@ -66,9 +65,9 @@ func main() {
 
 // realMain starts the introspection server when asked, then runs the
 // experiments.
-func realMain(experiment string, cfg runConfig, listenAddr string, budget float64) error {
+func realMain(experiment string, cfg runConfig, listenAddr string) error {
 	if listenAddr != "" {
-		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
+		if _, err := cmdutil.ServeIntrospection(listenAddr); err != nil {
 			return fmt.Errorf("listen: %w", err)
 		}
 	}

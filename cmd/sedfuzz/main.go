@@ -37,15 +37,14 @@ func main() {
 	n := flag.Int("n", 20000, "raw random requests to hammer")
 	seed := flag.Uint64("seed", 1, "random seed")
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
-	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address")
 	hold := flag.Bool("hold", false, "after the run, keep serving -listen until interrupted (for probing a finished run)")
 	flag.Parse()
 
 	addr := *listen
 	serving := false
 	if addr != "" {
-		if _, err := cmdutil.ServeIntrospection(addr, *budget); err != nil {
+		if _, err := cmdutil.ServeIntrospection(addr); err != nil {
 			fmt.Fprintln(os.Stderr, "sedfuzz: listen:", err)
 			os.Exit(1)
 		}

@@ -31,8 +31,8 @@
 // run's ES-CFG coverage profile (and each blocked PoC's anomaly
 // training-coverage record) as JSON, and -listen serves the unified
 // introspection server (/healthz, /fleet, /metrics, /anomalies live tail,
-// /coverage, /buildinfo, /debug/pprof) on the given address. Final
-// exports also run on SIGINT/SIGTERM.
+// /debug/pprof) on the given address. Final exports also run on
+// SIGINT/SIGTERM.
 //
 // The report subcommand diffs two spec generations' structure and
 // coverage:
@@ -114,13 +114,12 @@ func main() {
 	flag.BoolVar(&cfg.attack, "attack", false, "replay the device's CVE proof(s) of concept")
 	flag.BoolVar(&cfg.enhance, "enhance", false, "audit the device's rare legitimate command in enhancement mode and publish the enhanced spec to -spec-store")
 	flag.StringVar(&cfg.mode, "mode", "protection", "checker working mode: protection or enhancement")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /coverage /buildinfo /debug/pprof) on this address")
-	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")
 	flag.Parse()
 
-	if err := realMain(cfg, *listen, *budget); err != nil {
+	if err := realMain(cfg, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "sedspec:", err)
 		os.Exit(1)
 	}
@@ -143,9 +142,9 @@ type runConfig struct {
 // realMain brackets run with the observability plumbing so the final
 // exports happen on the error path and on SIGINT/SIGTERM too (os.Exit
 // skips defers).
-func realMain(cfg runConfig, listenAddr string, budget float64) error {
+func realMain(cfg runConfig, listenAddr string) error {
 	if listenAddr != "" {
-		if _, err := cmdutil.ServeIntrospection(listenAddr, budget); err != nil {
+		if _, err := cmdutil.ServeIntrospection(listenAddr); err != nil {
 			return fmt.Errorf("listen: %w", err)
 		}
 	}

@@ -3,13 +3,12 @@
 // spec-store namespace and live enforcement sessions, driven over an
 // HTTP/JSON control plane that shares a listener with the
 // introspection surface (/healthz /fleet /metrics /anomalies /journal
-// /coverage /buildinfo /debug/pprof).
+// /debug/pprof).
 //
 // Usage:
 //
 //	sedspecd -store DIR [-addr 127.0.0.1:6060]
-//	         [-drain-timeout 10s] [-overhead-budget NS]
-//	         [-health-interval 5s]
+//	         [-drain-timeout 10s]
 //	         [-journal DIR|off] [-journal-fsync interval|always|none]
 //	         [-journal-fsync-interval 250ms]
 //	         [-journal-segment-bytes N] [-journal-max-segments N]
@@ -61,8 +60,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:6060", "control-plane + introspection listen address")
 	store := flag.String("store", "", "spec-store root directory; tenant namespaces live under it (required)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "deadline for stopping session goroutines on shutdown or tenant delete")
-	budget := flag.Float64("overhead-budget", 0, "enforcement-overhead watchdog budget in ns per checked I/O (0 disables)")
-	healthEvery := flag.Duration("health-interval", 5*time.Second, "fleet health aggregation period")
 	jdir := flag.String("journal", "", "durable event journal directory (default <store>/.journal; \"off\" disables persistence)")
 	jfsync := flag.String("journal-fsync", "interval", "journal fsync policy: interval, always, or none")
 	jevery := flag.Duration("journal-fsync-interval", 250*time.Millisecond, "fsync period under the interval policy")
@@ -70,14 +67,13 @@ func main() {
 	jmax := flag.Int("journal-max-segments", 16, "journal segments retained before the oldest is pruned")
 	flag.Parse()
 
-	if err := run(*addr, *store, *drain, *budget, *healthEvery,
-		*jdir, *jfsync, *jevery, *jseg, *jmax); err != nil {
+	if err := run(*addr, *store, *drain, *jdir, *jfsync, *jevery, *jseg, *jmax); err != nil {
 		fmt.Fprintln(os.Stderr, "sedspecd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, store string, drain time.Duration, budget float64, healthEvery time.Duration,
+func run(addr, store string, drain time.Duration,
 	jdir, jfsync string, jevery time.Duration, jseg int64, jmax int) error {
 	if store == "" {
 		return fmt.Errorf("-store is required (spec-store root directory)")
@@ -102,11 +98,9 @@ func run(addr, store string, drain time.Duration, budget float64, healthEvery ti
 		}
 	}
 	d, err := daemon.New(daemon.Options{
-		StoreRoot:        store,
-		DrainTimeout:     drain,
-		OverheadBudgetNs: budget,
-		HealthInterval:   healthEvery,
-		Journal:          jopts,
+		StoreRoot:    store,
+		DrainTimeout: drain,
+		Journal:      jopts,
 	})
 	if err != nil {
 		return err

@@ -11,6 +11,31 @@ import (
 	"sedspec/internal/obs/stream"
 )
 
+// PollHealth folds fleet snapshots from its own goroutine until the
+// returned stop is called (idempotent), so -race sees the pull-only
+// fold read engines while the control plane churns them.
+func PollHealth(h *stream.Health) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+				h.Snapshot()
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
+	}
+}
+
 // TestDaemonControlPlaneChurn exercises the daemon the way -race wants
 // it exercised: two tenants, one running enhance+swap churn under
 // long-lived mixed sessions, the other churning benign attach/detach
@@ -24,16 +49,17 @@ import (
 //     the per-detach final statuses.
 func TestDaemonControlPlaneChurn(t *testing.T) {
 	d, err := New(Options{
-		StoreRoot:      t.TempDir(),
-		Hub:            stream.NewHub(),
-		Registry:       obs.NewRegistry(),
-		DrainTimeout:   30 * time.Second,
-		HealthInterval: 25 * time.Millisecond,
+		StoreRoot:    t.TempDir(),
+		Hub:          stream.NewHub(),
+		Registry:     obs.NewRegistry(),
+		DrainTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	stopPoll := PollHealth(d.Health())
+	defer stopPoll()
 
 	ta, err := d.CreateTenant("alpha")
 	if err != nil {
@@ -116,6 +142,7 @@ func TestDaemonControlPlaneChurn(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	stopPoll()
 
 	if enhances.Load() == 0 {
 		t.Error("enhance+swap churn never succeeded")

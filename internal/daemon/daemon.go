@@ -55,12 +55,6 @@ type Options struct {
 	// Registry is the observability registry sessions' flight
 	// recorders report into (default obs.Default()).
 	Registry *obs.Registry
-	// HealthInterval is the fleet aggregator's tick period (default
-	// 5s via stream.HealthOptions).
-	HealthInterval time.Duration
-	// OverheadBudgetNs arms the enforcement-overhead watchdog
-	// (0 disables).
-	OverheadBudgetNs float64
 	// FollowBuffer sizes /anomalies?follow=1 subscriber rings.
 	FollowBuffer int
 	// Journal, when its Dir is non-empty, opens a durable event journal
@@ -80,8 +74,6 @@ type Daemon struct {
 	srv    *stream.Server
 	jrnl   *journal.Journal
 
-	stopHealth func()
-
 	// nextSession allocates fleet-wide unique session IDs so two
 	// tenants' anomaly events never alias on the session column.
 	nextSession atomic.Int64
@@ -96,8 +88,8 @@ type Daemon struct {
 	recipes  map[string]*recipe
 }
 
-// New builds a daemon, mounts the control plane on a fresh
-// introspection server, and starts the health ticker. Call Serve to
+// New builds a daemon and mounts the control plane on a fresh
+// introspection server. Call Serve to
 // bind a listener, or Server().ServeHTTP under httptest.
 func New(opts Options) (*Daemon, error) {
 	if opts.StoreRoot == "" {
@@ -119,10 +111,7 @@ func New(opts Options) (*Daemon, error) {
 		tenants: make(map[string]*Tenant),
 		recipes: make(map[string]*recipe),
 	}
-	d.health = stream.NewHealth(d.reg, d.hub, stream.HealthOptions{
-		Interval:      opts.HealthInterval,
-		BudgetNsPerOp: opts.OverheadBudgetNs,
-	})
+	d.health = stream.NewHealth(d.reg, d.hub)
 	d.srv = stream.NewServer(stream.ServerOptions{
 		Registry:     d.reg,
 		Hub:          d.hub,
@@ -132,7 +121,7 @@ func New(opts Options) (*Daemon, error) {
 	d.registerRoutes()
 
 	// The journal opens (replaying and repairing any torn tail) before
-	// the health ticker starts and before any subscriber attaches:
+	// any subscriber attaches:
 	// restored events seed the hub's recent ring and seq counter, fold
 	// into per-tenant health baselines so /fleet survives the restart,
 	// and only then does the journal begin persisting new traffic.
@@ -158,8 +147,6 @@ func New(opts Options) (*Daemon, error) {
 		d.jrnl = j
 		d.srv.Handle("GET /journal", journal.Handler(j))
 	}
-
-	d.stopHealth = d.health.Start()
 	return d, nil
 }
 
@@ -264,8 +251,8 @@ func (d *Daemon) SessionCount() int {
 	return n
 }
 
-// Close drains every tenant, stops the health ticker, and shuts the
-// HTTP server down. It returns an error when any session failed to
+// Close drains every tenant, closes the journal, and shuts the HTTP
+// server down. It returns an error when any session failed to
 // stop within DrainTimeout (the daemon exits non-zero on that path so
 // a supervisor can tell a clean drain from a wedged one). Idempotent.
 func (d *Daemon) Close() error {
@@ -288,10 +275,8 @@ func (d *Daemon) Close() error {
 			errs = append(errs, err.Error())
 		}
 	}
-	d.stopHealth()
-	// The journal closes after the tenant drain and health stop: every
-	// final detach event and the last health tick are already in the
-	// hub, and journal.Close drains its subscription backlog to disk
+	// The journal closes after the tenant drain: every final detach
+	// event is already in the hub, and journal.Close drains its subscription backlog to disk
 	// before fsyncing and returning.
 	if d.jrnl != nil {
 		if err := d.jrnl.Close(); err != nil {

@@ -82,10 +82,9 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body any, wan
 func TestDaemonLifecycleHTTP(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	d := newTestDaemon(t, daemon.Options{
-		DrainTimeout:   20 * time.Second,
-		HealthInterval: 25 * time.Millisecond,
-	})
+	d := newTestDaemon(t, daemon.Options{DrainTimeout: 20 * time.Second})
+	stopPoll := daemon.PollHealth(d.Health())
+	defer stopPoll()
 	if err := d.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +234,7 @@ func TestDaemonLifecycleHTTP(t *testing.T) {
 
 	// Drain: the remaining seven sessions stop, fold, and every daemon
 	// goroutine exits.
+	stopPoll()
 	if err := d.Close(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}

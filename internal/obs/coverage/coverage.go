@@ -7,8 +7,8 @@
 // The package is deliberately free of internal dependencies: the sealed
 // spec owns the index spaces (core assigns edge slots at Seal), the
 // checker calls HitBlock/HitEdge on its transition path, and everything
-// above (specstore, cmds, the /coverage debug page) consumes the plain
-// Profile/Drift data.
+// above (specstore, the engine's /fleet coverage rollup, cmds) consumes
+// the plain Snapshot/Profile/Drift data.
 package coverage
 
 import "sync/atomic"

@@ -3,7 +3,6 @@ package coverage
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -214,40 +213,6 @@ func TestDriftOutputs(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
-	}
-}
-
-func TestPublishHandler(t *testing.T) {
-	_, to := twoGenProfiles()
-	unpub := Publish("shared:testdev", func() []*Profile { return []*Profile{to} })
-	defer unpub()
-
-	rr := httptest.NewRecorder()
-	Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/coverage", nil))
-	var doc struct {
-		Sources []struct {
-			Name     string     `json:"name"`
-			Profiles []*Profile `json:"profiles"`
-		} `json:"sources"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("/coverage not JSON: %v\n%s", err, rr.Body.String())
-	}
-	found := false
-	for _, src := range doc.Sources {
-		if src.Name == "shared:testdev" && len(src.Profiles) == 1 && src.Profiles[0].Generation == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("published source missing: %s", rr.Body.String())
-	}
-
-	unpub()
-	rr = httptest.NewRecorder()
-	Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/coverage", nil))
-	if strings.Contains(rr.Body.String(), "shared:testdev") {
-		t.Error("unpublish left the source registered")
 	}
 }
 

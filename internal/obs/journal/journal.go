@@ -2,7 +2,7 @@
 // append-only, segmented, checksummed on-disk log of the stream hub's
 // rare-path events (blocked anomalies with their frozen forensic
 // context, enhancement audits, spec hot-swaps and store publications,
-// session attach/detach finals, fleet health ticks), so a daemon crash
+// session attach/detach finals), so a daemon crash
 // or restart no longer destroys the evidence trail the enforcement
 // model exists to produce.
 //
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,7 +60,7 @@ const frameHeader = 8
 
 // maxFrame bounds a single record so a corrupt length field cannot ask
 // the reader to allocate gigabytes: health snapshots of very large
-// fleets stay well under this.
+// fleets (which older builds journaled) stay well under this.
 const maxFrame = 16 << 20
 
 // castagnoli is the CRC32C table (the polynomial with hardware support
@@ -556,18 +555,8 @@ func (j *Journal) timedSync() {
 		return
 	}
 	us := time.Since(start).Microseconds()
-	j.fsyncHist[bucketOf(uint64(us))]++
+	j.fsyncHist[obs.BucketOf(uint64(us))]++
 	j.fsyncs++
-}
-
-// bucketOf maps a value to its log2 bucket (0 holds exact zeros),
-// mirroring the metrics registry's histogram shape.
-func bucketOf(v uint64) int {
-	b := bits.Len64(v)
-	if b >= obs.NumBuckets {
-		b = obs.NumBuckets - 1
-	}
-	return b
 }
 
 // Sync forces a flush+fsync of the active segment.

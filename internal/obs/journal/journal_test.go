@@ -34,6 +34,13 @@ func testEvent(seq uint64, kind stream.Kind, tenant, device string) stream.Event
 		ev.Detach = &stream.SessionInfo{Rounds: 100, Blocked: 2, Warnings: 3}
 	case stream.KindSpec:
 		ev.Spec = &stream.SpecInfo{Generation: 2, CreatedBy: "enhance"}
+	case stream.KindHealth:
+		ev.Session = -1
+		ev.Health = &stream.FleetSnapshot{
+			TimeUnixNs: ev.TimeNs,
+			Devices:    []stream.DeviceHealth{{Device: device, Tenant: tenant, Rounds: 100 * seq, Sessions: 1}},
+			Sessions:   1,
+		}
 	}
 	return ev
 }
@@ -49,7 +56,9 @@ func mustOpen(t *testing.T, opts Options) *Journal {
 
 // TestJournalPersistAndReload is the basic durability contract: append,
 // close, reopen, and every record comes back in order with every stamp
-// intact.
+// intact. Health records, which older builds journaled, must reopen
+// without a truncation: the scan reads an undecodable frame as a torn
+// tail and would cut the journal there.
 func TestJournalPersistAndReload(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
@@ -86,6 +95,30 @@ func TestJournalPersistAndReload(t *testing.T) {
 		if ev.Seq != want.Seq || ev.Kind != want.Kind || ev.Tenant != "prod" || ev.SpecGen != want.SpecGen {
 			t.Fatalf("tail[%d] = %+v, want seq %d kind %s", i, ev, want.Seq, want.Kind)
 		}
+	}
+
+	dir = t.TempDir()
+	j = mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
+	for i, k := range []stream.Kind{stream.KindAnomaly, stream.KindHealth, stream.KindAnomaly} {
+		ev := testEvent(uint64(i+1), k, "prod", "fdc")
+		if err := j.Append(&ev); err != nil {
+			t.Fatalf("append %s: %v", k, err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3 := mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
+	defer j3.Close()
+	if st := j3.Stats(); st.Records != 3 || st.Truncations != 0 {
+		t.Fatalf("health record between anomalies: stats after reload %+v", st)
+	}
+	var got []stream.Event
+	if err := j3.Query(Query{}, func(ev *stream.Event) bool { got = append(got, *ev); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[1].Kind != stream.KindHealth || got[1].Health == nil || got[1].Health.Device("fdc").Rounds != 200 {
+		t.Fatalf("query after reload = %+v", got)
 	}
 }
 

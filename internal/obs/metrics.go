@@ -15,8 +15,9 @@ import (
 // lands in the last bucket.
 const NumBuckets = 32
 
-// bucketOf maps a value to its log-scale bucket.
-func bucketOf(v uint64) int {
+// BucketOf maps a value to its log2 bucket (bucket 0 holds exact
+// zeros). Every log2 histogram in the process shares this shape.
+func BucketOf(v uint64) int {
 	b := bits.Len64(v)
 	if b >= NumBuckets {
 		b = NumBuckets - 1
@@ -62,7 +63,7 @@ func (b *bank) record(ev *Event) {
 
 // count folds one round into the bank.
 func (b *bank) count(lat, steps uint32, strat uint8, v Verdict) {
-	b.cells[bucketOf(uint64(lat))][bucketOf(uint64(steps))].Add(1)
+	b.cells[BucketOf(uint64(lat))][BucketOf(uint64(steps))].Add(1)
 	if v != VerdictOK {
 		b.outcomes[strat%NumStrategies][v%NumVerdicts].Add(1)
 	}
@@ -375,7 +376,7 @@ func (r *Recorder) Count(latency, steps uint32, strat uint8, v Verdict) {
 		r.bank.count(latency, steps, strat, v)
 		return
 	}
-	i := bucketOf(uint64(latency))<<5 | bucketOf(uint64(steps))
+	i := BucketOf(uint64(latency))<<5 | BucketOf(uint64(steps))
 	if r.pend[i] == 0 {
 		r.dirty[i>>6] |= 1 << (i & 63)
 	}

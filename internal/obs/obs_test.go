@@ -35,8 +35,8 @@ func TestBucketOf(t *testing.T) {
 		{1 << 29, 30}, {1 << 30, NumBuckets - 1}, {1 << 62, NumBuckets - 1},
 	}
 	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
+		if got := BucketOf(c.v); got != c.want {
+			t.Errorf("BucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 	for i := 0; i < NumBuckets; i++ {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -73,8 +74,7 @@ func fixtureEvent(r *rand.Rand, k Kind) Event {
 			Build:      BuildInfo{GoVersion: "go1.22", Path: "sedspec"},
 			Stream:     HubStats{Subscribers: 2, TotalPublished: 9, Published: map[string]uint64{"anomaly": 9}},
 			Devices: []DeviceHealth{{
-				Device: "fdc", Tenant: ev.Tenant, Rounds: 100, Blocked: 1,
-				RoundsPerSec: 1234.5, LatencyTicksP99: 80,
+				Device: "fdc", Tenant: ev.Tenant, Rounds: 100, Blocked: 1, LatencyTicksP99: 80,
 				Coverage: &GenCoverage{Generation: 2, BlocksCovered: 10, TotalBlocks: 12, EdgesCovered: 20, TotalEdges: 30},
 			}},
 			Sessions: 3,
@@ -143,5 +143,34 @@ func TestEventCodecRejects(t *testing.T) {
 	}
 	if err := out.UnmarshalBinary(append(append([]byte(nil), enc...), 0xff)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestHealthPayloadFromOlderBuild: journals written before the health
+// fold became pull-only hold health records whose payload carries the
+// watchdog fields (rounds_per_sec, observed_ns_per_op, over_budget,
+// budget_ns_per_op, degraded). They must still decode: the journal
+// reads an undecodable frame as a torn tail and truncates there.
+func TestHealthPayloadFromOlderBuild(t *testing.T) {
+	legacy := []byte(`{"time_unix_ns":7,"uptime_sec":1.5,"budget_ns_per_op":1000,` +
+		`"build":{"go_version":"go1.22"},"stream":{"subscribers":0,"total_published":0,"total_dropped":0},` +
+		`"devices":[{"device":"fdc","rounds":9,"anomalies":0,"blocked":0,"warned":0,"sessions":1,` +
+		`"rounds_per_sec":12.5,"latency_ticks_p50":0,"latency_ticks_p90":0,"latency_ticks_p99":0,` +
+		`"steps_p50":0,"steps_p90":0,"steps_p99":0,"observed_ns_per_op":800,"over_budget":false}],` +
+		`"sessions":1,"degraded":false}`)
+	ev := Event{Seq: 3, Kind: KindHealth, Session: -1}
+	enc, err := ev.MarshalBinary() // no payload: ends in a zero length
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = binary.AppendUvarint(enc[:len(enc)-1], uint64(len(legacy)))
+	enc = append(enc, legacy...)
+
+	var got Event
+	if err := got.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("older health record rejected: %v", err)
+	}
+	if got.Health == nil || got.Health.Sessions != 1 || got.Health.Device("fdc") == nil || got.Health.Device("fdc").Rounds != 9 {
+		t.Errorf("older health record decoded as %+v", got.Health)
 	}
 }

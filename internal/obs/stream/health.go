@@ -103,10 +103,6 @@ type DeviceHealth struct {
 	Sessions        int    `json:"sessions"`
 	Generation      uint64 `json:"generation,omitempty"`
 
-	// RoundsPerSec is the checked-I/O rate observed between this
-	// snapshot and the previous one (0 on the first).
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-
 	// Latency (simclock ticks between checked I/Os) and steps quantiles,
 	// interpolated from the log2 histogram buckets; see
 	// obs.Hist.Quantile for the error bound.
@@ -116,16 +112,6 @@ type DeviceHealth struct {
 	StepsP50        float64 `json:"steps_p50"`
 	StepsP90        float64 `json:"steps_p90"`
 	StepsP99        float64 `json:"steps_p99"`
-
-	// NsPerOp is the enforcement-overhead watchdog's observation:
-	// wall nanoseconds elapsed between snapshots divided by rounds
-	// retired in that window. It is a throughput-derived upper bound on
-	// per-check cost (dispatch and device work share the same wall
-	// window); 0 when the window retired fewer than the watchdog's
-	// minimum rounds. OverBudget flags NsPerOp exceeding the configured
-	// budget.
-	NsPerOp    float64 `json:"observed_ns_per_op"`
-	OverBudget bool    `json:"over_budget"`
 
 	Coverage *GenCoverage `json:"coverage,omitempty"`
 }
@@ -148,21 +134,18 @@ type JournalStatus struct {
 	FsyncP99Us  float64 `json:"fsync_p99_us"`
 }
 
-// FleetSnapshot is the health aggregator's periodic fold: per-device
-// rollups with derived rates and quantiles, hub traffic, and the build
-// identity of the producing binary.
+// FleetSnapshot is the health aggregator's fold at one read: per-device
+// counters and quantiles, hub traffic, and the build identity of the
+// producing binary.
 type FleetSnapshot struct {
-	TimeUnixNs    int64          `json:"time_unix_ns"`
-	UptimeSec     float64        `json:"uptime_sec"`
-	BudgetNsPerOp float64        `json:"budget_ns_per_op,omitempty"`
-	Build         BuildInfo      `json:"build"`
-	Stream        HubStats       `json:"stream"`
-	Devices       []DeviceHealth `json:"devices"`
+	TimeUnixNs int64          `json:"time_unix_ns"`
+	UptimeSec  float64        `json:"uptime_sec"`
+	Build      BuildInfo      `json:"build"`
+	Stream     HubStats       `json:"stream"`
+	Devices    []DeviceHealth `json:"devices"`
 	// Sessions is the fleet-wide open session count (engine sources
 	// only; serial checkers are visible through their device rows).
 	Sessions int `json:"sessions"`
-	// Degraded is set when any device trips the overhead watchdog.
-	Degraded bool `json:"degraded"`
 	// Journal reports the durable journal's state when one is attached
 	// (Health.SetJournal); nil when the daemon runs without persistence.
 	Journal *JournalStatus `json:"journal,omitempty"`
@@ -176,26 +159,6 @@ func (f *FleetSnapshot) Device(name string) *DeviceHealth {
 		}
 	}
 	return nil
-}
-
-// HealthOptions configures the aggregator.
-type HealthOptions struct {
-	// Interval is the Start ticker period (default 5s).
-	Interval time.Duration
-	// BudgetNsPerOp arms the enforcement-overhead watchdog: a device
-	// whose observed ns/op exceeds it is flagged OverBudget and the
-	// snapshot marked Degraded. 0 disables the watchdog.
-	BudgetNsPerOp float64
-	// WatchdogMinRounds is the minimum rounds a snapshot window must
-	// retire before the watchdog computes ns/op for it, so idle windows
-	// never false-positive (default 256).
-	WatchdogMinRounds uint64
-}
-
-// devWindow is the watchdog's per-device memory of the previous fold.
-type devWindow struct {
-	rounds uint64
-	at     time.Time
 }
 
 // engineSource is a registered engine poll with a removal handle.
@@ -218,57 +181,40 @@ type BaselineRow struct {
 	Generation uint64
 }
 
-// Health periodically folds the metrics registry and registered engine
-// sources into FleetSnapshots, publishing each as a KindHealth event.
+// Health folds the metrics registry and registered engine sources into
+// a FleetSnapshot on every read. It is pull-only: it runs no goroutine,
+// publishes nothing, and keeps no state between reads, so two reads
+// with no traffic between them return the same rows.
 type Health struct {
-	reg  *obs.Registry
-	hub  *Hub
-	opts HealthOptions
+	reg   *obs.Registry
+	hub   *Hub
+	start time.Time
 
 	mu        sync.Mutex
 	engines   []engineSource
 	engineSeq uint64
 	baselines []BaselineRow
 	journal   func() JournalStatus
-	prev      map[string]devWindow
-	start     time.Time
-
-	stopOnce sync.Once
-	done     chan struct{}
-	wg       sync.WaitGroup
 }
 
 // NewHealth builds an aggregator over a registry and hub (both may be
 // the process defaults). Engines register with AddEngine.
-func NewHealth(reg *obs.Registry, hub *Hub, opts HealthOptions) *Health {
+func NewHealth(reg *obs.Registry, hub *Hub) *Health {
 	if reg == nil {
 		reg = obs.Default()
 	}
 	if hub == nil {
 		hub = Default()
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = 5 * time.Second
-	}
-	if opts.WatchdogMinRounds == 0 {
-		opts.WatchdogMinRounds = 256
-	}
-	return &Health{
-		reg:   reg,
-		hub:   hub,
-		opts:  opts,
-		prev:  make(map[string]devWindow),
-		start: time.Now(),
-		done:  make(chan struct{}),
-	}
+	return &Health{reg: reg, hub: hub, start: time.Now()}
 }
 
 // AddEngine registers a live engine source (typically
 // Shared.EngineStatus bound as a method value) and returns a func that
 // unregisters it. Sources are polled on every Snapshot; an engine that
 // is being torn down (a daemon tenant deleted mid-flight) must be
-// removed before its Shared is abandoned, or the aggregator stopped
-// first via Stop. The remove func is idempotent.
+// removed before its Shared is abandoned. The remove func is
+// idempotent.
 func (h *Health) AddEngine(src func() EngineStatus) (remove func()) {
 	h.mu.Lock()
 	h.engineSeq++
@@ -323,11 +269,10 @@ func (h *Health) Snapshot() *FleetSnapshot {
 	}
 
 	out := &FleetSnapshot{
-		TimeUnixNs:    now.UnixNano(),
-		UptimeSec:     now.Sub(h.start).Seconds(),
-		BudgetNsPerOp: h.opts.BudgetNsPerOp,
-		Build:         Build(),
-		Stream:        h.hub.Stats(),
+		TimeUnixNs: now.UnixNano(),
+		UptimeSec:  now.Sub(h.start).Seconds(),
+		Build:      Build(),
+		Stream:     h.hub.Stats(),
 	}
 
 	byDev := make(map[string]*DeviceHealth, len(snap.Devices))
@@ -385,9 +330,8 @@ func (h *Health) Snapshot() *FleetSnapshot {
 		}
 	}
 
-	// Fold pre-restart baselines in before the rate window: the baseline
-	// contribution is constant across snapshots, so deltas (and therefore
-	// rounds/sec and the watchdog) are unaffected by it.
+	// Fold pre-restart baselines in: each is a constant offset on its
+	// (tenant, device) row.
 	for _, b := range baselines {
 		key := b.Device
 		if b.Tenant != "" {
@@ -413,29 +357,6 @@ func (h *Health) Snapshot() *FleetSnapshot {
 		out.Journal = &st
 	}
 
-	h.mu.Lock()
-	for key, d := range byDev {
-		prev, seen := h.prev[key]
-		h.prev[key] = devWindow{rounds: d.Rounds, at: now}
-		if !seen || d.Rounds < prev.rounds {
-			continue // first sight of the device, or a registry reset
-		}
-		delta := d.Rounds - prev.rounds
-		elapsed := now.Sub(prev.at)
-		if elapsed <= 0 {
-			continue
-		}
-		d.RoundsPerSec = float64(delta) / elapsed.Seconds()
-		if delta >= h.opts.WatchdogMinRounds {
-			d.NsPerOp = float64(elapsed.Nanoseconds()) / float64(delta)
-			if h.opts.BudgetNsPerOp > 0 && d.NsPerOp > h.opts.BudgetNsPerOp {
-				d.OverBudget = true
-				out.Degraded = true
-			}
-		}
-	}
-	h.mu.Unlock()
-
 	out.Devices = make([]DeviceHealth, 0, len(byDev))
 	for _, d := range byDev {
 		out.Devices = append(out.Devices, *d)
@@ -447,36 +368,4 @@ func (h *Health) Snapshot() *FleetSnapshot {
 		return out.Devices[i].Device < out.Devices[j].Device
 	})
 	return out
-}
-
-// Start launches the periodic fold: every Interval a snapshot is taken
-// and published into the hub as a KindHealth event. Stop (or the
-// returned func) ends it; Start after Stop is a no-op.
-func (h *Health) Start() (stop func()) {
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		t := time.NewTicker(h.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-h.done:
-				return
-			case <-t.C:
-				h.hub.Publish(Event{
-					Kind:    KindHealth,
-					Session: -1,
-					Health:  h.Snapshot(),
-				})
-			}
-		}
-	}()
-	return h.Stop
-}
-
-// Stop ends the periodic fold and waits for the ticker goroutine.
-// Idempotent; Snapshot remains usable afterwards.
-func (h *Health) Stop() {
-	h.stopOnce.Do(func() { close(h.done) })
-	h.wg.Wait()
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sedspec/internal/obs"
-	"sedspec/internal/obs/coverage"
 )
 
 // ServerOptions wires an introspection server's data sources. Zero
@@ -23,11 +22,11 @@ type ServerOptions struct {
 	FollowBuffer int
 }
 
-// Server is the unified introspection surface: health, fleet
-// snapshots, Prometheus metrics, the live anomaly tail, coverage, and
-// pprof — all on the server's own *http.ServeMux, so any
-// number of servers (tests, two CLIs sharing a process) coexist
-// without the default mux's duplicate-registration panic.
+// Server is the unified introspection surface: liveness, fleet
+// snapshots, Prometheus metrics, the live anomaly tail, and pprof — all
+// on the server's own *http.ServeMux, so any number of servers (tests,
+// two CLIs sharing a process) coexist without the default mux's
+// duplicate-registration panic.
 type Server struct {
 	mux    *http.ServeMux
 	ln     net.Listener
@@ -53,7 +52,7 @@ func NewServer(opts ServerOptions) *Server {
 		opts.Hub = Default()
 	}
 	if opts.Health == nil {
-		opts.Health = NewHealth(opts.Registry, opts.Hub, HealthOptions{})
+		opts.Health = NewHealth(opts.Registry, opts.Hub)
 	}
 	if opts.FollowBuffer <= 0 {
 		opts.FollowBuffer = DefaultSubBuffer
@@ -69,8 +68,6 @@ func NewServer(opts ServerOptions) *Server {
 	s.mux.HandleFunc("/fleet", s.handleFleet)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/anomalies", s.handleAnomalies)
-	s.mux.HandleFunc("/buildinfo", s.handleBuildInfo)
-	s.mux.Handle("/coverage", coverage.Handler())
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -135,9 +132,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Health returns the aggregator the server reads.
-func (s *Server) Health() *Health { return s.health }
-
 // Close stops the listener. In-flight follow streams end when their
 // connections drop.
 func (s *Server) Close() error {
@@ -155,22 +149,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleHealthz answers liveness probes: 200 with a small JSON body,
-// or 503 when the overhead watchdog marked the fleet degraded.
+// handleHealthz answers liveness probes: 200 with a small JSON body.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	snap := s.health.Snapshot()
-	status := http.StatusOK
-	state := "ok"
-	if snap.Degraded {
-		status = http.StatusServiceUnavailable
-		state = "degraded"
-	}
-	writeJSON(w, status, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Status    string  `json:"status"`
 		UptimeSec float64 `json:"uptime_sec"`
 		Devices   int     `json:"devices"`
 		Sessions  int     `json:"sessions"`
-	}{state, snap.UptimeSec, len(snap.Devices), snap.Sessions})
+	}{"ok", snap.UptimeSec, len(snap.Devices), snap.Sessions})
 }
 
 // handleFleet serves the full fleet snapshot; ?tenant=NAME narrows the
@@ -194,10 +181,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-func (s *Server) handleBuildInfo(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Build())
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WriteExposition(w, s.health.Snapshot(), s.reg.Snapshot())
@@ -217,8 +200,8 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if q.Get("kinds") == "" {
-		// The page is the anomaly tail by default; health ticks are opt-in
-		// (kinds=health or an explicit list) to keep the stream quiet.
+		// The page is the anomaly tail by default; health records (only a
+		// journal from an older build restores any) are opt-in.
 		mask &^= MaskOf(KindHealth)
 	}
 

@@ -140,9 +140,6 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 
 	p.family("sedspec_sessions", "Open enforcement sessions per device.", "gauge")
 	p.family("sedspec_generation", "Current spec generation per device.", "gauge")
-	p.family("sedspec_rounds_per_second", "Checked I/O rate per device over the last health window.", "gauge")
-	p.family("sedspec_check_ns_per_op", "Watchdog-observed wall nanoseconds per checked I/O (throughput-derived upper bound; 0 when the window was too quiet).", "gauge")
-	p.family("sedspec_check_over_budget", "1 when the device's observed ns/op exceeds the configured budget.", "gauge")
 	// Fleet-row labels: tenant-owned rows get a tenant label so the
 	// same device hosted by two tenants never collides on a label set.
 	fleetLabels := func(d *DeviceHealth) [][2]string {
@@ -157,13 +154,6 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 		lbl := fleetLabels(&d)
 		p.sample("sedspec_sessions", lbl, float64(d.Sessions))
 		p.sample("sedspec_generation", lbl, float64(d.Generation))
-		p.sample("sedspec_rounds_per_second", lbl, d.RoundsPerSec)
-		p.sample("sedspec_check_ns_per_op", lbl, d.NsPerOp)
-		over := 0.0
-		if d.OverBudget {
-			over = 1
-		}
-		p.sample("sedspec_check_over_budget", lbl, over)
 	}
 
 	p.family("sedspec_coverage_blocks_covered", "ES-CFG blocks covered at runtime, current generation.", "gauge")

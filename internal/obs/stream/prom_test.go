@@ -20,7 +20,7 @@ func exposition(t *testing.T) string {
 	for i := 0; i < 5; i++ {
 		hub.Publish(Event{Kind: KindAnomaly, Device: "fdc"})
 	}
-	h := NewHealth(reg, hub, HealthOptions{BudgetNsPerOp: 1000})
+	h := NewHealth(reg, hub)
 	h.AddEngine(func() EngineStatus {
 		return EngineStatus{
 			Device: "fdc", Generation: 2, Sessions: 1, Swaps: 1,

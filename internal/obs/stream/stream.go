@@ -2,8 +2,7 @@
 // stack: a bounded, non-blocking broadcast hub the enforcement engines
 // publish typed, sequence-numbered events into — blocked anomalies with
 // their frozen forensic context, enhancement audits, spec hot-swaps and
-// store publications, session attach/detach, periodic fleet health
-// ticks — and that any number of subscribers consume through
+// store publications, session attach/detach — and that any number of subscribers consume through
 // per-subscriber rings with exact drop accounting.
 //
 // The contract the checker's hot path depends on: Publish never blocks
@@ -20,7 +19,8 @@
 //
 // The hub sits off the check hot path entirely: clean check rounds
 // never touch it. Only the rare paths publish — anomalies, warnings,
-// session lifecycle, swaps, and the health ticker.
+// session lifecycle and swaps. Fleet health is pulled from /fleet, not
+// published.
 package stream
 
 import (
@@ -52,7 +52,9 @@ const (
 	KindDetach
 	// KindSpec is a spec version published into a spec store.
 	KindSpec
-	// KindHealth is a periodic FleetSnapshot from the health aggregator.
+	// KindHealth is a FleetSnapshot. Nothing publishes it any more; the
+	// kind and its payload stay decodable because journals written by
+	// older builds hold health records.
 	KindHealth
 	// KindDrop is a synthesized gap notice: not published by engines,
 	// emitted by tailing endpoints when a subscriber's drop counter
@@ -196,7 +198,7 @@ type SessionInfo struct {
 // Event is one telemetry record. Seq is the hub-wide publication number
 // (1-based, strictly increasing in publish order); exactly one payload
 // pointer is set, matching Kind. Session is -1 for engine-level events
-// (swaps, spec publications, health ticks).
+// (swaps, spec publications).
 type Event struct {
 	Seq    uint64 `json:"seq"`
 	TimeNs int64  `json:"time_unix_ns"`

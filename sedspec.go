@@ -86,14 +86,13 @@ type (
 	// CoverageEdge is one trained ES-CFG edge with its hit count.
 	CoverageEdge = coverage.EdgeCov
 	// TelemetryHub is the bounded non-blocking broadcast hub the checkers
-	// publish fleet telemetry into (anomalies, swaps, session lifecycle,
-	// health ticks).
+	// publish fleet telemetry into (anomalies, swaps, session lifecycle).
 	TelemetryHub = stream.Hub
 	// TelemetryEvent is one typed, sequence-numbered event on the hub.
 	TelemetryEvent = stream.Event
-	// FleetSnapshot is the health aggregator's one-stop fleet picture:
-	// per-device rollups, rates, latency quantiles, and the
-	// enforcement-overhead watchdog verdict.
+	// FleetSnapshot is the health aggregator's one-stop fleet picture,
+	// folded on each read: per-device counters, latency and steps
+	// quantiles, coverage, hub traffic and build identity.
 	FleetSnapshot = stream.FleetSnapshot
 )
 
