@@ -30,8 +30,8 @@ var _ machine.BatchInterposer = (*Checker)(nil)
 // unchecked tail is left with Checked=false for the dispatcher to
 // re-present after the device catches up.
 //
-// Like PreIO, a shared-engine batch is bracketed by one RCU epoch
-// marker, so a hot-swap takes effect at a batch boundary.
+// Like PreIO, a batch is bracketed by one RCU epoch marker, so a
+// hot-swap takes effect at a batch boundary.
 func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 	if cap(c.verdicts) < len(reqs) {
 		c.verdicts = make([]Verdict, len(reqs))
@@ -43,11 +43,9 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 	if len(reqs) == 0 {
 		return vs
 	}
-	if c.shared != nil {
-		c.epoch.Add(1)
-		if v := c.shared.cur.Load(); v != c.ver {
-			c.adopt(v)
-		}
+	c.epoch.Add(1)
+	if v := c.shared.cur.Load(); v != c.ver {
+		c.adopt(v)
 	}
 	// One arena reset and one DMA-journal epoch for the whole batch. The
 	// engine skips its per-round resets while c.batching is set; the
@@ -145,8 +143,6 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 		emitSummary()
 	}
 	c.batching = false
-	if c.shared != nil {
-		c.epoch.Add(1)
-	}
+	c.epoch.Add(1)
 	return vs
 }

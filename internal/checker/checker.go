@@ -116,9 +116,9 @@ type Anomaly struct {
 	Src      ir.SourceRef
 	Detail   string
 	Round    uint64
-	// Session is the guest-session ID when the anomaly was raised by a
-	// session checker of a Shared engine; -1 for a serial checker, so
-	// multi-session logs stay unambiguous.
+	// Session is the guest-session ID of the checker that raised the
+	// anomaly, so multi-session logs stay unambiguous; -1 only from the
+	// Reference oracle, which has no session.
 	Session int
 	// SpecGen is the spec-version generation that checked the round (1
 	// before any hot-swap). Under a Shared engine with live swaps it names
@@ -163,8 +163,9 @@ func (a *Anomaly) Severity() Severity {
 }
 
 // Error implements error. The device name and round counter are always
-// included, and the session ID when the anomaly was raised under a
-// Shared engine, so interleaved multi-session logs stay attributable.
+// included, and the session ID whenever there is one (every Checker has
+// one; the Reference oracle does not), so interleaved multi-session logs
+// stay attributable.
 func (a *Anomaly) Error() string {
 	if a.Session >= 0 {
 		return fmt.Sprintf("sedspec: %s anomaly in %s session %d round %d at %s: %s",
@@ -187,9 +188,9 @@ type Stats struct {
 	Resyncs            uint64
 	StepsSimulated     uint64
 	SyncPointsResolved uint64
-	// WarningsDropped counts warned rounds whose anomaly and audit record
-	// were not kept because a pending buffer held MaxPendingWarnings
-	// records already (see finishRound and Close).
+	// WarningsDropped counts warned rounds whose audit record was not kept
+	// because a pending buffer held MaxPendingWarnings records already
+	// (see finishRound and Close).
 	WarningsDropped uint64
 }
 
@@ -215,7 +216,7 @@ func (s Stats) merge(o Stats) Stats {
 // atomics so Shared.Stats can aggregate live across sessions without a
 // lock on the check path. An uncontended atomic add on a cache line owned
 // by the writing core costs a few nanoseconds against rounds measured in
-// hundreds, so the serial engine pays nothing observable for this.
+// hundreds, so a session pays nothing observable for this.
 type statCounters struct {
 	rounds             atomic.Uint64
 	paramAnomalies     atomic.Uint64
@@ -247,12 +248,13 @@ func (s *statCounters) snapshot() Stats {
 }
 
 // Checker is the ES-Checker proxy, the production check engine. It
-// implements machine.Interposer (and the PostInterposer extension). One
-// Checker is driven by one goroutine at a time, like the per-device
-// dispatch path it guards; for N parallel guest sessions build one Shared
-// engine and give each session its own Checker via Shared.NewSession —
-// the sessions then run concurrently against one immutable sealed spec,
-// with no lock on the check path.
+// implements machine.Interposer (and the PostInterposer extension). Every
+// Checker is a session of a Shared engine: New builds a private engine
+// with one session, and for N parallel guest sessions one Shared engine
+// gives each its own Checker via Shared.NewSession. One Checker is driven
+// by one goroutine at a time, like the per-device dispatch path it
+// guards; sibling sessions run concurrently against one immutable sealed
+// spec, with no lock on the check path.
 type Checker struct {
 	sim
 	spec *core.Spec
@@ -279,32 +281,30 @@ type Checker struct {
 	ff             *ffScratch
 	ffAttempts     uint64
 	ffSkippedSteps uint64
-	// warnMu guards warnings and audit, and cov and covGen for readers
-	// on other goroutines. It is taken only on the warning-append path
-	// (anomalous rounds), at swap adoption and by readers; the
-	// steady-state check path never touches it.
-	warnMu   sync.Mutex
-	warnings []Anomaly
-	audit    []AuditRecord
+	// warnMu guards audit, and cov and covGen for readers on other
+	// goroutines. It is taken only on the warning-append path (anomalous
+	// rounds), at swap adoption and by readers; the steady-state check
+	// path never touches it. audit holds one record per kept warning;
+	// Warnings is a view of it.
+	warnMu sync.Mutex
+	audit  []AuditRecord
 
-	// shared is non-nil for session checkers built by Shared.NewSession:
-	// the engine whose sealed spec this checker shares and whose aggregate
-	// this session's counters roll up into. pooled is the recycled scratch
-	// backing frames/arenas, returned to the shared pool by Close.
+	// shared is the engine whose sealed spec this checker shares and
+	// whose aggregate this session's counters roll up into. pooled is the
+	// recycled scratch backing frames/arenas, returned to the engine's
+	// pool by Close.
 	shared *Shared
 	pooled *scratch
 
-	// ver is the adopted spec version under a Shared engine (nil for
-	// serial checkers); specGen is its generation, stamped into events and
-	// anomalies (serial checkers stamp 1). epoch is the RCU round marker:
-	// odd while the checker is inside PreIO, even between rounds. Swap's
-	// grace period waits on it; the checker's own goroutine is the only
-	// writer.
+	// ver is the adopted spec version; specGen is its generation, stamped
+	// into events and anomalies. epoch is the RCU round marker: odd while
+	// the checker is inside PreIO, even between rounds. Swap's grace
+	// period waits on it; the checker's own goroutine is the only writer.
 	ver     *specVersion
 	specGen uint64
 	epoch   atomic.Uint64
 
-	// closed makes Close idempotent for serial checkers.
+	// closed makes Close idempotent.
 	closed bool
 	// roundSteps is the last round's walker step count, captured for the
 	// round's event.
@@ -452,8 +452,7 @@ type config struct {
 	obsReg *obs.Registry
 	clock  *simclock.Clock
 	// sessionID is the guest-session identity stamped into events and
-	// anomalies; -1 until assigned (serial checkers resolve it to 0,
-	// Shared.NewSession auto-assigns).
+	// anomalies; -1 until Shared.NewSession auto-assigns it.
 	sessionID int
 	covOff    bool
 	// hub is the telemetry hub lifecycle and anomaly events publish
@@ -589,41 +588,14 @@ func WithTenant(name string) Option {
 	return func(c *config) { c.tenant = name }
 }
 
-// New builds a checker for a specification. initial is the device control
-// structure at deployment time, cloned into the shadow device state. The
+// New builds a checker for a specification: the one session of a
+// private Shared engine. initial is the device control structure at
+// deployment time, cloned into the shadow device state. The
 // specification is compiled (sealed and lowered to its threaded stream)
 // here, at deployment: later mutation of spec does not affect the
 // checker.
 func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
-	c := &Checker{specGen: 1}
-	c.config = newConfig(opts)
-	c.bind(Compile(spec))
-	c.shadow = spec.InitialShadow(initial)
-	if !c.covOff {
-		c.cov = coverage.NewMap(c.sealed.NumBlocks(), c.sealed.NumEdges())
-		c.covGen = c.specGen
-	}
-	if c.sessionID < 0 {
-		c.sessionID = 0
-	}
-	if !c.recSet {
-		reg := c.obsReg
-		if reg == nil {
-			reg = obs.Default()
-		}
-		c.rec = reg.NewRecorder(spec.Device, c.sessionID, obs.DefaultRingSize)
-	}
-	if !c.hubSet {
-		c.hub = stream.Default()
-	}
-	c.hub.Publish(stream.Event{
-		Kind:    stream.KindAttach,
-		Tenant:  c.tenant,
-		Device:  spec.Device,
-		Session: c.sessionID,
-		SpecGen: c.specGen,
-	})
-	return c
+	return NewShared(spec, opts...).NewSession(initial, opts...)
 }
 
 // bind points the checker at a compiled spec: the sealed tables, the
@@ -639,40 +611,33 @@ func (c *Checker) bind(cv *Compiled) {
 }
 
 // Warnings returns a copy of the anomalies raised in enhancement mode
-// without blocking. Returning a copy keeps callers from mutating checker
-// state through the slice.
+// without blocking, one per kept audit record. Returning a copy keeps
+// callers from mutating checker state through the slice.
 func (c *Checker) Warnings() []Anomaly {
 	c.warnMu.Lock()
 	defer c.warnMu.Unlock()
-	if len(c.warnings) == 0 {
-		return nil
-	}
-	out := make([]Anomaly, len(c.warnings))
-	copy(out, c.warnings)
-	return out
+	return appendWarnings(nil, c.audit)
 }
 
-// ClearWarnings discards accumulated warnings (between experiments),
-// keeping the slice's capacity so later rounds do not re-allocate.
+// ClearWarnings discards the accumulated warnings and their audit
+// records (between experiments, or after an enhancement pass consumed
+// them), keeping the slice's capacity so later rounds do not re-allocate.
 func (c *Checker) ClearWarnings() {
 	c.warnMu.Lock()
-	c.warnings = c.warnings[:0]
+	c.audit = c.audit[:0]
 	c.warnMu.Unlock()
 }
 
-// AuditRecord captures the I/O request behind one non-blocking warning —
-// everything the enhancement pipeline needs to replay the round against a
-// fresh training pass. Data is a private copy of the request payload.
+// AuditRecord is one non-blocking warning together with the I/O request
+// behind it — everything the enhancement pipeline needs to replay the
+// round against a fresh training pass. Data is a private copy of the
+// request payload.
 type AuditRecord struct {
-	Session  int
-	Round    uint64
-	SpecGen  uint64
-	Strategy Strategy
-	Space    interp.Space
-	Addr     uint64
-	Write    bool
-	Data     []byte
-	Detail   string
+	Anomaly
+	Space interp.Space
+	Addr  uint64
+	Write bool
+	Data  []byte
 }
 
 // Audit returns a copy of the audit records accumulated on the warning
@@ -688,16 +653,17 @@ func (c *Checker) Audit() []AuditRecord {
 	return out
 }
 
-// ClearAudit discards accumulated audit records (after an enhancement
-// pass consumed them), keeping the slice's capacity.
-func (c *Checker) ClearAudit() {
-	c.warnMu.Lock()
-	c.audit = c.audit[:0]
-	c.warnMu.Unlock()
+// appendWarnings appends the anomaly of each record to dst; nil when
+// both are empty.
+func appendWarnings(dst []Anomaly, recs []AuditRecord) []Anomaly {
+	for i := range recs {
+		dst = append(dst, recs[i].Anomaly)
+	}
+	return dst
 }
 
 // SpecGen returns the generation of the spec version the checker last
-// checked against (1 for serial checkers and before any hot-swap).
+// checked against (1 before any hot-swap).
 func (c *Checker) SpecGen() uint64 { return c.specGen }
 
 var (
@@ -711,18 +677,16 @@ var (
 // the recorder's tail into the anomaly's forensic context, with the
 // blocked I/O itself as the final event.
 //
-// Under a Shared engine the round is bracketed by the RCU epoch marker
-// (odd while checking) and begins by adopting the engine's current spec
-// version, so a hot-swap takes effect exactly at a round boundary: this
-// round runs entirely against one version, and Swap's grace period waits
-// for the epoch to advance before retiring the old one.
+// The round is bracketed by the RCU epoch marker (odd while checking)
+// and begins by adopting the engine's current spec version, so a
+// hot-swap takes effect exactly at a round boundary: this round runs
+// entirely against one version, and Swap's grace period waits for the
+// epoch to advance before retiring the old one.
 func (c *Checker) PreIO(_ machine.Device, req *interp.Request) error {
-	if c.shared != nil {
-		c.epoch.Add(1)
-		defer c.epoch.Add(1)
-		if v := c.shared.cur.Load(); v != c.ver {
-			c.adopt(v)
-		}
+	c.epoch.Add(1)
+	defer c.epoch.Add(1)
+	if v := c.shared.cur.Load(); v != c.ver {
+		c.adopt(v)
 	}
 	round := c.stats.rounds.Add(1)
 	req.Rewind()
@@ -773,7 +737,7 @@ const freezeDepth = 32
 // recording, anomaly stamping and accounting, blocking or warning. It
 // returns the anomaly when it blocks in the current mode, nil
 // otherwise. PreIO and PreIOBatch share it so a batched round is
-// observable exactly like a serial one.
+// observable exactly like a per-round one.
 func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomaly) error {
 	if anomaly == nil {
 		if c.rec != nil {
@@ -782,9 +746,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		return nil
 	}
 	c.publish()
-	if c.shared != nil {
-		anomaly.Session = c.sessionID
-	}
+	anomaly.Session = c.sessionID
 	if c.settle(anomaly, c.spec.Device, round, c.specGen) {
 		if c.rec != nil {
 			c.record(req, round, anomaly.Strategy, obs.VerdictBlocked, anomaly.Block)
@@ -835,18 +797,13 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		},
 	})
 	c.warnMu.Lock()
-	if len(c.warnings) < MaxPendingWarnings && len(c.audit) < MaxPendingWarnings {
-		c.warnings = append(c.warnings, *anomaly)
+	if len(c.audit) < MaxPendingWarnings {
 		c.audit = append(c.audit, AuditRecord{
-			Session:  c.sessionID,
-			Round:    round,
-			SpecGen:  c.specGen,
-			Strategy: anomaly.Strategy,
-			Space:    req.Space,
-			Addr:     req.Addr,
-			Write:    req.Write,
-			Data:     append([]byte(nil), req.Data...),
-			Detail:   anomaly.Detail,
+			Anomaly: *anomaly,
+			Space:   req.Space,
+			Addr:    req.Addr,
+			Write:   req.Write,
+			Data:    append([]byte(nil), req.Data...),
 		})
 	} else {
 		c.stats.warningsDropped.Add(1)
@@ -856,9 +813,9 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 	return nil
 }
 
-// MaxPendingWarnings bounds the warnings and audit records one session
-// keeps, and those one shared engine keeps from its closed sessions,
-// until ClearWarnings/ClearAudit consume them. Each warned round of an
+// MaxPendingWarnings bounds the audit records one session keeps, and
+// those one shared engine keeps from its closed sessions, until
+// ClearWarnings consumes them. Each warned round of an
 // enhancement-mode guest would otherwise grow the daemon's heap by a
 // copy of the request; past the bound the earliest records are kept and
 // later ones are only counted (Stats.WarningsDropped).

@@ -33,19 +33,13 @@ func (c *Checker) RoundSteps() int { return c.roundSteps }
 func (r *Reference) RoundSteps() int { return r.steps }
 
 // RetainedGens lists, in ascending order, the generations whose
-// coverage some shard's retired bank still holds.
+// coverage the retired bank still holds.
 func (s *Shared) RetainedGens() []uint64 {
-	seen := map[uint64]bool{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []uint64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, r := range sh.retiredCov {
-			if !seen[r.v.gen] {
-				seen[r.v.gen] = true
-				out = append(out, r.v.gen)
-			}
-		}
-		sh.mu.Unlock()
+	for _, r := range s.retiredCov {
+		out = append(out, r.v.gen)
 	}
 	slices.Sort(out)
 	return out

@@ -130,11 +130,13 @@ func TestSessionIDStamping(t *testing.T) {
 	}
 }
 
-// TestSerialAnomalyOmitsSession: a serial (non-shared) checker has no
-// session identity to report.
-func TestSerialAnomalyOmitsSession(t *testing.T) {
-	_, att := setup(t)
-	spec := learn(t, att)
+// TestProtectAnomalyCarriesSession: a checker built by Protect is the
+// session of a private engine, so its anomaly, error text and frozen
+// context carry the attachment's session ID like any shared session's.
+func TestProtectAnomalyCarriesSession(t *testing.T) {
+	_, train := setup(t)
+	spec := learn(t, train)
+	att := machine.NewSession(5, testdevBuild).Attached()
 	sedspec.Protect(att, spec)
 	d := sedspec.NewDriver(att)
 	if err := benign(d); err != nil {
@@ -145,14 +147,16 @@ func TestSerialAnomalyOmitsSession(t *testing.T) {
 	if !errors.As(err, &anom) {
 		t.Fatalf("off-spec command not blocked: %v", err)
 	}
-	if anom.Session != -1 {
-		t.Errorf("serial anomaly session = %d, want -1", anom.Session)
+	if anom.Session != att.SessionID() {
+		t.Errorf("anomaly session = %d, want the attachment's %d", anom.Session, att.SessionID())
 	}
-	if strings.Contains(anom.Error(), "session") {
-		t.Errorf("serial anomaly error mentions a session: %s", anom.Error())
+	for _, want := range []string{"session 5", "testdev", "round"} {
+		if !strings.Contains(anom.Error(), want) {
+			t.Errorf("anomaly error missing %q: %s", want, anom.Error())
+		}
 	}
-	if !strings.Contains(anom.Error(), "round") || !strings.Contains(anom.Error(), "testdev") {
-		t.Errorf("anomaly error missing round/device: %s", anom.Error())
+	if anom.Ctx == nil || anom.Ctx.Session != att.SessionID() {
+		t.Errorf("anomaly context missing or mis-attributed: %+v", anom.Ctx)
 	}
 }
 
@@ -270,7 +274,7 @@ func TestRegistryMidHammer(t *testing.T) {
 	}
 }
 
-// TestDumpTrace exercises the facade-level trace dump on a serial
+// TestDumpTrace exercises the facade-level trace dump on a Protect-built
 // checker after a benign run.
 func TestDumpTrace(t *testing.T) {
 	_, att := setup(t)

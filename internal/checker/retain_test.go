@@ -245,7 +245,6 @@ func TestPendingWarningsCapped(t *testing.T) {
 
 	// Consuming the records makes room again.
 	sh.ClearWarnings()
-	sh.ClearAudit()
 	c3, d3 := attachSession(t, sh)
 	warn(d3, 3)
 	c3.Close()

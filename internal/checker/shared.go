@@ -3,6 +3,7 @@ package checker
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,7 @@ import (
 // specVersion (SealedSpec, device program, entry material) and the check
 // configuration (mode, strategies, budget, access control). Everything a
 // simulated round mutates is per-session: the shadow device state, command
-// tracking, frame stack, bump arenas, DMA journal, warning buffer, and
+// tracking, frame stack, bump arenas, DMA journal, audit buffer, and
 // counters. A session's steady-state check path therefore takes no lock
 // and touches no cache line another session writes; the only
 // cross-session traffic is read-only spec data plus one atomic load of
@@ -38,13 +39,11 @@ import (
 // fleet deployment — start with warm, right-sized arenas instead of
 // re-growing them over their first rounds.
 //
-// The session registry and the retired aggregates are sharded: sessions
-// partition by ID across GOMAXPROCS cache-line-padded shards, each with
-// its own lock, session list, and retired counter and coverage banks.
-// Opening, closing, and retiring sessions on different shards never
-// contend on a lock or dirty a shared counter line; aggregate readers
-// fold across the shards. Only a closing session that leaves warnings
-// behind takes the engine-wide warnMu.
+// The session registry and what closed sessions leave behind (counters,
+// coverage, audit records) sit under one lock, mu. Only opening, closing
+// and adopting sessions, publication and aggregate readers take it, never
+// a check round; because a session moves from the open list to the
+// retired banks under mu, every aggregate read sees it exactly once.
 type Shared struct {
 	device string
 	// cur is the published spec version. Sessions load it once per round;
@@ -62,52 +61,33 @@ type Shared struct {
 	// swaps counts published versions beyond the first.
 	swaps atomic.Uint64
 
-	// shards partitions the session registry and retired aggregates by
-	// session ID. Fixed at construction (one per GOMAXPROCS core), so
-	// shardFor is a bounds-check and a modulo — no lock.
-	shards []*sessionShard
-	// nextSession allocates session IDs lock-free across shards.
-	nextSession atomic.Int64
 	// swapMu serializes Swap's publication+grace sequence; it is never
 	// taken on the check path or by session open/close.
 	swapMu sync.Mutex
 
-	// warnMu guards the warnings and audit records closed sessions
-	// leave behind, each list capped at MaxPendingWarnings.
-	warnMu          sync.Mutex
-	retiredWarnings []Anomaly
-	retiredAudit    []AuditRecord
-}
-
-// sessionShard is one partition of the session registry plus the retired
-// banks its closed sessions fold into. Shards are allocated individually
-// and padded so two cores folding or reading different shards never
-// write the same cache line.
-type sessionShard struct {
-	mu       sync.Mutex
-	sessions []*Checker
-	retired  Stats
+	// mu guards the registry below. The lock order is mu, then a
+	// session's warnMu.
+	mu sync.Mutex
+	// sessions lists the open sessions; nextSession is the next
+	// auto-assigned session ID.
+	sessions    []*Checker
+	nextSession int
+	// retired sums closed sessions' counters.
+	retired Stats
 	// retiredCov accumulates the coverage counters of sessions that
 	// closed or moved on, one bank per generation (counter index spaces
 	// are per-generation). A bank lives only while its generation is
 	// retained: current, or still run by an open session.
 	retiredCov []retiredCoverage
-
-	_ [64]byte // pad: keep the tail clear of the next shard's header line
+	// retiredAudit holds the audit records closed sessions leave behind,
+	// capped at MaxPendingWarnings.
+	retiredAudit []AuditRecord
 }
 
-// retiredCoverage is one generation's bank in a shard's retiredCov.
+// retiredCoverage is one generation's bank in retiredCov.
 type retiredCoverage struct {
 	v    *specVersion
 	snap coverage.Snapshot
-}
-
-// shardFor maps a session ID to its home shard.
-func (s *Shared) shardFor(id int) *sessionShard {
-	if id < 0 {
-		id = -id
-	}
-	return s.shards[id%len(s.shards)]
 }
 
 // scratch is one session's recyclable simulation storage: the frame stack
@@ -139,14 +119,6 @@ func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
 	}
 	if !s.cfg.hubSet {
 		s.cfg.hub = stream.Default()
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	s.shards = make([]*sessionShard, n)
-	for i := range s.shards {
-		s.shards[i] = &sessionShard{}
 	}
 	s.cur.Store(&specVersion{gen: 1, Compiled: cv})
 	s.scratchPool.New = func() any { return &scratch{} }
@@ -216,12 +188,11 @@ func (s *Shared) Swap(spec *core.Spec) error { return s.Publish(Compile(spec)) }
 // The replacement must be for the same device and structurally compatible
 // with the current program (sessions' shadow states survive the swap).
 // Publish may be called from any goroutine; concurrent publications
-// serialize. A session registering concurrently with publication is safe
-// without a registry lock: NewSession loads the version before
-// registering, and a session that is not yet registered cannot be
-// mid-round — if it loaded the old version it adopts the new one at its
-// first PreIO, so the grace wait only needs the sessions visible in the
-// shards.
+// serialize. A session registering concurrently with publication needs
+// no wait: NewSession loads the version before registering, and a
+// session that is not yet registered cannot be mid-round — if it loaded
+// the old version it adopts the new one at its first PreIO, so the grace
+// wait only needs the sessions visible in the registry.
 func (s *Shared) Publish(cv *Compiled) error {
 	if cv.spec.Device != s.device {
 		return fmt.Errorf("checker: swap: spec is for device %q, engine enforces %q", cv.spec.Device, s.device)
@@ -245,22 +216,20 @@ func (s *Shared) Publish(cv *Compiled) error {
 	// PreIOBatch (mid-round) and even between rounds. Any round entered
 	// after the Store above adopts the new version, so the old version
 	// remains reachable only by rounds whose epoch was already odd at
-	// publication time; wait for each of those epochs to advance. Shard
-	// locks are held only long enough to snapshot each session list and
-	// release the coverage of generations no session runs any more.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sessions := append([]*Checker(nil), sh.sessions...)
-		s.pruneLocked(sh)
-		sh.mu.Unlock()
-		for _, c := range sessions {
-			e := c.epoch.Load()
-			if e&1 == 0 {
-				continue
-			}
-			for c.epoch.Load() == e {
-				runtime.Gosched()
-			}
+	// publication time; wait for each of those epochs to advance. mu is
+	// held only long enough to snapshot the session list and release the
+	// coverage of generations no session runs any more.
+	s.mu.Lock()
+	sessions := slices.Clone(s.sessions)
+	s.pruneLocked()
+	s.mu.Unlock()
+	for _, c := range sessions {
+		e := c.epoch.Load()
+		if e&1 == 0 {
+			continue
+		}
+		for c.epoch.Load() == e {
+			runtime.Gosched()
 		}
 	}
 	s.swapMu.Unlock()
@@ -286,8 +255,7 @@ func (s *Shared) Publish(cv *Compiled) error {
 // engine's observability registry, under an auto-assigned session ID
 // unless WithSessionID fixed one. Per-recorder event rings and metric
 // banks mean sibling sessions never write a shared cache line for
-// telemetry; the session ID also selects the registry shard the session
-// lives on, so open/close traffic spreads across shard locks.
+// telemetry.
 func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	v := s.cur.Load()
 	c := &Checker{ver: v, specGen: v.gen, shared: s}
@@ -307,22 +275,15 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	c.flagArena = sc.flagArena[:0]
 	c.dmaLog = sc.dmaLog[:0]
 
+	s.mu.Lock()
 	if c.sessionID < 0 {
-		c.sessionID = int(s.nextSession.Add(1) - 1)
-	} else {
-		// WithSessionID fixed an ID: keep the allocator ahead of it so
-		// auto-assigned siblings never collide.
-		for {
-			next := s.nextSession.Load()
-			if int64(c.sessionID) < next || s.nextSession.CompareAndSwap(next, int64(c.sessionID)+1) {
-				break
-			}
-		}
+		c.sessionID = s.nextSession
 	}
-	sh := s.shardFor(c.sessionID)
-	sh.mu.Lock()
-	sh.sessions = append(sh.sessions, c)
-	sh.mu.Unlock()
+	// A WithSessionID-fixed ID keeps the allocator ahead of it, so
+	// auto-assigned siblings never collide.
+	s.nextSession = max(s.nextSession, c.sessionID+1)
+	s.sessions = append(s.sessions, c)
+	s.mu.Unlock()
 	if !c.recSet {
 		c.rec = c.obsReg.NewRecorder(s.device, c.sessionID, obs.DefaultRingSize)
 	}
@@ -336,12 +297,11 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	return c
 }
 
-// Close retires a session checker: its counters fold into its shard's
+// Close retires a session checker: its counters fold into the engine's
 // retired bank, its coverage too while its generation is retained, its
-// warnings and audit records drain into the engine's capped buffers,
-// its flight recorder folds into the observability registry, and its
-// scratch returns to the pool for the next session. A serial checker
-// (built with New) closes just its recorder. Closing is idempotent; the
+// audit records drain into the engine's capped buffer, its flight
+// recorder folds into the observability registry, and its scratch
+// returns to the pool for the next session. Closing is idempotent; the
 // checker must not be used after Close.
 func (c *Checker) Close() {
 	if c.closed {
@@ -366,54 +326,29 @@ func (c *Checker) Close() {
 		},
 	})
 	s := c.shared
-	if s == nil {
-		return
-	}
-	c.shared = nil
-	sh := s.shardFor(c.sessionID)
-
-	sh.mu.Lock()
-	for i, sess := range sh.sessions {
-		if sess == c {
-			sh.sessions = append(sh.sessions[:i], sh.sessions[i+1:]...)
-			break
-		}
-	}
-	sh.retired = sh.retired.merge(final)
+	s.mu.Lock()
+	s.sessions = slices.DeleteFunc(s.sessions, func(o *Checker) bool { return o == c })
+	s.retired = s.retired.merge(final)
 	c.warnMu.Lock()
-	if len(c.warnings) > 0 || len(c.audit) > 0 {
-		s.warnMu.Lock()
-		var kw, ka int
-		s.retiredWarnings, kw = appendCapped(s.retiredWarnings, c.warnings)
-		s.retiredAudit, ka = appendCapped(s.retiredAudit, c.audit)
-		s.warnMu.Unlock()
-		sh.retired.WarningsDropped += uint64(max(len(c.warnings)-kw, len(c.audit)-ka))
-	}
-	c.warnings, c.audit = nil, nil
-	last := s.foldCoverageLocked(sh, c)
+	kept := min(len(c.audit), max(MaxPendingWarnings-len(s.retiredAudit), 0))
+	s.retiredAudit = append(s.retiredAudit, c.audit[:kept]...)
+	s.retired.WarningsDropped += uint64(len(c.audit) - kept)
+	c.audit = nil
+	last := s.foldCoverageLocked(c)
 	c.cov = nil
 	c.warnMu.Unlock()
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if last {
 		s.sweepIfSuperseded(c.ver)
 	}
 
-	if sc := c.pooled; sc != nil {
-		c.pooled = nil
-		sc.frames = c.frames[:0]
-		sc.tempArena = c.tempArena[:0]
-		sc.flagArena = c.flagArena[:0]
-		sc.dmaLog = c.dmaLog[:0]
-		c.frames, c.tempArena, c.flagArena, c.dmaLog = nil, nil, nil, nil
-		s.scratchPool.Put(sc)
-	}
-}
-
-// appendCapped appends the head of src that fits under
-// MaxPendingWarnings to dst and reports how many elements it kept.
-func appendCapped[T any](dst, src []T) ([]T, int) {
-	n := min(len(src), max(MaxPendingWarnings-len(dst), 0))
-	return append(dst, src[:n]...), n
+	sc := c.pooled
+	sc.frames = c.frames[:0]
+	sc.tempArena = c.tempArena[:0]
+	sc.flagArena = c.flagArena[:0]
+	sc.dmaLog = c.dmaLog[:0]
+	c.pooled, c.frames, c.tempArena, c.flagArena, c.dmaLog = nil, nil, nil, nil, nil
+	s.scratchPool.Put(sc)
 }
 
 // moveSession moves session c from its current version onto next at a
@@ -421,13 +356,12 @@ func appendCapped[T any](dst, src []T) ([]T, int) {
 // the session's goroutine.
 func (s *Shared) moveSession(c *Checker, next *specVersion, m *coverage.Map) {
 	next.sessions.Add(1)
-	sh := s.shardFor(c.sessionID)
-	sh.mu.Lock()
+	s.mu.Lock()
 	c.warnMu.Lock()
-	last := s.foldCoverageLocked(sh, c)
+	last := s.foldCoverageLocked(c)
 	c.cov, c.covGen = m, next.gen
 	c.warnMu.Unlock()
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if last {
 		s.sweepIfSuperseded(c.ver)
 	}
@@ -435,147 +369,106 @@ func (s *Shared) moveSession(c *Checker, next *specVersion, m *coverage.Map) {
 
 // foldCoverageLocked ends session c's tenure on its version c.ver: c no
 // longer counts as running it, and c's coverage map folds into the
-// shard's retired bank if the generation is still retained (another
+// engine's retired bank if the generation is still retained (another
 // session runs it, or it is current) or is dropped otherwise. It
 // reports whether c was the last session on the version. The caller
-// holds sh.mu and c.warnMu, so a concurrent aggregate sees c's counts
+// holds s.mu and c.warnMu, so a concurrent aggregate sees c's counts
 // exactly once, either in the map or in the bank; it has published the
 // map's pending counts (adopt and Close publish first).
-func (s *Shared) foldCoverageLocked(sh *sessionShard, c *Checker) (last bool) {
+func (s *Shared) foldCoverageLocked(c *Checker) (last bool) {
 	v := c.ver
 	n := v.sessions.Add(-1)
 	if c.cov != nil && (n > 0 || v == s.cur.Load()) {
-		c.cov.AddTo(sh.bankFor(v))
+		c.cov.AddTo(s.bankFor(v))
 	}
 	return n == 0
 }
 
-// sweepIfSuperseded releases every shard's retired coverage of v when v
-// is no longer the current generation. It is called after the last
-// session left v, without any lock held. Publish prunes the same way
-// during its grace walk, which covers a publication that lands after
-// this check.
+// sweepIfSuperseded releases the retired coverage of v when v is no
+// longer the current generation. It is called after the last session
+// left v, without any lock held. Publish prunes the same way during its
+// grace walk, which covers a publication that lands after this check.
 func (s *Shared) sweepIfSuperseded(v *specVersion) {
 	if v == s.cur.Load() {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.pruneLocked(sh)
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.pruneLocked()
+	s.mu.Unlock()
 }
 
-// pruneLocked drops sh's retired coverage banks whose generation is no
-// longer retained. The caller holds sh.mu.
-func (s *Shared) pruneLocked(sh *sessionShard) {
+// pruneLocked drops the retired coverage banks whose generation is no
+// longer retained. The caller holds s.mu.
+func (s *Shared) pruneLocked() {
 	cur := s.cur.Load()
-	keep := sh.retiredCov[:0]
-	for _, r := range sh.retiredCov {
-		if r.v == cur || r.v.sessions.Load() > 0 {
-			keep = append(keep, r)
-		}
-	}
-	clear(sh.retiredCov[len(keep):])
-	sh.retiredCov = keep
+	s.retiredCov = slices.DeleteFunc(s.retiredCov, func(r retiredCoverage) bool {
+		return r.v != cur && r.v.sessions.Load() == 0
+	})
 }
 
-// bankFor returns sh's retired coverage bank for v, adding an empty one
-// if there is none. The caller holds sh.mu.
-func (sh *sessionShard) bankFor(v *specVersion) *coverage.Snapshot {
-	for i := range sh.retiredCov {
-		if sh.retiredCov[i].v == v {
-			return &sh.retiredCov[i].snap
+// bankFor returns the retired coverage bank for v, adding an empty one
+// if there is none. The caller holds s.mu.
+func (s *Shared) bankFor(v *specVersion) *coverage.Snapshot {
+	for i := range s.retiredCov {
+		if s.retiredCov[i].v == v {
+			return &s.retiredCov[i].snap
 		}
 	}
-	sh.retiredCov = append(sh.retiredCov, retiredCoverage{v: v})
-	return &sh.retiredCov[len(sh.retiredCov)-1].snap
+	s.retiredCov = append(s.retiredCov, retiredCoverage{v: v})
+	return &s.retiredCov[len(s.retiredCov)-1].snap
 }
 
 // Sessions reports the number of open sessions.
 func (s *Shared) Sessions() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.sessions)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
 }
 
-// Stats aggregates counters across all sessions, open and retired, by
-// folding the shards in order. It may be called while sessions run:
-// per-field sums are exact at the atomic loads, with cross-field skew
-// bounded by in-flight rounds. A session closing concurrently is counted
-// exactly once — the shard lock orders the read against the fold, so its
-// counters come either from its live bank or from the shard's retired
-// bank, never both and never neither.
+// Stats aggregates counters across all sessions, open and retired. It
+// may be called while sessions run: per-field sums are exact at the
+// atomic loads, with cross-field skew bounded by in-flight rounds. A
+// session closing concurrently is counted exactly once — mu orders the
+// read against the fold, so its counters come either from its live bank
+// or from the retired bank, never both and never neither.
 func (s *Shared) Stats() Stats {
-	var agg Stats
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		agg = agg.merge(sh.retired)
-		for _, c := range sh.sessions {
-			agg = agg.merge(c.stats.snapshot())
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	agg := s.retired
+	for _, c := range s.sessions {
+		agg = agg.merge(c.stats.snapshot())
 	}
 	return agg
 }
 
-// Warnings copies every session's accumulated warnings: closed
-// sessions' first, in close order, then open sessions' shard by shard in
-// open order. Within a session the warnings keep their round order;
-// across concurrently-running sessions there is no global order to
-// report.
+// Warnings copies every session's accumulated warnings, in Audit's
+// order, one per audit record.
 func (s *Shared) Warnings() []Anomaly {
-	s.warnMu.Lock()
-	out := append([]Anomaly(nil), s.retiredWarnings...)
-	s.warnMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, c := range sh.sessions {
-			out = append(out, c.Warnings()...)
-		}
-		sh.mu.Unlock()
-	}
-	if len(out) == 0 {
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := appendWarnings(nil, s.retiredAudit)
+	for _, c := range s.sessions {
+		c.warnMu.Lock()
+		out = appendWarnings(out, c.audit)
+		c.warnMu.Unlock()
 	}
 	return out
-}
-
-// ClearWarnings discards every accumulated warning — the retired buffers
-// and each open session's — keeping the buffers' capacity so later
-// rounds do not re-allocate. Like the per-Checker ClearWarnings, it is
-// meant for the gap between experiments; warnings raised concurrently
-// with the clear land in whichever side of it their lock acquisition
-// orders them.
-func (s *Shared) ClearWarnings() {
-	s.warnMu.Lock()
-	s.retiredWarnings = s.retiredWarnings[:0]
-	s.warnMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, c := range sh.sessions {
-			c.ClearWarnings()
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // Audit copies every session's accumulated audit records (the warning
-// replays the enhancement pipeline feeds on), in Warnings' order.
+// replays the enhancement pipeline feeds on): closed sessions' first, in
+// close order, then open sessions' in open order. Within a session the
+// records keep their round order; across concurrently-running sessions
+// there is no global order to report. Like Stats, a session closing
+// concurrently is read exactly once.
 func (s *Shared) Audit() []AuditRecord {
-	s.warnMu.Lock()
-	out := append([]AuditRecord(nil), s.retiredAudit...)
-	s.warnMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, c := range sh.sessions {
-			out = append(out, c.Audit()...)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := slices.Clone(s.retiredAudit)
+	for _, c := range s.sessions {
+		c.warnMu.Lock()
+		out = append(out, c.audit...)
+		c.warnMu.Unlock()
 	}
 	if len(out) == 0 {
 		return nil
@@ -583,18 +476,18 @@ func (s *Shared) Audit() []AuditRecord {
 	return out
 }
 
-// ClearAudit discards every accumulated audit record, retired and
-// per-session, typically after an enhancement pass consumed them.
-func (s *Shared) ClearAudit() {
-	s.warnMu.Lock()
+// ClearWarnings discards every accumulated warning and its audit record
+// — the retired buffer and each open session's — keeping the buffers'
+// capacity so later rounds do not re-allocate. It is meant for the gap
+// between experiments or after an enhancement pass consumed the records;
+// warnings raised concurrently with the clear land in whichever side of
+// it their lock acquisition orders them.
+func (s *Shared) ClearWarnings() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.retiredAudit = s.retiredAudit[:0]
-	s.warnMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, c := range sh.sessions {
-			c.ClearAudit()
-		}
-		sh.mu.Unlock()
+	for _, c := range s.sessions {
+		c.ClearWarnings()
 	}
 }
 
@@ -605,9 +498,9 @@ func (s *Shared) ClearAudit() {
 // counts only while it is retained: the current generation is always
 // reported, a superseded one only while an open session still runs it.
 // Safe to call while sessions run: counters only grow, so a concurrent
-// snapshot is a consistent lower bound; the shard lock orders the read
-// against a concurrent fold (a session closing or adopting a new
-// generation), so a session's published counts are seen exactly once.
+// snapshot is a consistent lower bound; mu orders the read against a
+// concurrent fold (a session closing or adopting a new generation), so a
+// session's published counts are seen exactly once.
 func (s *Shared) CoverageSnapshots() map[uint64]*coverage.Snapshot {
 	return s.collectCoverage(0)
 }
@@ -624,22 +517,20 @@ func (s *Shared) collectCoverage(gen uint64) map[uint64]*coverage.Snapshot {
 		}
 		return a
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for i := range sh.retiredCov {
-			r := &sh.retiredCov[i]
-			if gen == 0 || r.v.gen == gen {
-				acc(r.v.gen).Merge(&r.snap)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.retiredCov {
+		r := &s.retiredCov[i]
+		if gen == 0 || r.v.gen == gen {
+			acc(r.v.gen).Merge(&r.snap)
 		}
-		for _, c := range sh.sessions {
-			c.warnMu.Lock()
-			if c.cov != nil && (gen == 0 || c.covGen == gen) {
-				c.cov.AddTo(acc(c.covGen))
-			}
-			c.warnMu.Unlock()
+	}
+	for _, c := range s.sessions {
+		c.warnMu.Lock()
+		if c.cov != nil && (gen == 0 || c.covGen == gen) {
+			c.cov.AddTo(acc(c.covGen))
 		}
-		sh.mu.Unlock()
+		c.warnMu.Unlock()
 	}
 	return out
 }

@@ -24,7 +24,7 @@ func kindsOf(evs []stream.Event) []stream.Kind {
 }
 
 // TestSerialCheckerStream: attach, blocked anomaly (with forensic
-// context), and detach on a serial checker, published to a caller-owned
+// context), and detach on a checker built by New, published to a caller-owned
 // hub. A benign run in between publishes nothing.
 func TestSerialCheckerStream(t *testing.T) {
 	_, att := setup(t)

@@ -147,7 +147,7 @@ func (c *Checker) simulateThreaded(req *interp.Request) *Anomaly {
 		c.dmaLog = c.dmaLog[:0]
 	} else if len(c.tempArena) != 0 {
 		// Mid-batch after a Halts round: the frame stack is already empty
-		// but the arenas kept their residue (a serial round's reset would
+		// but the arenas kept their residue (a per-round reset would
 		// have cleared it). The DMA journal stays — it is the batch's
 		// guest-memory overlay.
 		c.frames = c.frames[:0]

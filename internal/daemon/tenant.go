@@ -304,7 +304,6 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	if req.Enhance {
 		// The audited warnings are folded into the new generation;
 		// clearing them makes the next enhance incremental.
-		eng.shared.ClearAudit()
 		eng.shared.ClearWarnings()
 	}
 	eng.meta = meta

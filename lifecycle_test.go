@@ -388,7 +388,6 @@ func TestEnhancePipeline(t *testing.T) {
 
 	// Hot-swap the enhanced version under the running session.
 	sh.ClearWarnings()
-	sh.ClearAudit()
 	if err := sh.Swap(enhanced); err != nil {
 		t.Fatalf("Swap: %v", err)
 	}

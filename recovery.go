@@ -67,25 +67,7 @@ func (g *RollbackGuard) recover() {
 // blocking anomaly restores the snapshot instead of leaving the machine
 // halted. The blocked request still surfaces as an error to its issuer.
 func ProtectWithRollback(att *machine.Attached, spec *core.Spec, snapshotEvery int, opts ...checker.Option) (*checker.Checker, *RollbackGuard) {
-	if snapshotEvery <= 0 {
-		snapshotEvery = 64
-	}
-	g := &RollbackGuard{
-		m:             att.Machine(),
-		att:           att,
-		SnapshotEvery: snapshotEvery,
-	}
-	base := []checker.Option{
-		checker.WithEnv(att),
-		checker.WithHalt(g.recover),
-	}
-	chk := checker.New(spec, att.Dev().State(), append(base, opts...)...)
-	g.chk = chk
-	att.AddInterposer(chk)
-	att.AddInterposer(g)
-	// Seed the first snapshot from the current (clean) state.
-	g.snap = g.m.Snapshot()
-	return chk, g
+	return ProtectSharedWithRollback(att, NewSharedChecker(spec, opts...), snapshotEvery, opts...)
 }
 
 // ProtectSharedWithRollback is ProtectShared plus rollback recovery: the
@@ -114,6 +96,7 @@ func ProtectSharedWithRollback(att *machine.Attached, sh *SharedChecker, snapsho
 	g.chk = chk
 	att.AddInterposer(chk)
 	att.AddInterposer(g)
+	// Seed the first snapshot from the current (clean) state.
 	g.snap = g.m.Snapshot()
 	return chk, g
 }

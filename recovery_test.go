@@ -2,6 +2,7 @@ package sedspec_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"sedspec"
@@ -59,6 +60,54 @@ func TestRollbackRecovery(t *testing.T) {
 	}
 	if chk.Stats().Blocked == 0 {
 		t.Error("blocked counter should have recorded the attempt")
+	}
+}
+
+// TestRollbackEntryPointsAgree: ProtectWithRollback is
+// ProtectSharedWithRollback over a private engine, so on identical
+// guests one PoC yields the same anomaly session and round and the same
+// frozen flight-recorder context, stamped with the attachment's session
+// ID and the machine's virtual clock.
+func TestRollbackEntryPointsAgree(t *testing.T) {
+	_, train := setup(t, testdev.Options{})
+	spec := learn(t, train).Spec
+	build := func() (machine.Device, []machine.AttachOption) {
+		return testdev.New(testdev.Options{}), []machine.AttachOption{machine.WithPIO(testdev.PortCmd, testdev.PortCount)}
+	}
+	run := func(protect func(att *machine.Attached)) *sedspec.Anomaly {
+		t.Helper()
+		att := machine.NewSession(3, build).Attached()
+		protect(att)
+		d := sedspec.NewDriver(att)
+		if err := benignTrain(d); err != nil {
+			t.Fatal(err)
+		}
+		var anom *sedspec.Anomaly
+		if err := venomExploit(d, 32); !errors.As(err, &anom) {
+			t.Fatalf("exploit not blocked: %v", err)
+		}
+		return anom
+	}
+	private := run(func(att *machine.Attached) { sedspec.ProtectWithRollback(att, spec, 4) })
+	shared := run(func(att *machine.Attached) {
+		sedspec.ProtectSharedWithRollback(att, sedspec.NewSharedChecker(spec), 4)
+	})
+	if private.Session != 3 || shared.Session != 3 {
+		t.Errorf("anomaly sessions = %d (ProtectWithRollback), %d (ProtectSharedWithRollback), want 3",
+			private.Session, shared.Session)
+	}
+	if private.Round != shared.Round {
+		t.Errorf("anomaly rounds differ: %d vs %d", private.Round, shared.Round)
+	}
+	if private.Ctx == nil || len(private.Ctx.Events) == 0 || private.Ctx.Session != 3 {
+		t.Fatalf("frozen context missing or mis-attributed: %+v", private.Ctx)
+	}
+	if last := private.Ctx.Events[len(private.Ctx.Events)-1]; last.Tick == 0 {
+		t.Errorf("blocked event carries tick 0: the machine's clock is not wired")
+	}
+	if !reflect.DeepEqual(private.Ctx, shared.Ctx) {
+		t.Errorf("frozen contexts differ:\n  ProtectWithRollback:       %+v\n  ProtectSharedWithRollback: %+v",
+			private.Ctx, shared.Ctx)
 	}
 }
 

@@ -261,29 +261,22 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 }
 
 // Protect attaches an ES-Checker enforcing the specification to the
-// device's I/O path (the paper's phase 3). The checker's shadow device
-// state is initialized from the device control structure's current
-// values. The checker's flight recorder stamps events with the
-// machine's virtual clock and the attachment's session ID.
+// device's I/O path (the paper's phase 3): ProtectShared over a private
+// engine. The checker's shadow device state is initialized from the
+// device control structure's current values. The checker's flight
+// recorder and anomalies carry the machine's virtual clock and the
+// attachment's session ID.
 func Protect(att *machine.Attached, spec *core.Spec, opts ...checker.Option) *checker.Checker {
-	base := []checker.Option{
-		checker.WithEnv(att),
-		checker.WithHalt(att.Machine().Halt),
-		checker.WithClock(att.Machine().Clock),
-		checker.WithSessionID(att.SessionID()),
-	}
-	chk := checker.New(spec, att.Dev().State(), append(base, opts...)...)
-	att.AddInterposer(chk)
-	return chk
+	return ProtectShared(att, NewSharedChecker(spec, opts...), opts...)
 }
 
 // Unprotect removes all interposers (the checker) from the device,
-// retiring every attached checker first: its counters fold into the
-// shared engine's retired bank (when the checker came from ProtectShared)
-// and its flight recorder folds into the observability registry. Without
-// the retire step a re-ProtectShared on the same attachment would leave
-// the old session's live stats bank registered alongside the new one and
-// aggregate accounting would double-count.
+// retiring every attached checker first: its counters fold into its
+// engine's retired bank and its flight recorder folds into the
+// observability registry. Without the retire step a re-ProtectShared on
+// the same attachment would leave the old session's live stats bank
+// registered alongside the new one and aggregate accounting would
+// double-count.
 func Unprotect(att *machine.Attached) {
 	for _, ip := range att.Interposers() {
 		if chk, ok := ip.(*checker.Checker); ok {
