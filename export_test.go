@@ -84,12 +84,15 @@ type Footprint struct {
 	Bytes int
 	// ByElem splits Bytes by slice element type.
 	ByElem map[reflect.Type]int
+	// Specs counts the learned specs (*core.Spec) reachable from the
+	// compiled spec; their slices count in Bytes too.
+	Specs int
 }
 
 // compiledFootprint walks everything a checker.Compiled references and
-// sums slice capacities. It stops at the source spec and at the device
-// program (and pointers into it), which the compiled form shares with its
-// learner and with every other compiled spec of the same device.
+// sums slice capacities. It stops only at the device program (and
+// pointers into it), which the compiled form shares with every other
+// compiled spec of the same device and with every device instance.
 func compiledFootprint(cv *checker.Compiled) Footprint {
 	fp := Footprint{ByElem: map[reflect.Type]int{}}
 	ptrs := map[uintptr]bool{}
@@ -104,10 +107,13 @@ func compiledFootprint(cv *checker.Compiled) Footprint {
 				return
 			}
 			el := v.Type().Elem()
-			if el == specType || el.PkgPath() == irPkg || ptrs[v.Pointer()] {
+			if el.PkgPath() == irPkg || ptrs[v.Pointer()] {
 				return
 			}
 			ptrs[v.Pointer()] = true
+			if el == specType {
+				fp.Specs++
+			}
 			walk(v.Elem())
 		case reflect.Interface:
 			if !v.IsNil() {

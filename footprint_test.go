@@ -98,6 +98,9 @@ func TestCompiledFootprint(t *testing.T) {
 		}
 		fp := sedspec.CompiledFootprint(checker.Compile(spec))
 		t.Logf("%-24s %7d B retained", name, fp.Bytes)
+		if fp.Specs != 0 {
+			t.Errorf("%s: %d learned spec(s) reachable from the compiled spec", name, fp.Specs)
+		}
 		if fp.Bytes > maxCompiledBytes {
 			t.Errorf("%s: compiled spec retains %d B of slices, want <= %d; by element type: %v",
 				name, fp.Bytes, maxCompiledBytes, fp.ByElem)

@@ -257,7 +257,6 @@ func (s *statCounters) snapshot() Stats {
 // spec, with no lock on the check path.
 type Checker struct {
 	sim
-	spec *core.Spec
 	// sealed is the dense runtime form the simulation runs against, and
 	// tprog its threaded-code stream with handlers bound.
 	sealed *core.SealedSpec
@@ -601,7 +600,6 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 // bind points the checker at a compiled spec: the sealed tables, the
 // threaded stream and the entry material every round needs.
 func (c *Checker) bind(cv *Compiled) {
-	c.spec = cv.spec
 	c.sealed = cv.sealed
 	c.tprog = cv.tprog
 	c.prog = cv.prog
@@ -621,9 +619,11 @@ func (c *Checker) Warnings() []Anomaly {
 
 // ClearWarnings discards the accumulated warnings and their audit
 // records (between experiments, or after an enhancement pass consumed
-// them), keeping the slice's capacity so later rounds do not re-allocate.
+// them), keeping the slice's capacity so later rounds do not re-allocate;
+// the slots are zeroed, so the records' request copies are freed.
 func (c *Checker) ClearWarnings() {
 	c.warnMu.Lock()
+	clear(c.audit)
 	c.audit = c.audit[:0]
 	c.warnMu.Unlock()
 }
@@ -747,7 +747,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 	}
 	c.publish()
 	anomaly.Session = c.sessionID
-	if c.settle(anomaly, c.spec.Device, round, c.specGen) {
+	if c.settle(anomaly, c.shared.device, round, c.specGen) {
 		if c.rec != nil {
 			c.record(req, round, anomaly.Strategy, obs.VerdictBlocked, anomaly.Block)
 			anomaly.Ctx = c.rec.Freeze(freezeDepth)
@@ -755,7 +755,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 		c.hub.Publish(stream.Event{
 			Kind:    stream.KindAnomaly,
 			Tenant:  c.tenant,
-			Device:  c.spec.Device,
+			Device:  c.shared.device,
 			Session: c.sessionID,
 			SpecGen: c.specGen,
 			Anomaly: &stream.AnomalyInfo{
@@ -784,7 +784,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 	c.hub.Publish(stream.Event{
 		Kind:    stream.KindAudit,
 		Tenant:  c.tenant,
-		Device:  c.spec.Device,
+		Device:  c.shared.device,
 		Session: c.sessionID,
 		SpecGen: c.specGen,
 		Audit: &stream.AuditInfo{
@@ -815,7 +815,7 @@ func (c *Checker) finishRound(req *interp.Request, round uint64, anomaly *Anomal
 
 // MaxPendingWarnings bounds the audit records one session keeps, and
 // those one shared engine keeps from its closed sessions, until
-// ClearWarnings consumes them. Each warned round of an
+// ClearAudited or ClearWarnings consumes them. Each warned round of an
 // enhancement-mode guest would otherwise grow the daemon's heap by a
 // copy of the request; past the bound the earliest records are kept and
 // later ones are only counted (Stats.WarningsDropped).
@@ -900,7 +900,7 @@ func (c *Checker) Recorder() *obs.Recorder { return c.rec }
 // view.
 func (c *Checker) Snapshot() obs.MetricsSnapshot {
 	if c.rec == nil {
-		return obs.MetricsSnapshot{Device: c.spec.Device}
+		return obs.MetricsSnapshot{Device: c.shared.device}
 	}
 	c.publish()
 	return c.rec.Snapshot()
@@ -915,7 +915,7 @@ func (c *Checker) DumpTrace(w io.Writer) error {
 	}
 	ring := c.rec.Ring()
 	if _, err := fmt.Fprintf(w, "flight recorder: device %s session %d, %d/%d events held (%d recorded)\n",
-		c.spec.Device, c.sessionID, ring.Len(), ring.Cap(), ring.Total()); err != nil {
+		c.shared.device, c.sessionID, ring.Len(), ring.Cap(), ring.Total()); err != nil {
 		return err
 	}
 	return obs.WriteTimeline(w, ring.Snapshot())

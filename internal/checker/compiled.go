@@ -7,14 +7,14 @@ import (
 	"sedspec/internal/ir"
 )
 
-// Compiled is a specification in the form every check engine runs: the
-// spec, its sealed runtime form, the entry-block material every round
-// needs, and the threaded-code stream with handlers bound. Compile
-// builds it once; it is immutable afterwards, so one Compiled may be
-// published by any number of engines, across tenants, and again after a
-// rollback, without copying.
+// Compiled is a specification in the form every check engine runs: its
+// sealed runtime form, the entry-block material every round needs, and
+// the threaded-code stream with handlers bound. It keeps no reference to
+// the learned spec, so a daemon that holds only compiled versions does
+// not keep their specs alive. Compile builds it once; it is immutable
+// afterwards, so one Compiled may be published by any number of engines,
+// across tenants, and again after a rollback, without copying.
 type Compiled struct {
-	spec       *core.Spec
 	sealed     *core.SealedSpec
 	prog       *ir.Program
 	entryTemps int
@@ -28,11 +28,7 @@ type Compiled struct {
 // argument through it.
 func Compile(spec *core.Spec) *Compiled {
 	sealed, tc := spec.SealThreaded()
-	cv := &Compiled{
-		spec:   spec,
-		sealed: sealed,
-		prog:   spec.Program(),
-	}
+	cv := &Compiled{sealed: sealed, prog: spec.Program()}
 	if es := spec.Block(spec.Entry); es != nil {
 		cv.entryTemps = cv.prog.Handlers[es.Ref.Handler].NumTemps
 		cv.entryRef = es.Ref

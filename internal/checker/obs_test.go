@@ -187,7 +187,7 @@ func TestSharedClearWarnings(t *testing.T) {
 		t.Fatalf("warnings before clear = %d, want 2", got)
 	}
 
-	sh.ClearWarnings()
+	sh.ClearAudited(sh.Audit())
 	if got := sh.Warnings(); got != nil {
 		t.Errorf("warnings after clear = %v, want none", got)
 	}

@@ -206,7 +206,7 @@ func TestPublicationCadence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := e.sh.Swap(e.sh.Spec()); err != nil {
+		if err := e.sh.Swap(spec); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.sess.PreIO(nil, rs[lead]); err != nil { // adopts generation 2

@@ -50,7 +50,7 @@ func NewReference(spec *core.Spec, initial *interp.State, opts ...Option) *Refer
 	r := &Reference{spec: spec, dmaShadow: make(map[uint64]byte)}
 	r.config = newConfig(opts)
 	r.prog = spec.Program()
-	r.shadow = spec.InitialShadow(initial)
+	r.shadow = initial.Clone()
 	if es := spec.Block(spec.Entry); es != nil {
 		r.entryTemps = r.prog.Handlers[es.Ref.Handler].NumTemps
 	}

@@ -2,10 +2,13 @@ package checker_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"sedspec"
 	"sedspec/internal/checker"
+	"sedspec/internal/core"
 	"sedspec/internal/devices/testdev"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs/coverage"
@@ -15,7 +18,7 @@ import (
 // not on how many publications it has seen. Coverage is kept for the
 // current generation and for generations open sessions still run; a
 // session holds one coverage map; pending warnings stop at
-// MaxPendingWarnings.
+// MaxPendingWarnings; a compiled version holds no learned spec.
 
 // attachSession opens a session of sh on a fresh test-device machine.
 func attachSession(t *testing.T, sh *checker.Shared) (*checker.Checker, *sedspec.Driver) {
@@ -178,6 +181,49 @@ func TestCoverageExactAcrossAdoption(t *testing.T) {
 	}
 }
 
+// TestCompiledHoldsNoSpec: once the caller drops the spec it compiled,
+// the spec is garbage while the compiled version lives on, so an engine
+// or a daemon memo holding only compiled versions keeps no learned spec.
+func TestCompiledHoldsNoSpec(t *testing.T) {
+	freed, cv := compileDropped(t)
+	if !collected(freed) {
+		t.Error("the learned spec is still reachable from its compiled version")
+	}
+	// The compiled version still enforces on its own.
+	sh := checker.NewSharedCompiled(cv)
+	c, d := attachSession(t, sh)
+	defer c.Close()
+	if err := benign(d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(cv)
+}
+
+// compileDropped learns and compiles a spec and returns the compiled
+// version with a channel that is closed once the spec is collected; no
+// strong reference to the spec outlives the call.
+func compileDropped(t *testing.T) (<-chan struct{}, *checker.Compiled) {
+	_, att := setup(t)
+	spec := learn(t, att)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(spec, func(*core.Spec) { close(freed) })
+	return freed, checker.Compile(spec)
+}
+
+// collected runs the collector until freed is closed, for up to a
+// second; it reports whether the object was collected.
+func collected(freed <-chan struct{}) bool {
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
+}
+
 func sameCounts(a, b *coverage.Snapshot) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -244,11 +290,61 @@ func TestPendingWarningsCapped(t *testing.T) {
 	}
 
 	// Consuming the records makes room again.
-	sh.ClearWarnings()
+	sh.ClearAudited(sh.Audit())
 	c3, d3 := attachSession(t, sh)
 	warn(d3, 3)
 	c3.Close()
 	if got := len(sh.Audit()); got != 3 {
 		t.Errorf("audit after clear = %d records, want 3", got)
+	}
+}
+
+// TestClearAuditedKeepsLaterWarnings pins the enhance's clear: it drops
+// the records an Audit copy holds and keeps every warning raised after
+// that copy was taken, in open sessions and in what closed sessions
+// left behind alike.
+func TestClearAuditedKeepsLaterWarnings(t *testing.T) {
+	_, att := setup(t)
+	spec := learn(t, att)
+	sh := checker.NewShared(spec, checker.WithMode(checker.ModeEnhancement))
+	warn := func(d *sedspec.Driver) {
+		t.Helper()
+		if _, err := d.Out8(testdev.PortCmd, testdev.CmdDiag); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	open, openDrv := attachSession(t, sh)
+	defer open.Close()
+	warn(openDrv)
+	closedEarly, earlyDrv := attachSession(t, sh)
+	warn(earlyDrv)
+	closedEarly.Close()
+	closedLate, lateDrv := attachSession(t, sh)
+	warn(lateDrv)
+
+	openID, lateID := open.Warnings()[0].Session, closedLate.Warnings()[0].Session
+	consumed := sh.Audit()
+	if len(consumed) != 3 {
+		t.Fatalf("audit holds %d records, want 3", len(consumed))
+	}
+	warn(openDrv)
+	warn(lateDrv)
+	closedLate.Close()
+	sh.ClearAudited(consumed)
+
+	left := sh.Audit()
+	if len(left) != 2 {
+		t.Fatalf("after the clear the audit holds %d records, want the 2 raised after Audit: %+v", len(left), left)
+	}
+	for _, r := range left {
+		if r.Round != 2 || (r.Session != openID && r.Session != lateID) {
+			t.Errorf("kept session %d round %d, want round 2 of sessions %d and %d",
+				r.Session, r.Round, openID, lateID)
+		}
+	}
+	sh.ClearAudited(left)
+	if n := len(sh.Warnings()); n != 0 {
+		t.Errorf("%d warnings left after every record was consumed", n)
 	}
 }

@@ -110,7 +110,7 @@ func NewShared(spec *core.Spec, opts ...Option) *Shared {
 // NewSharedCompiled is NewShared for an already compiled spec: the
 // engine publishes cv as its first generation without sealing again.
 func NewSharedCompiled(cv *Compiled, opts ...Option) *Shared {
-	s := &Shared{device: cv.spec.Device, cfg: newConfig(opts)}
+	s := &Shared{device: cv.sealed.Device, cfg: newConfig(opts)}
 	// A recorder, clock and session ID belong to one session: every
 	// session gets its own.
 	s.cfg.rec, s.cfg.recSet, s.cfg.clock, s.cfg.sessionID = nil, false, nil, -1
@@ -130,9 +130,6 @@ func (s *Shared) Mode() Mode { return s.cfg.mode }
 
 // Sealed exposes the current sealed specification (diagnostics, tests).
 func (s *Shared) Sealed() *core.SealedSpec { return s.cur.Load().sealed }
-
-// Spec returns the current specification version's spec.
-func (s *Shared) Spec() *core.Spec { return s.cur.Load().spec }
 
 // Generation returns the current spec version's generation (1 before any
 // swap, +1 per swap).
@@ -194,8 +191,8 @@ func (s *Shared) Swap(spec *core.Spec) error { return s.Publish(Compile(spec)) }
 // the old version it adopts the new one at its first PreIO, so the grace
 // wait only needs the sessions visible in the registry.
 func (s *Shared) Publish(cv *Compiled) error {
-	if cv.spec.Device != s.device {
-		return fmt.Errorf("checker: swap: spec is for device %q, engine enforces %q", cv.spec.Device, s.device)
+	if cv.sealed.Device != s.device {
+		return fmt.Errorf("checker: swap: spec is for device %q, engine enforces %q", cv.sealed.Device, s.device)
 	}
 	// Shape compatibility is transitive over the program geometry checks,
 	// so validating against the version current at call time stays valid
@@ -262,7 +259,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	c.config = s.cfg
 	c.apply(opts)
 	c.bind(v.Compiled)
-	c.shadow = v.spec.InitialShadow(initial)
+	c.shadow = initial.Clone()
 	v.sessions.Add(1)
 	if !c.covOff {
 		c.cov = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
@@ -316,7 +313,7 @@ func (c *Checker) Close() {
 	c.hub.Publish(stream.Event{
 		Kind:    stream.KindDetach,
 		Tenant:  c.tenant,
-		Device:  c.spec.Device,
+		Device:  c.shared.device,
 		Session: c.sessionID,
 		SpecGen: c.specGen,
 		Detach: &stream.SessionInfo{
@@ -476,18 +473,28 @@ func (s *Shared) Audit() []AuditRecord {
 	return out
 }
 
-// ClearWarnings discards every accumulated warning and its audit record
-// — the retired buffer and each open session's — keeping the buffers'
-// capacity so later rounds do not re-allocate. It is meant for the gap
-// between experiments or after an enhancement pass consumed the records;
-// warnings raised concurrently with the clear land in whichever side of
-// it their lock acquisition orders them.
-func (s *Shared) ClearWarnings() {
+// ClearAudited discards the warnings an enhancement pass consumed, given
+// as the copy Audit returned (ClearAudited(Audit()) clears all so far).
+// Per session it drops the records up to the newest round consumed
+// holds, in the retired buffer and the open session alike, so a warning
+// raised after the Audit call stays for the next pass; sessions are told
+// apart by ID. Dropped slots are zeroed, freeing their request copies.
+func (s *Shared) ClearAudited(consumed []AuditRecord) {
+	upTo := make(map[int]uint64)
+	for _, r := range consumed {
+		upTo[r.Session] = max(upTo[r.Session], r.Round)
+	}
+	used := func(r AuditRecord) bool {
+		last, ok := upTo[r.Session]
+		return ok && r.Round <= last
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.retiredAudit = s.retiredAudit[:0]
+	s.retiredAudit = slices.DeleteFunc(s.retiredAudit, used)
 	for _, c := range s.sessions {
-		c.ClearWarnings()
+		c.warnMu.Lock()
+		c.audit = slices.DeleteFunc(c.audit, used)
+		c.warnMu.Unlock()
 	}
 }
 

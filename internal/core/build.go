@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"sedspec/internal/analysis"
-	"sedspec/internal/interp"
 	"sedspec/internal/ir"
 )
 
@@ -443,10 +442,4 @@ func mergeBranches(s *Spec) int {
 		}
 	}
 	return merged
-}
-
-// InitialShadow builds the shadow device state the checker starts from: a
-// copy of the device control structure at deployment time (paper §V-A1).
-func (s *Spec) InitialShadow(deviceState *interp.State) *interp.State {
-	return deviceState.Clone()
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestCompiledSpecSharedAcrossTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.shared.Spec().Dot() != fresh.Dot() {
+	if !reflect.DeepEqual(eng.shared.Sealed(), fresh.Seal()) {
 		t.Error("the shared compiled spec differs from a fresh decode of its blob")
 	}
 	v, err := replayVerdict(alpha, p)
@@ -209,7 +210,7 @@ func TestEnhancedChildSharedAcrossEnhances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.shared.Spec().Dot() != fresh.Dot() {
+	if !reflect.DeepEqual(eng.shared.Sealed(), fresh.Seal()) {
 		t.Error("the shared compiled child differs from a fresh decode of its blob")
 	}
 }

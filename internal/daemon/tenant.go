@@ -267,9 +267,10 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 
 	var cv *checker.Compiled
 	var meta specstore.VersionMeta
+	var audit []checker.AuditRecord
 	switch {
 	case req.Enhance:
-		audit := eng.shared.Audit()
+		audit = eng.shared.Audit()
 		if len(audit) == 0 {
 			return SwapResult{}, fmt.Errorf("daemon: engine %s has no audited warnings to enhance from (run sessions in enhancement mode first)", req.Device)
 		}
@@ -303,8 +304,10 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 	}
 	if req.Enhance {
 		// The audited warnings are folded into the new generation;
-		// clearing them makes the next enhance incremental.
-		eng.shared.ClearWarnings()
+		// clearing them makes the next enhance incremental. Warnings
+		// raised since the Audit call were not folded in and stay for
+		// the next enhance.
+		eng.shared.ClearAudited(audit)
 	}
 	eng.meta = meta
 	res.ToGen, res.StoreGen = eng.shared.Generation(), meta.Generation

@@ -564,7 +564,9 @@ func (s *Sub) Accounting() (published, enqueued, dropped [NumKinds]uint64) {
 	return published, enqueued, dropped
 }
 
-// TryRecv pops the oldest buffered event without blocking.
+// TryRecv pops the oldest buffered event without blocking. The slot is
+// zeroed as it is handed out, so a consumed event's payload is freed
+// with the consumer's copy, not kept until the ring wraps onto it.
 func (s *Sub) TryRecv() (Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,6 +574,7 @@ func (s *Sub) TryRecv() (Event, bool) {
 		return Event{}, false
 	}
 	ev := s.buf[s.head]
+	s.buf[s.head] = Event{}
 	s.head = (s.head + 1) % len(s.buf)
 	s.count--
 	return ev, true

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestKindRoundTrip: every kind survives String -> KindByName and the
@@ -142,6 +144,57 @@ func TestDropAccounting(t *testing.T) {
 	if ev, ok := sub.TryRecv(); !ok || ev.Session != 99 {
 		t.Errorf("post-drain publish not delivered: %+v", ev)
 	}
+}
+
+// TestConsumedEventReleased: a subscriber ring frees an event's payload
+// once the event is consumed. After an anomaly is received and RecentCap
+// further events push it out of the hub's recent ring, nothing the hub
+// or the subscriber holds may keep its AnomalyInfo alive, although the
+// subscriber's 1024 slots are far from wrapping onto it.
+func TestConsumedEventReleased(t *testing.T) {
+	h := NewHub()
+	sub := h.Subscribe(WithBuffer(DefaultSubBuffer))
+	defer sub.Close()
+	freed := publishAnomaly(h)
+	if _, ok := sub.TryRecv(); !ok {
+		t.Fatal("anomaly not delivered")
+	}
+	for i := 0; i < RecentCap; i++ {
+		h.Publish(Event{Kind: KindAttach, Session: i})
+		if _, ok := sub.TryRecv(); !ok {
+			t.Fatalf("event %d not delivered", i)
+		}
+	}
+	if !collected(freed) {
+		t.Error("a consumed anomaly's payload is still reachable from the hub or its subscriber")
+	}
+	runtime.KeepAlive(h)
+	runtime.KeepAlive(sub)
+}
+
+// publishAnomaly publishes one anomaly event and returns a channel that
+// is closed once its payload is collected; no strong reference to the
+// payload outlives the call.
+func publishAnomaly(h *Hub) <-chan struct{} {
+	info := &AnomalyInfo{Strategy: "parameter-check", Detail: "released"}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(info, func(*AnomalyInfo) { close(freed) })
+	h.Publish(Event{Kind: KindAnomaly, Anomaly: info})
+	return freed
+}
+
+// collected runs the collector until freed is closed, for up to a
+// second; it reports whether the object was collected.
+func collected(freed <-chan struct{}) bool {
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
 
 // TestRecent: the hub retains the last RecentCap events for bounded

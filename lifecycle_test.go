@@ -387,7 +387,7 @@ func TestEnhancePipeline(t *testing.T) {
 	}
 
 	// Hot-swap the enhanced version under the running session.
-	sh.ClearWarnings()
+	sh.ClearAudited(audit)
 	if err := sh.Swap(enhanced); err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
