@@ -19,8 +19,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
+
+	"sedspec/internal/daemon"
 )
 
 const defaultDaemonAddr = "127.0.0.1:6060"
@@ -31,6 +34,11 @@ func ctlBase(addr string) string {
 		return strings.TrimRight(addr, "/")
 	}
 	return "http://" + strings.TrimRight(addr, "/")
+}
+
+// tenantURL is the base URL of a tenant's control-plane resources.
+func tenantURL(addr, name string) string {
+	return ctlBase(addr) + "/tenants/" + url.PathEscape(name)
 }
 
 // ctlDo issues one control-plane request and streams the JSON response
@@ -94,7 +102,7 @@ func runTenant(args []string) error {
 		if name == "" {
 			return fmt.Errorf("usage: sedspec tenant [-addr A] delete NAME")
 		}
-		return ctlDo("DELETE", base+"/tenants/"+name, nil)
+		return ctlDo("DELETE", tenantURL(*addr, name), nil)
 	case "list", "":
 		return ctlDo("GET", base+"/tenants", nil)
 	default:
@@ -109,19 +117,16 @@ func runInstall(args []string) error {
 	device := fs.String("device", "", "device name (required)")
 	corpus := fs.String("corpus", "", `training corpus: "benign" (default) or "cve:<CVE-ID>"`)
 	mode := fs.String("mode", "", "enforcement mode: protection (default) or enhancement")
-	budget := fs.Uint64("budget", 0, "per-check step budget (0 = engine default)")
+	budget := fs.Int("budget", 0, "per-check step budget (0 = engine default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *tenant == "" || *device == "" {
 		return fmt.Errorf("usage: sedspec install [-addr A] -tenant T -device D [-corpus C] [-mode M] [-budget N]")
 	}
-	return ctlDo("POST", ctlBase(*addr)+"/tenants/"+*tenant+"/specs", struct {
-		Device string `json:"device"`
-		Corpus string `json:"corpus,omitempty"`
-		Mode   string `json:"mode,omitempty"`
-		Budget uint64 `json:"budget,omitempty"`
-	}{*device, *corpus, *mode, *budget})
+	return ctlDo("POST", tenantURL(*addr, *tenant)+"/specs", daemon.InstallRequest{
+		Device: *device, Corpus: *corpus, Mode: *mode, Budget: *budget,
+	})
 }
 
 func runAttach(args []string) error {
@@ -140,14 +145,9 @@ func runAttach(args []string) error {
 	if *tenant == "" || *device == "" {
 		return fmt.Errorf("usage: sedspec attach [-addr A] -tenant T -device D [-workload W] [-cve ID] [-count N] [-ops N] [-seed N]")
 	}
-	return ctlDo("POST", ctlBase(*addr)+"/tenants/"+*tenant+"/sessions", struct {
-		Device   string `json:"device"`
-		Workload string `json:"workload,omitempty"`
-		CVE      string `json:"cve,omitempty"`
-		Count    int    `json:"count,omitempty"`
-		Ops      uint64 `json:"ops,omitempty"`
-		Seed     uint64 `json:"seed,omitempty"`
-	}{*device, *workload, *cve, *count, *ops, *seed})
+	return ctlDo("POST", tenantURL(*addr, *tenant)+"/sessions", daemon.AttachRequest{
+		Device: *device, Workload: *workload, CVE: *cve, Count: *count, Ops: *ops, Seed: *seed,
+	})
 }
 
 func runDetach(args []string) error {
@@ -161,7 +161,7 @@ func runDetach(args []string) error {
 	if *tenant == "" || *id < 0 {
 		return fmt.Errorf("usage: sedspec detach [-addr A] -tenant T -id N")
 	}
-	return ctlDo("DELETE", fmt.Sprintf("%s/tenants/%s/sessions/%d", ctlBase(*addr), *tenant, *id), nil)
+	return ctlDo("DELETE", fmt.Sprintf("%s/sessions/%d", tenantURL(*addr, *tenant), *id), nil)
 }
 
 func runSwap(args []string) error {
@@ -177,11 +177,9 @@ func runSwap(args []string) error {
 	if *tenant == "" || *device == "" {
 		return fmt.Errorf("usage: sedspec swap [-addr A] -tenant T -device D [-enhance] [-generation N]")
 	}
-	return ctlDo("POST", ctlBase(*addr)+"/tenants/"+*tenant+"/swap", struct {
-		Device     string `json:"device"`
-		Enhance    bool   `json:"enhance,omitempty"`
-		Generation uint64 `json:"generation,omitempty"`
-	}{*device, *enhance, *generation})
+	return ctlDo("POST", tenantURL(*addr, *tenant)+"/swap", daemon.SwapRequest{
+		Device: *device, Enhance: *enhance, Generation: *generation,
+	})
 }
 
 func runStatus(args []string) error {
@@ -191,9 +189,8 @@ func runStatus(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base := ctlBase(*addr)
 	if *tenant != "" {
-		return ctlDo("GET", base+"/tenants/"+*tenant, nil)
+		return ctlDo("GET", tenantURL(*addr, *tenant), nil)
 	}
-	return ctlDo("GET", base+"/status", nil)
+	return ctlDo("GET", ctlBase(*addr)+"/status", nil)
 }

@@ -900,7 +900,7 @@ func (c *Checker) Recorder() *obs.Recorder { return c.rec }
 // view.
 func (c *Checker) Snapshot() obs.MetricsSnapshot {
 	if c.rec == nil {
-		return obs.MetricsSnapshot{Device: c.shared.device}
+		return obs.MetricsSnapshot{Tenant: c.shared.cfg.tenant, Device: c.shared.device}
 	}
 	c.publish()
 	return c.rec.Snapshot()

@@ -236,7 +236,7 @@ func TestRegistryMidHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				snap := reg.Snapshot().Device(spec.Device)
+				snap := reg.Snapshot().Row("", spec.Device)
 				if snap.Rounds < snap.Anomalies() {
 					t.Errorf("mid-run snapshot inconsistent: %d rounds < %d anomalies",
 						snap.Rounds, snap.Anomalies())
@@ -259,7 +259,7 @@ func TestRegistryMidHammer(t *testing.T) {
 	for _, c := range chks[1:] {
 		want = want.Merge(c.Snapshot())
 	}
-	got := reg.Snapshot().Device(spec.Device)
+	got := reg.Snapshot().Row("", spec.Device)
 	if got != want {
 		t.Errorf("registry snapshot != sum of session snapshots:\n  got:  %+v\n  want: %+v", got, want)
 	}
@@ -269,7 +269,7 @@ func TestRegistryMidHammer(t *testing.T) {
 
 	chks[0].Close()
 	chks[1].Close()
-	if after := reg.Snapshot().Device(spec.Device); after != got {
+	if after := reg.Snapshot().Row("", spec.Device); after != got {
 		t.Errorf("aggregate changed across churn:\n  got:  %+v\n  want: %+v", after, got)
 	}
 }

@@ -53,7 +53,7 @@ type Shared struct {
 	// cfg is the check configuration every session starts from; per-session
 	// options (typically WithEnv and WithHalt: each guest's machine is its
 	// own environment) override it. Its registry (cfg.obsReg) and hub are
-	// resolved, and the engine reports its own swaps into them.
+	// resolved.
 	cfg config
 
 	scratchPool sync.Pool
@@ -207,7 +207,6 @@ func (s *Shared) Publish(cv *Compiled) error {
 	next.gen = old.gen + 1
 	s.cur.Store(next)
 	s.swaps.Add(1)
-	s.cfg.obsReg.CountSwap(s.device)
 
 	// Grace period. A session's epoch is odd while it is inside PreIO or
 	// PreIOBatch (mid-round) and even between rounds. Any round entered
@@ -249,10 +248,10 @@ func (s *Shared) Publish(cv *Compiled) error {
 // sessions.
 //
 // Every session gets its own flight recorder registered with the
-// engine's observability registry, under an auto-assigned session ID
-// unless WithSessionID fixed one. Per-recorder event rings and metric
-// banks mean sibling sessions never write a shared cache line for
-// telemetry.
+// engine's observability registry on the engine's (tenant, device) row,
+// under an auto-assigned session ID unless WithSessionID fixed one.
+// Per-recorder event rings and metric banks mean sibling sessions never
+// write a shared cache line for telemetry.
 func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	v := s.cur.Load()
 	c := &Checker{ver: v, specGen: v.gen, shared: s}
@@ -282,7 +281,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	s.sessions = append(s.sessions, c)
 	s.mu.Unlock()
 	if !c.recSet {
-		c.rec = c.obsReg.NewRecorder(s.device, c.sessionID, obs.DefaultRingSize)
+		c.rec = c.obsReg.NewRecorder(s.cfg.tenant, s.device, c.sessionID, obs.DefaultRingSize)
 	}
 	c.hub.Publish(stream.Event{
 		Kind:    stream.KindAttach,
@@ -557,32 +556,31 @@ func (s *Shared) CoverageProfile() *coverage.Profile {
 // report into.
 func (s *Shared) Registry() *obs.Registry { return s.cfg.obsReg }
 
-// Metrics returns the engine's device row from the observability
-// registry: one MetricsSnapshot aggregating every session's recorder,
-// open and retired. Safe to call while sessions run.
+// Metrics returns the engine's (tenant, device) row from the
+// observability registry: one MetricsSnapshot aggregating every
+// session's recorder, open and retired, as published (each open session
+// trails by at most publishInterval rounds). Safe to call while sessions
+// run.
 func (s *Shared) Metrics() obs.MetricsSnapshot {
-	return s.cfg.obsReg.Snapshot().Device(s.device)
+	return s.cfg.obsReg.Snapshot().Row(s.cfg.tenant, s.device)
 }
 
-// EngineStatus folds the engine's session registry, aggregate
-// counters, and current-generation coverage into the shape the fleet
-// health aggregator consumes. Register it as a source with
-// stream.Health.AddEngine(sh.EngineStatus); safe to call while
-// sessions run.
+// EngineStatus reports what only the engine knows — its session
+// registry, current generation, swap count, dropped warnings and
+// current-generation coverage — in the shape the fleet health
+// aggregator consumes; round and anomaly counts come from the registry.
+// Register it as a source with stream.Health.AddEngine(sh.EngineStatus);
+// safe to call while sessions run.
 func (s *Shared) EngineStatus() stream.EngineStatus {
 	v := s.cur.Load()
-	st := s.Stats()
 	es := stream.EngineStatus{
 		Device:     s.device,
 		Tenant:     s.cfg.tenant,
 		Generation: v.gen,
 		Sessions:   s.Sessions(),
 		Swaps:      s.swaps.Load(),
-		Rounds:     st.Rounds,
-		Blocked:    st.Blocked,
-		Warnings:   st.Warnings,
 
-		WarningsDropped: st.WarningsDropped,
+		WarningsDropped: s.Stats().WarningsDropped,
 	}
 	if !s.cfg.covOff {
 		if snap := s.collectCoverage(v.gen)[v.gen]; snap != nil {

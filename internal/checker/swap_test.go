@@ -119,7 +119,7 @@ func TestSwapUnderHammer(t *testing.T) {
 			case <-done:
 				return
 			default:
-				snap := reg.Snapshot().Device(specA.Device)
+				snap := reg.Snapshot().Row("", specA.Device)
 				if snap.Rounds < snap.Anomalies() {
 					t.Errorf("mid-swap snapshot inconsistent: %d rounds < %d anomalies",
 						snap.Rounds, snap.Anomalies())
@@ -144,15 +144,17 @@ func TestSwapUnderHammer(t *testing.T) {
 		t.Errorf("swaps = %d, want >= 100", sh.SwapCount())
 	}
 
-	// Exact accounting across the swaps: registry == sum of sessions plus
-	// the engine's swap count on the device row.
+	// Exact accounting across the swaps: registry == sum of sessions, and
+	// the engine reports every swap it applied.
 	want := chks[0].Snapshot()
 	for _, c := range chks[1:] {
 		want = want.Merge(c.Snapshot())
 	}
-	want.Swaps = sh.SwapCount()
-	if got := reg.Snapshot().Device(specA.Device); got != want {
-		t.Errorf("registry snapshot != sessions + swaps:\n  got:  %+v\n  want: %+v", got, want)
+	if got := reg.Snapshot().Row("", specA.Device); got != want {
+		t.Errorf("registry snapshot != sessions:\n  got:  %+v\n  want: %+v", got, want)
+	}
+	if es := sh.EngineStatus(); es.Swaps != sh.SwapCount() || es.Generation != sh.SwapCount()+1 {
+		t.Errorf("engine status swaps %d gen %d, want %d and %d", es.Swaps, es.Generation, sh.SwapCount(), sh.SwapCount()+1)
 	}
 	if sh.Stats().Rounds != want.Rounds {
 		t.Errorf("engine rounds %d != recorder rounds %d", sh.Stats().Rounds, want.Rounds)

@@ -11,7 +11,7 @@ import (
 func TestRingWrapAtExactCapacity(t *testing.T) {
 	const capacity = 8
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 0, capacity)
+	r := g.NewRecorder("", "dev", 0, capacity)
 	for i := 1; i <= capacity; i++ {
 		r.Record(Event{Round: uint64(i), Tick: int64(i)})
 	}
@@ -47,8 +47,8 @@ func TestRingWrapAtExactCapacity(t *testing.T) {
 // fillDeterministic records the same event mix into a fresh registry.
 func fillDeterministic() *Registry {
 	g := NewRegistry()
-	a := g.NewRecorder("fdc", 0, 8)
-	b := g.NewRecorder("scsi", 1, 8)
+	a := g.NewRecorder("", "fdc", 0, 8)
+	b := g.NewRecorder("", "scsi", 1, 8)
 	// Latency is derived from tick deltas; ticks 1,3,7,15,31 yield the
 	// latencies 1,2,4,8,16 — one per histogram bucket.
 	tick := int64(0)
@@ -59,7 +59,6 @@ func fillDeterministic() *Registry {
 	a.Record(Event{Steps: 9, Tick: tick, Strategy: 1, Verdict: VerdictBlocked})
 	a.Record(Event{Steps: 2, Tick: tick, Strategy: 3, Verdict: VerdictWarned})
 	b.Record(Event{Steps: 300, Tick: 70_000, Verdict: VerdictOK})
-	g.CountSwap("fdc")
 	return g
 }
 

@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -138,11 +140,14 @@ func (h *Hist) Quantile(q float64) float64 {
 	return 0
 }
 
-// MetricsSnapshot is one device's (or one session's) counters at a
-// point in time. It is a plain comparable value: merging and equality
-// need no locks, which is what lets aggregate accounting be tested as
-// "registry snapshot == sum of per-session snapshots".
+// MetricsSnapshot is one (tenant, device) row's (or one session's)
+// counters at a point in time. It is a plain comparable value: merging
+// and equality need no locks, which is what lets aggregate accounting be
+// tested as "registry snapshot == sum of per-session snapshots".
 type MetricsSnapshot struct {
+	// Tenant is the control-plane namespace of the engine that opened
+	// the recorders (empty for single-tenant CLI runs).
+	Tenant string
 	Device string
 	// Rounds is the number of checked I/Os recorded.
 	Rounds uint64
@@ -154,14 +159,10 @@ type MetricsSnapshot struct {
 	Latency Hist
 	// Steps buckets the sealed-walker step count per round.
 	Steps Hist
-	// Swaps counts spec hot-swaps applied to the device. It is a
-	// registry-level counter (CountSwap), not a per-recorder one: a swap
-	// belongs to the shared engine, not to any single session.
-	Swaps uint64
 }
 
-// Merge returns the field-wise sum of two snapshots (the Device name is
-// taken from the receiver).
+// Merge returns the field-wise sum of two snapshots (the Tenant and
+// Device names are taken from the receiver).
 func (m MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 	m.Rounds += o.Rounds
 	for s := range m.Outcomes {
@@ -171,7 +172,6 @@ func (m MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 	}
 	m.Latency.merge(&o.Latency)
 	m.Steps.merge(&o.Steps)
-	m.Swaps += o.Swaps
 	return m
 }
 
@@ -186,7 +186,7 @@ func (m *MetricsSnapshot) Anomalies() uint64 {
 	return n
 }
 
-// MarshalJSON renders the snapshot in the device × strategy × verdict
+// MarshalJSON renders the snapshot in the tenant × device × strategy × verdict
 // shape embedders export. Buckets and outcomes
 // are emitted as ordered slices (ascending bucket index; strategy then
 // verdict order), not maps, so the export is byte-for-byte deterministic
@@ -227,60 +227,48 @@ func (m MetricsSnapshot) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(struct {
+		Tenant       string        `json:"tenant,omitempty"`
 		Device       string        `json:"device"`
 		Rounds       uint64        `json:"rounds"`
 		Anomalies    uint64        `json:"anomalies"`
-		Swaps        uint64        `json:"swaps,omitempty"`
 		Outcomes     []outcomeJSON `json:"outcomes,omitempty"`
 		LatencyTicks histJSON      `json:"latency_ticks"`
 		Steps        histJSON      `json:"steps"`
-	}{m.Device, m.Rounds, m.Anomalies(), m.Swaps, outcomes, hist(&m.Latency), hist(&m.Steps)})
+	}{m.Tenant, m.Device, m.Rounds, m.Anomalies(), outcomes, hist(&m.Latency), hist(&m.Steps)})
 }
 
 // Snapshot is a point-in-time view of a whole registry, one row per
-// device, sorted by device name.
+// (tenant, device), sorted by tenant and then device.
 type Snapshot struct {
 	Devices []MetricsSnapshot `json:"devices"`
 }
 
-// Device returns the row for the named device (zero value if absent).
-func (s Snapshot) Device(name string) MetricsSnapshot {
+// Row returns the (tenant, device) row (zero value if absent).
+func (s Snapshot) Row(tenant, device string) MetricsSnapshot {
 	for _, d := range s.Devices {
-		if d.Device == name {
+		if d.Tenant == tenant && d.Device == device {
 			return d
 		}
 	}
-	return MetricsSnapshot{Device: name}
+	return MetricsSnapshot{Tenant: tenant, Device: device}
 }
 
+// rowKey names one registry row.
+type rowKey struct{ tenant, device string }
+
 // Registry tracks every live Recorder plus the folded banks of closed
-// ones. The registry itself is off the hot path entirely: recording
-// touches only the recorder's own bank; the registry lock is taken on
-// open/close/snapshot.
+// ones, one row per (tenant, device). The registry itself is off the hot
+// path entirely: recording touches only the recorder's own bank; the
+// registry lock is taken on open/close/snapshot.
 type Registry struct {
 	mu      sync.Mutex
 	recs    []*Recorder
-	retired map[string]MetricsSnapshot
-	// swaps counts spec hot-swaps per device. Kept separate from retired
-	// so it is applied to the device row exactly once at snapshot time,
-	// regardless of how many sessions fold in.
-	swaps map[string]uint64
+	retired map[rowKey]MetricsSnapshot
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		retired: make(map[string]MetricsSnapshot),
-		swaps:   make(map[string]uint64),
-	}
-}
-
-// CountSwap records one spec hot-swap applied to the device (called by
-// the shared enforcement engine when it publishes a new spec version).
-func (g *Registry) CountSwap(device string) {
-	g.mu.Lock()
-	g.swaps[device]++
-	g.mu.Unlock()
+	return &Registry{retired: make(map[rowKey]MetricsSnapshot)}
 }
 
 // defaultRegistry is the process-wide registry checkers register with
@@ -294,7 +282,7 @@ func Default() *Registry { return defaultRegistry }
 // goroutine writes it; see the package comment for the read contract.
 type Recorder struct {
 	reg     *Registry
-	device  string
+	row     rowKey
 	session uint32
 
 	seq      uint64
@@ -312,8 +300,9 @@ type Recorder struct {
 }
 
 // NewRecorder opens a recorder for one enforcement session and
-// registers it. ringSize <= 0 selects DefaultRingSize.
-func (g *Registry) NewRecorder(device string, session int, ringSize int) *Recorder {
+// registers it under the (tenant, device) row; tenant is empty for
+// single-tenant runs. ringSize <= 0 selects DefaultRingSize.
+func (g *Registry) NewRecorder(tenant, device string, session int, ringSize int) *Recorder {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
@@ -322,7 +311,7 @@ func (g *Registry) NewRecorder(device string, session int, ringSize int) *Record
 	}
 	r := &Recorder{
 		reg:     g,
-		device:  device,
+		row:     rowKey{tenant, device},
 		session: uint32(session & math.MaxUint32),
 		ring:    newRing(ringSize),
 	}
@@ -333,7 +322,7 @@ func (g *Registry) NewRecorder(device string, session int, ringSize int) *Record
 }
 
 // Device returns the device name the recorder traces.
-func (r *Recorder) Device() string { return r.device }
+func (r *Recorder) Device() string { return r.row.device }
 
 // Session returns the guest-session ID stamped into events.
 func (r *Recorder) Session() int { return int(r.session) }
@@ -415,7 +404,7 @@ func (r *Recorder) Ring() *Ring { return &r.ring }
 // goroutine while the session runs; it sees the rounds published so far,
 // not those still pending (see Publish).
 func (r *Recorder) Snapshot() MetricsSnapshot {
-	m := MetricsSnapshot{Device: r.device}
+	m := MetricsSnapshot{Tenant: r.row.tenant, Device: r.row.device}
 	// Read outcomes before cells: record commits the histogram cell first
 	// and the outcome second, so this read order guarantees every anomaly
 	// the snapshot counts also has its round counted — mid-run snapshots
@@ -464,43 +453,34 @@ func (r *Recorder) Close() {
 		}
 	}
 	snap := r.Snapshot()
-	if prev, ok := g.retired[r.device]; ok {
+	if prev, ok := g.retired[r.row]; ok {
 		snap = prev.Merge(snap)
 	}
-	g.retired[r.device] = snap
+	g.retired[r.row] = snap
 }
 
 // Snapshot merges every live recorder's bank plus the retired banks
-// into per-device rows. It may be called while sessions run: each
+// into (tenant, device) rows. It may be called while sessions run: each
 // counter is exact at its atomic load, with cross-field skew bounded by
 // in-flight rounds.
 func (g *Registry) Snapshot() Snapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	byDev := make(map[string]MetricsSnapshot, len(g.retired)+1)
-	for dev, m := range g.retired {
-		byDev[dev] = m
-	}
+	rows := maps.Clone(g.retired)
 	for _, r := range g.recs {
 		m := r.Snapshot()
-		if prev, ok := byDev[r.device]; ok {
+		if prev, ok := rows[r.row]; ok {
 			m = prev.Merge(m)
 		}
-		byDev[r.device] = m
+		rows[r.row] = m
 	}
-	for dev, n := range g.swaps {
-		m, ok := byDev[dev]
-		if !ok {
-			m = MetricsSnapshot{Device: dev}
-		}
-		m.Swaps += n
-		byDev[dev] = m
-	}
-	out := Snapshot{Devices: make([]MetricsSnapshot, 0, len(byDev))}
-	for _, m := range byDev {
+	out := Snapshot{Devices: make([]MetricsSnapshot, 0, len(rows))}
+	for _, m := range rows {
 		out.Devices = append(out.Devices, m)
 	}
-	sort.Slice(out.Devices, func(i, j int) bool { return out.Devices[i].Device < out.Devices[j].Device })
+	slices.SortFunc(out.Devices, func(a, b MetricsSnapshot) int {
+		return cmp.Or(cmp.Compare(a.Tenant, b.Tenant), cmp.Compare(a.Device, b.Device))
+	})
 	return out
 }
 

@@ -48,7 +48,7 @@ func TestBucketOf(t *testing.T) {
 
 func TestRingWrapAndOrder(t *testing.T) {
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 3, 8)
+	r := g.NewRecorder("", "dev", 3, 8)
 	if r.Ring().Cap() != 8 {
 		t.Fatalf("Cap = %d, want 8", r.Ring().Cap())
 	}
@@ -80,7 +80,7 @@ func TestRingWrapAndOrder(t *testing.T) {
 
 func TestRecorderLatencyDelta(t *testing.T) {
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 0, 8)
+	r := g.NewRecorder("", "dev", 0, 8)
 	r.Record(Event{Tick: 100})
 	r.Record(Event{Tick: 130})
 	r.Record(Event{Tick: 120}) // clock stayed put or skewed: clamp to 0
@@ -92,9 +92,9 @@ func TestRecorderLatencyDelta(t *testing.T) {
 
 func TestSnapshotCountsAndMerge(t *testing.T) {
 	g := NewRegistry()
-	a := g.NewRecorder("fdc", 0, 16)
-	b := g.NewRecorder("fdc", 1, 16)
-	c := g.NewRecorder("scsi", 0, 16)
+	a := g.NewRecorder("", "fdc", 0, 16)
+	b := g.NewRecorder("", "fdc", 1, 16)
+	c := g.NewRecorder("", "scsi", 0, 16)
 	for i := 0; i < 10; i++ {
 		a.Record(Event{Steps: 5, Verdict: VerdictOK})
 	}
@@ -106,7 +106,7 @@ func TestSnapshotCountsAndMerge(t *testing.T) {
 	if len(snap.Devices) != 2 || snap.Devices[0].Device != "fdc" || snap.Devices[1].Device != "scsi" {
 		t.Fatalf("devices = %+v", snap.Devices)
 	}
-	fdc := snap.Device("fdc")
+	fdc := snap.Row("", "fdc")
 	if fdc.Rounds != 12 {
 		t.Errorf("fdc rounds = %d, want 12", fdc.Rounds)
 	}
@@ -133,14 +133,55 @@ func TestSnapshotCountsAndMerge(t *testing.T) {
 	if g.Recorders() != 1 {
 		t.Fatalf("Recorders = %d, want 1", g.Recorders())
 	}
-	if got := g.Snapshot().Device("fdc"); got != fdc {
+	if got := g.Snapshot().Row("", "fdc"); got != fdc {
 		t.Errorf("post-churn snapshot diverges:\n  got:  %+v\n  want: %+v", got, fdc)
 	}
 }
 
+// TestRowsKeyedByTenant: recorders for one device under two tenants and
+// none fill three separate rows, sorted by tenant then device, both
+// while open and after Close.
+func TestRowsKeyedByTenant(t *testing.T) {
+	g := NewRegistry()
+	cli := g.NewRecorder("", "fdc", 0, 8)
+	a := g.NewRecorder("a", "fdc", 1, 8)
+	b := g.NewRecorder("b", "fdc", 2, 8)
+	cli.Record(Event{Steps: 3, Verdict: VerdictOK})
+	for i := 0; i < 2; i++ {
+		a.Record(Event{Steps: 3, Verdict: VerdictOK})
+	}
+	for i := 0; i < 3; i++ {
+		b.Record(Event{Steps: 3, Verdict: VerdictOK})
+	}
+	check := func(when string) {
+		t.Helper()
+		snap := g.Snapshot()
+		if len(snap.Devices) != 3 {
+			t.Fatalf("%s: rows = %+v, want 3", when, snap.Devices)
+		}
+		for i, want := range []struct {
+			tenant string
+			rounds uint64
+		}{{"", 1}, {"a", 2}, {"b", 3}} {
+			row := snap.Devices[i]
+			if row.Tenant != want.tenant || row.Device != "fdc" || row.Rounds != want.rounds {
+				t.Errorf("%s: row %d = %s/%s %d rounds, want %s/fdc %d", when, i, row.Tenant, row.Device, row.Rounds, want.tenant, want.rounds)
+			}
+			if got := snap.Row(want.tenant, "fdc"); got != row {
+				t.Errorf("%s: Row(%q, fdc) = %+v, want %+v", when, want.tenant, got, row)
+			}
+		}
+	}
+	check("open")
+	cli.Close()
+	a.Close()
+	b.Close()
+	check("closed")
+}
+
 func TestRegistryJSON(t *testing.T) {
 	g := NewRegistry()
-	r := g.NewRecorder("fdc", 0, 8)
+	r := g.NewRecorder("", "fdc", 0, 8)
 	r.Record(Event{Steps: 4, Latency: 0, Verdict: VerdictOK, Tick: 3})
 	r.Record(Event{Steps: 6, Strategy: 1, Verdict: VerdictBlocked, Tick: 9})
 	s := registryJSON(t, g)
@@ -157,7 +198,7 @@ func TestRegistryJSON(t *testing.T) {
 
 func TestFreezeAndTimeline(t *testing.T) {
 	g := NewRegistry()
-	r := g.NewRecorder("fdc", 2, 8)
+	r := g.NewRecorder("", "fdc", 2, 8)
 	for i := 1; i <= 12; i++ {
 		r.Record(Event{Round: uint64(i), Addr: 0x3f5, Kind: KindPIOWrite, Steps: 40, Verdict: VerdictOK})
 	}
@@ -198,8 +239,8 @@ func TestFreezeAndTimeline(t *testing.T) {
 // round. Close publishes what is left.
 func TestCountPublish(t *testing.T) {
 	g := NewRegistry()
-	counted := g.NewRecorder("fdc", 0, 16)
-	direct := NewRegistry().NewRecorder("fdc", 0, 16)
+	counted := g.NewRecorder("", "fdc", 0, 16)
+	direct := NewRegistry().NewRecorder("", "fdc", 0, 16)
 	for i := uint32(0); i < 40; i++ {
 		counted.Count(i%3, 5+i%70, StrategyNone, VerdictOK)
 		direct.Record(Event{Steps: 5 + i%70, Verdict: VerdictOK})
@@ -227,7 +268,7 @@ func TestCountPublish(t *testing.T) {
 
 	counted.Count(1, 9, StrategyNone, VerdictOK)
 	counted.Close()
-	if got := g.Snapshot().Device("fdc").Rounds; got != 47 {
+	if got := g.Snapshot().Row("", "fdc").Rounds; got != 47 {
 		t.Fatalf("after close: registry rounds %d, want 47", got)
 	}
 }

@@ -9,7 +9,7 @@ import "testing"
 
 func BenchmarkRecordOnly(b *testing.B) {
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 0, DefaultRingSize)
+	r := g.NewRecorder("", "dev", 0, DefaultRingSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -25,7 +25,7 @@ func BenchmarkRecordOnly(b *testing.B) {
 
 func BenchmarkRingAppendOnly(b *testing.B) {
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 0, DefaultRingSize)
+	r := g.NewRecorder("", "dev", 0, DefaultRingSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.ring.append(Event{Tick: int64(i), Round: uint64(i), Addr: 0x3f5, Steps: 20, Kind: KindPIOWrite})
@@ -34,7 +34,7 @@ func BenchmarkRingAppendOnly(b *testing.B) {
 
 func BenchmarkBankRecordOnly(b *testing.B) {
 	g := NewRegistry()
-	r := g.NewRecorder("dev", 0, DefaultRingSize)
+	r := g.NewRecorder("", "dev", 0, DefaultRingSize)
 	ev := Event{Latency: 1, Steps: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

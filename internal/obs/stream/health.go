@@ -63,21 +63,19 @@ type GenCoverage struct {
 
 // EngineStatus is what one enforcement engine contributes to a fleet
 // snapshot beyond its metrics-registry row: session registry size,
-// current generation, swap count, and live coverage. Produced by
-// checker.Shared.EngineStatus; registered with Health.AddEngine.
+// current generation, swap count, dropped warnings and live coverage.
+// Round and anomaly counts are not here: the registry row is their one
+// source. Produced by checker.Shared.EngineStatus; registered with
+// Health.AddEngine.
 type EngineStatus struct {
 	Device string `json:"device"`
 	// Tenant is the control-plane namespace the engine was opened under
-	// (empty for single-tenant CLI engines). Tenant-owned engines get
-	// their own fleet rows instead of merging into the registry's
-	// process-wide device row.
+	// (empty for single-tenant CLI engines); with Device it names the
+	// fleet row the status folds into.
 	Tenant     string `json:"tenant,omitempty"`
 	Generation uint64 `json:"generation"`
 	Sessions   int    `json:"sessions"`
 	Swaps      uint64 `json:"swaps"`
-	Rounds     uint64 `json:"rounds"`
-	Blocked    uint64 `json:"blocked"`
-	Warnings   uint64 `json:"warnings"`
 	// WarningsDropped counts warned rounds whose records the engine did
 	// not keep because its pending buffers were full
 	// (checker.MaxPendingWarnings).
@@ -85,10 +83,11 @@ type EngineStatus struct {
 	Coverage        *GenCoverage `json:"coverage,omitempty"`
 }
 
-// DeviceHealth is one device's folded view in a FleetSnapshot. A
-// daemon-hosted engine contributes one row per (tenant, device) pair;
-// single-tenant engines and serial checkers fold into the per-device
-// registry row with Tenant empty.
+// DeviceHealth is one (tenant, device) row of a FleetSnapshot; Tenant is
+// empty for single-tenant CLI runs. Each field has one source: rounds,
+// anomaly outcomes and the quantiles come from the metrics registry;
+// sessions, generation, swaps, dropped warnings and coverage from the
+// row's engine; journal baselines add pre-restart history.
 type DeviceHealth struct {
 	Device    string `json:"device"`
 	Tenant    string `json:"tenant,omitempty"`
@@ -143,8 +142,8 @@ type FleetSnapshot struct {
 	Build      BuildInfo      `json:"build"`
 	Stream     HubStats       `json:"stream"`
 	Devices    []DeviceHealth `json:"devices"`
-	// Sessions is the fleet-wide open session count (engine sources
-	// only; serial checkers are visible through their device rows).
+	// Sessions is the fleet-wide open session count, summed over the
+	// registered engines.
 	Sessions int `json:"sessions"`
 	// Journal reports the durable journal's state when one is attached
 	// (Health.SetJournal); nil when the daemon runs without persistence.
@@ -262,7 +261,7 @@ func (h *Health) Snapshot() *FleetSnapshot {
 	journal := h.journal
 	h.mu.Unlock()
 	// Poll engines outside the aggregator lock: a source takes its own
-	// engine's shard locks.
+	// engine's registry lock.
 	statuses := make([]EngineStatus, 0, len(srcs))
 	for _, s := range srcs {
 		statuses = append(statuses, s.src())
@@ -275,81 +274,53 @@ func (h *Health) Snapshot() *FleetSnapshot {
 		Stream:     h.hub.Stats(),
 	}
 
-	byDev := make(map[string]*DeviceHealth, len(snap.Devices))
+	type rowKey struct{ tenant, device string }
+	rows := make(map[rowKey]*DeviceHealth, len(snap.Devices))
+	row := func(tenant, device string) *DeviceHealth {
+		k := rowKey{tenant, device}
+		d := rows[k]
+		if d == nil {
+			d = &DeviceHealth{Device: device, Tenant: tenant}
+			rows[k] = d
+		}
+		return d
+	}
 	for _, m := range snap.Devices {
-		var blocked, warned uint64
+		d := row(m.Tenant, m.Device)
+		d.Rounds = m.Rounds
+		d.Anomalies = m.Anomalies()
 		for s := 0; s < obs.NumStrategies; s++ {
-			blocked += m.Outcomes[s][obs.VerdictBlocked]
-			warned += m.Outcomes[s][obs.VerdictWarned]
+			d.Blocked += m.Outcomes[s][obs.VerdictBlocked]
+			d.Warned += m.Outcomes[s][obs.VerdictWarned]
 		}
-		d := &DeviceHealth{
-			Device:          m.Device,
-			Rounds:          m.Rounds,
-			Anomalies:       m.Anomalies(),
-			Blocked:         blocked,
-			Warned:          warned,
-			Swaps:           m.Swaps,
-			LatencyTicksP50: m.Latency.Quantile(0.50),
-			LatencyTicksP90: m.Latency.Quantile(0.90),
-			LatencyTicksP99: m.Latency.Quantile(0.99),
-			StepsP50:        m.Steps.Quantile(0.50),
-			StepsP90:        m.Steps.Quantile(0.90),
-			StepsP99:        m.Steps.Quantile(0.99),
-		}
-		byDev[m.Device] = d
+		d.LatencyTicksP50 = m.Latency.Quantile(0.50)
+		d.LatencyTicksP90 = m.Latency.Quantile(0.90)
+		d.LatencyTicksP99 = m.Latency.Quantile(0.99)
+		d.StepsP50 = m.Steps.Quantile(0.50)
+		d.StepsP90 = m.Steps.Quantile(0.90)
+		d.StepsP99 = m.Steps.Quantile(0.99)
 	}
 	for _, es := range statuses {
-		// Tenant-owned engines get dedicated rows keyed tenant/device:
-		// the process-wide metrics registry cannot split counters per
-		// tenant, so the row is populated from the engine's own folded
-		// aggregates instead of the registry fold.
-		key := es.Device
-		if es.Tenant != "" {
-			key = es.Tenant + "/" + es.Device
-		}
-		d := byDev[key]
-		if d == nil {
-			d = &DeviceHealth{Device: es.Device, Tenant: es.Tenant}
-			byDev[key] = d
-		}
+		d := row(es.Tenant, es.Device)
 		d.Sessions += es.Sessions
 		d.WarningsDropped += es.WarningsDropped
+		d.Swaps += es.Swaps
 		out.Sessions += es.Sessions
-		if es.Generation > d.Generation {
-			d.Generation = es.Generation
-		}
+		d.Generation = max(d.Generation, es.Generation)
 		if es.Coverage != nil {
 			d.Coverage = es.Coverage
 		}
-		if es.Tenant != "" {
-			d.Rounds += es.Rounds
-			d.Blocked += es.Blocked
-			d.Warned += es.Warnings
-			d.Anomalies += es.Blocked + es.Warnings
-			d.Swaps += es.Swaps
-		}
 	}
-
 	// Fold pre-restart baselines in: each is a constant offset on its
-	// (tenant, device) row.
+	// row.
 	for _, b := range baselines {
-		key := b.Device
-		if b.Tenant != "" {
-			key = b.Tenant + "/" + b.Device
-		}
-		d := byDev[key]
-		if d == nil {
-			d = &DeviceHealth{Device: b.Device, Tenant: b.Tenant}
-			byDev[key] = d
-		}
+		d := row(b.Tenant, b.Device)
 		d.Rounds += b.Rounds
 		d.Blocked += b.Blocked
 		d.Warned += b.Warned
 		d.Anomalies += b.Blocked + b.Warned
 		d.Swaps += b.Swaps
-		if b.Generation > d.Generation {
-			d.Generation = b.Generation
-		}
+		d.Generation = max(d.Generation, b.Generation)
 	}
 
 	if journal != nil {
@@ -357,8 +328,8 @@ func (h *Health) Snapshot() *FleetSnapshot {
 		out.Journal = &st
 	}
 
-	out.Devices = make([]DeviceHealth, 0, len(byDev))
-	for _, d := range byDev {
+	out.Devices = make([]DeviceHealth, 0, len(rows))
+	for _, d := range rows {
 		out.Devices = append(out.Devices, *d)
 	}
 	sort.Slice(out.Devices, func(i, j int) bool {

@@ -11,7 +11,7 @@ import (
 // latency/steps so the quantile assertions are deterministic, plus one
 // blocked and one warned anomaly.
 func feed(reg *obs.Registry, device string, n int) {
-	r := reg.NewRecorder(device, 0, 0)
+	r := reg.NewRecorder("", device, 0, 0)
 	for i := 0; i < n; i++ {
 		r.Record(obs.Event{Tick: int64(i) * 10, Steps: 16, Verdict: obs.VerdictOK})
 	}
@@ -62,8 +62,8 @@ func TestHealthSnapshotFolds(t *testing.T) {
 	if d.Rounds != 502 || d.Anomalies != 2 || d.Blocked != 1 || d.Warned != 1 {
 		t.Errorf("rollup %+v", d)
 	}
-	if d.Sessions != 2 || d.Generation != 3 || d.WarningsDropped != 7 {
-		t.Errorf("engine merge: sessions %d gen %d warnings dropped %d", d.Sessions, d.Generation, d.WarningsDropped)
+	if d.Sessions != 2 || d.Generation != 3 || d.WarningsDropped != 7 || d.Swaps != 2 {
+		t.Errorf("engine merge: sessions %d gen %d warnings dropped %d swaps %d", d.Sessions, d.Generation, d.WarningsDropped, d.Swaps)
 	}
 	if d.Coverage == nil || d.Coverage.BlocksCovered != 10 {
 		t.Errorf("coverage not merged: %+v", d.Coverage)

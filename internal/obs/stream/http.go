@@ -162,7 +162,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleFleet serves the full fleet snapshot; ?tenant=NAME narrows the
 // device rows (and the session count) to one control-plane tenant's
-// engines. Registry-wide rows carry no tenant and are excluded from a
+// engines. Tenantless rows (single-tenant CLI runs) are excluded from a
 // filtered view.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	snap := s.health.Snapshot()

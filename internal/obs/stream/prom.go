@@ -95,6 +95,17 @@ func (p *promWriter) histogram(name string, labels [][2]string, h *obs.Hist) {
 	p.sample(name+"_count", labels, float64(cum))
 }
 
+// rowLabels labels a (tenant, device) row's series: tenant-owned rows
+// get a tenant label so the same device hosted by two tenants never
+// collides on a label set.
+func rowLabels(tenant, device string) [][2]string {
+	lbl := [][2]string{{"device", device}}
+	if tenant != "" {
+		lbl = append(lbl, [2]string{"tenant", tenant})
+	}
+	return lbl
+}
+
 // WriteExposition renders the fleet snapshot and metrics registry
 // snapshot as a Prometheus text-format (version 0.0.4) document.
 func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error {
@@ -113,7 +124,7 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 
 	p.family("sedspec_rounds_total", "Checked I/O rounds per device.", "counter")
 	for _, m := range snap.Devices {
-		p.sample("sedspec_rounds_total", [][2]string{{"device", m.Device}}, float64(m.Rounds))
+		p.sample("sedspec_rounds_total", rowLabels(m.Tenant, m.Device), float64(m.Rounds))
 	}
 
 	p.family("sedspec_anomalies_total", "Anomalous rounds per device, strategy, and verdict.", "counter")
@@ -121,37 +132,26 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 		for s := 1; s < obs.NumStrategies; s++ {
 			for v := 0; v < obs.NumVerdicts; v++ {
 				if n := m.Outcomes[s][v]; n != 0 {
-					p.sample("sedspec_anomalies_total", [][2]string{
-						{"device", m.Device},
-						{"strategy", obs.StrategyName(uint8(s))},
-						{"verdict", obs.Verdict(v).String()},
-					}, float64(n))
+					p.sample("sedspec_anomalies_total", append(rowLabels(m.Tenant, m.Device),
+						[2]string{"strategy", obs.StrategyName(uint8(s))},
+						[2]string{"verdict", obs.Verdict(v).String()},
+					), float64(n))
 				}
 			}
 		}
 	}
 
 	p.family("sedspec_swaps_total", "Spec hot-swaps applied per device.", "counter")
-	for _, m := range snap.Devices {
-		if m.Swaps != 0 {
-			p.sample("sedspec_swaps_total", [][2]string{{"device", m.Device}}, float64(m.Swaps))
+	for _, d := range fleet.Devices {
+		if d.Swaps != 0 {
+			p.sample("sedspec_swaps_total", rowLabels(d.Tenant, d.Device), float64(d.Swaps))
 		}
 	}
 
 	p.family("sedspec_sessions", "Open enforcement sessions per device.", "gauge")
 	p.family("sedspec_generation", "Current spec generation per device.", "gauge")
-	// Fleet-row labels: tenant-owned rows get a tenant label so the
-	// same device hosted by two tenants never collides on a label set.
-	fleetLabels := func(d *DeviceHealth) [][2]string {
-		lbl := [][2]string{{"device", d.Device}}
-		if d.Tenant != "" {
-			lbl = append(lbl, [2]string{"tenant", d.Tenant})
-		}
-		return lbl
-	}
-	for i := range fleet.Devices {
-		d := fleet.Devices[i]
-		lbl := fleetLabels(&d)
+	for _, d := range fleet.Devices {
+		lbl := rowLabels(d.Tenant, d.Device)
 		p.sample("sedspec_sessions", lbl, float64(d.Sessions))
 		p.sample("sedspec_generation", lbl, float64(d.Generation))
 	}
@@ -160,12 +160,11 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 	p.family("sedspec_coverage_blocks_total", "ES-CFG blocks in the current sealed spec.", "gauge")
 	p.family("sedspec_coverage_edges_covered", "ES-CFG edges covered at runtime, current generation.", "gauge")
 	p.family("sedspec_coverage_edges_total", "ES-CFG edges in the current sealed spec.", "gauge")
-	for i := range fleet.Devices {
-		d := fleet.Devices[i]
+	for _, d := range fleet.Devices {
 		if d.Coverage == nil {
 			continue
 		}
-		lbl := fleetLabels(&d)
+		lbl := rowLabels(d.Tenant, d.Device)
 		p.sample("sedspec_coverage_blocks_covered", lbl, float64(d.Coverage.BlocksCovered))
 		p.sample("sedspec_coverage_blocks_total", lbl, float64(d.Coverage.TotalBlocks))
 		p.sample("sedspec_coverage_edges_covered", lbl, float64(d.Coverage.EdgesCovered))
@@ -175,12 +174,12 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 	p.family("sedspec_latency_ticks", "Virtual-time gap between consecutive checked I/Os, simclock ticks (log2 buckets; _sum estimated from bucket midpoints).", "histogram")
 	for i := range snap.Devices {
 		m := &snap.Devices[i]
-		p.histogram("sedspec_latency_ticks", [][2]string{{"device", m.Device}}, &m.Latency)
+		p.histogram("sedspec_latency_ticks", rowLabels(m.Tenant, m.Device), &m.Latency)
 	}
 	p.family("sedspec_steps", "Simulation steps per checked round (log2 buckets; _sum estimated from bucket midpoints).", "histogram")
 	for i := range snap.Devices {
 		m := &snap.Devices[i]
-		p.histogram("sedspec_steps", [][2]string{{"device", m.Device}}, &m.Steps)
+		p.histogram("sedspec_steps", rowLabels(m.Tenant, m.Device), &m.Steps)
 	}
 
 	p.family("sedspec_stream_published_total", "Telemetry events published into the hub, by kind.", "counter")

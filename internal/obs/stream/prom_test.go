@@ -49,6 +49,7 @@ func TestExpositionValidates(t *testing.T) {
 		"# TYPE sedspec_latency_ticks histogram",
 		`sedspec_latency_ticks_bucket{device="fdc",le="+Inf"}`,
 		`sedspec_coverage_blocks_covered{device="fdc"} 4`,
+		`sedspec_swaps_total{device="fdc"} 1`,
 		`sedspec_stream_published_total{kind="anomaly"} 5`,
 		`sedspec_stream_dropped_total{kind="anomaly"} 3`,
 		"sedspec_stream_subscribers 1",

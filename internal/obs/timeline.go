@@ -27,7 +27,7 @@ func (r *Recorder) Freeze(k int) *AnomalyContext {
 		k = r.ring.Len()
 	}
 	return &AnomalyContext{
-		Device:  r.device,
+		Device:  r.row.device,
 		Session: int(r.session),
 		Dropped: r.ring.Total() - uint64(r.ring.Len()),
 		Events:  r.ring.Last(k),

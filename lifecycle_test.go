@@ -267,7 +267,7 @@ func TestUnprotectRetiresSharedSession(t *testing.T) {
 	// The registry trails a live session by up to 64 unpublished rounds;
 	// the session's owner-side read publishes them.
 	sess.Snapshot()
-	if got := reg.Snapshot().Device(spec.Device).Rounds; got != 2*once {
+	if got := reg.Snapshot().Row("", spec.Device).Rounds; got != 2*once {
 		t.Errorf("registry rounds = %d, want %d", got, 2*once)
 	}
 }
@@ -528,8 +528,11 @@ func TestSwapHammerAcceptance(t *testing.T) {
 	if len(gens) < 2 {
 		t.Errorf("events witnessed %d generations, want >= 2 under continuous swapping", len(gens))
 	}
-	if got := reg.Snapshot().Device(specA.Device).Swaps; got != sh.SwapCount() {
-		t.Errorf("registry swaps = %d, engine swaps = %d", got, sh.SwapCount())
+	// Swaps reach the fleet row from the engine, their one source.
+	h := stream.NewHealth(reg, stream.NewHub())
+	h.AddEngine(sh.EngineStatus)
+	if row := h.Snapshot().Device(specA.Device); row == nil || row.Swaps != sh.SwapCount() {
+		t.Errorf("fleet row = %+v, engine swaps = %d", row, sh.SwapCount())
 	}
 }
 
