@@ -2,9 +2,8 @@
 // paper's case studies (§VII-B2) so that the experiment harness can replay
 // them against protected and unprotected devices. Each PoC carries the CVE
 // identity, the QEMU version the paper used, the check strategies the
-// paper reports detecting it (Table III), a benign training routine, the
-// exploit itself, and a ground-truth probe for whether the exploit's
-// effect reached the device.
+// paper reports detecting it (Table III), the exploit itself, and a
+// ground-truth probe for whether the exploit's effect reached the device.
 package cvesim
 
 import (
@@ -13,6 +12,7 @@ import (
 	"sedspec"
 	"sedspec/internal/checker"
 	"sedspec/internal/machine"
+	"sedspec/internal/workload"
 )
 
 // PoC is one replayable case study.
@@ -27,11 +27,6 @@ type PoC struct {
 	// exploit (empty for the documented miss, CVE-2016-1568).
 	Expected []checker.Strategy
 
-	// Build constructs a fresh vulnerable device and its attachment
-	// options.
-	Build func() (machine.Device, []machine.AttachOption)
-	// Train is the device's benign training routine.
-	Train sedspec.TrainFunc
 	// Exploit drives the proof of concept. A blocked I/O surfaces as an
 	// error wrapping a *checker.Anomaly.
 	Exploit func(d *sedspec.Driver, m *machine.Machine) error
@@ -54,6 +49,15 @@ type Outcome struct {
 	// its coverage map records which spec structure the run exercised.
 	Checker *checker.Checker
 }
+
+// Build constructs a fresh vulnerable device and its attachment options:
+// those of the device's light benign target.
+func (p *PoC) Build() (machine.Device, []machine.AttachOption) {
+	return workload.TargetByName(p.Device, true).Build()
+}
+
+// Train runs the PoC's training corpus: its device's light benign corpus.
+func (p *PoC) Train(d *sedspec.Driver) error { return workload.TargetByName(p.Device, true).Train(d) }
 
 // attach builds a machine with the PoC's device.
 func (p *PoC) attach() (*machine.Machine, *machine.Attached) {
@@ -112,7 +116,7 @@ func (p *PoC) RunProtected(strategies ...checker.Strategy) (Outcome, error) {
 // VerifyBenign learns a spec and replays the PoC's training routine under
 // full protection, returning the number of anomalies (expected zero).
 func (p *PoC) VerifyBenign() (int, error) {
-	m, att := p.attach()
+	_, att := p.attach()
 	spec, err := sedspec.Learn(att, p.Train)
 	if err != nil {
 		return 0, err
@@ -121,7 +125,6 @@ func (p *PoC) VerifyBenign() (int, error) {
 	if err := p.Train(sedspec.NewDriver(att)); err != nil {
 		return 0, err
 	}
-	_ = m
 	st := chk.Stats()
 	return int(st.ParamAnomalies + st.IndirectAnomalies + st.CondAnomalies), nil
 }

@@ -1,8 +1,10 @@
 package cvesim_test
 
 import (
+	"errors"
 	"testing"
 
+	"sedspec"
 	"sedspec/internal/checker"
 	"sedspec/internal/cvesim"
 	"sedspec/internal/devices/ehci"
@@ -77,16 +79,13 @@ func TestFixedVariantDefeatsPoC(t *testing.T) {
 			if !out.Succeeded {
 				t.Fatalf("%s exploit did not reach the vulnerable device", p.CVE)
 			}
-			fixed := vuln
-			fixed.Build = func() (machine.Device, []machine.AttachOption) {
-				_, opts := p.Build()
-				return newFixed(), opts
-			}
-			out, err = fixed.RunUnprotected()
-			if err != nil {
+			m := machine.New(machine.WithMemory(1 << 20))
+			_, opts := p.Build()
+			att := m.Attach(newFixed(), opts...)
+			if err := p.Exploit(sedspec.NewDriver(att), m); err != nil && !errors.Is(err, machine.ErrBlocked) {
 				t.Fatalf("fixed: %v", err)
 			}
-			if out.Succeeded {
+			if vuln.Succeeded(att.Dev(), m) {
 				t.Errorf("%s exploit reached the fixed device", p.CVE)
 			}
 		})

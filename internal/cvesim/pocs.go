@@ -12,10 +12,7 @@ import (
 	"sedspec/internal/devices/sdhci"
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
-	"sedspec/internal/workload"
 )
-
-var lightCfg = workload.TrainConfig{Light: true}
 
 // Venom is CVE-2015-3456: unbounded FDC FIFO index growth after an invalid
 // command.
@@ -28,10 +25,6 @@ func Venom() *PoC {
 			checker.StrategyParameter,
 			checker.StrategyConditionalJump,
 		},
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return fdc.New(fdc.Options{}), []machine.AttachOption{machine.WithPIO(0, fdc.PortCount)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainFDC(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, _ *machine.Machine) error {
 			g := fdc.NewGuest(d)
 			if err := g.PushFIFO(0x77); err != nil { // invalid command
@@ -62,10 +55,6 @@ func EHCI14364() *PoC {
 			checker.StrategyParameter,
 			checker.StrategyIndirectJump,
 		},
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return ehci.New(ehci.Options{}), []machine.AttachOption{machine.WithMMIO(0, ehci.RegionSize)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainEHCI(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, m *machine.Machine) error {
 			g := ehci.NewGuest(d)
 			dev := d.Attached().Dev()
@@ -106,10 +95,6 @@ func pcnetPoC(cve string, expected []checker.Strategy,
 		Device:   "pcnet",
 		QEMU:     map[string]string{"CVE-2015-7504": "v2.4.0", "CVE-2015-7512": "v2.4.0", "CVE-2016-7909": "v2.6.0"}[cve],
 		Expected: expected,
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return pcnet.New(pcnet.Options{}), []machine.AttachOption{machine.WithPIO(0, pcnet.PortCount)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainPCNet(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, m *machine.Machine) error {
 			return exploit(pcnet.NewGuest(d), d, m)
 		},
@@ -204,10 +189,6 @@ func SDHCI3409() *PoC {
 		Device:   "sdhci",
 		QEMU:     "v5.2.0",
 		Expected: []checker.Strategy{checker.StrategyParameter},
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return sdhci.New(sdhci.Options{}), []machine.AttachOption{machine.WithMMIO(0, sdhci.RegionSize)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainSDHCI(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, _ *machine.Machine) error {
 			g := sdhci.NewGuest(d)
 			if err := g.InitCard(); err != nil {
@@ -245,10 +226,6 @@ func scsiPoC(cve string, expected []checker.Strategy,
 		Device:   "scsi",
 		QEMU:     map[string]string{"CVE-2015-5158": "v2.4.0", "CVE-2016-4439": "v2.6.0"}[cve],
 		Expected: expected,
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return scsi.New(scsi.Options{}), []machine.AttachOption{machine.WithPIO(0, scsi.PortCount)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainSCSI(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, m *machine.Machine) error {
 			return exploit(scsi.NewGuest(d), m)
 		},
@@ -308,10 +285,6 @@ func EHCI1568() *PoC {
 		Device:   "ehci",
 		QEMU:     "v2.5.0",
 		Expected: nil, // no strategy detects it
-		Build: func() (machine.Device, []machine.AttachOption) {
-			return ehci.New(ehci.Options{}), []machine.AttachOption{machine.WithMMIO(0, ehci.RegionSize)}
-		},
-		Train: func(d *sedspec.Driver) error { return workload.TrainEHCI(d, lightCfg) },
 		Exploit: func(d *sedspec.Driver, m *machine.Machine) error {
 			g := ehci.NewGuest(d)
 			if err := m.Mem.Write(0xF000, []byte{0xAA, 0xAA}); err != nil {

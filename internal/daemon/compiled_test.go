@@ -61,8 +61,9 @@ func TestCompiledSpecSharedAcrossTenants(t *testing.T) {
 
 	install(t, alpha, req, false)
 	want := enforced(t, alpha, p.Device)
-	// beta's namespace is empty, so it learns again; the relearned blob
-	// is the same bytes and takes the compiled copy alpha made.
+	// beta's namespace is empty, so its install misses and publishes the
+	// bytes the daemon learned for alpha, which take alpha's compiled
+	// copy.
 	install(t, beta, req, false)
 	if got := enforced(t, beta, p.Device); got != want {
 		t.Error("a second tenant learning the same corpus compiled its own copy")
@@ -257,7 +258,9 @@ func TestCorruptChildBlobAfterMemoizedEnhanceRelearns(t *testing.T) {
 // TestCorruptBlobAfterMemoizedInstallRelearns is the daemon twin of the
 // store's corrupt-blob test: with the compiled copy already memoized, a
 // damaged or missing blob still fails the hash check, so the install
-// relearns, reports a miss, and puts the blob back.
+// reports a miss and puts the blob back from the bytes the daemon
+// learned for the device (TestLearnOncePerDeviceCorpus checks that this
+// runs no learn).
 func TestCorruptBlobAfterMemoizedInstallRelearns(t *testing.T) {
 	d, _ := newWarmDaemon(t)
 	defer d.Close()

@@ -82,10 +82,10 @@ type Daemon struct {
 	tenants map[string]*Tenant
 	closed  bool
 
-	// recipes holds every install corpus resolved so far, keyed by
-	// device and corpus (see resolveRecipe).
+	// cells holds the corpus cell of every device an install named,
+	// each with the recipes resolved onto it (see resolveRecipe).
 	recipeMu sync.Mutex
-	recipes  map[string]*recipe
+	cells    map[string]*corpusCell
 }
 
 // New builds a daemon and mounts the control plane on a fresh
@@ -109,7 +109,7 @@ func New(opts Options) (*Daemon, error) {
 		hub:     opts.Hub,
 		reg:     opts.Registry,
 		tenants: make(map[string]*Tenant),
-		recipes: make(map[string]*recipe),
+		cells:   make(map[string]*corpusCell),
 	}
 	d.health = stream.NewHealth(d.reg, d.hub)
 	d.srv = stream.NewServer(stream.ServerOptions{

@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"sedspec"
@@ -15,30 +16,35 @@ import (
 	"sedspec/internal/workload"
 )
 
-// recipe is one install corpus resolved to the device recipe that
-// trains it, plus the program identity every store access needs: the
-// program build's devices run and the learned version it keys to.
-// Device packages build each variant's program once per process and
-// never write it after Build, so that one program is the decode target
-// for every store hit, and a daemon resolves each recipe once and
-// shares it read-only across every tenant and engine.
+// recipe is one install corpus resolved to its device's corpus cell and
+// the version a learn of it publishes. A daemon resolves each recipe
+// once and shares it across every tenant and engine. last memos the
+// compiled form of the most recent other version (an enhanced child)
+// the recipe published, keyed by its blob's content address.
 type recipe struct {
-	device string
+	*corpusCell
 	corpus string
-	build  machine.BuildFunc
-	train  sedspec.TrainFunc
-	target *workload.Target // benign corpus; nil for cve corpora
-	poc    *cvesim.PoC      // cve corpus; nil for benign
-	prog   *ir.Program
+	poc    *cvesim.PoC         // cve corpus; nil for benign
 	want   sedspec.SpecVersion // what a fresh learn of prog publishes
+	last   atomic.Pointer[compiledBlob]
+}
 
-	// learned and last memo the compiled forms of two of the recipe's
-	// versions, each keyed by its blob's content address: learned holds
-	// the learned blob, last the most recent other version (an enhanced
-	// child) the recipe published. Every tenant and engine enforcing
-	// the corpus shares these copies, so a warm install, enhance or
-	// rollback publishes one without decoding or sealing.
-	learned, last atomic.Pointer[compiledBlob]
+// corpusCell is what every recipe of one device shares. All corpora of
+// a device train its light benign target, and a spec is a deterministic
+// function of the program and corpus, so the daemon learns it once
+// (blob, under mu) and each recipe publishes it under its own key. prog
+// is the device package's shared program, the decode target of every
+// hit; learned memos the compiled blob for every engine of the device.
+type corpusCell struct {
+	target   *workload.Target // build, training corpus, benign sessions
+	prog     *ir.Program
+	progHash string
+	recipes  map[string]*recipe // by corpus, under the daemon's recipeMu
+
+	mu      sync.Mutex
+	blob    []byte
+	learns  int
+	learned atomic.Pointer[compiledBlob]
 }
 
 // compiledBlob is a compiled spec and the content address of the blob
@@ -48,9 +54,8 @@ type compiledBlob struct {
 	cv   *checker.Compiled
 }
 
-// resolveRecipe maps an install request onto its recipe. The first
-// call for a corpus reads the program from a build and hashes it;
-// later calls return the same recipe.
+// resolveRecipe maps an install request onto its recipe. The first call
+// for a device reads the program from a build and hashes it.
 func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 	rc := &recipe{corpus: corpus}
 	if id, ok := strings.CutPrefix(corpus, "cve:"); ok {
@@ -61,62 +66,83 @@ func (d *Daemon) resolveRecipe(device, corpus string) (*recipe, error) {
 		if device != "" && device != p.Device {
 			return nil, fmt.Errorf("daemon: %s targets device %q, not %q", id, p.Device, device)
 		}
-		rc.device, rc.build, rc.train, rc.poc = p.Device, p.Build, p.Train, p
-	} else {
-		if corpus != "benign" {
-			return nil, fmt.Errorf("daemon: unknown corpus %q (want \"benign\" or \"cve:<ID>\")", corpus)
-		}
-		tg := workload.TargetByName(device, true)
-		if tg == nil {
-			return nil, fmt.Errorf("daemon: unknown device %q", device)
-		}
-		rc.device, rc.build, rc.train, rc.target = tg.Name, tg.Build, tg.Train, tg
+		device, rc.poc = p.Device, p
+	} else if corpus != "benign" {
+		return nil, fmt.Errorf("daemon: unknown corpus %q (want \"benign\" or \"cve:<ID>\")", corpus)
+	}
+	tg := workload.TargetByName(device, true)
+	if tg == nil {
+		return nil, fmt.Errorf("daemon: unknown device %q", device)
 	}
 
-	id := rc.device + "/" + corpus
 	d.recipeMu.Lock()
 	defer d.recipeMu.Unlock()
-	if have := d.recipes[id]; have != nil {
+	c := d.cells[tg.Name]
+	if c == nil {
+		dev, _ := tg.Build()
+		c = &corpusCell{target: tg, prog: dev.Program(), recipes: map[string]*recipe{}}
+		c.progHash = specstore.ProgramHash(c.prog)
+		d.cells[tg.Name] = c
+	}
+	if have := c.recipes[corpus]; have != nil {
 		return have, nil
 	}
-	dev, _ := rc.build()
-	rc.prog = dev.Program()
-	rc.want = sedspec.LearnedVersion(rc.prog, corpus)
-	d.recipes[id] = rc
+	rc.corpusCell = c
+	rc.want = sedspec.SpecVersion{Device: c.prog.Name, ProgramHash: c.progHash,
+		CorpusHash: specstore.CorpusHash(corpus), CreatedBy: "learn"}
+	c.recipes[corpus] = rc
 	return rc, nil
 }
 
-// attach builds a throwaway machine around a fresh device from the
-// recipe: the learning target of a store miss.
-func (rc *recipe) attach() *machine.Attached {
-	dev, aopts := rc.build()
+// attach builds a throwaway machine around a fresh device: the learning
+// target of a store miss.
+func (c *corpusCell) attach() *machine.Attached {
+	dev, aopts := c.target.Build()
 	return machine.New(machine.WithMemory(1<<20)).Attach(dev, aopts...)
 }
 
-// load returns want's version in st's namespace, compiled. A stored
-// version goes through compiled, so the tenant's blob is still read and
-// hash-checked. A miss, or a blob that fails the check, takes
-// sedspec.LoadOrLearn's path: learn (sedspec.Learn for the recipe's
-// own version, sedspec.Enhance for a child) runs and its spec is
-// published under want's key, which also heals a damaged blob.
-func (rc *recipe) load(st *specstore.Store, want sedspec.SpecVersion, learn func() (*core.Spec, error)) (cv *checker.Compiled, meta sedspec.SpecVersion, hit bool, err error) {
+// encoded returns the cell's learned blob; only the first call learns.
+func (c *corpusCell) encoded() ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.blob == nil {
+		c.learns++
+		var err error
+		if c.blob, err = encode(sedspec.Learn(c.attach(), c.target.Train)); err != nil {
+			return nil, err
+		}
+	}
+	return c.blob, nil
+}
+
+// encode returns a learned spec's binary encoding.
+func encode(spec *core.Spec, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return spec.EncodeBinary()
+}
+
+// load returns want's version in st's namespace, compiled, through
+// compiled (which reads and hash-checks the tenant's blob). On a miss,
+// or a blob that fails the check, learn's bytes are first published
+// under want's key, which also heals a damaged blob.
+func (rc *recipe) load(st *specstore.Store, want sedspec.SpecVersion, learn func() ([]byte, error)) (cv *checker.Compiled, meta sedspec.SpecVersion, hit bool, err error) {
 	if vm, ok := st.Lookup(want.Key()); ok {
 		if cv, err := rc.compiled(st, vm); err == nil {
 			return cv, vm, true, nil
 		}
 	}
-	spec, meta, hit, err := sedspec.LoadOrLearn(st, rc.prog, want, learn)
+	data, err := learn()
 	if err != nil {
 		return nil, meta, false, err
 	}
-	if cv := rc.memo(meta.Blob); cv != nil {
-		return cv, meta, hit, nil
+	if meta, err = st.PutEncoded(data, want); err != nil {
+		return nil, meta, false, err
 	}
-	return rc.remember(meta, checker.Compile(spec)), meta, hit, nil
+	cv, err = rc.compiled(st, meta)
+	return cv, meta, false, err
 }
-
-// learn trains a fresh device on the recipe's corpus.
-func (rc *recipe) learn() (*core.Spec, error) { return sedspec.Learn(rc.attach(), rc.train) }
 
 // compiled returns the stored version meta compiled against the
 // recipe's program. The blob is read and its hash checked on every
@@ -148,11 +174,11 @@ func (rc *recipe) memo(blob string) *checker.Compiled {
 	return nil
 }
 
-// remember puts cv in the slot meta belongs in (learned for the
-// recipe's own key, last for any other) as the compiled form of its
-// blob and returns it, unless the slot already holds that blob: then
-// the slot's copy wins, so requests racing on a cold version still end
-// up sharing one compiled copy.
+// remember puts cv in the slot meta belongs in (the cell's learned slot
+// for the recipe's own key, last for any other) as the compiled form
+// of its blob and returns it, unless the slot already holds that blob:
+// then the slot's copy wins, so requests racing on a cold version still
+// end up sharing one compiled copy.
 func (rc *recipe) remember(meta specstore.VersionMeta, cv *checker.Compiled) *checker.Compiled {
 	slot := &rc.last
 	if meta.Key() == rc.want.Key() {

@@ -110,8 +110,8 @@ func TestEnhanceKeepsLaterWarnings(t *testing.T) {
 	// The enhance learns its child by running the recipe's training; the
 	// first training run raises the later warning.
 	rc := eng.rc.Load()
-	train, warned := rc.train, false
-	rc.train = func(drv *sedspec.Driver) error {
+	train, warned := rc.target.Train, false
+	rc.target.Train = func(drv *sedspec.Driver) error {
 		if !warned {
 			warned = true
 			if err := auditMixed(tn, device); err != nil {

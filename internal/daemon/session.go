@@ -119,7 +119,6 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	rc := eng.rc.Load()
 
 	var poc *cvesim.PoC
-	var target *workload.Target
 	switch kind {
 	case "poc":
 		cve := req.CVE
@@ -133,15 +132,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 		if poc.Device != req.Device {
 			return nil, fmt.Errorf("daemon: %s targets device %q, not %q", cve, poc.Device, req.Device)
 		}
-	case "benign", "mixed":
-		target = rc.target
-		if target == nil {
-			target = workload.TargetByName(req.Device, true)
-		}
-		if target == nil {
-			return nil, fmt.Errorf("daemon: no benign workload for device %q", req.Device)
-		}
-	case "idle":
+	case "benign", "mixed", "idle":
 	default:
 		return nil, fmt.Errorf("daemon: unknown workload %q", kind)
 	}
@@ -149,7 +140,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 	sessions := make([]*Session, 0, count)
 	for i := 0; i < count; i++ {
 		id := int(t.d.nextSession.Add(1))
-		ms := machine.NewSession(id, rc.build, machine.WithMemory(1<<20))
+		ms := machine.NewSession(id, rc.target.Build, machine.WithMemory(1<<20))
 		chk := sedspec.ProtectShared(ms.Attached(), eng.shared, checker.WithSessionID(id))
 		s := &Session{
 			ID:       id,
@@ -178,7 +169,7 @@ func (t *Tenant) Attach(req AttachRequest) ([]*Session, error) {
 		t.sessions[s.ID] = s
 		t.mu.Unlock()
 
-		go s.run(poc, target, req.Seed+uint64(i))
+		go s.run(poc, rc.target, req.Seed+uint64(i))
 		sessions = append(sessions, s)
 	}
 	return sessions, nil

@@ -10,7 +10,6 @@ import (
 
 	"sedspec"
 	"sedspec/internal/checker"
-	"sedspec/internal/core"
 	"sedspec/internal/specstore"
 )
 
@@ -62,9 +61,9 @@ type InstallRequest struct {
 	// May be left empty for cve corpora (inferred from the PoC).
 	Device string `json:"device"`
 	// Corpus selects the training input: "benign" (default, the
-	// device's benign workload corpus) or "cve:<CVE-ID>" (the PoC's
-	// training routine — the corpus the batch CLI uses when replaying
-	// that PoC, so daemon verdicts match it exactly).
+	// device's light benign corpus) or "cve:<CVE-ID>" (the PoC's, the
+	// same corpus tagged for the PoC the batch CLI replays, so daemon
+	// verdicts match it exactly).
 	Corpus string `json:"corpus,omitempty"`
 	// Mode is "protection" (default) or "enhancement".
 	Mode string `json:"mode,omitempty"`
@@ -97,7 +96,7 @@ func (e *engine) info() EngineInfo {
 func (e *engine) infoLocked() EngineInfo {
 	meta, rc := e.meta, e.rc.Load()
 	return EngineInfo{
-		Device:     rc.device,
+		Device:     rc.target.Name,
 		Corpus:     rc.corpus,
 		Mode:       e.mode.String(),
 		Budget:     e.budget,
@@ -109,10 +108,11 @@ func (e *engine) infoLocked() EngineInfo {
 	}
 }
 
-// Install learns (or cache-loads) the requested spec in the tenant's
-// store namespace and installs it: a fresh engine when the device has
-// none, or a hot-swap onto the running engine — live sessions pick the
-// new generation up at their next round, no guest restarts.
+// Install loads the requested spec from the tenant's store (CacheHit),
+// or publishes there the bytes the daemon learned once for the device,
+// and installs it: a fresh engine when the device has none, or a
+// hot-swap onto the running engine — live sessions pick the new
+// generation up at their next round, no guest restarts.
 func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	corpus := req.Corpus
 	if corpus == "" {
@@ -122,7 +122,7 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 	if err != nil {
 		return EngineInfo{}, err
 	}
-	device := rc.device
+	device := rc.target.Name
 	mode := checker.ModeProtection
 	switch req.Mode {
 	case "", "protection":
@@ -132,11 +132,11 @@ func (t *Tenant) Install(req InstallRequest) (EngineInfo, error) {
 		return EngineInfo{}, fmt.Errorf("daemon: unknown mode %q", req.Mode)
 	}
 
-	// Learn outside the tenant lock: a cache miss trains the full
-	// corpus, and sibling installs or attaches must not stall on it. A
-	// hit looks the recipe's key up, checks the stored blob's hash, and
-	// takes the recipe's compiled copy of it.
-	cv, meta, hit, err := rc.load(t.store, rc.want, rc.learn)
+	// Load outside the tenant lock: the daemon's first miss for a device
+	// trains its corpus, and sibling installs or attaches must not stall
+	// on it. A hit looks the recipe's key up, checks the stored blob's
+	// hash, and takes the device's compiled copy of it.
+	cv, meta, hit, err := rc.load(t.store, rc.want, rc.encoded)
 	if err != nil {
 		return EngineInfo{}, fmt.Errorf("daemon: learn %s: %w", device, err)
 	}
@@ -275,8 +275,8 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 			return SwapResult{}, fmt.Errorf("daemon: engine %s has no audited warnings to enhance from (run sessions in enhancement mode first)", req.Device)
 		}
 		want := sedspec.EnhancedVersion(rc.want.ProgramHash, eng.meta, audit)
-		cv, meta, res.CacheHit, err = rc.load(t.store, want, func() (*core.Spec, error) {
-			return sedspec.Enhance(rc.attach(), rc.train, audit)
+		cv, meta, res.CacheHit, err = rc.load(t.store, want, func() ([]byte, error) {
+			return encode(sedspec.Enhance(rc.attach(), rc.target.Train, audit))
 		})
 		if err != nil {
 			return SwapResult{}, fmt.Errorf("daemon: enhance %s: %w", req.Device, err)

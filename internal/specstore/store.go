@@ -152,13 +152,25 @@ func (st *Store) persistIndex() error {
 	return nil
 }
 
-// Put publishes a spec version. The blob is content-addressed by the hash
-// of its binary encoding; meta.Device, meta.Generation, and meta.Blob are
-// filled in by the store (Generation is the next per-device generation).
-// Publishing a spec whose (key, blob) already exists is idempotent and
-// returns the existing version.
+// Put publishes a spec's binary encoding under meta via PutEncoded.
 func (st *Store) Put(spec *core.Spec, meta VersionMeta) (VersionMeta, error) {
-	m, fresh, err := st.put(spec, meta)
+	data, err := spec.EncodeBinary()
+	if err != nil {
+		return VersionMeta{}, fmt.Errorf("specstore: put: %w", err)
+	}
+	meta.Device = spec.Device
+	return st.PutEncoded(data, meta)
+}
+
+// PutEncoded publishes a spec version for meta.Device (required) from its
+// binary encoding, content-addressed by its hash; meta.Blob and
+// meta.Generation (the device's next) are filled in. Publishing a (key,
+// blob) that already exists is idempotent and returns that version.
+func (st *Store) PutEncoded(data []byte, meta VersionMeta) (VersionMeta, error) {
+	if meta.Device == "" {
+		return VersionMeta{}, fmt.Errorf("specstore: put: version names no device")
+	}
+	m, fresh, err := st.put(data, meta)
 	if err == nil && fresh {
 		hub := st.hub
 		if !st.hubSet {
@@ -184,18 +196,13 @@ func (st *Store) Put(spec *core.Spec, meta VersionMeta) (VersionMeta, error) {
 	return m, err
 }
 
-func (st *Store) put(spec *core.Spec, meta VersionMeta) (VersionMeta, bool, error) {
-	data, err := spec.EncodeBinary()
-	if err != nil {
-		return VersionMeta{}, false, fmt.Errorf("specstore: put: %w", err)
-	}
+func (st *Store) put(data []byte, meta VersionMeta) (VersionMeta, bool, error) {
 	sum := sha256.Sum256(data)
 	blob := hex.EncodeToString(sum[:])
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	meta.Device = spec.Device
 	meta.Blob = blob
 	var gen uint64
 	for _, v := range st.idx.Versions {
@@ -207,7 +214,7 @@ func (st *Store) put(spec *core.Spec, meta VersionMeta) (VersionMeta, bool, erro
 		}
 		if v.Blob == blob && v.ProgramHash == meta.ProgramHash && v.CorpusHash == meta.CorpusHash {
 			// The version is already published; only its blob may need
-			// repair (a relearn after Load found it damaged).
+			// repair (a republish after Read found it damaged).
 			if err := st.writeBlob(blob, data); err != nil {
 				return VersionMeta{}, false, err
 			}
@@ -230,7 +237,7 @@ func (st *Store) put(spec *core.Spec, meta VersionMeta) (VersionMeta, bool, erro
 // writeBlob makes the blob file named blob hold data (whose sha256 is
 // blob). An intact file is left alone; a missing one, or one whose bytes
 // no longer hash to its name, is rewritten atomically (write-to-temp +
-// rename), so putting a relearned spec back heals a corrupt blob.
+// rename), so republishing a version's bytes heals a corrupt blob.
 func (st *Store) writeBlob(blob string, data []byte) error {
 	path := st.blobPath(blob)
 	if old, err := os.ReadFile(path); err == nil && blobIntact(old, blob) {

@@ -1,11 +1,15 @@
 package specstore_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sedspec/internal/ir"
+	"sedspec/internal/obs/stream"
 	"sedspec/internal/specstore"
 )
 
@@ -80,5 +84,81 @@ func TestOpenEmptyStore(t *testing.T) {
 	}
 	if _, ok := st.Lookup(specstore.Key{Device: "dev"}); ok {
 		t.Error("empty store reports a lookup hit")
+	}
+}
+
+// TestPutEncoded pins publication from encoded bytes: a fresh version
+// takes the device's next generation and publishes one KindSpec event,
+// putting the same (key, blob) again returns the stored version and
+// publishes nothing, a damaged or missing blob file is rewritten, and a
+// version naming no device is refused.
+func TestPutEncoded(t *testing.T) {
+	st, err := specstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := stream.NewHub()
+	st.SetStream(hub)
+	data := []byte("encoded spec")
+	sum := sha256.Sum256(data)
+	meta := specstore.VersionMeta{Device: "dev", ProgramHash: "prog", CorpusHash: specstore.CorpusHash("a"), CreatedBy: "learn"}
+
+	first, err := st.PutEncoded(data, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Generation != 1 || first.Blob != hex.EncodeToString(sum[:]) || first.Device != "dev" {
+		t.Fatalf("first put: %+v", first)
+	}
+	other := meta
+	other.CorpusHash = specstore.CorpusHash("b")
+	second, err := st.PutEncoded(data, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Generation != 2 || second.Blob != first.Blob {
+		t.Fatalf("second key: %+v, want generation 2 over the same blob", second)
+	}
+	if n := hub.Published(stream.KindSpec); n != 2 {
+		t.Fatalf("two fresh versions published %d spec events", n)
+	}
+
+	path := filepath.Join(st.Dir(), "blobs", first.Blob+".spec")
+	for _, damage := range []struct {
+		name string
+		do   func() error
+	}{
+		{"intact", func() error { return nil }},
+		{"corrupt", func() error { return os.WriteFile(path, []byte("garbage"), 0o644) }},
+		{"missing", func() error { return os.Remove(path) }},
+	} {
+		if err := damage.do(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := st.PutEncoded(data, meta)
+		if err != nil {
+			t.Fatalf("%s: %v", damage.name, err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("%s: republish returned %+v, want the stored %+v", damage.name, again, first)
+		}
+		if _, err := st.Read(first); err != nil {
+			t.Errorf("%s blob not rewritten: %v", damage.name, err)
+		}
+	}
+	if n := hub.Published(stream.KindSpec); n != 2 {
+		t.Errorf("republishing stored versions published %d more spec events", n-2)
+	}
+	if n := len(st.Versions("dev")); n != 2 {
+		t.Errorf("store holds %d versions, want 2", n)
+	}
+
+	nodev := meta
+	nodev.Device = ""
+	if _, err := st.PutEncoded([]byte("other spec"), nodev); err == nil {
+		t.Error("a version naming no device was published")
+	}
+	if n := hub.Published(stream.KindSpec); n != 2 {
+		t.Error("a refused put published a spec event")
 	}
 }
