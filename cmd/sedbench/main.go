@@ -50,7 +50,7 @@ func main() {
 	tpIters := flag.Int("throughput-iters", 200_000, "timed replay rounds per session for the throughput experiment")
 	tpE2EOps := flag.Int("throughput-e2e-ops", 200, "benign ops per full guest session for the e2e throughput rows")
 	tpOut := flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput experiment's JSON rows")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address (profile live runs)")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /journal /debug/pprof) on this address (profile live runs)")
 	flag.Parse()
 
 	cfg := runConfig{

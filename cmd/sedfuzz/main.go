@@ -37,7 +37,7 @@ func main() {
 	n := flag.Int("n", 20000, "raw random requests to hammer")
 	seed := flag.Uint64("seed", 1, "random seed")
 	specIn := flag.String("spec-in", "", "hammer under enforcement of this binary specification (enhancement mode)")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /journal /debug/pprof) on this address")
 	hold := flag.Bool("hold", false, "after the run, keep serving -listen until interrupted (for probing a finished run)")
 	flag.Parse()
 

@@ -30,7 +30,7 @@
 // flight-recorder timeline as DIR/<CVE>.trace, -coverage-dir writes the
 // run's ES-CFG coverage profile (and each blocked PoC's anomaly
 // training-coverage record) as JSON, and -listen serves the unified
-// introspection server (/healthz, /fleet, /metrics, /anomalies live tail,
+// introspection server (/healthz, /fleet, /metrics, /journal events,
 // /debug/pprof) on the given address. Final exports also run on
 // SIGINT/SIGTERM.
 //
@@ -39,11 +39,11 @@
 //
 //	sedspec report -spec-store DIR -device fdc -from 1 -to 2 [-json]
 //
-// The logs subcommand reads a running process's telemetry events: the
-// daemon's durable journal — history that survives restarts — or, on a
-// server without one, the hub's in-memory recent ring. With -follow it
-// splices the history into the live tail, deduplicated by hub sequence
-// number, and reconnects when the tail drops:
+// The logs subcommand reads a running process's telemetry events from
+// /journal: the daemon's durable journal — history that survives
+// restarts — or, on a server without one, the hub's in-memory recent
+// ring. With -follow the server splices the live tail onto the history,
+// and the client reconnects when the stream drops:
 //
 //	sedspec logs ADDR [-since 15m] [-until TIME] [-kinds anomaly]
 //	             [-tenant T] [-device D] [-json] [-n N] [-follow]
@@ -114,7 +114,7 @@ func main() {
 	flag.BoolVar(&cfg.attack, "attack", false, "replay the device's CVE proof(s) of concept")
 	flag.BoolVar(&cfg.enhance, "enhance", false, "audit the device's rare legitimate command in enhancement mode and publish the enhanced spec to -spec-store")
 	flag.StringVar(&cfg.mode, "mode", "protection", "checker working mode: protection or enhancement")
-	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /anomalies /debug/pprof) on this address")
+	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /journal /debug/pprof) on this address")
 	flag.StringVar(&cfg.traceDir, "trace-on-anomaly", "", "write each blocked PoC's flight-recorder timeline into this directory")
 	flag.StringVar(&cfg.coverageDir, "coverage-dir", "", "write ES-CFG coverage profiles and per-PoC anomaly coverage as JSON into this directory")
 	flag.Parse()

@@ -2,8 +2,7 @@
 // long-running process hosting named tenants, each with its own
 // spec-store namespace and live enforcement sessions, driven over an
 // HTTP/JSON control plane that shares a listener with the
-// introspection surface (/healthz /fleet /metrics /anomalies /journal
-// /debug/pprof).
+// introspection surface (/healthz /fleet /metrics /journal /debug/pprof).
 //
 // Usage:
 //
@@ -27,15 +26,15 @@
 //	POST   /tenants/{tenant}/swap         {"device": "fdc", "enhance": true} or {"device": "fdc", "generation": N}
 //	GET    /status
 //	GET    /fleet[?tenant=prod]
-//	GET    /journal[?since=15m&kinds=anomaly&tenant=prod&stats=1]
+//	GET    /journal[?since=15m&kinds=anomaly&tenant=prod&follow=1|stats=1]
 //
 // By default the daemon keeps a durable telemetry journal under
 // <store>/.journal (a dot-prefixed directory can never collide with a
 // tenant namespace): anomalies, audits, swaps, spec publications, and
-// session finals survive restarts, and a fresh boot replays the tail
-// so /anomalies (which a reconnecting `sedspec logs -follow` replays)
-// and /fleet carry pre-restart history.
-// Pass -journal off to run fully in-memory.
+// session finals survive restarts: /journal (what `sedspec logs` reads)
+// serves history from disk, and a fresh boot resumes the event sequence
+// and /fleet counters past the pre-restart history. Pass -journal off to
+// run fully in-memory; /journal then serves the hub's recent ring.
 //
 // On SIGINT/SIGTERM the daemon drains: every session goroutine is
 // stopped, checkers are retired (stats folded, one final detach event

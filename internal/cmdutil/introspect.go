@@ -15,7 +15,7 @@ func ServeIntrospection(addr string) (*stream.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("introspection server on http://%s — /healthz /fleet /metrics /anomalies /debug/pprof\n",
+	fmt.Printf("introspection server on http://%s — /healthz /fleet /metrics /journal /debug/pprof\n",
 		srv.Addr())
 	return srv, nil
 }

@@ -13,10 +13,10 @@
 // new spec generation without restarting a single guest.
 //
 // The control plane is plain HTTP/JSON mounted on the same
-// stream.Server mux that serves /fleet, /metrics, and the /anomalies
-// tail, so one listener exposes both the introspection surface and the
-// tenant/session API. Every event an engine publishes is stamped with
-// the owning tenant's name.
+// stream.Server mux that serves /fleet, /metrics, and the /journal
+// event history and tail, so one listener exposes both the
+// introspection surface and the tenant/session API. Every event an
+// engine publishes is stamped with the owning tenant's name.
 //
 // Shutdown and tenant deletion drain: session goroutines are stopped,
 // each session's checker is retired (folding its stats, warnings, and
@@ -55,12 +55,10 @@ type Options struct {
 	// Registry is the observability registry sessions' flight
 	// recorders report into (default obs.Default()).
 	Registry *obs.Registry
-	// FollowBuffer sizes /anomalies?follow=1 subscriber rings.
-	FollowBuffer int
 	// Journal, when its Dir is non-empty, opens a durable event journal
 	// there: rare-path events persist across restarts, boot replays the
-	// tail into the hub's recent ring and the health baselines, and the
-	// /journal endpoint serves history.
+	// tail into the hub's recent ring and the health baselines, and
+	// /journal reads its history from disk.
 	Journal journal.Options
 }
 
@@ -112,13 +110,7 @@ func New(opts Options) (*Daemon, error) {
 		cells:   make(map[string]*corpusCell),
 	}
 	d.health = stream.NewHealth(d.reg, d.hub)
-	d.srv = stream.NewServer(stream.ServerOptions{
-		Registry:     d.reg,
-		Hub:          d.hub,
-		Health:       d.health,
-		FollowBuffer: opts.FollowBuffer,
-	})
-	d.registerRoutes()
+	srvOpts := stream.ServerOptions{Registry: d.reg, Hub: d.hub, Health: d.health}
 
 	// The journal opens (replaying and repairing any torn tail) before
 	// any subscriber attaches:
@@ -145,8 +137,10 @@ func New(opts Options) (*Daemon, error) {
 		d.health.SetJournal(j.Status)
 		j.Attach(d.hub)
 		d.jrnl = j
-		d.srv.Handle("GET /journal", journal.Handler(j))
+		srvOpts.History = j
 	}
+	d.srv = stream.NewServer(srvOpts)
+	d.registerRoutes()
 	return d, nil
 }
 

@@ -193,7 +193,7 @@ func TestDaemonLifecycleHTTP(t *testing.T) {
 	}
 
 	// The event stream is stamped with the tenant identity.
-	resp, err := client.Get(url + "/anomalies?limit=256&kinds=attach,swap")
+	resp, err := client.Get(url + "/journal?limit=256&kinds=attach,swap")
 	if err != nil {
 		t.Fatal(err)
 	}

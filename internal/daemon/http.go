@@ -74,8 +74,8 @@ func (d *Daemon) tenantOf(w http.ResponseWriter, r *http.Request) (*Tenant, bool
 
 // registerRoutes mounts the control plane on the introspection mux.
 // Method+wildcard patterns keep the surface self-describing; the
-// pre-existing /fleet, /metrics, and /anomalies endpoints ride the
-// same listener.
+// introspection endpoints (/fleet, /metrics, and /journal, the one
+// event read endpoint) ride the same listener.
 func (d *Daemon) registerRoutes() {
 	d.srv.HandleFunc("POST /tenants", d.handleTenantCreate)
 	d.srv.HandleFunc("GET /tenants", d.handleTenantList)

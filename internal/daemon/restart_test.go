@@ -98,8 +98,8 @@ func TestDaemonRestartFidelity(t *testing.T) {
 	})
 	defer d2.Close()
 
-	// 1. The hub's recent ring (behind `sedspec watch -recent` and
-	// /anomalies) carries the pre-restart anomaly, stamps intact.
+	// 1. /journal (what `sedspec logs` reads) carries the pre-restart
+	// anomaly, stamps intact.
 	var restored *stream.Event
 	for _, ev := range hubRecent(d2) {
 		if ev.Kind == stream.KindAnomaly && ev.Seq == orig.Seq {
@@ -166,11 +166,11 @@ func TestDaemonRestartFidelity(t *testing.T) {
 	}
 }
 
-// hubRecent reads a daemon's recent ring through /anomalies, the same
-// surface `sedspec watch -recent` uses.
+// hubRecent reads a daemon's event history through /journal, the
+// surface `sedspec logs` reads.
 func hubRecent(d *daemon.Daemon) []stream.Event {
 	rec := httptest.NewRecorder()
-	d.Server().ServeHTTP(rec, httptest.NewRequest("GET", "/anomalies?limit=0&kinds=anomaly,audit,swap,attach,detach,spec", nil))
+	d.Server().ServeHTTP(rec, httptest.NewRequest("GET", "/journal?limit=0&kinds=anomaly,audit,swap,attach,detach,spec", nil))
 	var out []stream.Event
 	sc := bufio.NewScanner(strings.NewReader(rec.Body.String()))
 	for sc.Scan() {

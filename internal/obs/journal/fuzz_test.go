@@ -95,7 +95,7 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatalf("recovered segment is %d bytes, want %d (the last valid frame boundary)", info.Size(), valid)
 		}
 		var got [][]byte
-		err = j.Query(Query{}, func(ev *stream.Event) bool {
+		err = j.Query(stream.Query{}, func(ev *stream.Event) bool {
 			b, err := ev.MarshalBinary()
 			if err != nil {
 				t.Errorf("re-marshal record %d: %v", len(got), err)

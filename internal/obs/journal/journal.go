@@ -129,15 +129,17 @@ type Options struct {
 	Fsync FsyncPolicy
 	// FsyncInterval is PolicyInterval's ticker period (default 250ms).
 	FsyncInterval time.Duration
-	// Kinds masks which event kinds persist (default: every kind except
-	// the synthesized per-tail drop notices, which are subscriber-local
-	// and meaningless in history).
-	Kinds stream.KindMask
-	// Buffer sizes the hub subscription ring the writer drains (default
-	// 4096). A full ring sheds events into the drop counter rather than
-	// blocking publishers.
-	Buffer int
 }
+
+// persisted masks the kinds the journal keeps: every kind except the
+// synthesized per-tail drop notices, which are subscriber-local and
+// meaningless in history.
+const persisted = stream.MaskAll &^ (1 << stream.KindDrop)
+
+// subBuffer sizes the hub subscription ring the writer drains. A full
+// ring sheds events into the drop counter rather than blocking
+// publishers.
+const subBuffer = 4096
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -152,12 +154,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.FsyncInterval <= 0 {
 		out.FsyncInterval = 250 * time.Millisecond
-	}
-	if out.Kinds == 0 {
-		out.Kinds = stream.MaskAll &^ stream.MaskOf(stream.KindDrop)
-	}
-	if out.Buffer <= 0 {
-		out.Buffer = 4096
 	}
 	return out
 }
@@ -176,23 +172,7 @@ type segment struct {
 }
 
 // Stats is a point-in-time summary of the journal.
-type Stats struct {
-	Dir          string  `json:"dir"`
-	Segments     int     `json:"segments"`
-	Bytes        int64   `json:"bytes"`
-	Records      uint64  `json:"records"`
-	FirstSeq     uint64  `json:"first_seq,omitempty"`
-	LastSeq      uint64  `json:"last_seq,omitempty"`
-	Appended     uint64  `json:"appended"`
-	Dropped      uint64  `json:"dropped"`
-	Truncations  uint64  `json:"truncations"`
-	Rotations    uint64  `json:"rotations"`
-	Pruned       uint64  `json:"pruned_segments"`
-	Fsyncs       uint64  `json:"fsyncs"`
-	FsyncP99Us   float64 `json:"fsync_p99_us"`
-	EncodeErrors uint64  `json:"encode_errors,omitempty"`
-	WriteErrors  uint64  `json:"write_errors,omitempty"`
-}
+type Stats = stream.JournalStats
 
 // Journal is the durable event log. All methods are safe for
 // concurrent use; appends come from the single writer goroutine
@@ -391,8 +371,8 @@ func (j *Journal) newSegmentLocked() error {
 }
 
 // Attach subscribes the journal to the hub and starts the writer
-// goroutine (plus the fsync ticker under PolicyInterval). Events
-// matching Options.Kinds are drained and appended; overflow while the
+// goroutine (plus the fsync ticker under PolicyInterval). Every kind
+// but drop notices is drained and appended; overflow while the
 // writer is busy is shed by the hub into the subscription's drop
 // counter. Close stops everything and flushes.
 func (j *Journal) Attach(hub *stream.Hub) {
@@ -401,7 +381,7 @@ func (j *Journal) Attach(hub *stream.Hub) {
 	if j.sub != nil || j.closed {
 		return
 	}
-	j.sub = hub.Subscribe(stream.WithKinds(j.opts.Kinds), stream.WithBuffer(j.opts.Buffer))
+	j.sub = hub.Subscribe(stream.WithKinds(persisted), stream.WithBuffer(subBuffer))
 	j.wg.Add(1)
 	go j.drain(j.sub)
 	if j.opts.Fsync == PolicyInterval {
@@ -410,29 +390,33 @@ func (j *Journal) Attach(hub *stream.Hub) {
 	}
 }
 
-// drain is the writer goroutine: block for the next event, then sweep
-// the whole backlog in one pass so a burst costs one buffered-writer
-// flush (and, under PolicyAlways, one fsync) instead of one per event.
+// drain is the writer goroutine: wait for events, then sweep the whole
+// backlog in one pass so a burst costs one buffered-writer flush (and,
+// under PolicyAlways, one fsync) instead of one per event. Events are
+// popped only under j.mu, so a Query that sweeps the backlog itself
+// (snapshotSegs) keeps the disk in seq order.
 func (j *Journal) drain(sub *stream.Sub) {
 	defer j.wg.Done()
-	for {
-		ev, ok := sub.Recv(nil)
-		if !ok {
-			return
-		}
+	for sub.Wait(nil) {
 		j.mu.Lock()
-		j.appendLocked(&ev)
-		for {
-			more, ok := sub.TryRecv()
-			if !ok {
-				break
-			}
-			j.appendLocked(&more)
-		}
-		if j.opts.Fsync == PolicyAlways {
-			j.syncLocked()
-		}
+		j.drainLocked()
 		j.mu.Unlock()
+	}
+}
+
+// drainLocked appends the subscription's backlog; under PolicyAlways
+// it then fsyncs.
+func (j *Journal) drainLocked() {
+	if j.sub == nil {
+		return
+	}
+	n := 0
+	for ev, ok := j.sub.TryRecv(); ok; ev, ok = j.sub.TryRecv() {
+		j.appendLocked(&ev)
+		n++
+	}
+	if n > 0 && j.opts.Fsync == PolicyAlways {
+		j.syncLocked()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sedspec/internal/obs"
 	"sedspec/internal/obs/stream"
 )
 
@@ -114,7 +115,7 @@ func TestJournalPersistAndReload(t *testing.T) {
 		t.Fatalf("health record between anomalies: stats after reload %+v", st)
 	}
 	var got []stream.Event
-	if err := j3.Query(Query{}, func(ev *stream.Event) bool { got = append(got, *ev); return true }); err != nil {
+	if err := j3.Query(stream.Query{}, func(ev *stream.Event) bool { got = append(got, *ev); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[1].Kind != stream.KindHealth || got[1].Health == nil || got[1].Health.Device("fdc").Rounds != 200 {
@@ -154,7 +155,7 @@ func TestJournalTornWriteRecovery(t *testing.T) {
 	lastFrameStart := int64(len(segMagic))
 	j2 := mustOpen(t, Options{Dir: master, Fsync: PolicyNone})
 	count := 0
-	err = j2.Query(Query{Limit: n - 1}, func(ev *stream.Event) bool {
+	err = j2.Query(stream.Query{Limit: n - 1}, func(ev *stream.Event) bool {
 		count++
 		return true
 	})
@@ -310,32 +311,32 @@ func TestJournalQueryFilters(t *testing.T) {
 	add(stream.KindSwap, "prod", "fdc")
 	add(stream.KindAnomaly, "prod", "ehci")
 
-	countQ := func(q Query) int {
+	countQ := func(q stream.Query) int {
 		n := 0
 		if err := j.Query(q, func(*stream.Event) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	if n := countQ(Query{}); n != 5 {
+	if n := countQ(stream.Query{}); n != 5 {
 		t.Errorf("unfiltered: %d", n)
 	}
-	if n := countQ(Query{Kinds: stream.MaskOf(stream.KindAnomaly)}); n != 3 {
+	if n := countQ(stream.Query{Kinds: stream.MaskOf(stream.KindAnomaly)}); n != 3 {
 		t.Errorf("kind filter: %d", n)
 	}
-	if n := countQ(Query{Tenant: "edge"}); n != 1 {
+	if n := countQ(stream.Query{Tenant: "edge"}); n != 1 {
 		t.Errorf("tenant filter: %d", n)
 	}
-	if n := countQ(Query{Device: "ehci"}); n != 2 {
+	if n := countQ(stream.Query{Device: "ehci"}); n != 2 {
 		t.Errorf("device filter: %d", n)
 	}
-	if n := countQ(Query{MinSeq: 4}); n != 2 {
+	if n := countQ(stream.Query{MinSeq: 4}); n != 2 {
 		t.Errorf("min_seq filter: %d", n)
 	}
-	if n := countQ(Query{SinceNs: 3000, UntilNs: 4000}); n != 2 {
+	if n := countQ(stream.Query{SinceNs: 3000, UntilNs: 4000}); n != 2 {
 		t.Errorf("time filter: %d", n)
 	}
-	if n := countQ(Query{Limit: 2}); n != 2 {
+	if n := countQ(stream.Query{Limit: 2}); n != 2 {
 		t.Errorf("limit: %d", n)
 	}
 }
@@ -371,9 +372,9 @@ func TestJournalAttachDrains(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	// Drop notices are excluded by the default kind mask.
-	if opts := (&Options{}).withDefaults(); opts.Kinds&stream.MaskOf(stream.KindDrop) != 0 {
-		t.Error("default mask persists drop notices")
+	// Drop notices are never persisted.
+	if persisted.Has(stream.KindDrop) || persisted|stream.MaskOf(stream.KindDrop) != stream.MaskAll {
+		t.Errorf("persisted kinds %b, want every kind but drop notices", persisted)
 	}
 }
 
@@ -463,8 +464,9 @@ func TestJournalFoldBaselines(t *testing.T) {
 	}
 }
 
-// TestJournalHandler exercises the /journal HTTP surface: NDJSON
-// output, filters, limit, and the stats view.
+// TestJournalHandler exercises /journal on a server whose history
+// source is the journal: NDJSON output, filters, limit, and the stats
+// view.
 func TestJournalHandler(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
@@ -479,7 +481,7 @@ func TestJournalHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := Handler(j)
+	h := stream.NewServer(stream.ServerOptions{Registry: obs.NewRegistry(), Hub: stream.NewHub(), History: j})
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -11,45 +11,6 @@ import (
 	"sedspec/internal/obs/stream"
 )
 
-// Query selects a slice of history. Zero values are unbounded.
-type Query struct {
-	// SinceNs/UntilNs bound event timestamps (inclusive since, inclusive
-	// until; 0 = unbounded).
-	SinceNs int64
-	UntilNs int64
-	// Kinds masks event kinds (0 = all).
-	Kinds stream.KindMask
-	// Tenant/Device match exactly when non-empty.
-	Tenant string
-	Device string
-	// MinSeq skips events with hub seq below it.
-	MinSeq uint64
-	// Limit caps delivered events (0 = unlimited).
-	Limit int
-}
-
-func (q *Query) matches(ev *stream.Event) bool {
-	if q.Kinds != 0 && q.Kinds&stream.MaskOf(ev.Kind) == 0 {
-		return false
-	}
-	if q.SinceNs != 0 && ev.TimeNs < q.SinceNs {
-		return false
-	}
-	if q.UntilNs != 0 && ev.TimeNs > q.UntilNs {
-		return false
-	}
-	if q.Tenant != "" && ev.Tenant != q.Tenant {
-		return false
-	}
-	if q.Device != "" && ev.Device != q.Device {
-		return false
-	}
-	if q.MinSeq != 0 && ev.Seq < q.MinSeq {
-		return false
-	}
-	return true
-}
-
 // segView is a point-in-time snapshot of one segment for reading:
 // path plus the byte length that was valid when the snapshot was
 // taken. The writer only ever appends, so reading [0, bytes) races
@@ -64,13 +25,16 @@ type segView struct {
 	records  uint64
 }
 
-// snapshotSegs flushes the active segment's buffered tail to the OS
-// (so a reader opening the file sees every appended frame) and
-// snapshots the segment index.
+// snapshotSegs appends the writer's pending backlog, flushes the active
+// segment's buffered tail to the OS (so a reader opening the file sees
+// every appended frame) and snapshots the segment index.
 func (j *Journal) snapshotSegs() ([]segView, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.closed {
+		// Append what the writer was offered but has not drained yet, so
+		// every event the hub published before this call is on disk.
+		j.drainLocked()
 		if err := j.w.Flush(); err != nil {
 			j.wrErrs++
 			return nil, err
@@ -91,7 +55,7 @@ func (j *Journal) snapshotSegs() ([]segView, error) {
 
 // skippable reports whether the whole segment falls outside the query
 // bounds (by seq or time), so it need not be opened at all.
-func (q *Query) skippable(v *segView) bool {
+func skippable(q *stream.Query, v *segView) bool {
 	if v.records == 0 {
 		return true
 	}
@@ -109,9 +73,11 @@ func (q *Query) skippable(v *segView) bool {
 
 // Query streams matching events oldest-first into fn; fn returning
 // false stops the walk early. Concurrent appends are safe: the walk
-// covers exactly the records that existed when it began. Usable on a
-// closed journal (post-crash inspection tools).
-func (j *Journal) Query(q Query, fn func(ev *stream.Event) bool) error {
+// covers exactly the records that existed when it began, which include
+// every event the hub published before the call unless the writer's
+// ring shed it. Usable on a closed journal (post-crash inspection
+// tools).
+func (j *Journal) Query(q stream.Query, fn func(ev *stream.Event) bool) error {
 	views, err := j.snapshotSegs()
 	if err != nil {
 		return err
@@ -119,11 +85,11 @@ func (j *Journal) Query(q Query, fn func(ev *stream.Event) bool) error {
 	delivered := 0
 	for i := range views {
 		v := &views[i]
-		if q.skippable(v) {
+		if skippable(&q, v) {
 			continue
 		}
 		stop, err := walkSegment(v, func(ev *stream.Event) bool {
-			if !q.matches(ev) {
+			if !q.Matches(ev) {
 				return true
 			}
 			if !fn(ev) {
@@ -196,7 +162,7 @@ func walkSegment(v *segView, fn func(ev *stream.Event) bool) (stop bool, err err
 // recent-events ring on daemon boot.
 func (j *Journal) Tail(max int) ([]stream.Event, error) {
 	var out []stream.Event
-	err := j.Query(Query{}, func(ev *stream.Event) bool {
+	err := j.Query(stream.Query{}, func(ev *stream.Event) bool {
 		out = append(out, *ev)
 		return true
 	})
@@ -228,7 +194,7 @@ func (j *Journal) FoldBaselines() ([]stream.BaselineRow, error) {
 		}
 		return r
 	}
-	err := j.Query(Query{}, func(ev *stream.Event) bool {
+	err := j.Query(stream.Query{}, func(ev *stream.Event) bool {
 		if ev.Device == "" {
 			return true // engine-level events (spec publications) carry no device row
 		}

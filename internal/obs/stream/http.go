@@ -17,24 +17,53 @@ type ServerOptions struct {
 	Registry *obs.Registry
 	Hub      *Hub
 	Health   *Health
-	// FollowBuffer sizes the per-tail subscriber ring behind
-	// /anomalies?follow=1 (default DefaultSubBuffer).
-	FollowBuffer int
+	// History is the disk journal /journal reads history from; nil
+	// reads the hub's recent ring.
+	History History
+}
+
+// History is a durable event log: the daemon's disk journal.
+type History interface {
+	// Query streams the events matching q oldest-first into fn until fn
+	// returns false. Every event the hub published before the call and
+	// the log did not shed is included.
+	Query(q Query, fn func(ev *Event) bool) error
+	// Stats is what /journal?stats=1 answers.
+	Stats() JournalStats
+}
+
+// JournalStats is a point-in-time summary of a disk journal.
+type JournalStats struct {
+	Dir          string  `json:"dir"`
+	Segments     int     `json:"segments"`
+	Bytes        int64   `json:"bytes"`
+	Records      uint64  `json:"records"`
+	FirstSeq     uint64  `json:"first_seq,omitempty"`
+	LastSeq      uint64  `json:"last_seq,omitempty"`
+	Appended     uint64  `json:"appended"`
+	Dropped      uint64  `json:"dropped"`
+	Truncations  uint64  `json:"truncations"`
+	Rotations    uint64  `json:"rotations"`
+	Pruned       uint64  `json:"pruned_segments"`
+	Fsyncs       uint64  `json:"fsyncs"`
+	FsyncP99Us   float64 `json:"fsync_p99_us"`
+	EncodeErrors uint64  `json:"encode_errors,omitempty"`
+	WriteErrors  uint64  `json:"write_errors,omitempty"`
 }
 
 // Server is the unified introspection surface: liveness, fleet
-// snapshots, Prometheus metrics, the live anomaly tail, and pprof — all
-// on the server's own *http.ServeMux, so any number of servers (tests,
-// two CLIs sharing a process) coexist without the default mux's
-// duplicate-registration panic.
+// snapshots, Prometheus metrics, the event history and live tail, and
+// pprof — all on the server's own *http.ServeMux, so any number of
+// servers (tests, two CLIs sharing a process) coexist without the
+// default mux's duplicate-registration panic.
 type Server struct {
-	mux    *http.ServeMux
-	ln     net.Listener
-	srv    *http.Server
-	reg    *obs.Registry
-	hub    *Hub
-	health *Health
-	opts   ServerOptions
+	mux     *http.ServeMux
+	ln      net.Listener
+	srv     *http.Server
+	reg     *obs.Registry
+	hub     *Hub
+	health  *Health
+	history History
 }
 
 // readHeaderTimeout bounds how long a client may take to send its
@@ -54,20 +83,17 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.Health == nil {
 		opts.Health = NewHealth(opts.Registry, opts.Hub)
 	}
-	if opts.FollowBuffer <= 0 {
-		opts.FollowBuffer = DefaultSubBuffer
-	}
 	s := &Server{
-		mux:    http.NewServeMux(),
-		reg:    opts.Registry,
-		hub:    opts.Hub,
-		health: opts.Health,
-		opts:   opts,
+		mux:     http.NewServeMux(),
+		reg:     opts.Registry,
+		hub:     opts.Hub,
+		health:  opts.Health,
+		history: opts.History,
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/fleet", s.handleFleet)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/anomalies", s.handleAnomalies)
+	s.mux.HandleFunc("/journal", s.handleJournal)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -106,7 +132,7 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	// Only the header read is bounded: /anomalies?follow=1 (the tail
+	// Only the header read is bounded: /journal?follow=1 (the tail
 	// `sedspec logs -follow` reads) holds responses open, so a read or
 	// write timeout would cut it.
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
@@ -186,53 +212,111 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = WriteExposition(w, s.health.Snapshot(), s.reg.Snapshot())
 }
 
-// handleAnomalies serves the event stream. Without follow=1 it returns
-// a bounded NDJSON read of the hub's retained recent events (limit=N,
-// default 64). With follow=1 it subscribes and streams live events as
-// NDJSON until the client disconnects. A lagging tail's gaps surface as
-// synthesized kind="drop" records carrying the exact number of events
-// shed since the previous record.
-func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	mask, err := ParseKinds(q.Get("kinds"))
+// SeqHeader carries, on every /journal response, the hub's newest
+// sequence number when the read began: the point where history ends and
+// a follow stream's live tail begins. A reconnecting client whose cursor
+// is past it is talking to a restarted process.
+const SeqHeader = "Sedspec-Seq"
+
+// followBuffer sizes the subscriber ring behind a follow stream; a
+// variable only so a test can overwhelm a small one.
+var followBuffer = DefaultSubBuffer
+
+// handleJournal is the one event read endpoint. It streams NDJSON,
+// oldest first: history from the disk journal where the process keeps
+// one, otherwise from the hub's recent ring, with the same filters on
+// both.
+//
+// Query parameters:
+//
+//	since, until  time bound: RFC3339, unix nanoseconds, or a relative
+//	              duration ("15m" = that long ago)
+//	kinds         comma-separated kind list (default all)
+//	tenant        exact tenant match
+//	device        exact device match
+//	min_seq       minimum hub sequence number
+//	limit         the oldest N matches; a follow stream ends after N
+//	              events (default 1024 without follow, unlimited with
+//	              it; 0 = unlimited)
+//	follow        "1": after the history, stream the live tail until
+//	              the client disconnects (not with until)
+//	stats         "1" answers the disk journal's Stats instead (400
+//	              where the process keeps none)
+//
+// With follow=1 the server splices: it subscribes first, notes the
+// hub's newest seq S, sends the history up to S, then the tail past
+// what it sent, so every event arrives exactly once. A tail that falls
+// behind sends a kind="drop" record carrying the number of events shed
+// since the previous record. A history read error ends the stream with
+// a {"error": "..."} trailer record.
+func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+	v := r.URL.Query()
+	if v.Get("stats") == "1" {
+		if s.history == nil {
+			http.Error(w, "stats: this process keeps no disk journal", http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, http.StatusOK, s.history.Stats())
+		return
+	}
+	q, follow, err := parseQuery(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if q.Get("kinds") == "" {
-		// The page is the anomaly tail by default; health records (only a
-		// journal from an older build restores any) are opt-in.
-		mask &^= MaskOf(KindHealth)
+	var sub *Sub
+	if follow {
+		sub = s.hub.Subscribe(WithKinds(q.Kinds), WithBuffer(followBuffer))
+		defer sub.Close()
 	}
-
+	newest := s.hub.Seq()
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set(SeqHeader, strconv.FormatUint(newest, 10))
 	enc := json.NewEncoder(w)
-	if q.Get("follow") != "1" {
-		limit := 64
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "bad limit", http.StatusBadRequest)
-				return
-			}
-			limit = n
+
+	var sent int
+	var last uint64
+	var werr error
+	send := func(ev *Event) bool {
+		if werr = enc.Encode(ev); werr != nil {
+			return false
 		}
-		for _, ev := range s.hub.Recent(mask, limit) {
-			if enc.Encode(&ev) != nil {
-				return
+		sent++
+		last = max(last, ev.Seq)
+		return q.Limit == 0 || sent < q.Limit
+	}
+	more := true
+	history := func(ev *Event) bool {
+		if follow && ev.Seq > newest {
+			return true // published after the subscribe: the tail's
+		}
+		more = send(ev)
+		return more
+	}
+	if s.history != nil {
+		err = s.history.Query(q, history)
+	} else {
+		for _, ev := range s.hub.Recent(MaskAll, 0) {
+			if q.Matches(&ev) && !history(&ev) {
+				break
 			}
 		}
+	}
+	if err != nil && werr == nil {
+		// Headers are gone; a clean NDJSON stream ends at EOF, so a read
+		// error travels as a trailer record the client can detect.
+		_ = enc.Encode(map[string]string{"error": err.Error()})
+		return
+	}
+	if !follow || !more {
 		return
 	}
 
-	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
 		flusher.Flush()
 	}
-
-	sub := s.hub.Subscribe(WithKinds(mask), WithBuffer(s.opts.FollowBuffer))
-	defer sub.Close()
 	done := r.Context().Done()
 	var reported uint64
 	for {
@@ -241,18 +325,13 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if d := sub.Dropped(); d > reported {
-			notice := Event{
-				TimeNs:  ev.TimeNs,
-				Kind:    KindDrop,
-				Session: -1,
-				Dropped: d - reported,
-			}
+			notice := Event{TimeNs: ev.TimeNs, Kind: KindDrop, Session: -1, Dropped: d - reported}
 			reported = d
 			if enc.Encode(&notice) != nil {
 				return
 			}
 		}
-		if enc.Encode(&ev) != nil {
+		if ev.Seq > last && q.Matches(&ev) && !send(&ev) {
 			return
 		}
 		if flusher != nil {

@@ -70,39 +70,53 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("/metrics exposition invalid: %v", err)
 	}
 
-	// Non-follow /anomalies: bounded NDJSON of retained events, health
-	// records excluded by default.
-	w = get(t, s, "/anomalies")
+	// /journal without a disk journal reads the recent ring: NDJSON,
+	// oldest first, every kind by default (health records too).
+	w = get(t, s, "/journal")
 	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("/anomalies returned %d lines: %q", len(lines), lines)
+	if len(lines) != 2 || w.Header().Get(SeqHeader) != "2" {
+		t.Fatalf("/journal returned %d lines, %s %q: %q", len(lines), SeqHeader, w.Header().Get(SeqHeader), lines)
 	}
 	var ev Event
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil || ev.Kind != KindAnomaly {
-		t.Errorf("/anomalies line %q (%v)", lines[0], err)
+		t.Errorf("/journal line %q (%v)", lines[0], err)
 	}
-
-	// Health records are opt-in.
-	w = get(t, s, "/anomalies?kinds=health")
-	if !strings.Contains(w.Body.String(), `"kind":"health"`) {
+	if w = get(t, s, "/journal?kinds=anomaly"); strings.Count(w.Body.String(), "\n") != 1 || strings.Contains(w.Body.String(), `"kind":"health"`) {
+		t.Errorf("kinds=anomaly returned %q", w.Body)
+	}
+	w = get(t, s, "/journal?kinds=health")
+	if !strings.Contains(w.Body.String(), `"kind":"health"`) || strings.Contains(w.Body.String(), `"kind":"anomaly"`) {
 		t.Errorf("kinds=health returned %q", w.Body)
 	}
+	// limit keeps the oldest matches.
+	if w = get(t, s, "/journal?limit=1"); !strings.Contains(w.Body.String(), `"kind":"anomaly"`) || strings.Count(w.Body.String(), "\n") != 1 {
+		t.Errorf("limit=1 returned %q", w.Body)
+	}
 
-	if w = get(t, s, "/anomalies?kinds=bogus"); w.Code != http.StatusBadRequest {
+	if w = get(t, s, "/journal?kinds=bogus"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad kinds = %d", w.Code)
 	}
-	if w = get(t, s, "/anomalies?limit=x"); w.Code != http.StatusBadRequest {
+	if w = get(t, s, "/journal?limit=x"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad limit = %d", w.Code)
+	}
+	if w = get(t, s, "/journal?stats=1"); w.Code != http.StatusBadRequest {
+		t.Errorf("stats without a disk journal = %d", w.Code)
+	}
+	if w = get(t, s, "/journal?follow=1&until=1h"); w.Code != http.StatusBadRequest {
+		t.Errorf("follow with until = %d", w.Code)
+	}
+	if w = get(t, s, "/anomalies"); w.Code != http.StatusNotFound {
+		t.Errorf("/anomalies = %d, want 404: /journal is the one event read endpoint", w.Code)
 	}
 	if w = get(t, s, "/debug/pprof/cmdline"); w.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d", w.Code)
 	}
 }
 
-// TestAnomaliesFollow tails the live stream over a real listener: the
+// TestJournalFollow tails the live stream over a real listener: the
 // client must see events published after it attached, in order, as
 // NDJSON lines.
-func TestAnomaliesFollow(t *testing.T) {
+func TestJournalFollow(t *testing.T) {
 	s, _, hub := testServer(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -110,7 +124,7 @@ func TestAnomaliesFollow(t *testing.T) {
 	t.Run("ndjson", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/anomalies?follow=1&kinds=audit", nil)
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/journal?follow=1&kinds=audit", nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -166,14 +180,15 @@ func TestFollowDropNotice(t *testing.T) {
 	reg := obs.NewRegistry()
 	hub := NewHub()
 	// A 2-slot tail ring so the burst below overwhelms it.
-	s := NewServer(ServerOptions{Registry: reg, Hub: hub, FollowBuffer: 2})
+	defer SetFollowBuffer(2)()
+	s := NewServer(ServerOptions{Registry: reg, Hub: hub})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, "GET",
-		ts.URL+"/anomalies?follow=1&kinds=audit", nil)
+		ts.URL+"/journal?follow=1&kinds=audit", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

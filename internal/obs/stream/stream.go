@@ -271,8 +271,9 @@ func (e *Event) String() string {
 	return sb.String()
 }
 
-// RecentCap bounds the hub's recent-events ring, which backs bounded
-// (non-follow) /anomalies reads and the journal's restart replay.
+// RecentCap bounds the hub's recent-events ring, which backs /journal
+// history on a process without a disk journal and the journal's
+// restart replay.
 const RecentCap = 256
 
 // DefaultSubBuffer is a subscriber ring's capacity unless WithBuffer
@@ -351,7 +352,7 @@ func (h *Hub) retain(ev Event) {
 // events enter the recent ring in order and the sequence counter
 // resumes past the highest restored seq, so post-restart publications
 // extend the pre-restart total order instead of re-issuing already
-// journaled sequence numbers (a `sedspec logs -follow` client's dedup
+// journaled sequence numbers (a `sedspec logs -follow` client's
 // cursor keeps working across the restart). Events whose seq is not beyond the
 // hub's current counter are skipped — Restore only moves time forward.
 // Call before any subscriber attaches; restored events are not fanned
@@ -585,20 +586,32 @@ func (s *Sub) TryRecv() (Event, bool) {
 // is closed and fully drained — buffered events are always delivered
 // before the close is reported.
 func (s *Sub) Recv(done <-chan struct{}) (Event, bool) {
-	for {
+	for s.Wait(done) {
 		if ev, ok := s.TryRecv(); ok {
 			return ev, true
 		}
+	}
+	return Event{}, false
+}
+
+// Wait blocks until the ring holds an event, without popping it. It
+// returns false when done closes or when the subscription is closed and
+// fully drained.
+func (s *Sub) Wait(done <-chan struct{}) bool {
+	for {
 		s.mu.Lock()
-		closed := s.closed
+		n, closed := s.count, s.closed
 		s.mu.Unlock()
+		if n > 0 {
+			return true
+		}
 		if closed {
-			return Event{}, false
+			return false
 		}
 		select {
 		case <-s.notify:
 		case <-done:
-			return Event{}, false
+			return false
 		}
 	}
 }
