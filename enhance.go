@@ -18,10 +18,10 @@ import (
 // The paper's enhancement mode lets benign-but-untrained commands through
 // with a warning; the pipeline here closes the loop: collect the audited
 // warning requests from a sealed checker (Checker.Audit / SharedChecker
-// .Audit), replay them through a fresh Learn alongside the original
-// training corpus, and publish the resulting spec as a new store version
-// carrying the audit trail. SharedChecker.Swap then installs it under the
-// live sessions without dropping a check.
+// .Audit), replay them after the original training corpus (resuming the
+// training run's Checkpoint), and publish the resulting spec as a new
+// store version carrying the audit trail. SharedChecker.Swap then
+// installs it under the live sessions without dropping a check.
 
 // Store re-exports so facade users need not import internal packages.
 type (
@@ -118,33 +118,65 @@ func replayAudit(d *Driver, a *AuditRecord) error {
 }
 
 // Enhance rebuilds the specification with the audited warnings folded
-// into the training corpus: the original training function runs first,
-// then each audited request replays in capture order, so the previously
-// unobserved paths join the ES-CFG. Like any training corpus, the
-// composed corpus must be deterministic — AuditRecord carries a private
-// copy of each request.
+// into the training corpus: Train runs the original training function,
+// then Resume replays each audited request in capture order on the
+// trained machine, so the previously unobserved paths join the ES-CFG.
+// The spec is the one a single learn of the composed corpus (training,
+// then the audit) builds. Like any training corpus, the composed corpus
+// must be deterministic — AuditRecord carries a private copy of each
+// request. A caller that enhances one device repeatedly keeps Train's
+// checkpoint and resumes it per audit instead, running training once.
 //
 // The attachment should be a fresh (or reset) instance of the same
-// device program the audit came from; Learn resets the device around its
-// training run.
+// device program the audit came from; Train resets the device before its
+// run and Resume after learning.
 func Enhance(att *machine.Attached, train TrainFunc, audit []AuditRecord) (*core.Spec, error) {
 	if len(audit) == 0 {
 		return nil, fmt.Errorf("sedspec: enhance: no audited warnings to replay")
 	}
-	composed := func(d *Driver) error {
-		if train != nil {
-			if err := train(d); err != nil {
-				return err
-			}
-		}
-		for i := range audit {
-			if err := replayAudit(d, &audit[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+	cp, err := Train(att, train)
+	if err != nil {
+		return nil, err
 	}
-	return Learn(att, composed)
+	r, err := cp.Resume(att, audit)
+	if err != nil {
+		return nil, err
+	}
+	return r.Spec, nil
+}
+
+// ChainAudit returns the audited requests that enhanced parent from its
+// learned root, oldest first: walking Parent links through st, each
+// enhanced version on the chain contributes the warnings it was built
+// from. Replaying them before a new audit makes an enhanced child of
+// parent keep every enhancement parent has. A learned parent has an
+// empty chain.
+func ChainAudit(st *SpecStore, parent SpecVersion) ([]AuditRecord, error) {
+	if parent.CreatedBy != "enhance" {
+		return nil, nil
+	}
+	byGen := map[uint64]SpecVersion{}
+	for _, v := range st.Versions(parent.Device) {
+		byGen[v.Generation] = v
+	}
+	var links [][]WarningRecord
+	for v := parent; v.CreatedBy == "enhance"; {
+		links = append(links, v.Warnings)
+		p, ok := byGen[v.Parent]
+		if !ok || p.Generation >= v.Generation {
+			return nil, fmt.Errorf("sedspec: enhance: generation %d of %s names parent %d, which is not an older stored version",
+				v.Generation, v.Device, v.Parent)
+		}
+		v = p
+	}
+	var audit []AuditRecord
+	for i := len(links) - 1; i >= 0; i-- {
+		for _, w := range links[i] {
+			audit = append(audit, AuditRecord{Anomaly: checker.Anomaly{Round: w.Round},
+				Space: interp.Space(w.Space), Addr: w.Addr, Write: w.Write, Data: w.Data})
+		}
+	}
+	return audit, nil
 }
 
 // warningRecords converts captured audit records into the store's
@@ -187,14 +219,20 @@ func EnhancedVersion(programHash string, parent SpecVersion, audit []AuditRecord
 // EnhanceToStore runs the enhancement pipeline end to end: derive the
 // child key from the parent version's corpus plus the audit trail, load
 // the child from the store if it was already published (hit=true), and
-// otherwise replay the audited warnings through a fresh Learn and
-// publish the result as a new store version recording its parent
-// generation and the warnings that drove it. The returned spec is ready
+// otherwise learn it and publish the result as a new store version
+// recording its parent generation and the warnings that drove it. A
+// miss trains once and replays the warnings of parent's enhance chain
+// (ChainAudit), oldest first, then the new audit, so the child keeps
+// every enhancement its key claims to extend. The returned spec is ready
 // for SharedChecker.Swap.
 func EnhanceToStore(st *SpecStore, att *machine.Attached, parent SpecVersion, train TrainFunc, audit []AuditRecord) (spec *core.Spec, meta SpecVersion, hit bool, err error) {
 	prog := att.Dev().Program()
 	want := EnhancedVersion(specstore.ProgramHash(prog), parent, audit)
 	return LoadOrLearn(st, prog, want, func() (*core.Spec, error) {
-		return Enhance(att, train, audit)
+		chain, err := ChainAudit(st, parent)
+		if err != nil {
+			return nil, err
+		}
+		return Enhance(att, train, append(chain, audit...))
 	})
 }

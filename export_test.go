@@ -1,12 +1,15 @@
 package sedspec
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 
 	"sedspec/internal/analysis"
 	"sedspec/internal/checker"
 	"sedspec/internal/core"
+	"sedspec/internal/ir"
 	"sedspec/internal/itccfg"
 	"sedspec/internal/machine"
 	"sedspec/internal/trace"
@@ -148,4 +151,83 @@ func compiledFootprint(cv *checker.Compiled) Footprint {
 	}
 	walk(reflect.ValueOf(cv))
 	return fp
+}
+
+// CheckpointRetained walks everything a checkpoint references, except
+// the device program it shares with every instance of the device, and
+// returns the bytes it keeps alive (pointees, slice backing arrays and
+// map entries, each counted once) and a digest of their contents.
+func CheckpointRetained(cp *Checkpoint) (bytes int, digest [sha256.Size]byte) {
+	h := sha256.New()
+	var word [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(word[:], x)
+		h.Write(word[:])
+	}
+	seen := map[uintptr]bool{}
+	irPkg := reflect.TypeOf(ir.Program{}).PkgPath()
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			if v.Bool() {
+				put(1)
+			} else {
+				put(0)
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			put(uint64(v.Int()))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			put(v.Uint())
+		case reflect.String:
+			put(uint64(v.Len()))
+			h.Write([]byte(v.String()))
+			bytes += v.Len()
+		case reflect.Pointer:
+			if v.IsNil() || v.Type().Elem().PkgPath() == irPkg {
+				put(0)
+				return
+			}
+			put(1)
+			if seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			bytes += int(v.Type().Elem().Size())
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Array, reflect.Slice:
+			put(uint64(v.Len()))
+			if v.Kind() == reflect.Slice && v.Cap() > 0 && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				bytes += v.Cap() * int(v.Type().Elem().Size())
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			put(uint64(v.Len()))
+			bytes += v.Len() * int(v.Type().Key().Size()+v.Type().Elem().Size())
+			var sum [sha256.Size]byte
+			for it := v.MapRange(); it.Next(); {
+				// Entries digest one by one, so the map digests the same
+				// in any iteration order; they hold only scalars.
+				e := sha256.Sum256([]byte(fmt.Sprint(it.Key(), "=", it.Value())))
+				for i := range sum {
+					sum[i] ^= e[i]
+				}
+			}
+			h.Write(sum[:])
+		}
+	}
+	walk(reflect.ValueOf(cp))
+	copy(digest[:], h.Sum(nil))
+	return bytes, digest
 }

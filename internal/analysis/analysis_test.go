@@ -287,9 +287,9 @@ func observeAnalyzed(t *testing.T, prog *ir.Program, rec *analysis.Recorder, wat
 // recorder's log, narrowed to any watch list, equals the log of a plain
 // recorder whose run watched only that list — field order, the nil
 // Fields of events that capture nothing, and an empty watch list
-// included. The stream captures enough events to span several value
-// chunks. Project leaves a plain recorder, so a repeat call or Log
-// returns the same log.
+// included. The stream captures over a thousand events, so the values
+// are delta-coded across many rounds. Project leaves a plain recorder,
+// so a repeat call or Log returns the same log.
 func TestRecorderProjection(t *testing.T) {
 	prog := buildAnalyzed(t)
 	sel := analysis.SelectParams(graphOf(t, prog))
@@ -312,7 +312,7 @@ func TestRecorderProjection(t *testing.T) {
 			}
 		}
 		if captured < 1100 {
-			t.Fatalf("only %d branch events; the stream must span more than one value chunk", captured)
+			t.Fatalf("only %d branch events; the stream must capture over a thousand", captured)
 		}
 		if !reflect.DeepEqual(got, want) {
 			for i := range want.Rounds {

@@ -113,26 +113,22 @@ func New(opts Options) (*Daemon, error) {
 	srvOpts := stream.ServerOptions{Registry: d.reg, Hub: d.hub, Health: d.health}
 
 	// The journal opens (replaying and repairing any torn tail) before
-	// any subscriber attaches:
-	// restored events seed the hub's recent ring and seq counter, fold
-	// into per-tenant health baselines so /fleet survives the restart,
-	// and only then does the journal begin persisting new traffic.
+	// any subscriber attaches. One pass over it folds the per-tenant
+	// health baselines, so /fleet survives the restart, and finds the
+	// newest seq, which the hub resumes from; /journal reads history
+	// from the journal itself. Only then does the journal begin
+	// persisting new traffic.
 	if opts.Journal.Dir != "" {
 		j, err := journal.Open(opts.Journal)
 		if err != nil {
 			return nil, fmt.Errorf("daemon: open journal: %w", err)
 		}
-		tail, err := j.Tail(stream.RecentCap)
-		if err != nil {
-			j.Close()
-			return nil, fmt.Errorf("daemon: replay journal: %w", err)
-		}
-		d.hub.Restore(tail)
-		rows, err := j.FoldBaselines()
+		rows, lastSeq, err := j.FoldBaselines()
 		if err != nil {
 			j.Close()
 			return nil, fmt.Errorf("daemon: fold journal baselines: %w", err)
 		}
+		d.hub.ResumeAt(lastSeq)
 		d.health.AddBaseline(rows)
 		d.health.SetJournal(j.Status)
 		j.Attach(d.hub)

@@ -31,10 +31,12 @@ type recipe struct {
 
 // corpusCell is what every recipe of one device shares. All corpora of
 // a device train its light benign target, and a spec is a deterministic
-// function of the program and corpus, so the daemon learns it once
-// (blob, under mu) and each recipe publishes it under its own key. prog
-// is the device package's shared program, the decode target of every
-// hit; learned memos the compiled blob for every engine of the device.
+// function of the program and corpus, so the daemon runs that training
+// once per device: cp is the run's checkpoint, blob the spec learned
+// from it (both under mu), and each recipe publishes blob under its own
+// key while every cold enhance resumes cp. prog is the device package's
+// shared program, the decode target of every hit; learned memos the
+// compiled blob for every engine of the device.
 type corpusCell struct {
 	target   *workload.Target // build, training corpus, benign sessions
 	prog     *ir.Program
@@ -42,8 +44,9 @@ type corpusCell struct {
 	recipes  map[string]*recipe // by corpus, under the daemon's recipeMu
 
 	mu      sync.Mutex
+	cp      *sedspec.Checkpoint
 	blob    []byte
-	learns  int
+	trains  int
 	learned atomic.Pointer[compiledBlob]
 }
 
@@ -101,26 +104,59 @@ func (c *corpusCell) attach() *machine.Attached {
 	return machine.New(machine.WithMemory(1<<20)).Attach(dev, aopts...)
 }
 
-// encoded returns the cell's learned blob; only the first call learns.
+// encoded returns the cell's learned blob: a Resume of the checkpoint
+// that replays nothing, run on the first call only.
 func (c *corpusCell) encoded() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.blob == nil {
-		c.learns++
-		var err error
-		if c.blob, err = encode(sedspec.Learn(c.attach(), c.target.Train)); err != nil {
+		att := c.attach()
+		cp, err := c.checkpointLocked(att)
+		if err != nil {
+			return nil, err
+		}
+		if c.blob, err = encode(cp.Resume(att, nil)); err != nil {
 			return nil, err
 		}
 	}
 	return c.blob, nil
 }
 
-// encode returns a learned spec's binary encoding.
-func encode(spec *core.Spec, err error) ([]byte, error) {
+// enhanced returns the encoding of the spec the cell's training corpus
+// followed by audit learns: a Resume of the checkpoint on a fresh
+// machine, which trains only when the cell has no checkpoint yet (its
+// learned blob came from the tenant's store).
+func (c *corpusCell) enhanced(audit []sedspec.AuditRecord) ([]byte, error) {
+	att := c.attach()
+	c.mu.Lock()
+	cp, err := c.checkpointLocked(att)
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return spec.EncodeBinary()
+	return encode(cp.Resume(att, audit))
+}
+
+// checkpointLocked returns the cell's training checkpoint, running the
+// training corpus on att the first time.
+func (c *corpusCell) checkpointLocked(att *machine.Attached) (*sedspec.Checkpoint, error) {
+	if c.cp == nil {
+		c.trains++
+		cp, err := sedspec.Train(att, c.target.Train)
+		if err != nil {
+			return nil, err
+		}
+		c.cp = cp
+	}
+	return c.cp, nil
+}
+
+// encode returns a learned spec's binary encoding.
+func encode(r *sedspec.LearnResult, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.Spec.EncodeBinary()
 }
 
 // load returns want's version in st's namespace, compiled, through

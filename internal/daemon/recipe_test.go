@@ -133,14 +133,14 @@ func mustLatestGen(t *testing.T, tn *Tenant, device string) uint64 {
 	return v.Generation
 }
 
-// learnCount returns how many learns the daemon's corpus cells ran.
-func learnCount(d *Daemon) int {
+// trainCount returns how many training runs the daemon's corpus cells ran.
+func trainCount(d *Daemon) int {
 	d.recipeMu.Lock()
 	defer d.recipeMu.Unlock()
 	n := 0
 	for _, c := range d.cells {
 		c.mu.Lock()
-		n += c.learns
+		n += c.trains
 		c.mu.Unlock()
 	}
 	return n
@@ -219,7 +219,7 @@ func TestLearnOncePerDeviceCorpus(t *testing.T) {
 			}
 		}
 	}
-	if n := learnCount(d); n != 5 {
+	if n := trainCount(d); n != 5 {
 		t.Errorf("two tenants installing 14 corpora ran %d learns, want one per device", n)
 	}
 
@@ -247,7 +247,7 @@ func TestLearnOncePerDeviceCorpus(t *testing.T) {
 		}
 		install(t, tn, req, true)
 	}
-	if n := learnCount(d); n != 5 {
+	if n := trainCount(d); n != 5 {
 		t.Errorf("healing a damaged blob ran %d learns", n-5)
 	}
 
@@ -272,7 +272,7 @@ func TestLearnOncePerDeviceCorpus(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := learnCount(fresh); n != 1 {
+	if n := trainCount(fresh); n != 1 {
 		t.Errorf("four concurrent cold installs of fdc ran %d learns, want 1", n)
 	}
 	for _, tn := range cold[1:] {

@@ -107,9 +107,13 @@ func TestEnhanceKeepsLaterWarnings(t *testing.T) {
 		t.Fatal("no audited warning before the enhance")
 	}
 
-	// The enhance learns its child by running the recipe's training; the
-	// first training run raises the later warning.
+	// The enhance learns its child by resuming the device's training
+	// checkpoint. Dropping the checkpoint makes it run the training
+	// first, and that run raises the later warning.
 	rc := eng.rc.Load()
+	rc.mu.Lock()
+	rc.cp = nil
+	rc.mu.Unlock()
 	train, warned := rc.target.Train, false
 	rc.target.Train = func(drv *sedspec.Driver) error {
 		if !warned {

@@ -276,7 +276,11 @@ func (t *Tenant) Swap(req SwapRequest) (SwapResult, error) {
 		}
 		want := sedspec.EnhancedVersion(rc.want.ProgramHash, eng.meta, audit)
 		cv, meta, res.CacheHit, err = rc.load(t.store, want, func() ([]byte, error) {
-			return encode(sedspec.Enhance(rc.attach(), rc.target.Train, audit))
+			chain, err := sedspec.ChainAudit(t.store, eng.meta)
+			if err != nil {
+				return nil, err
+			}
+			return rc.enhanced(append(chain, audit...))
 		})
 		if err != nil {
 			return SwapResult{}, fmt.Errorf("daemon: enhance %s: %w", req.Device, err)

@@ -12,6 +12,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"sedspec/internal/interp"
 	"sedspec/internal/ir"
@@ -81,6 +82,11 @@ func (c *IRQController) Level(line int) bool { return c.level[line] }
 
 // Deliveries reports how many rising edges a line has seen.
 func (c *IRQController) Deliveries(line int) int { return c.count[line] }
+
+// clone returns a deep copy of the controller.
+func (c *IRQController) clone() IRQController {
+	return IRQController{level: maps.Clone(c.level), count: maps.Clone(c.count)}
+}
 
 // Machine hosts devices and routes guest I/O to them.
 type Machine struct {

@@ -253,3 +253,63 @@ func TestMMIORouting(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoDevice", err)
 	}
 }
+
+// TestAttachedCheckpointResume: resuming a checkpoint on a fresh
+// attachment of the same device restores everything a later request can
+// read — guest memory, the control structure, the round counter's
+// EnvTurn parity, link and media, the step budget, the interrupt lines —
+// and leaves the checkpoint reusable.
+func TestAttachedCheckpointResume(t *testing.T) {
+	build := func() (*Machine, *toyDevice, *Attached) {
+		m := New(WithMemory(1 << 16))
+		dev := newToyDevice(t)
+		return m, dev, m.Attach(dev, WithPIO(0x100, 4), WithIRQLine(5))
+	}
+	m, dev, a := build()
+	if err := m.Mem.Write(0x2000, []byte("0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	// Three rounds: an odd count, so a fresh attachment's EnvTurn
+	// parity differs until the resume.
+	for _, req := range [][]byte{{0x42}, nil, {0x43}} {
+		port := uint64(0x100)
+		if req == nil {
+			port, req = 0x101, []byte{0x00, 0x20, 0x00, 0x00}
+		}
+		if _, err := m.PIOWrite(port, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.SetLink(false)
+	a.Interp().SetStepBudget(777)
+	cp := a.Checkpoint()
+
+	for i := 0; i < 2; i++ {
+		m2, dev2, b := build()
+		if err := b.Resume(cp); err != nil {
+			t.Fatal(err)
+		}
+		if string(dev2.state.Bytes()) != string(dev.state.Bytes()) {
+			t.Errorf("resume %d: control structure differs", i)
+		}
+		got := make([]byte, 16)
+		if err := m2.Mem.Read(0x2000, got); err != nil || string(got) != "0123456789abcdef" {
+			t.Errorf("resume %d: guest memory %q, %v", i, got, err)
+		}
+		if b.ReadEnv(ir.EnvTurn) != 1 || b.ReadEnv(ir.EnvLink) != 0 || b.ReadEnv(ir.EnvMedia) != 1 {
+			t.Errorf("resume %d: env turn/link/media = %d/%d/%d", i,
+				b.ReadEnv(ir.EnvTurn), b.ReadEnv(ir.EnvLink), b.ReadEnv(ir.EnvMedia))
+		}
+		if b.Interp().StepBudget() != 777 {
+			t.Errorf("resume %d: step budget %d", i, b.Interp().StepBudget())
+		}
+		if !m2.IRQ.Level(5) || m2.IRQ.Deliveries(5) != 1 {
+			t.Errorf("resume %d: irq line 5 level %t, deliveries %d", i, m2.IRQ.Level(5), m2.IRQ.Deliveries(5))
+		}
+		// Writing the resumed machine leaves the checkpoint as it was.
+		m2.IRQ.Deassert(5)
+		if err := m2.Mem.Write(0x2000, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -56,3 +56,43 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.halted = false
 	return nil
 }
+
+// Checkpoint is a Snapshot plus what a device run leaves on its
+// attachment and interrupt controller: the round counter (whose parity
+// is EnvTurn), link and media status, the interpreter's step budget and
+// the interrupt lines. Resume puts it onto a fresh attachment of the same
+// device, so a run continues exactly where the checkpointed one stopped.
+// A checkpoint is never written after it is taken: any number of
+// attachments may resume from it, concurrently.
+type Checkpoint struct {
+	snap       *Snapshot
+	round      uint64
+	linkUp     bool
+	media      bool
+	stepBudget int
+	irq        IRQController
+}
+
+// Checkpoint captures the attachment's machine and run state.
+func (a *Attached) Checkpoint() *Checkpoint {
+	return &Checkpoint{
+		snap:       a.machine.Snapshot(),
+		round:      a.round,
+		linkUp:     a.linkUp,
+		media:      a.mediaPresent,
+		stepBudget: a.in.StepBudget(),
+		irq:        a.machine.IRQ.clone(),
+	}
+}
+
+// Resume restores cp onto the attachment: its machine as Restore does,
+// then the attachment's run state and the interrupt lines.
+func (a *Attached) Resume(cp *Checkpoint) error {
+	if err := a.machine.Restore(cp.snap); err != nil {
+		return err
+	}
+	a.round, a.linkUp, a.mediaPresent = cp.round, cp.linkUp, cp.media
+	a.in.SetStepBudget(cp.stepBudget)
+	*a.machine.IRQ = cp.irq.clone()
+	return nil
+}

@@ -84,7 +84,7 @@ func TestJournalPersistAndReload(t *testing.T) {
 	if st.Records != 20 || st.Truncations != 0 {
 		t.Fatalf("stats after reload: %+v", st)
 	}
-	tail, err := j2.Tail(0)
+	tail, err := readAll(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestJournalTornWriteRecovery(t *testing.T) {
 		if st.Records != n-1 {
 			t.Fatalf("cut %d: records = %d, want %d", cut, st.Records, n-1)
 		}
-		tail, err := jr.Tail(0)
+		tail, err := readAll(jr)
 		if err != nil || len(tail) != n-1 {
 			t.Fatalf("cut %d: tail %d events, %v", cut, len(tail), err)
 		}
@@ -278,7 +278,7 @@ func TestJournalRotationAndRetention(t *testing.T) {
 	}
 	// The oldest retained record is whatever survived pruning; the tail
 	// must still end at 100 and be contiguous.
-	tail, err := j.Tail(0)
+	tail, err := readAll(j)
 	if err != nil || len(tail) == 0 {
 		t.Fatalf("tail: %d, %v", len(tail), err)
 	}
@@ -356,7 +356,7 @@ func TestJournalAttachDrains(t *testing.T) {
 	}
 	j2 := mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
 	defer j2.Close()
-	tail, err := j2.Tail(0)
+	tail, err := readAll(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +379,8 @@ func TestJournalAttachDrains(t *testing.T) {
 }
 
 // TestJournalHubRestore closes the loop the daemon relies on: reopen,
-// Tail into Hub.Restore, and the hub's recent ring + seq counter carry
-// the pre-restart history.
+// fold the journal, and the restarted hub's seq counter resumes past the
+// pre-restart history, which /journal reads back from disk.
 func TestJournalHubRestore(t *testing.T) {
 	dir := t.TempDir()
 	hub := stream.NewHub()
@@ -393,26 +393,40 @@ func TestJournalHubRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": fresh hub, replay the journal tail.
+	// "Restart": fresh hub, resumed from the journal's newest seq.
 	hub2 := stream.NewHub()
 	j2 := mustOpen(t, Options{Dir: dir, Fsync: PolicyNone})
 	defer j2.Close()
-	tail, err := j2.Tail(stream.RecentCap)
+	_, last, err := j2.FoldBaselines()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub2.Restore(tail)
-	recent := hub2.Recent(stream.MaskAll, 0)
-	if len(recent) != 7 {
-		t.Fatalf("restored recent: %d", len(recent))
+	if last != 7 {
+		t.Fatalf("folded last seq %d, want 7", last)
 	}
-	if recent[len(recent)-1].Seq != 7 {
-		t.Fatalf("restored last seq %d", recent[len(recent)-1].Seq)
-	}
-	// New publishes resume past the restored history.
+	hub2.ResumeAt(last)
+	hub2.ResumeAt(3) // never moves back
+	j2.Attach(hub2)
 	if seq := hub2.Publish(testEvent(0, stream.KindAudit, "prod", "fdc")); seq != 8 {
-		t.Fatalf("post-restore publish seq %d, want 8", seq)
+		t.Fatalf("post-restart publish seq %d, want 8", seq)
 	}
+	history, err := readAll(j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(history) != 8 || history[6].Seq != 7 || history[7].Seq != 8 {
+		t.Fatalf("history after restart: %d events", len(history))
+	}
+}
+
+// readAll returns every event in the journal, oldest first.
+func readAll(j *Journal) ([]stream.Event, error) {
+	var out []stream.Event
+	err := j.Query(stream.Query{}, func(ev *stream.Event) bool {
+		out = append(out, *ev)
+		return true
+	})
+	return out, err
 }
 
 // TestJournalFoldBaselines pins the one-authoritative-source-per-count
@@ -448,9 +462,12 @@ func TestJournalFoldBaselines(t *testing.T) {
 	// Engine-level event with no device: folded into no row.
 	add(stream.Event{Kind: stream.KindSpec, Tenant: "prod", SpecGen: 5, Spec: &stream.SpecInfo{Generation: 5}})
 
-	rows, err := j.FoldBaselines()
+	rows, last, err := j.FoldBaselines()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if last != seq {
+		t.Errorf("folded last seq %d, want %d", last, seq)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows: %+v", rows)

@@ -157,44 +157,29 @@ func walkSegment(v *segView, fn func(ev *stream.Event) bool) (stop bool, err err
 	return false, nil
 }
 
-// Tail returns the newest max events (all when max <= 0), oldest
-// first — the shape stream.Hub.Restore wants for rebuilding the
-// recent-events ring on daemon boot.
-func (j *Journal) Tail(max int) ([]stream.Event, error) {
-	var out []stream.Event
-	err := j.Query(stream.Query{}, func(ev *stream.Event) bool {
-		out = append(out, *ev)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
-	}
-	return out, nil
-}
-
-// FoldBaselines replays the whole journal into per-(tenant, device)
-// history rows for Health.AddBaseline, so /fleet counters survive a
-// restart. Each count has exactly one authoritative source to avoid
-// double counting: blocked from anomaly events, warned from audit
-// events, rounds from detach finals (the only record that carries
-// them), swaps from swap events, generation from the highest SpecGen
-// stamp seen on any of the device's events.
-func (j *Journal) FoldBaselines() ([]stream.BaselineRow, error) {
+// FoldBaselines replays the whole journal, in one pass, into
+// per-(tenant, device) history rows for Health.AddBaseline, so /fleet
+// counters survive a restart, and the newest sequence number on disk,
+// which a restarted hub resumes from (Hub.ResumeAt). Each count has
+// exactly one authoritative source to avoid double counting: blocked
+// from anomaly events, warned from audit events, rounds from detach
+// finals (the only record that carries them), swaps from swap events,
+// generation from the highest SpecGen stamp seen on any of the device's
+// events.
+func (j *Journal) FoldBaselines() (rows []stream.BaselineRow, lastSeq uint64, err error) {
 	type key struct{ tenant, device string }
-	rows := make(map[key]*stream.BaselineRow)
+	byKey := make(map[key]*stream.BaselineRow)
 	get := func(ev *stream.Event) *stream.BaselineRow {
 		k := key{ev.Tenant, ev.Device}
-		r := rows[k]
+		r := byKey[k]
 		if r == nil {
 			r = &stream.BaselineRow{Tenant: ev.Tenant, Device: ev.Device}
-			rows[k] = r
+			byKey[k] = r
 		}
 		return r
 	}
-	err := j.Query(stream.Query{}, func(ev *stream.Event) bool {
+	err = j.Query(stream.Query{}, func(ev *stream.Event) bool {
+		lastSeq = max(lastSeq, ev.Seq)
 		if ev.Device == "" {
 			return true // engine-level events (spec publications) carry no device row
 		}
@@ -217,15 +202,15 @@ func (j *Journal) FoldBaselines() ([]stream.BaselineRow, error) {
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := make([]stream.BaselineRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
+	rows = make([]stream.BaselineRow, 0, len(byKey))
+	for _, r := range byKey {
+		rows = append(rows, *r)
 	}
 	// Deterministic order for tests and logs.
-	sortRows(out)
-	return out, nil
+	sortRows(rows)
+	return rows, lastSeq, nil
 }
 
 func sortRows(rows []stream.BaselineRow) {

@@ -272,13 +272,17 @@ func (e *Event) String() string {
 }
 
 // RecentCap bounds the hub's recent-events ring, which backs /journal
-// history on a process without a disk journal and the journal's
-// restart replay.
+// history on a process without a disk journal.
 const RecentCap = 256
 
 // DefaultSubBuffer is a subscriber ring's capacity unless WithBuffer
 // overrides it.
 const DefaultSubBuffer = 1024
+
+// initialSubBuffer is the slot count a subscriber ring starts with; it
+// doubles, up to its capacity, whenever an event finds it full, so an
+// idle or keeping-up subscriber holds a few slots, not its capacity.
+const initialSubBuffer = 16
 
 // Hub is the broadcast fan-out point. The zero value is not usable;
 // construct with NewHub. A nil *Hub is a valid sink that drops
@@ -290,11 +294,8 @@ type Hub struct {
 	seq       uint64
 	published [NumKinds]uint64
 	dropped   [NumKinds]uint64
-	// recent is an insertion-order ring of the last RecentCap events:
-	// rpos is the next write slot, rcount the live entry count. The ring
-	// is decoupled from seq so restored history (journal replay after a
-	// restart, where persisted kinds may be a filtered subsequence) reads
-	// back exactly as stored.
+	// recent is an insertion-order ring of the last RecentCap published
+	// events: rpos is the next write slot, rcount the live entry count.
 	recent [RecentCap]Event
 	rpos   int
 	rcount int
@@ -348,28 +349,18 @@ func (h *Hub) retain(ev Event) {
 	}
 }
 
-// Restore seeds the hub with persisted history after a restart: the
-// events enter the recent ring in order and the sequence counter
-// resumes past the highest restored seq, so post-restart publications
-// extend the pre-restart total order instead of re-issuing already
-// journaled sequence numbers (a `sedspec logs -follow` client's
-// cursor keeps working across the restart). Events whose seq is not beyond the
-// hub's current counter are skipped — Restore only moves time forward.
-// Call before any subscriber attaches; restored events are not fanned
-// out (they are history, not news).
-func (h *Hub) Restore(events []Event) {
+// ResumeAt moves the sequence counter forward to seq after a restart,
+// so post-restart publications extend the journaled total order instead
+// of re-issuing already journaled sequence numbers (a `sedspec logs
+// -follow` client's cursor keeps working across the restart). It never
+// moves the counter back. Call before any subscriber attaches.
+func (h *Hub) ResumeAt(seq uint64) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ev := range events {
-		if ev.Seq <= h.seq {
-			continue
-		}
-		h.seq = ev.Seq
-		h.retain(ev)
-	}
+	h.seq = max(h.seq, seq)
+	h.mu.Unlock()
 }
 
 // Published returns how many events of kind k the hub has accepted.
@@ -450,7 +441,7 @@ type SubOption func(*Sub)
 func WithBuffer(n int) SubOption {
 	return func(s *Sub) {
 		if n > 0 {
-			s.buf = make([]Event, n)
+			s.limit = n
 		}
 	}
 }
@@ -468,13 +459,11 @@ func WithKinds(m KindMask) SubOption {
 // Subscribe attaches a new subscriber. The returned Sub must be
 // consumed by a single goroutine and closed when done.
 func (h *Hub) Subscribe(opts ...SubOption) *Sub {
-	s := &Sub{hub: h, mask: MaskAll, notify: make(chan struct{}, 1)}
+	s := &Sub{hub: h, mask: MaskAll, limit: DefaultSubBuffer, notify: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.buf == nil {
-		s.buf = make([]Event, DefaultSubBuffer)
-	}
+	s.buf = make([]Event, min(initialSubBuffer, s.limit))
 	h.mu.Lock()
 	s.joinPub = h.published
 	h.subs = append(h.subs, s)
@@ -496,8 +485,10 @@ type Sub struct {
 	leavePub [NumKinds]uint64
 	left     bool
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// buf is the ring, grown by doubling up to limit slots.
 	buf         []Event
+	limit       int
 	head, count int
 	enqueued    uint64
 	dropped     uint64
@@ -509,9 +500,12 @@ type Sub struct {
 }
 
 // push offers one event; called with the hub lock held. Returns false
-// when the ring was full and the event dropped.
+// when the ring was full at its capacity and the event dropped.
 func (s *Sub) push(ev Event) bool {
 	s.mu.Lock()
+	if !s.closed && s.count == len(s.buf) && len(s.buf) < s.limit {
+		s.grow()
+	}
 	if s.closed || s.count == len(s.buf) {
 		if !s.closed {
 			s.dropped++
@@ -530,6 +524,15 @@ func (s *Sub) push(ev Event) bool {
 	default:
 	}
 	return true
+}
+
+// grow doubles the full ring, up to limit slots, keeping its events in
+// order; called with s.mu held.
+func (s *Sub) grow() {
+	buf := make([]Event, min(2*len(s.buf), s.limit))
+	n := copy(buf, s.buf[s.head:])
+	copy(buf[n:], s.buf[:s.head])
+	s.buf, s.head = buf, 0
 }
 
 // Accounting returns, per kind, how many events the hub published

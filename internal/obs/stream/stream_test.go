@@ -146,6 +146,52 @@ func TestDropAccounting(t *testing.T) {
 	}
 }
 
+// TestSubRingGrowsToCapacity: a subscriber ring starts small and grows
+// on demand to exactly its capacity. A burst up to the capacity, begun
+// with the ring partly consumed so its head is not at slot zero, is
+// enqueued with no drop and read back in order; the next event drops
+// and is accounted for, and consuming frees a slot again.
+func TestSubRingGrowsToCapacity(t *testing.T) {
+	const capacity = 100
+	h := NewHub()
+	sub := h.Subscribe(WithBuffer(capacity))
+	defer sub.Close()
+	if n := len(sub.buf); n != initialSubBuffer {
+		t.Fatalf("a fresh ring holds %d slots, want %d", n, initialSubBuffer)
+	}
+	for i := 0; i < 5; i++ {
+		h.Publish(Event{Kind: KindAttach, Session: -1})
+		if _, ok := sub.TryRecv(); !ok {
+			t.Fatalf("warm-up event %d not delivered", i)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		h.Publish(Event{Kind: KindAttach, Session: i})
+	}
+	if n := len(sub.buf); n != capacity {
+		t.Errorf("after a full burst the ring holds %d slots, want its capacity %d", n, capacity)
+	}
+	if sub.Dropped() != 0 || sub.Enqueued() != 5+capacity {
+		t.Fatalf("burst to capacity: enqueued %d, dropped %d", sub.Enqueued(), sub.Dropped())
+	}
+	h.Publish(Event{Kind: KindAnomaly, Session: capacity})
+	pub, enq, drop := sub.Accounting()
+	if sub.Dropped() != 1 || drop[KindAnomaly] != 1 || pub[KindAnomaly] != enq[KindAnomaly]+drop[KindAnomaly] ||
+		pub[KindAttach] != enq[KindAttach] {
+		t.Fatalf("one past capacity: published %v, enqueued %v, dropped %v", pub, enq, drop)
+	}
+	for i := 0; i < capacity; i++ {
+		ev, ok := sub.TryRecv()
+		if !ok || ev.Session != i {
+			t.Fatalf("slot %d: got %+v (ok %t), want session %d", i, ev, ok, i)
+		}
+	}
+	h.Publish(Event{Kind: KindAnomaly, Session: -2})
+	if ev, ok := sub.TryRecv(); !ok || ev.Session != -2 || sub.Dropped() != 1 {
+		t.Errorf("after draining: got %+v (ok %t), dropped %d", ev, ok, sub.Dropped())
+	}
+}
+
 // TestConsumedEventReleased: a subscriber ring frees an event's payload
 // once the event is consumed. After an anomaly is received and RecentCap
 // further events push it out of the hub's recent ring, nothing the hub

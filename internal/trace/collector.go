@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"sedspec/internal/interp"
 	"sedspec/internal/ir"
 )
@@ -29,11 +32,16 @@ func DeviceConfig(p *ir.Program) Config {
 
 // Collector buffers trace packets. It implements interp.Tracer and is
 // installed on a device's interpreter during the data-collection phase.
+//
+// Packets are kept encoded, a few bytes each, in one append-only stream:
+// a kind byte, then the IP as a uvarint (PGE, PGD, TIP) or the bit count
+// and the bits packed oldest-first into one byte (TNT). Packets decodes
+// the stream.
 type Collector struct {
-	cfg     Config
-	packets []Packet
-	tntBuf  []bool
-	stats   Stats
+	cfg    Config
+	stream []byte
+	tntBuf []bool
+	stats  Stats
 }
 
 var _ interp.Tracer = (*Collector)(nil)
@@ -43,15 +51,53 @@ func NewCollector(cfg Config) *Collector {
 	return &Collector{cfg: cfg, tntBuf: make([]bool, 0, tntCapacity)}
 }
 
-// Packets returns the collected packet stream.
-func (c *Collector) Packets() []Packet { return c.packets }
+// Fork returns a collector that continues this one's stream: it starts
+// with the packets and statistics collected so far, and what it collects
+// next is its own. The collector forked from is never written through
+// the fork, so several forks of one collector may run concurrently.
+func (c *Collector) Fork() *Collector {
+	return &Collector{
+		cfg:    c.cfg,
+		stream: slices.Clip(c.stream),
+		tntBuf: append(make([]bool, 0, tntCapacity), c.tntBuf...),
+		stats:  c.stats,
+	}
+}
+
+// Packets decodes the collected packet stream. Each call returns fresh
+// packets.
+func (c *Collector) Packets() []Packet {
+	out := make([]Packet, 0, c.stats.Packets)
+	var bits []bool
+	for s := c.stream; len(s) > 0; {
+		p := Packet{Kind: PacketKind(s[0])}
+		if p.Kind == PktTNT {
+			n := int(s[1])
+			if cap(bits)-len(bits) < n {
+				bits = make([]bool, 0, max(n, 4096))
+			}
+			for i := 0; i < n; i++ {
+				bits = append(bits, s[2]&(1<<i) != 0)
+			}
+			p.Bits, bits = bits[:n:n], bits[n:]
+			s = s[3:]
+		} else {
+			var k int
+			p.Addr, k = binary.Uvarint(s[1:])
+			s = s[1+k:]
+		}
+		out = append(out, p)
+	}
+	return out
+}
 
 // Stats returns collection statistics.
 func (c *Collector) Stats() Stats { return c.stats }
 
-// Reset clears the packet buffer and statistics.
+// Reset clears the packet buffer and statistics. The stream is dropped,
+// not reused: a fork may share it.
 func (c *Collector) Reset() {
-	c.packets = c.packets[:0]
+	c.stream = nil
 	c.tntBuf = c.tntBuf[:0]
 	c.stats = Stats{}
 }
@@ -70,8 +116,9 @@ func (c *Collector) pass(from uint64) bool {
 	return true
 }
 
-func (c *Collector) emit(p Packet) {
-	c.packets = append(c.packets, p)
+// emit appends an IP-carrying packet (PGE, PGD, TIP).
+func (c *Collector) emit(kind PacketKind, addr uint64) {
+	c.stream = binary.AppendUvarint(append(c.stream, byte(kind)), addr)
 	c.stats.Packets++
 }
 
@@ -79,21 +126,26 @@ func (c *Collector) flushTNT() {
 	if len(c.tntBuf) == 0 {
 		return
 	}
-	bits := make([]bool, len(c.tntBuf))
-	copy(bits, c.tntBuf)
-	c.emit(Packet{Kind: PktTNT, Bits: bits})
+	var bits byte
+	for i, taken := range c.tntBuf {
+		if taken {
+			bits |= 1 << i
+		}
+	}
+	c.stream = append(c.stream, byte(PktTNT), byte(len(c.tntBuf)), bits)
+	c.stats.Packets++
 	c.tntBuf = c.tntBuf[:0]
 }
 
 // TraceStart implements interp.Tracer.
 func (c *Collector) TraceStart(addr uint64) {
-	c.emit(Packet{Kind: PktPGE, Addr: addr})
+	c.emit(PktPGE, addr)
 }
 
 // TraceEnd implements interp.Tracer.
 func (c *Collector) TraceEnd(addr uint64) {
 	c.flushTNT()
-	c.emit(Packet{Kind: PktPGD, Addr: addr})
+	c.emit(PktPGD, addr)
 }
 
 // TraceBranch implements interp.Tracer.
@@ -114,5 +166,5 @@ func (c *Collector) TraceIndirect(from, target uint64) {
 	}
 	// TNT bits must stay ordered relative to TIPs for the decoder.
 	c.flushTNT()
-	c.emit(Packet{Kind: PktTIP, Addr: target})
+	c.emit(PktTIP, target)
 }

@@ -37,6 +37,7 @@ import (
 	"sedspec/internal/checker"
 	"sedspec/internal/core"
 	"sedspec/internal/interp"
+	"sedspec/internal/ir"
 	"sedspec/internal/itccfg"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
@@ -209,31 +210,98 @@ func Learn(att *machine.Attached, train TrainFunc) (*core.Spec, error) {
 	return r.Spec, nil
 }
 
-// LearnFull is Learn, returning all intermediate artifacts.
+// LearnFull is Learn, returning all intermediate artifacts: Train, then
+// a Resume of its checkpoint that replays nothing.
 func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
+	cp, err := Train(att, train)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Resume(att, nil)
+}
+
+// Checkpoint is a learn stopped at the end of its training run (phase
+// 1a): the trace packets and statistics, the capture recorder's log and
+// values, and the machine and attachment state the run left behind. It
+// is immutable: each Resume continues from it on its own copy-on-write
+// view, so one training run serves any number of learns that extend the
+// same corpus, in any order or concurrently.
+type Checkpoint struct {
+	prog *ir.Program
+	col  *trace.Collector
+	rec  *analysis.Recorder
+	run  *machine.Checkpoint
+}
+
+// Train runs phase 1a: the device is reset, then the training samples
+// run once, traced (processor-trace collection) and observed (every
+// field watched) at once. A nil train runs no samples.
+func Train(att *machine.Attached, train TrainFunc) (*Checkpoint, error) {
 	dev := att.Dev()
 	prog := dev.Program()
-	in := att.Interp()
-
-	// Phase 1a: one run of the training samples, traced (processor-trace
-	// collection) and observed (every field watched) at once.
 	dev.Reset()
-	col := trace.NewCollector(trace.DeviceConfig(prog))
-	rec := analysis.NewCaptureRecorder(prog)
+	cp := &Checkpoint{
+		prog: prog,
+		col:  trace.NewCollector(trace.DeviceConfig(prog)),
+		rec:  analysis.NewCaptureRecorder(prog),
+	}
+	if train != nil {
+		if err := observe(att, cp.col, cp.rec, train); err != nil {
+			return nil, fmt.Errorf("sedspec: training run: %w", err)
+		}
+	}
+	cp.run = att.Checkpoint()
+	return cp, nil
+}
+
+// observe runs issue on att with col tracing and rec observing every
+// field.
+func observe(att *machine.Attached, col *trace.Collector, rec *analysis.Recorder, issue TrainFunc) error {
+	in := att.Interp()
 	in.SetTracer(col)
 	in.SetObserver(rec)
 	in.SetWatch(rec.Watch())
-	err := train(&Driver{att: att, rec: rec})
+	err := issue(&Driver{att: att, rec: rec})
 	in.SetTracer(nil)
 	in.SetObserver(nil)
 	in.SetWatch(nil)
-	if err != nil {
-		return nil, fmt.Errorf("sedspec: training run: %w", err)
+	return err
+}
+
+// Resume finishes a learn from the checkpoint. When audit is non-empty,
+// att (an attachment of the program the checkpoint trained, such as a
+// fresh instance of the device) takes the checkpoint's machine state and
+// each audited request replays on it in order, traced and observed, as
+// if it had followed the training samples in one run. Then phase 1b
+// builds the ITC-CFG, selects device-state parameters and narrows the
+// observation log to them, and phase 2 constructs the execution
+// specification. att's device is reset afterwards. The checkpoint is
+// left unchanged.
+func (cp *Checkpoint) Resume(att *machine.Attached, audit []AuditRecord) (*LearnResult, error) {
+	prog := cp.prog
+	if att.Dev().Program() != prog {
+		return nil, fmt.Errorf("sedspec: resume: checkpoint of %s cannot resume on %s", prog.Name, att.Dev().Name())
+	}
+	col, rec := cp.col.Fork(), cp.rec.Fork()
+	if len(audit) > 0 {
+		if err := att.Resume(cp.run); err != nil {
+			return nil, fmt.Errorf("sedspec: resume: %w", err)
+		}
+		err := observe(att, col, rec, func(d *Driver) error {
+			for i := range audit {
+				if err := replayAudit(d, &audit[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Phase 1b: ITC-CFG construction and parameter selection, then the
 	// observation log narrowed to the selected parameters.
-	stats := col.Stats()
 	runs, err := trace.Decode(prog, col.Packets())
 	if err != nil {
 		return nil, fmt.Errorf("sedspec: decode trace: %w", err)
@@ -250,13 +318,13 @@ func LearnFull(att *machine.Attached, train TrainFunc) (*LearnResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sedspec: build spec: %w", err)
 	}
-	dev.Reset()
+	att.Dev().Reset()
 	return &LearnResult{
 		Spec:   spec,
 		Params: params,
 		Graph:  graph,
 		Log:    log,
-		Trace:  stats,
+		Trace:  col.Stats(),
 	}, nil
 }
 
