@@ -181,6 +181,36 @@ func TestCheckpointResumeMatchesComposedLearn(t *testing.T) {
 	}
 }
 
+// fdcAudit issues op on a fresh fdc under spec in enhancement mode and
+// returns its warnings.
+func fdcAudit(t *testing.T, c learnCorpus, spec *sedspec.Spec, op func(g *fdc.Guest) error) []sedspec.AuditRecord {
+	t.Helper()
+	att := c.attach()
+	sh := sedspec.NewSharedChecker(spec, checker.WithMode(checker.ModeEnhancement))
+	sedspec.ProtectShared(att, sh)
+	g := fdc.NewGuest(sedspec.NewDriver(att))
+	if err := g.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := op(g); err != nil {
+		t.Fatal(err)
+	}
+	return sh.Audit()
+}
+
+// raises reports whether audit holds a warning with detail.
+func raises(audit []sedspec.AuditRecord, detail string) bool {
+	for _, a := range audit {
+		if a.Detail == detail {
+			return true
+		}
+	}
+	return false
+}
+
+func fdcDumpReg(g *fdc.Guest) error { return g.DumpReg() }
+func fdcFormat(g *fdc.Guest) error  { return g.Format(0, 2, 9) }
+
 // TestEnhanceChainKeepsParentEnhancements pins what an enhanced child of
 // an enhanced parent learns: its parent's warnings too. On fdc, DumpReg
 // warns "unknown device command 0xe" under the learned spec, and the
@@ -198,35 +228,7 @@ func TestEnhanceChainKeepsParentEnhancements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// audit issues op on a fresh fdc under spec in enhancement mode and
-	// returns its warnings.
-	audit := func(spec *sedspec.Spec, op func(g *fdc.Guest) error) []sedspec.AuditRecord {
-		t.Helper()
-		att := c.attach()
-		sh := sedspec.NewSharedChecker(spec, checker.WithMode(checker.ModeEnhancement))
-		sedspec.ProtectShared(att, sh)
-		g := fdc.NewGuest(sedspec.NewDriver(att))
-		if err := g.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		if err := op(g); err != nil {
-			t.Fatal(err)
-		}
-		return sh.Audit()
-	}
-	// raises reports whether audit holds a warning with detail.
-	raises := func(audit []sedspec.AuditRecord, detail string) bool {
-		for _, a := range audit {
-			if a.Detail == detail {
-				return true
-			}
-		}
-		return false
-	}
-	dumpReg := func(g *fdc.Guest) error { return g.DumpReg() }
-	format := func(g *fdc.Guest) error { return g.Format(0, 2, 9) }
-
-	a1 := audit(spec, dumpReg)
+	a1 := fdcAudit(t, c, spec, fdcDumpReg)
 	if len(a1) == 0 {
 		t.Fatal("DumpReg raised no warning under the learned spec")
 	}
@@ -235,10 +237,10 @@ func TestEnhanceChainKeepsParentEnhancements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raises(audit(child1, dumpReg), original) {
+	if raises(fdcAudit(t, c, child1, fdcDumpReg), original) {
 		t.Fatalf("DumpReg still warns %q under the child enhanced from it", original)
 	}
-	a2 := audit(child1, format)
+	a2 := fdcAudit(t, c, child1, fdcFormat)
 	if len(a2) == 0 {
 		t.Fatal("Format raised no warning under the first child")
 	}
@@ -249,7 +251,71 @@ func TestEnhanceChainKeepsParentEnhancements(t *testing.T) {
 	if meta2.Parent != meta1.Generation {
 		t.Errorf("second child's parent is generation %d, want %d", meta2.Parent, meta1.Generation)
 	}
-	if raises(audit(child2, dumpReg), original) {
+	if raises(fdcAudit(t, c, child2, fdcDumpReg), original) {
+		t.Errorf("the chained child forgot its parent's enhancement: DumpReg warns %q again", original)
+	}
+}
+
+// TestEnhancedVersionKeys pins the enhanced-child key scheme. A child of
+// a learned parent keeps the key every build has given it (a golden
+// value), so existing stores still hit. A child of an enhanced parent
+// replays the parent's chain, so its key is domain-separated from what
+// the same derivation gives a learned parent's child.
+func TestEnhancedVersionKeys(t *testing.T) {
+	parent := sedspec.SpecVersion{Device: "fdc", ProgramHash: "prog", Generation: 1, CreatedBy: "learn",
+		CorpusHash: "learned-corpus"}
+	audit := []sedspec.AuditRecord{{Space: 0, Addr: 0x3f5, Write: true, Data: []byte{0x0e}}}
+	child := sedspec.EnhancedVersion("prog", parent, audit)
+	if want := "5586cbd3368762eb643d78b5e4fa987ff07517ff626e1c78707c55e42158bae7"; child.CorpusHash != want {
+		t.Errorf("first-level child corpus hash %s, want %s", child.CorpusHash, want)
+	}
+	parent.CreatedBy = "enhance"
+	if chained := sedspec.EnhancedVersion("prog", parent, audit); chained.Key() == child.Key() {
+		t.Errorf("a chained child shares the key %+v of a learned parent's child", chained.Key())
+	}
+}
+
+// TestForgetfulChainedChildIsAMiss pins the chained key against a store
+// written when a chained enhance learned only training plus its own
+// audit: such a store holds that forgetful child under the key a learned
+// parent's child derivation gives. EnhanceToStore must not load it, but
+// learn the chain and publish a new generation.
+func TestForgetfulChainedChildIsAMiss(t *testing.T) {
+	tg := workload.TargetByName("fdc", true)
+	c := learnCorpus{"fdc", tg.Build, tg.Train}
+	st, err := sedspec.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, meta, _, err := sedspec.LearnCached(st, c.attach(), "benign", tg.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1 := fdcAudit(t, c, spec, fdcDumpReg)
+	child1, meta1, _, err := sedspec.EnhanceToStore(st, c.attach(), meta, tg.Train, a1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2 := fdcAudit(t, c, child1, fdcFormat)
+	forgetful, err := sedspec.Enhance(c.attach(), tg.Train, a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asLearned := meta1
+	asLearned.CreatedBy = "learn"
+	stale, err := st.Put(forgetful, sedspec.EnhancedVersion(meta1.ProgramHash, asLearned, a2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	child2, meta2, hit, err := sedspec.EnhanceToStore(st, c.attach(), meta1, tg.Train, a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || meta2.Generation <= stale.Generation {
+		t.Fatalf("enhance of generation %d: hit=%v generation %d, want a miss publishing past the forgetful generation %d",
+			meta1.Generation, hit, meta2.Generation, stale.Generation)
+	}
+	if original := a1[0].Detail; raises(fdcAudit(t, c, child2, fdcDumpReg), original) {
 		t.Errorf("the chained child forgot its parent's enhancement: DumpReg warns %q again", original)
 	}
 }

@@ -5,17 +5,15 @@
 //
 //	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|throughput]
 //	         [-full] [-frames N] [-mib N]
-//	         [-throughput-ops N] [-throughput-iters N] [-throughput-e2e-ops N] [-throughput-out FILE]
 //
-// The throughput experiment measures checked-I/O scaling when one sealed
-// spec is shared across 1, 2, 4, 8 concurrent enforcement sessions per
-// device, with GOMAXPROCS pinned to min(sessions, host CPUs) per row and
-// a per-round/batched delivery ablation at every point — both the bare
-// check loop (captured-stream replay) and full guest sessions on a
-// machine pool — and writes -throughput-out (default
-// BENCH_throughput.json, version 2). The check loop must be
-// allocation-free at steady state; any point that allocates fails the
-// experiment.
+// The throughput experiment measures, per device, how the cost of one
+// checked I/O changes when 2, 4 and host-CPU-count sessions share one
+// sealed spec instead of one session running alone (bench.ScalingRatio:
+// the median over interleaved 1-vs-N chunk pairs of process CPU plus
+// lock-wait time per checked I/O, GOMAXPROCS pinned to min(sessions,
+// host CPUs)), on the per-round and the batched delivery path. The check
+// loop must be allocation-free at steady state; a side whose best window
+// allocates fails the experiment.
 //
 // An unknown -experiment name is an error that lists the valid names.
 // Per-I/O check cost by device, steps and allocations per I/O, the
@@ -46,17 +44,10 @@ func main() {
 	full := flag.Bool("full", false, "run Table II at the paper's full 10/20/30 hours")
 	frames := flag.Int("frames", 600, "frames per Figure 5 bandwidth series")
 	mib := flag.Int("mib", 8, "MiB per Figure 3/4 data point")
-	tpOps := flag.Int("throughput-ops", 60, "benign session ops captured per device for the throughput replay")
-	tpIters := flag.Int("throughput-iters", 200_000, "timed replay rounds per session for the throughput experiment")
-	tpE2EOps := flag.Int("throughput-e2e-ops", 200, "benign ops per full guest session for the e2e throughput rows")
-	tpOut := flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput experiment's JSON rows")
 	listen := flag.String("listen", "", "serve the introspection endpoints (/healthz /fleet /metrics /journal /debug/pprof) on this address (profile live runs)")
 	flag.Parse()
 
-	cfg := runConfig{
-		full: *full, frames: *frames, mib: *mib,
-		tpOps: *tpOps, tpIters: *tpIters, tpE2EOps: *tpE2EOps, tpOut: *tpOut,
-	}
+	cfg := runConfig{full: *full, frames: *frames, mib: *mib}
 	if err := realMain(*experiment, cfg, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "sedbench:", err)
 		os.Exit(1)
@@ -77,11 +68,16 @@ func realMain(experiment string, cfg runConfig, listenAddr string) error {
 type runConfig struct {
 	full        bool
 	frames, mib int
-	tpOps       int
-	tpIters     int
-	tpE2EOps    int
-	tpOut       string
 }
+
+// The throughput experiment's replay: benign session ops captured per
+// device, timed rounds per session per chunk, and 1-vs-N chunk pairs per
+// point.
+const (
+	scalingOps   = 40
+	scalingIters = 5000
+	scalingPairs = 11
+)
 
 // experiments lists the names -experiment accepts besides "all", in the
 // order run executes them.
@@ -183,57 +179,32 @@ func run(experiment string, cfg runConfig) error {
 	}
 
 	if want("throughput") {
-		counts := bench.SessionCounts()
-		if bench.DegradedParallelism() {
-			fmt.Fprintf(os.Stderr, "sedbench: WARNING: host has %d CPU(s) but the session ladder tops out at %d.\n"+
-				"sedbench: rows with sessions > host CPUs time-slice on shared cores; their scaling numbers are\n"+
-				"sedbench: work-normalized estimates, not wall-clock parallelism (degraded_parallelism=true in %s).\n"+
-				"sedbench: for wall-clock scaling, re-run on a host with >= %d cores:\n"+
-				"sedbench:     go run ./cmd/sedbench -experiment throughput\n",
-				runtime.NumCPU(), counts[len(counts)-1], cfg.tpOut, counts[len(counts)-1])
-		}
-		var rows []*bench.ThroughputRow
-		var e2e []*bench.E2ERow
+		// 2, 4 and the host's CPU count, each once.
+		counts := []int{2, 4, max(runtime.NumCPU(), 2)}
+		slices.Sort(counts)
+		counts = slices.Compact(counts)
+		fmt.Fprintf(w, "throughput: cost per checked I/O, N sessions on one shared spec vs one session alone\n"+
+			"  (median of %d interleaved pairs, process CPU + lock wait per I/O)\n", scalingPairs)
 		for _, t := range workload.Targets(true) {
-			r, err := bench.NewCheckerReplay(t, cfg.tpOps)
+			r, err := bench.NewCheckerReplay(t, scalingOps)
 			if err != nil {
 				return err
 			}
-			trs, err := bench.Throughput(r, cfg.tpIters, counts)
-			if err != nil {
-				return err
-			}
-			for _, row := range trs {
+			for _, bs := range []int{0, bench.DefaultBatchSize} {
 				path := "per-round"
-				if row.Batched {
-					path = fmt.Sprintf("batch=%d", row.BatchSize)
+				if bs > 0 {
+					path = fmt.Sprintf("batch=%d", bs)
 				}
-				fmt.Fprintf(w, "throughput %-6s x%-2d %-9s gomaxprocs %-2d %10.0f checked-I/Os/s  scaling %5.2fx  eff %5.1f%%\n",
-					row.Device, row.Sessions, path, row.GoMaxProcs, row.AggPerSec, row.ScalingX, 100*row.Efficiency)
+				for _, n := range counts {
+					ratio, ns1, nsN, err := bench.ScalingRatio(r, n, scalingIters, scalingPairs, bs)
+					if err != nil {
+						return err
+					}
+					fmt.Fprintf(w, "throughput %-6s x%-2d %-9s gomaxprocs %-2d ratio %5.2f  %5.0f ns/IO alone  %5.0f ns/IO shared\n",
+						t.Name, n, path, min(n, runtime.NumCPU()), ratio, ns1, nsN)
+				}
 			}
-			rows = append(rows, trs...)
-			ers, err := bench.ThroughputE2E(t, r.Spec, cfg.tpE2EOps, counts)
-			if err != nil {
-				return err
-			}
-			for _, row := range ers {
-				fmt.Fprintf(w, "e2e        %-6s x%-2d  %10.0f checked-I/Os/s  scaling %5.2fx\n",
-					row.Device, row.Sessions, row.AggPerSec, row.ScalingX)
-			}
-			e2e = append(e2e, ers...)
 		}
-		f, err := os.Create(cfg.tpOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteThroughputJSON(f, rows, e2e); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", cfg.tpOut)
 		fmt.Fprintln(w)
 	}
 

@@ -203,13 +203,21 @@ func warningRecords(audit []AuditRecord) []WarningRecord {
 // enhancing parent with audit produces on a program with the given
 // content hash: its key extends the parent's corpus hash with the audit
 // trail, so enhancing the same parent with the same warnings lands on
-// the same key.
+// the same key. When parent is itself enhanced, the child also replays
+// the parent's chain (ChainAudit), and its key says so: the parent's
+// corpus hash is tagged before it is extended, so no child a build
+// learned without the chain is found under it. A learned parent's
+// child keeps the untagged key.
 func EnhancedVersion(programHash string, parent SpecVersion, audit []AuditRecord) SpecVersion {
 	warns := warningRecords(audit)
+	base := parent.CorpusHash
+	if parent.CreatedBy == "enhance" {
+		base = "chain-replay " + base
+	}
 	return SpecVersion{
 		Device:      parent.Device,
 		ProgramHash: programHash,
-		CorpusHash:  specstore.EnhancedCorpusHash(parent.CorpusHash, warns),
+		CorpusHash:  specstore.EnhancedCorpusHash(base, warns),
 		Parent:      parent.Generation,
 		CreatedBy:   "enhance",
 		Warnings:    warns,

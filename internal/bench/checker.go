@@ -173,9 +173,3 @@ func (r *CheckerReplay) TimeChunk(chk *checker.Checker, from, n int) (time.Durat
 	runtime.ReadMemStats(&after)
 	return elapsed, after.Mallocs - before.Mallocs, nil
 }
-
-// checkerBenchChunks is how many alternating chunks the timed iterations
-// are split into per side. Pairing short chunks of both sides back to
-// back makes scheduler and frequency noise hit both alike, which keeps
-// the reported delta stable on busy machines.
-const checkerBenchChunks = 32

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/metrics"
 	"sort"
@@ -11,112 +9,27 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sedspec"
 	"sedspec/internal/checker"
-	"sedspec/internal/core"
 	"sedspec/internal/interp"
-	"sedspec/internal/machine"
-	"sedspec/internal/simclock"
-	"sedspec/internal/workload"
 )
 
-// This file measures how checked-I/O throughput scales when one sealed
-// specification is shared across N concurrent enforcement sessions
-// (checker.Shared). Two probes:
-//
-//   - Throughput replays each device's captured benign stream through N
-//     per-session checkers on N goroutines — the check loop alone, no
-//     machine or device in the way. This is where contention on the
-//     shared engine would show up, so it is the scaling headline. Every
-//     (device, sessions) point is measured twice: once through the
-//     per-round path (PreIO) and once through the batched path
-//     (PreIOBatch windows of DefaultBatchSize), so the ablation shows
-//     what batching buys at each point on the ladder.
-//   - ThroughputE2E drives N full guest sessions (machine.Pool, one
-//     machine + device instance each, ProtectShared interposers) through
-//     the benign workload — the whole emulation stack under enforcement.
-//
-// GOMAXPROCS is pinned to min(sessions, host CPUs) for each row and
-// restored afterwards, so a 2-session row really runs on at most two
-// cores rather than letting the runtime spread bookkeeping across all of
-// them; the pinned value is recorded in the row. Scaling is reported in
-// work-normalized form so the numbers mean the same thing on any host.
-// With cores = min(sessions, gomaxprocs):
-//
-//	cpu_ns_per_checked_io = wall * cores / rounds
-//	agg_checked_ios_per_sec = sessions / cpu_ns_per_checked_io
-//	scaling_x = sessions * c_1 / c_N
-//
-// On a host with >= N cores this reduces exactly to the direct wall-clock
-// aggregate (N sessions run truly in parallel, wall ~= per-op cost x
-// rounds/N). On a smaller host the N goroutines time-slice, wall grows by
-// the slicing factor, and the normalization divides it back out — but
-// cross-session interference is still measured, not assumed: any lock or
-// cache-line contention on the shared engine inflates c_N and drags
-// scaling_x below N either way. host_cpus and degraded_parallelism in
-// the JSON record which regime produced the numbers.
+// This file measures how the cost of one checked I/O changes when one
+// sealed specification is shared across N concurrent enforcement
+// sessions (checker.Shared). ScalingRatio replays each device's captured
+// benign stream through N per-session checkers on N goroutines, the
+// check loop alone with no machine or device in the way, and compares
+// each checked I/O's cost with one session running alone. Contention on
+// the shared engine shows up there as a ratio above 1. It is measured on
+// both delivery paths: per round (PreIO) and batched (PreIOBatch windows
+// of DefaultBatchSize). Full-stack multi-session load is perfbench's
+// guest-io workload.
 
-// DefaultBatchSize is the batched rows' delivery window: large enough
+// DefaultBatchSize is the batched path's delivery window: large enough
 // that the per-delivery fixed costs (epoch bracket, arena and journal
 // reset, counter and summary publication) are fully amortized — the
 // per-round delta is flat from ~16 up — and sized like a full ring sweep
 // on the ring/doorbell devices.
 const DefaultBatchSize = 64
-
-// ThroughputRow is one (device, session-count, delivery-path) scaling
-// measurement of the concurrent check loop.
-type ThroughputRow struct {
-	Device      string  `json:"device"`
-	Sessions    int     `json:"sessions"`
-	Batched     bool    `json:"batched"`
-	BatchSize   int     `json:"batch_size,omitempty"` // 0 on per-round rows
-	CheckedIOs  uint64  `json:"checked_ios"`          // total rounds across sessions
-	WallSeconds float64 `json:"wall_seconds"`         //
-	GoMaxProcs  int     `json:"gomaxprocs"`           // pinned for this row: min(sessions, host CPUs)
-	CoresUsed   int     `json:"cores_used"`           // min(sessions, gomaxprocs)
-	CPUNsPerIO  float64 `json:"cpu_ns_per_checked_io"`
-	AggPerSec   float64 `json:"agg_checked_ios_per_sec"`
-	ScalingX    float64 `json:"scaling_x"`  // sessions * c_1/c_N within the same delivery path
-	Efficiency  float64 `json:"efficiency"` // ScalingX / sessions
-}
-
-// E2ERow is one (device, session-count) measurement of full guest
-// sessions under shared enforcement: machine dispatch, device emulation,
-// and per-session checking all included.
-type E2ERow struct {
-	Device      string  `json:"device"`
-	Sessions    int     `json:"sessions"`
-	CheckedIOs  uint64  `json:"checked_ios"`
-	WallSeconds float64 `json:"wall_seconds"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	CoresUsed   int     `json:"cores_used"`
-	CPUNsPerIO  float64 `json:"cpu_ns_per_checked_io"`
-	AggPerSec   float64 `json:"agg_checked_ios_per_sec"`
-	ScalingX    float64 `json:"scaling_x"`
-}
-
-// SessionCounts returns the session ladder 1, 2, 4, 8, plus the host CPU
-// count, deduplicated and sorted.
-func SessionCounts() []int {
-	counts := []int{1, 2, 4, 8, runtime.NumCPU()}
-	sort.Ints(counts)
-	out := counts[:1]
-	for _, n := range counts[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// DegradedParallelism reports whether the host cannot actually run the
-// top of the session ladder in parallel: rows with sessions > host CPUs
-// time-slice, so their scaling numbers are normalized estimates rather
-// than direct wall-clock parallelism.
-func DegradedParallelism() bool {
-	counts := SessionCounts()
-	return runtime.NumCPU() < counts[len(counts)-1]
-}
 
 // pinGOMAXPROCS sets GOMAXPROCS to min(n, host CPUs) and returns the
 // pinned value.
@@ -281,248 +194,77 @@ func runConcurrentReplay(r *CheckerReplay, sh *checker.Shared, n, iters, batchSi
 	}, nil
 }
 
-// ScalingRatio measures how much one checked I/O's CPU cost grows when
-// n sessions share one engine instead of one session running alone. It
+// ScalingRatio measures how much one checked I/O's cost grows when n
+// sessions share one engine instead of one session running alone. It
 // times pairs of chunks, one session then n sessions with the order
 // alternating from pair to pair, each chunk iters rounds per session on
-// a fresh engine. It returns the median of the per-pair cost ratios and
-// each side's median ns per checked I/O.
+// a fresh engine with GOMAXPROCS pinned to min(sessions, host CPUs).
+// batchSize 0 delivers each round through PreIO; batchSize >= 1 delivers
+// PreIOBatch windows of that size. It returns the median of the per-pair
+// cost ratios and each side's median ns per checked I/O.
 //
 // A chunk's cost is the process CPU time inside its timed window plus
 // the time its goroutines spent parked on a lock there, per checked
 // I/O. Time the host gives to other processes therefore does not count,
 // while anything sessions do to each other does: spinning or parking on
 // a lock, cache lines bouncing between cores. On a platform without a
-// process CPU clock the cost falls back to wall time x cores / rounds,
-// as in Throughput.
-func ScalingRatio(r *CheckerReplay, n, iters, pairs int) (ratio, ns1, nsN float64, err error) {
+// process CPU clock the cost falls back to wall time x cores / rounds.
+//
+// The check loop must not allocate at steady state: if either side's
+// best window allocated, ScalingRatio fails naming the device, session
+// count and delivery path.
+func ScalingRatio(r *CheckerReplay, n, iters, pairs, batchSize int) (ratio, ns1, nsN float64, err error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	cost := func(sessions int) (float64, error) {
+	// chunk times one chunk of the given session count and returns its
+	// cost per checked I/O and its heap allocations.
+	chunk := func(sessions int) (float64, uint64, error) {
 		g := pinGOMAXPROCS(sessions)
 		sh := checker.NewShared(r.Spec, checker.WithEnv(r.att))
-		w, err := runConcurrentReplay(r, sh, sessions, iters, 0)
+		w, err := runConcurrentReplay(r, sh, sessions, iters, batchSize)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		rounds := float64(sessions * iters)
 		if w.cpu <= 0 {
-			return float64(w.wall.Nanoseconds()) * float64(min(sessions, g)) / rounds, nil
+			return float64(w.wall.Nanoseconds()) * float64(min(sessions, g)) / rounds, w.mallocs, nil
 		}
-		return float64((w.cpu + w.blocked).Nanoseconds()) / rounds, nil
+		return float64((w.cpu + w.blocked).Nanoseconds()) / rounds, w.mallocs, nil
 	}
+	sessions := [2]int{1, n}
+	costs := [2][]float64{make([]float64, pairs), make([]float64, pairs)}
+	var allocs [2]uint64
 	ratios := make([]float64, pairs)
-	ones := make([]float64, pairs)
-	many := make([]float64, pairs)
 	for i := range ratios {
-		order := []int{1, n}
-		if i%2 == 1 {
-			order = []int{n, 1}
-		}
-		for _, sessions := range order {
-			c, err := cost(sessions)
+		for k := range 2 {
+			side := (i + k) % 2
+			c, m, err := chunk(sessions[side])
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			if sessions == 1 {
-				ones[i] = c
-			} else {
-				many[i] = c
+			costs[side][i] = c
+			if i == 0 || m < allocs[side] {
+				allocs[side] = m
 			}
 		}
-		ratios[i] = many[i] / ones[i]
+		ratios[i] = costs[1][i] / costs[0][i]
 	}
-	return medianOf(ratios), medianOf(ones), medianOf(many), nil
+	for side, m := range allocs {
+		if m != 0 {
+			path := "per-round"
+			if batchSize > 0 {
+				path = fmt.Sprintf("batch=%d", batchSize)
+			}
+			return 0, 0, 0, fmt.Errorf("bench: %s x%d %s: check loop allocates at steady state: "+
+				"%d allocs in the best of %d windows of %d rounds; the enforcement hot path must be allocation-free",
+				r.Target.Name, sessions[side], path, m, pairs, sessions[side]*iters)
+		}
+	}
+	return medianOf(ratios), medianOf(costs[0]), medianOf(costs[1]), nil
 }
 
 // medianOf returns the middle element of xs (sorted in place).
 func medianOf(xs []float64) float64 {
 	sort.Float64s(xs)
 	return xs[len(xs)/2]
-}
-
-// Throughput measures checked-I/O scaling for one device's captured
-// replay across the given session counts (iters timed rounds per
-// session), with a per-round/batched ablation at every point. The check
-// loop must be allocation-free at steady state on every point; any point
-// whose best repeat still allocates fails the experiment outright rather
-// than reporting a rate.
-func Throughput(r *CheckerReplay, iters int, counts []int) ([]*ThroughputRow, error) {
-	t := r.Target
-	if iters < 1 {
-		iters = 1
-	}
-	// Best of three runs per point, with the repeats interleaved across
-	// session counts and delivery paths (1,2,4,.. then again 1,2,4,..): a
-	// slow host phase — GC, frequency dip, a neighbour process — then
-	// hits every point rather than masquerading as contention at one.
-	// Each run gets a fresh shared engine so counters and pool state stay
-	// independent.
-	const repeats = 3
-	batchSizes := []int{0, DefaultBatchSize} // ablation: per-round, batched
-	type point struct {
-		wall    time.Duration
-		mallocs uint64
-		gmp     int
-	}
-	pts := make([]point, len(batchSizes)*len(counts))
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for rep := 0; rep < repeats; rep++ {
-		for ci, n := range counts {
-			gmp := pinGOMAXPROCS(n)
-			for bi, bs := range batchSizes {
-				sh := checker.NewShared(r.Spec, checker.WithEnv(r.att))
-				w, err := runConcurrentReplay(r, sh, n, iters, bs)
-				if err != nil {
-					runtime.GOMAXPROCS(prev)
-					return nil, err
-				}
-				p := &pts[bi*len(counts)+ci]
-				if rep == 0 || w.wall < p.wall {
-					p.wall = w.wall
-				}
-				if rep == 0 || w.mallocs < p.mallocs {
-					p.mallocs = w.mallocs
-				}
-				p.gmp = gmp
-			}
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-
-	var rows []*ThroughputRow
-	for bi, bs := range batchSizes {
-		var c1 float64
-		for ci, n := range counts {
-			p := pts[bi*len(counts)+ci]
-			rounds := uint64(n) * uint64(iters)
-			if p.mallocs != 0 {
-				return nil, fmt.Errorf("bench: %s x%d (batch=%d) check loop allocates at steady state: "+
-					"%d allocs over %d rounds; the enforcement hot path must be allocation-free",
-					t.Name, n, bs, p.mallocs, rounds)
-			}
-			cores := n
-			if cores > p.gmp {
-				cores = p.gmp
-			}
-			cn := float64(p.wall.Nanoseconds()) * float64(cores) / float64(rounds)
-			if ci == 0 {
-				c1 = cn
-			}
-			rows = append(rows, &ThroughputRow{
-				Device:      t.Name,
-				Sessions:    n,
-				Batched:     bs > 0,
-				BatchSize:   bs,
-				CheckedIOs:  rounds,
-				WallSeconds: p.wall.Seconds(),
-				GoMaxProcs:  p.gmp,
-				CoresUsed:   cores,
-				CPUNsPerIO:  cn,
-				AggPerSec:   float64(n) * 1e9 / cn,
-				ScalingX:    float64(n) * c1 / cn,
-				Efficiency:  c1 / cn,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// ThroughputE2E measures full-stack scaling: N machines (machine.Pool),
-// each hosting its own device instance protected by a per-session checker
-// from one shared engine, each driven ops benign operations. Every
-// session runs the same deterministic workload (one rng seed), so the
-// request streams are identical across sessions and across runs.
-// GOMAXPROCS is pinned per point like Throughput.
-func ThroughputE2E(t *workload.Target, spec *core.Spec, ops int, counts []int) ([]*E2ERow, error) {
-	var rows []*E2ERow
-	var c1 float64
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, n := range counts {
-		gmp := pinGOMAXPROCS(n)
-		p := machine.NewPool(n, t.Build, machine.WithMemory(1<<20))
-		sh := checker.NewShared(spec)
-		work := make([]*workload.Session, n)
-		for i, s := range p.Sessions() {
-			sedspec.ProtectShared(s.Attached(), sh)
-			d := sedspec.NewDriver(s.Attached())
-			work[i] = t.NewSession(d, simclock.NewRand(7))
-			if work[i].Prepare != nil {
-				if err := work[i].Prepare(); err != nil {
-					return nil, fmt.Errorf("bench: e2e prepare %s session %d: %w", t.Name, i, err)
-				}
-			}
-		}
-		base := sh.Stats().Rounds
-		t0 := time.Now()
-		err := p.Run(func(s *machine.Session) error {
-			w := work[s.ID()]
-			for k := 0; k < ops; k++ {
-				if err := w.Op(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		wall := time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: e2e %s x%d: %w", t.Name, n, err)
-		}
-		rounds := sh.Stats().Rounds - base
-		if rounds == 0 {
-			return nil, fmt.Errorf("bench: e2e %s x%d: no checked I/Os recorded", t.Name, n)
-		}
-		cores := n
-		if cores > gmp {
-			cores = gmp
-		}
-		cn := float64(wall.Nanoseconds()) * float64(cores) / float64(rounds)
-		if n == counts[0] {
-			c1 = cn
-		}
-		rows = append(rows, &E2ERow{
-			Device:      t.Name,
-			Sessions:    n,
-			CheckedIOs:  rounds,
-			WallSeconds: wall.Seconds(),
-			GoMaxProcs:  gmp,
-			CoresUsed:   cores,
-			CPUNsPerIO:  cn,
-			AggPerSec:   float64(n) * 1e9 / cn,
-			ScalingX:    float64(n) * c1 / cn,
-		})
-	}
-	return rows, nil
-}
-
-// WriteThroughputJSON emits both measurement families plus the host
-// parameters needed to interpret them (BENCH_throughput.json, version 2:
-// per-row gomaxprocs and per-round/batched ablation rows, top-level
-// degraded_parallelism flag).
-func WriteThroughputJSON(w io.Writer, rows []*ThroughputRow, e2e []*E2ERow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Benchmark           string           `json:"benchmark"`
-		Version             int              `json:"version"`
-		HostCPUs            int              `json:"host_cpus"`
-		DegradedParallelism bool             `json:"degraded_parallelism"`
-		SessionCounts       []int            `json:"session_counts"`
-		BatchSize           int              `json:"batch_size"`
-		Normalization       string           `json:"normalization"`
-		Rows                []*ThroughputRow `json:"rows"`
-		E2E                 []*E2ERow        `json:"e2e_rows"`
-	}{
-		Benchmark:           "concurrent_throughput",
-		Version:             2,
-		HostCPUs:            runtime.NumCPU(),
-		DegradedParallelism: DegradedParallelism(),
-		SessionCounts:       SessionCounts(),
-		BatchSize:           DefaultBatchSize,
-		Normalization:       "cpu_ns_per_checked_io = wall*min(sessions,gomaxprocs)/rounds; agg = sessions/cpu_ns; scaling_x = sessions*c1/cN within one delivery path (equals direct wall-clock aggregate scaling when host_cpus >= sessions)",
-		Rows:                rows,
-		E2E:                 e2e,
-	})
 }

@@ -222,6 +222,22 @@ func enhancedBlob(t *testing.T, tg *workload.Target, audit []sedspec.AuditRecord
 	return hex.EncodeToString(sum[:])
 }
 
+// fdcOp issues op on a fresh fdc guest over the driver.
+func fdcOp(op func(g *fdc.Guest) error) func(d *sedspec.Driver) error {
+	return func(d *sedspec.Driver) error {
+		g := fdc.NewGuest(d)
+		if err := g.Reset(); err != nil {
+			return err
+		}
+		return op(g)
+	}
+}
+
+var (
+	fdcDumpReg = fdcOp(func(g *fdc.Guest) error { return g.DumpReg() })
+	fdcFormat  = fdcOp(func(g *fdc.Guest) error { return g.Format(0, 2, 9) })
+)
+
 // TestChainedEnhanceKeepsParentEnhancements is the daemon twin of the
 // facade's chain test: an enhance under an enhanced generation replays
 // the parent's warnings too. DumpReg's "unknown device command 0xe"
@@ -236,31 +252,60 @@ func TestChainedEnhanceKeepsParentEnhancements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	issue := func(op func(g *fdc.Guest) error) func(d *sedspec.Driver) error {
-		return func(d *sedspec.Driver) error {
-			g := fdc.NewGuest(d)
-			if err := g.Reset(); err != nil {
-				return err
-			}
-			return op(g)
-		}
-	}
-	dumpReg := issue(func(g *fdc.Guest) error { return g.DumpReg() })
-	format := issue(func(g *fdc.Guest) error { return g.Format(0, 2, 9) })
-
-	driveIdle(t, tn, "fdc", dumpReg)
+	driveIdle(t, tn, "fdc", fdcDumpReg)
 	audit := eng.shared.Audit()
 	if len(audit) == 0 {
 		t.Fatal("DumpReg raised no warning under the learned spec")
 	}
 	original := audit[0].Detail
 	first := enhanceMiss(t, tn, "fdc")
-	driveIdle(t, tn, "fdc", format)
+	driveIdle(t, tn, "fdc", fdcFormat)
 	second := enhanceMiss(t, tn, "fdc")
 	if v := storedVersion(t, tn, "fdc", second.StoreGen); v.Parent != first.StoreGen {
 		t.Fatalf("second child's parent is generation %d, want %d", v.Parent, first.StoreGen)
 	}
-	driveIdle(t, tn, "fdc", dumpReg)
+	driveIdle(t, tn, "fdc", fdcDumpReg)
+	for _, a := range eng.shared.Audit() {
+		if a.Detail == original {
+			t.Errorf("the chained child forgot its parent's enhancement: DumpReg warns %q again", original)
+		}
+	}
+}
+
+// TestForgetfulChainedChildIsAMiss is the daemon twin of the facade's
+// test: the tenant's store holds, under the key a learned parent's
+// child derivation gives, a child learned from training plus the new
+// audit alone, as a build that did not replay the parent chain
+// published it. The enhance must miss it and publish a new generation
+// that keeps the parent's enhancement.
+func TestForgetfulChainedChildIsAMiss(t *testing.T) {
+	d, _ := newWarmDaemon(t)
+	defer d.Close()
+	tn, _ := enhancementTenant(t, d, "alpha", "fdc")
+	eng, err := tn.engineFor("fdc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveIdle(t, tn, "fdc", fdcDumpReg)
+	original := eng.shared.Audit()[0].Detail
+	first := enhanceMiss(t, tn, "fdc")
+	driveIdle(t, tn, "fdc", fdcFormat)
+	audit := eng.shared.Audit()
+	forgetful, err := eng.rc.Load().enhanced(audit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asLearned := storedVersion(t, tn, "fdc", first.StoreGen)
+	asLearned.CreatedBy = "learn"
+	stale, err := tn.store.PutEncoded(forgetful, sedspec.EnhancedVersion(asLearned.ProgramHash, asLearned, audit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := enhanceMiss(t, tn, "fdc")
+	if second.StoreGen <= stale.Generation {
+		t.Fatalf("enhance published generation %d, want one past the forgetful generation %d", second.StoreGen, stale.Generation)
+	}
+	driveIdle(t, tn, "fdc", fdcDumpReg)
 	for _, a := range eng.shared.Audit() {
 		if a.Detail == original {
 			t.Errorf("the chained child forgot its parent's enhancement: DumpReg warns %q again", original)

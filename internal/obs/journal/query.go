@@ -2,11 +2,13 @@ package journal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"sedspec/internal/obs/stream"
 )
@@ -209,21 +211,8 @@ func (j *Journal) FoldBaselines() (rows []stream.BaselineRow, lastSeq uint64, er
 		rows = append(rows, *r)
 	}
 	// Deterministic order for tests and logs.
-	sortRows(rows)
+	slices.SortFunc(rows, func(a, b stream.BaselineRow) int {
+		return cmp.Or(cmp.Compare(a.Tenant, b.Tenant), cmp.Compare(a.Device, b.Device))
+	})
 	return rows, lastSeq, nil
-}
-
-func sortRows(rows []stream.BaselineRow) {
-	for i := 1; i < len(rows); i++ {
-		for k := i; k > 0 && rowLess(&rows[k], &rows[k-1]); k-- {
-			rows[k], rows[k-1] = rows[k-1], rows[k]
-		}
-	}
-}
-
-func rowLess(a, b *stream.BaselineRow) bool {
-	if a.Tenant != b.Tenant {
-		return a.Tenant < b.Tenant
-	}
-	return a.Device < b.Device
 }
