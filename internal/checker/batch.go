@@ -110,10 +110,9 @@ func (c *Checker) PreIOBatch(reqs []*interp.Request) []Verdict {
 		checked = k + 1
 		if anomaly == nil {
 			// Clean round: the verdict slot is pre-zeroed, only Checked
-			// needs writing. Latency is zero by construction — the clock
-			// does not advance while the batch checks ahead of the device.
+			// needs writing.
 			if c.rec != nil {
-				c.rec.Count(0, uint32(c.roundSteps), obs.StrategyNone, obs.VerdictOK)
+				c.rec.Count(uint32(c.roundSteps), obs.StrategyNone, obs.VerdictOK)
 				okRounds++
 				okSteps += uint64(c.roundSteps)
 			}

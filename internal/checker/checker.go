@@ -867,9 +867,8 @@ func (c *Checker) CoverageProfile() *coverage.Profile {
 
 // record feeds one check event to the flight recorder. Timestamps are
 // virtual (simclock ticks, one per microsecond): the checker's own cost
-// never advances the clock, so the event's latency field reads as the
-// virtual time the round's dispatch and device work consumed since the
-// previous check — deterministic across replays, unlike wall time.
+// never advances the clock, so a replay stamps the same ticks — unlike
+// wall time.
 func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v obs.Verdict, blk ir.BlockRef) {
 	var tick int64
 	if c.clock != nil {
@@ -886,14 +885,14 @@ func (c *Checker) record(req *interp.Request, round uint64, strat Strategy, v ob
 	ev.SpecGen = uint16(c.specGen)
 	ev.Strategy = uint8(strat)
 	ev.Verdict = v
-	c.rec.Count(ev.Latency, ev.Steps, ev.Strategy, v)
+	c.rec.Count(ev.Steps, ev.Strategy, v)
 }
 
 // Recorder exposes the checker's flight recorder (nil when disabled).
 func (c *Checker) Recorder() *obs.Recorder { return c.rec }
 
 // Snapshot reads this checker's own observability metrics: round counts
-// by strategy and verdict plus the latency/step histograms. Like
+// by strategy and verdict plus the steps histogram. Like
 // Coverage it publishes the session's pending counts first, so it is
 // exact but must be called from the goroutine driving the session or
 // after the session quiesced; the registry is the live cross-goroutine

@@ -66,8 +66,7 @@ func TestMetricsMergeProperties(t *testing.T) {
 				m.Outcomes[s][v] = r.Uint64() >> 40
 			}
 		}
-		for i := range m.Latency.Buckets {
-			m.Latency.Buckets[i] = r.Uint64() >> 40
+		for i := range m.Steps.Buckets {
 			m.Steps.Buckets[i] = r.Uint64() >> 40
 		}
 		return m

@@ -1,8 +1,10 @@
 package daemon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -210,16 +212,8 @@ func (t *Tenant) Sessions() []SessionStatus {
 	for _, s := range ss {
 		out = append(out, s.Status())
 	}
-	sortStatuses(out)
+	slices.SortFunc(out, func(a, b SessionStatus) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-func sortStatuses(ss []SessionStatus) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].ID < ss[j-1].ID; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Session returns the live session's status.

@@ -13,7 +13,7 @@ func TestRingWrapAtExactCapacity(t *testing.T) {
 	g := NewRegistry()
 	r := g.NewRecorder("", "dev", 0, capacity)
 	for i := 1; i <= capacity; i++ {
-		r.Record(Event{Round: uint64(i), Tick: int64(i)})
+		record(r, Event{Round: uint64(i), Tick: int64(i)})
 	}
 	ring := r.Ring()
 	if ring.Len() != capacity || ring.Total() != capacity {
@@ -27,7 +27,7 @@ func TestRingWrapAtExactCapacity(t *testing.T) {
 	}
 
 	// Capacity+1: the oldest event (round 1) is gone, order intact.
-	r.Record(Event{Round: capacity + 1, Tick: capacity + 1})
+	record(r, Event{Round: capacity + 1, Tick: capacity + 1})
 	if ring.Len() != capacity || ring.Total() != capacity+1 {
 		t.Fatalf("at capacity+1: Len=%d Total=%d, want %d/%d",
 			ring.Len(), ring.Total(), capacity, capacity+1)
@@ -49,16 +49,14 @@ func fillDeterministic() *Registry {
 	g := NewRegistry()
 	a := g.NewRecorder("", "fdc", 0, 8)
 	b := g.NewRecorder("", "scsi", 1, 8)
-	// Latency is derived from tick deltas; ticks 1,3,7,15,31 yield the
-	// latencies 1,2,4,8,16 — one per histogram bucket.
-	tick := int64(0)
+	// Steps 1,2,4,8,16 land one per histogram bucket; the two anomalies
+	// walked no steps.
 	for i := 0; i < 5; i++ {
-		tick += int64(1) << i
-		a.Record(Event{Steps: uint32(3 + i), Tick: tick, Verdict: VerdictOK})
+		record(a, Event{Steps: uint32(1) << i, Tick: int64(i), Verdict: VerdictOK})
 	}
-	a.Record(Event{Steps: 9, Tick: tick, Strategy: 1, Verdict: VerdictBlocked})
-	a.Record(Event{Steps: 2, Tick: tick, Strategy: 3, Verdict: VerdictWarned})
-	b.Record(Event{Steps: 300, Tick: 70_000, Verdict: VerdictOK})
+	record(a, Event{Tick: 5, Strategy: 1, Verdict: VerdictBlocked})
+	record(a, Event{Tick: 5, Strategy: 3, Verdict: VerdictWarned})
+	record(b, Event{Steps: 300, Tick: 70_000, Verdict: VerdictOK})
 	return g
 }
 
@@ -84,13 +82,13 @@ func TestRegistryStringDeterministic(t *testing.T) {
 
 	var doc struct {
 		Devices []struct {
-			Device  string `json:"device"`
-			Latency struct {
+			Device string `json:"device"`
+			Steps  struct {
 				Buckets []struct {
 					Range string `json:"range"`
 					Count uint64 `json:"count"`
 				} `json:"buckets"`
-			} `json:"latency_ticks"`
+			} `json:"steps"`
 			Outcomes []struct {
 				Strategy string `json:"strategy"`
 				Verdict  string `json:"verdict"`
@@ -104,17 +102,17 @@ func TestRegistryStringDeterministic(t *testing.T) {
 	if len(doc.Devices) != 2 || doc.Devices[0].Device != "fdc" || doc.Devices[1].Device != "scsi" {
 		t.Fatalf("device rows unsorted: %+v", doc.Devices)
 	}
-	lat := doc.Devices[0].Latency.Buckets
-	if len(lat) < 2 {
-		t.Fatalf("fdc latency buckets = %+v, want several", lat)
-	}
+	steps := doc.Devices[0].Steps.Buckets
 	// Ascending bucket-index order means each bucket's lower bound grows:
-	// the two zero-latency anomaly rounds land in "0", the benign rounds'
-	// latencies (1,2,4,8,16) fill the next five buckets in value order.
+	// the two zero-step anomaly rounds land in "0", the benign rounds'
+	// steps (1,2,4,8,16) fill the next five buckets in value order.
 	want := []string{"0", "1", "2-3", "4-7", "8-15", "16-31"}
-	for i, b := range lat {
-		if i < len(want) && b.Range != want[i] {
-			t.Errorf("latency bucket %d = %q, want %q", i, b.Range, want[i])
+	if len(steps) != len(want) {
+		t.Fatalf("fdc steps buckets = %+v, want %d", steps, len(want))
+	}
+	for i, b := range steps {
+		if b.Range != want[i] {
+			t.Errorf("steps bucket %d = %q, want %q", i, b.Range, want[i])
 		}
 	}
 	out := doc.Devices[0].Outcomes

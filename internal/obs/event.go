@@ -44,8 +44,8 @@ const (
 	KindDMA ExitKind = 6
 	// KindBatch is a coalesced summary of a batched delivery's clean
 	// rounds: Round is the first round covered, Len the number of rounds,
-	// Steps their summed step count, and Latency the virtual-time gap
-	// since the previous event (the doorbell gap). Anomalous rounds are
+	// Steps their summed step count, and Tick the batch's virtual time
+	// (the clock is frozen while a batch checks). Anomalous rounds are
 	// never coalesced — they always record individually, after the
 	// summary of the clean prefix that preceded them.
 	KindBatch ExitKind = 7
@@ -148,9 +148,6 @@ type Event struct {
 	Addr uint64
 	// Steps is the sealed-walker step count for the round.
 	Steps uint32
-	// Latency is the virtual time elapsed since the session's previous
-	// checked I/O, in simclock ticks (saturating).
-	Latency uint32
 	// Session is the guest-session ID stamped by the machine layer.
 	Session uint32
 	// Handler and Block name the ES-CFG block tied to the event: the

@@ -43,29 +43,23 @@ func BucketLabel(i int) string {
 
 // bank is one recorder's metric storage. It has a single writer (the
 // session goroutine) but is read concurrently by snapshots, so every
-// counter is atomic. The latency and steps histograms are fused into one
-// bucket matrix so a round is one cell: snapshots recover the two
-// marginal histograms (and the round total) by summing rows and columns,
-// which keeps a third counter and a second histogram add off the hot
-// path. Clean rounds reach the cells through the recorder's pending
-// image, one add per distinct cell at each Publish. The outcome matrix is
-// touched only on the rare anomaly path.
+// counter is atomic. The steps histogram doubles as the round counter:
+// snapshots sum its buckets for the round total, which keeps a second
+// counter off the hot path. Clean rounds reach the buckets through the
+// recorder's pending image, one add per non-empty bucket at each
+// Publish. The outcome matrix is touched only on the rare anomaly path.
 type bank struct {
 	// outcomes counts anomalous rounds by strategy × verdict. The
 	// [StrategyNone][VerdictOK] cell is never written on the hot path;
 	// snapshots fill it with rounds − anomalies.
 	outcomes [NumStrategies][NumVerdicts]atomic.Uint64
-	// cells[latencyBucket][stepsBucket] counts rounds.
-	cells [NumBuckets][NumBuckets]atomic.Uint64
-}
-
-func (b *bank) record(ev *Event) {
-	b.count(ev.Latency, ev.Steps, ev.Strategy, ev.Verdict)
+	// steps[b] counts rounds whose step count falls in bucket b.
+	steps [NumBuckets]atomic.Uint64
 }
 
 // count folds one round into the bank.
-func (b *bank) count(lat, steps uint32, strat uint8, v Verdict) {
-	b.cells[BucketOf(uint64(lat))][BucketOf(uint64(steps))].Add(1)
+func (b *bank) count(steps uint32, strat uint8, v Verdict) {
+	b.steps[BucketOf(uint64(steps))].Add(1)
 	if v != VerdictOK {
 		b.outcomes[strat%NumStrategies][v%NumVerdicts].Add(1)
 	}
@@ -154,9 +148,6 @@ type MetricsSnapshot struct {
 	// Outcomes[strategy][verdict] counts rounds; [0][VerdictOK] holds
 	// the clean rounds.
 	Outcomes [NumStrategies][NumVerdicts]uint64
-	// Latency buckets the virtual-time gap between consecutive checked
-	// I/Os, in simclock ticks.
-	Latency Hist
 	// Steps buckets the sealed-walker step count per round.
 	Steps Hist
 }
@@ -170,7 +161,6 @@ func (m MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 			m.Outcomes[s][v] += o.Outcomes[s][v]
 		}
 	}
-	m.Latency.merge(&o.Latency)
 	m.Steps.merge(&o.Steps)
 	return m
 }
@@ -227,14 +217,13 @@ func (m MetricsSnapshot) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(struct {
-		Tenant       string        `json:"tenant,omitempty"`
-		Device       string        `json:"device"`
-		Rounds       uint64        `json:"rounds"`
-		Anomalies    uint64        `json:"anomalies"`
-		Outcomes     []outcomeJSON `json:"outcomes,omitempty"`
-		LatencyTicks histJSON      `json:"latency_ticks"`
-		Steps        histJSON      `json:"steps"`
-	}{m.Tenant, m.Device, m.Rounds, m.Anomalies(), outcomes, hist(&m.Latency), hist(&m.Steps)})
+		Tenant    string        `json:"tenant,omitempty"`
+		Device    string        `json:"device"`
+		Rounds    uint64        `json:"rounds"`
+		Anomalies uint64        `json:"anomalies"`
+		Outcomes  []outcomeJSON `json:"outcomes,omitempty"`
+		Steps     histJSON      `json:"steps"`
+	}{m.Tenant, m.Device, m.Rounds, m.Anomalies(), outcomes, hist(&m.Steps)})
 }
 
 // Snapshot is a point-in-time view of a whole registry, one row per
@@ -285,18 +274,14 @@ type Recorder struct {
 	row     rowKey
 	session uint32
 
-	seq      uint64
-	lastTick int64
-	ring     Ring
-	bank     bank
-	closed   bool
+	seq    uint64
+	ring   Ring
+	bank   bank
+	closed bool
 
-	// pend counts the clean rounds not yet published, indexed
-	// latencyBucket<<5 | stepsBucket — the full key space, so no two cells
-	// collide and counting a round is one plain increment. dirty marks the
-	// cells pend holds, one bit each, so Publish walks only those.
-	pend  [NumBuckets * NumBuckets]uint32
-	dirty [NumBuckets * NumBuckets / 64]uint64
+	// pend counts the clean rounds not yet published, per steps bucket,
+	// so counting a round is one plain increment.
+	pend [NumBuckets]uint32
 }
 
 // NewRecorder opens a recorder for one enforcement session and
@@ -331,45 +316,32 @@ func (r *Recorder) Session() int { return int(r.session) }
 func (r *Recorder) Registry() *Registry { return r.reg }
 
 // Append claims the next ring slot and stamps the sequencing fields
-// (Seq, Session, Tick, and the Latency delta since the previous event).
-// The caller must assign every payload field — the slot is not cleared,
-// so an unassigned field would leak the overwritten event's value — and
-// counts the round with Count. Claiming the slot first lets the check hot
-// path write each event field exactly once, directly into the ring.
+// (Seq, Session, Tick). The caller must assign every payload field — the
+// slot is not cleared, so an unassigned field would leak the overwritten
+// event's value — and counts the round with Count. Claiming the slot
+// first lets the check hot path write each event field exactly once,
+// directly into the ring.
 func (r *Recorder) Append(tick int64) *Event {
 	r.seq++
-	d := tick - r.lastTick
-	r.lastTick = tick
-	var lat uint32 // saturated to 32 bits
-	switch {
-	case d >= math.MaxUint32:
-		lat = math.MaxUint32
-	case d > 0:
-		lat = uint32(d)
-	}
 	ev := &r.ring.slots[r.ring.head&r.ring.mask]
 	r.ring.head++
-	ev.Seq, ev.Session, ev.Tick, ev.Latency = r.seq, r.session, tick, lat
+	ev.Seq, ev.Session, ev.Tick = r.seq, r.session, tick
 	return ev
 }
 
 // Count folds one round into the recorder's metrics. A clean round is a
-// plain increment of its pending cell and reaches the atomic bank at the
-// next Publish. An anomalous round publishes everything pending and then
+// plain increment of its pending bucket and reaches the atomic bank at
+// the next Publish. An anomalous round publishes everything pending and then
 // commits straight to the bank, so the bank never counts a later round
 // ahead of an earlier one and Snapshot keeps rounds >= anomalies.
 // Single-writer, like Append.
-func (r *Recorder) Count(latency, steps uint32, strat uint8, v Verdict) {
+func (r *Recorder) Count(steps uint32, strat uint8, v Verdict) {
 	if v != VerdictOK {
 		r.Publish()
-		r.bank.count(latency, steps, strat, v)
+		r.bank.count(steps, strat, v)
 		return
 	}
-	i := BucketOf(uint64(latency))<<5 | BucketOf(uint64(steps))
-	if r.pend[i] == 0 {
-		r.dirty[i>>6] |= 1 << (i & 63)
-	}
-	r.pend[i]++
+	r.pend[BucketOf(uint64(steps))]++
 }
 
 // Publish folds the pending clean-round counts into the atomic bank that
@@ -377,23 +349,12 @@ func (r *Recorder) Count(latency, steps uint32, strat uint8, v Verdict) {
 // checker: every 64 rounds, before an anomaly, on a spec adoption and on
 // owner-side reads); Close calls it too, so final totals are exact.
 func (r *Recorder) Publish() {
-	for w := range r.dirty {
-		for set := r.dirty[w]; set != 0; set &= set - 1 {
-			i := w<<6 | bits.TrailingZeros64(set)
-			r.bank.cells[i>>5][i&(NumBuckets-1)].Add(uint64(r.pend[i]))
+	for i, n := range r.pend {
+		if n != 0 {
+			r.bank.steps[i].Add(uint64(n))
 			r.pend[i] = 0
 		}
-		r.dirty[w] = 0
 	}
-}
-
-// Record stamps sequencing fields into ev and stores it — the
-// one-call convenience form of Append plus the bank update.
-func (r *Recorder) Record(ev Event) {
-	slot := r.Append(ev.Tick)
-	ev.Seq, ev.Session, ev.Latency = slot.Seq, slot.Session, slot.Latency
-	*slot = ev
-	r.bank.record(slot)
 }
 
 // Ring exposes the recorder's event ring (owner goroutine or quiesced
@@ -405,27 +366,21 @@ func (r *Recorder) Ring() *Ring { return &r.ring }
 // not those still pending (see Publish).
 func (r *Recorder) Snapshot() MetricsSnapshot {
 	m := MetricsSnapshot{Tenant: r.row.tenant, Device: r.row.device}
-	// Read outcomes before cells: record commits the histogram cell first
-	// and the outcome second, so this read order guarantees every anomaly
-	// the snapshot counts also has its round counted — mid-run snapshots
-	// keep Rounds >= Anomalies no matter how the reads interleave with
-	// running sessions. (Reading cells first leaves a window where a
-	// just-committed anomaly shows up with no round.)
+	// Read outcomes before buckets: count commits the histogram bucket
+	// first and the outcome second, so this read order guarantees every
+	// anomaly the snapshot counts also has its round counted — mid-run
+	// snapshots keep Rounds >= Anomalies no matter how the reads
+	// interleave with running sessions. (Reading buckets first leaves a
+	// window where a just-committed anomaly shows up with no round.)
 	for s := 0; s < NumStrategies; s++ {
 		for v := 0; v < NumVerdicts; v++ {
 			m.Outcomes[s][v] = r.bank.outcomes[s][v].Load()
 		}
 	}
-	for i := range r.bank.cells {
-		for j := range r.bank.cells[i] {
-			n := r.bank.cells[i][j].Load()
-			if n == 0 {
-				continue
-			}
-			m.Latency.Buckets[i] += n
-			m.Steps.Buckets[j] += n
-			m.Rounds += n
-		}
+	for i := range r.bank.steps {
+		n := r.bank.steps[i].Load()
+		m.Steps.Buckets[i] = n
+		m.Rounds += n
 	}
 	m.Outcomes[StrategyNone][VerdictOK] = m.Rounds - m.Anomalies()
 	return m

@@ -4,7 +4,19 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// record appends ev to r's ring under r's sequencing fields and counts
+// and publishes it: the checker's Append, field stores and Count, with
+// the round visible to Snapshot at once.
+func record(r *Recorder, ev Event) {
+	slot := r.Append(ev.Tick)
+	ev.Seq, ev.Session = slot.Seq, slot.Session
+	*slot = ev
+	r.Count(ev.Steps, ev.Strategy, ev.Verdict)
+	r.Publish()
+}
 
 func TestKindOf(t *testing.T) {
 	cases := []struct {
@@ -53,7 +65,7 @@ func TestRingWrapAndOrder(t *testing.T) {
 		t.Fatalf("Cap = %d, want 8", r.Ring().Cap())
 	}
 	for i := 1; i <= 20; i++ {
-		r.Record(Event{Round: uint64(i), Tick: int64(i)})
+		record(r, Event{Round: uint64(i), Tick: int64(i)})
 	}
 	if r.Ring().Len() != 8 {
 		t.Fatalf("Len = %d, want 8", r.Ring().Len())
@@ -78,15 +90,32 @@ func TestRingWrapAndOrder(t *testing.T) {
 	}
 }
 
-func TestRecorderLatencyDelta(t *testing.T) {
+// TestAppendStampsTick: Append stamps each event's sequence number,
+// session and tick exactly as given. A tick that runs backwards is kept
+// as is; the recorder derives nothing from the gap.
+func TestAppendStampsTick(t *testing.T) {
 	g := NewRegistry()
-	r := g.NewRecorder("", "dev", 0, 8)
-	r.Record(Event{Tick: 100})
-	r.Record(Event{Tick: 130})
-	r.Record(Event{Tick: 120}) // clock stayed put or skewed: clamp to 0
-	evs := r.Ring().Snapshot()
-	if evs[0].Latency != 100 || evs[1].Latency != 30 || evs[2].Latency != 0 {
-		t.Errorf("latencies = %d %d %d, want 100 30 0", evs[0].Latency, evs[1].Latency, evs[2].Latency)
+	r := g.NewRecorder("", "dev", 4, 8)
+	ticks := []int64{100, 130, 120}
+	for _, tick := range ticks {
+		record(r, Event{Tick: tick})
+	}
+	for i, ev := range r.Ring().Snapshot() {
+		if ev.Tick != ticks[i] || ev.Seq != uint64(i+1) || ev.Session != 4 {
+			t.Errorf("event %d = tick %d seq %d session %d, want tick %d seq %d session 4",
+				i, ev.Tick, ev.Seq, ev.Session, ticks[i], i+1)
+		}
+	}
+}
+
+// TestRecorderSize: a session's recorder is its ring header plus one
+// steps histogram, its pending image and the outcome matrix — under
+// 1 KiB, the ring's slots aside.
+func TestRecorderSize(t *testing.T) {
+	n := unsafe.Sizeof(Recorder{})
+	t.Logf("Recorder is %d bytes", n)
+	if n > 1024 {
+		t.Errorf("Recorder is %d bytes, want <= 1024", n)
 	}
 }
 
@@ -96,11 +125,11 @@ func TestSnapshotCountsAndMerge(t *testing.T) {
 	b := g.NewRecorder("", "fdc", 1, 16)
 	c := g.NewRecorder("", "scsi", 0, 16)
 	for i := 0; i < 10; i++ {
-		a.Record(Event{Steps: 5, Verdict: VerdictOK})
+		record(a, Event{Steps: 5, Verdict: VerdictOK})
 	}
-	a.Record(Event{Steps: 7, Strategy: 1, Verdict: VerdictBlocked})
-	b.Record(Event{Steps: 5, Strategy: 3, Verdict: VerdictWarned})
-	c.Record(Event{Steps: 9, Verdict: VerdictOK})
+	record(a, Event{Steps: 7, Strategy: 1, Verdict: VerdictBlocked})
+	record(b, Event{Steps: 5, Strategy: 3, Verdict: VerdictWarned})
+	record(c, Event{Steps: 9, Verdict: VerdictOK})
 
 	snap := g.Snapshot()
 	if len(snap.Devices) != 2 || snap.Devices[0].Device != "fdc" || snap.Devices[1].Device != "scsi" {
@@ -146,12 +175,12 @@ func TestRowsKeyedByTenant(t *testing.T) {
 	cli := g.NewRecorder("", "fdc", 0, 8)
 	a := g.NewRecorder("a", "fdc", 1, 8)
 	b := g.NewRecorder("b", "fdc", 2, 8)
-	cli.Record(Event{Steps: 3, Verdict: VerdictOK})
+	record(cli, Event{Steps: 3, Verdict: VerdictOK})
 	for i := 0; i < 2; i++ {
-		a.Record(Event{Steps: 3, Verdict: VerdictOK})
+		record(a, Event{Steps: 3, Verdict: VerdictOK})
 	}
 	for i := 0; i < 3; i++ {
-		b.Record(Event{Steps: 3, Verdict: VerdictOK})
+		record(b, Event{Steps: 3, Verdict: VerdictOK})
 	}
 	check := func(when string) {
 		t.Helper()
@@ -182,17 +211,20 @@ func TestRowsKeyedByTenant(t *testing.T) {
 func TestRegistryJSON(t *testing.T) {
 	g := NewRegistry()
 	r := g.NewRecorder("", "fdc", 0, 8)
-	r.Record(Event{Steps: 4, Latency: 0, Verdict: VerdictOK, Tick: 3})
-	r.Record(Event{Steps: 6, Strategy: 1, Verdict: VerdictBlocked, Tick: 9})
+	record(r, Event{Steps: 4, Verdict: VerdictOK, Tick: 3})
+	record(r, Event{Steps: 6, Strategy: 1, Verdict: VerdictBlocked, Tick: 9})
 	s := registryJSON(t, g)
 	var decoded map[string]any
 	if err := json.Unmarshal([]byte(s), &decoded); err != nil {
 		t.Fatalf("export is not JSON: %v\n%s", err, s)
 	}
-	for _, want := range []string{`"device":"fdc"`, `"rounds":2`, `"strategy":"parameter-check"`, `"verdict":"blocked"`, `"latency_ticks"`, `"steps"`} {
+	for _, want := range []string{`"device":"fdc"`, `"rounds":2`, `"strategy":"parameter-check"`, `"verdict":"blocked"`, `"steps"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("JSON missing %s:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "latency") {
+		t.Errorf("JSON carries a latency histogram:\n%s", s)
 	}
 }
 
@@ -200,9 +232,9 @@ func TestFreezeAndTimeline(t *testing.T) {
 	g := NewRegistry()
 	r := g.NewRecorder("", "fdc", 2, 8)
 	for i := 1; i <= 12; i++ {
-		r.Record(Event{Round: uint64(i), Addr: 0x3f5, Kind: KindPIOWrite, Steps: 40, Verdict: VerdictOK})
+		record(r, Event{Round: uint64(i), Addr: 0x3f5, Kind: KindPIOWrite, Steps: 40, Verdict: VerdictOK})
 	}
-	r.Record(Event{Round: 13, Addr: 0x3f5, Kind: KindPIOWrite, Steps: 17, Strategy: 1, Verdict: VerdictBlocked})
+	record(r, Event{Round: 13, Addr: 0x3f5, Kind: KindPIOWrite, Steps: 17, Strategy: 1, Verdict: VerdictBlocked})
 	ctx := r.Freeze(4)
 	if len(ctx.Events) != 4 {
 		t.Fatalf("frozen %d events, want 4", len(ctx.Events))
@@ -233,17 +265,17 @@ func TestFreezeAndTimeline(t *testing.T) {
 // introspection server; see internal/obs/stream/http_test.go.
 
 // TestCountPublish pins the recorder's one count path: clean rounds stay
-// pending (invisible to Snapshot) until Publish, land in the same cells
-// Record would fill, and an anomalous round publishes everything pending
-// before it commits, so Snapshot never shows an anomaly without its
-// round. Close publishes what is left.
+// pending (invisible to Snapshot) until Publish, land in the same
+// buckets as rounds published one at a time, and an anomalous round
+// publishes everything pending before it commits, so Snapshot never
+// shows an anomaly without its round. Close publishes what is left.
 func TestCountPublish(t *testing.T) {
 	g := NewRegistry()
 	counted := g.NewRecorder("", "fdc", 0, 16)
 	direct := NewRegistry().NewRecorder("", "fdc", 0, 16)
 	for i := uint32(0); i < 40; i++ {
-		counted.Count(i%3, 5+i%70, StrategyNone, VerdictOK)
-		direct.Record(Event{Steps: 5 + i%70, Verdict: VerdictOK})
+		counted.Count(5+i%70, StrategyNone, VerdictOK)
+		record(direct, Event{Steps: 5 + i%70, Verdict: VerdictOK})
 	}
 	if got := counted.Snapshot().Rounds; got != 0 {
 		t.Fatalf("unpublished rounds visible: %d", got)
@@ -253,20 +285,20 @@ func TestCountPublish(t *testing.T) {
 	if snap.Rounds != 40 || snap.Steps != direct.Snapshot().Steps {
 		t.Fatalf("published %d rounds, steps %+v; want 40, %+v", snap.Rounds, snap.Steps, direct.Snapshot().Steps)
 	}
-	if snap.Latency.Buckets[0] != 14 || snap.Latency.Buckets[1] != 13 || snap.Latency.Buckets[2] != 13 {
-		t.Fatalf("latency buckets %v, want 14/13/13 over buckets 0-2", snap.Latency.Buckets[:3])
+	if snap.Steps.Buckets[3] != 3 || snap.Steps.Buckets[4] != 8 || snap.Steps.Buckets[5] != 16 || snap.Steps.Buckets[6] != 13 {
+		t.Fatalf("steps buckets %v, want 3/8/16/13 over buckets 3-6", snap.Steps.Buckets[3:7])
 	}
 
 	for i := 0; i < 5; i++ {
-		counted.Count(1, 9, StrategyNone, VerdictOK)
+		counted.Count(9, StrategyNone, VerdictOK)
 	}
-	counted.Count(1, 9, 2, VerdictBlocked)
+	counted.Count(9, 2, VerdictBlocked)
 	snap = counted.Snapshot()
 	if snap.Rounds != 46 || snap.Anomalies() != 1 || snap.Outcomes[2][VerdictBlocked] != 1 {
 		t.Fatalf("after anomaly: rounds %d anomalies %d, want 46 and 1", snap.Rounds, snap.Anomalies())
 	}
 
-	counted.Count(1, 9, StrategyNone, VerdictOK)
+	counted.Count(9, StrategyNone, VerdictOK)
 	counted.Close()
 	if got := g.Snapshot().Row("", "fdc").Rounds; got != 47 {
 		t.Fatalf("after close: registry rounds %d, want 47", got)

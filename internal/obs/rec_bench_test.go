@@ -16,7 +16,7 @@ func BenchmarkRecordOnly(b *testing.B) {
 		ev := r.Append(int64(i))
 		ev.Round, ev.Addr, ev.Steps, ev.Kind = uint64(i), 0x3f5, 20, KindPIOWrite
 		ev.Strategy, ev.Verdict = StrategyNone, VerdictOK
-		r.Count(ev.Latency, ev.Steps, ev.Strategy, ev.Verdict)
+		r.Count(ev.Steps, ev.Strategy, ev.Verdict)
 		if i%64 == 63 {
 			r.Publish()
 		}
@@ -35,9 +35,8 @@ func BenchmarkRingAppendOnly(b *testing.B) {
 func BenchmarkBankRecordOnly(b *testing.B) {
 	g := NewRegistry()
 	r := g.NewRecorder("", "dev", 0, DefaultRingSize)
-	ev := Event{Latency: 1, Steps: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.bank.record(&ev)
+		r.bank.count(20, StrategyNone, VerdictOK)
 	}
 }

@@ -74,7 +74,7 @@ func fixtureEvent(r *rand.Rand, k Kind) Event {
 			Build:      BuildInfo{GoVersion: "go1.22", Path: "sedspec"},
 			Stream:     HubStats{Subscribers: 2, TotalPublished: 9, Published: map[string]uint64{"anomaly": 9}},
 			Devices: []DeviceHealth{{
-				Device: "fdc", Tenant: ev.Tenant, Rounds: 100, Blocked: 1, LatencyTicksP99: 80,
+				Device: "fdc", Tenant: ev.Tenant, Rounds: 100, Blocked: 1, StepsP99: 80,
 				Coverage: &GenCoverage{Generation: 2, BlocksCovered: 10, TotalBlocks: 12, EdgesCovered: 20, TotalEdges: 30},
 			}},
 			Sessions: 3,
@@ -158,19 +158,55 @@ func TestHealthPayloadFromOlderBuild(t *testing.T) {
 		`"rounds_per_sec":12.5,"latency_ticks_p50":0,"latency_ticks_p90":0,"latency_ticks_p99":0,` +
 		`"steps_p50":0,"steps_p90":0,"steps_p99":0,"observed_ns_per_op":800,"over_budget":false}],` +
 		`"sessions":1,"degraded":false}`)
-	ev := Event{Seq: 3, Kind: KindHealth, Session: -1}
+	got := decodeStored(t, Event{Seq: 3, Kind: KindHealth, Session: -1}, legacy)
+	if got.Health == nil || got.Health.Sessions != 1 || got.Health.Device("fdc") == nil || got.Health.Device("fdc").Rounds != 9 {
+		t.Errorf("older health record decoded as %+v", got.Health)
+	}
+}
+
+// decodeStored frames payload as ev's JSON body, the way the journal
+// stores it, and decodes the frame.
+func decodeStored(t *testing.T, ev Event, payload []byte) Event {
+	t.Helper()
 	enc, err := ev.MarshalBinary() // no payload: ends in a zero length
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc = binary.AppendUvarint(enc[:len(enc)-1], uint64(len(legacy)))
-	enc = append(enc, legacy...)
-
+	enc = binary.AppendUvarint(enc[:len(enc)-1], uint64(len(payload)))
+	enc = append(enc, payload...)
 	var got Event
 	if err := got.UnmarshalBinary(enc); err != nil {
-		t.Fatalf("older health record rejected: %v", err)
+		t.Fatalf("stored %s record rejected: %v", ev.Kind, err)
 	}
-	if got.Health == nil || got.Health.Sessions != 1 || got.Health.Device("fdc") == nil || got.Health.Device("fdc").Rounds != 9 {
-		t.Errorf("older health record decoded as %+v", got.Health)
+	return got
+}
+
+// TestPayloadsWithTickGap: builds that derived a simclock gap per round
+// stored it in two places — a gap field on each frozen flight recorder
+// event and gap quantiles on each health row. Their journal records
+// must still decode, keeping every other field.
+func TestPayloadsWithTickGap(t *testing.T) {
+	anomaly := []byte(`{"strategy":"parameter-check","severity":"critical","detail":"track 0x51 exceeds geometry",` +
+		`"round":8,"addr":1013,"write":true,"len":1,"ctx":{"Device":"fdc","Session":2,"Dropped":0,"Events":[` +
+		`{"Seq":1,"Tick":40,"Round":7,"Addr":1012,"Steps":12,"Latency":40,"Session":0,"Handler":0,"Block":0,"Len":1,"SpecGen":1,"Kind":3,"Strategy":0,"Verdict":0},` +
+		`{"Seq":2,"Tick":70,"Round":8,"Addr":1013,"Steps":40,"Latency":30,"Session":0,"Handler":0,"Block":0,"Len":1,"SpecGen":1,"Kind":3,"Strategy":1,"Verdict":2}]}}`)
+	got := decodeStored(t, Event{Seq: 4, Kind: KindAnomaly, Device: "fdc", Session: 2}, anomaly)
+	if got.Anomaly == nil || got.Anomaly.Ctx == nil || len(got.Anomaly.Ctx.Events) != 2 {
+		t.Fatalf("stored anomaly decoded as %+v", got.Anomaly)
+	}
+	want := obs.Event{Seq: 2, Tick: 70, Round: 8, Addr: 0x3f5, Steps: 40, Len: 1, SpecGen: 1,
+		Kind: obs.KindPIOWrite, Strategy: 1, Verdict: obs.VerdictBlocked}
+	if ev := got.Anomaly.Ctx.Events[1]; ev != want {
+		t.Errorf("frozen event decoded as %+v, want %+v", ev, want)
+	}
+
+	health := []byte(`{"time_unix_ns":7,"uptime_sec":1.5,"build":{"go_version":"go1.24.0"},` +
+		`"stream":{"subscribers":0,"total_published":0,"total_dropped":0,"published":null,"dropped":null},` +
+		`"devices":[{"device":"fdc","rounds":9,"anomalies":0,"blocked":0,"warned":0,"sessions":1,` +
+		`"latency_ticks_p50":24,"latency_ticks_p90":31,"latency_ticks_p99":40,"steps_p50":12,"steps_p90":15,"steps_p99":16}],"sessions":1}`)
+	got = decodeStored(t, Event{Seq: 5, Kind: KindHealth, Session: -1}, health)
+	d := got.Health.Device("fdc")
+	if d == nil || d.Rounds != 9 || d.StepsP50 != 12 || d.StepsP99 != 16 {
+		t.Errorf("stored health row decoded as %+v", d)
 	}
 }

@@ -102,15 +102,11 @@ type DeviceHealth struct {
 	Sessions        int    `json:"sessions"`
 	Generation      uint64 `json:"generation,omitempty"`
 
-	// Latency (simclock ticks between checked I/Os) and steps quantiles,
-	// interpolated from the log2 histogram buckets; see
-	// obs.Hist.Quantile for the error bound.
-	LatencyTicksP50 float64 `json:"latency_ticks_p50"`
-	LatencyTicksP90 float64 `json:"latency_ticks_p90"`
-	LatencyTicksP99 float64 `json:"latency_ticks_p99"`
-	StepsP50        float64 `json:"steps_p50"`
-	StepsP90        float64 `json:"steps_p90"`
-	StepsP99        float64 `json:"steps_p99"`
+	// Steps-per-round quantiles, interpolated from the log2 histogram
+	// buckets; see obs.Hist.Quantile for the error bound.
+	StepsP50 float64 `json:"steps_p50"`
+	StepsP90 float64 `json:"steps_p90"`
+	StepsP99 float64 `json:"steps_p99"`
 
 	Coverage *GenCoverage `json:"coverage,omitempty"`
 }
@@ -293,9 +289,6 @@ func (h *Health) Snapshot() *FleetSnapshot {
 			d.Blocked += m.Outcomes[s][obs.VerdictBlocked]
 			d.Warned += m.Outcomes[s][obs.VerdictWarned]
 		}
-		d.LatencyTicksP50 = m.Latency.Quantile(0.50)
-		d.LatencyTicksP90 = m.Latency.Quantile(0.90)
-		d.LatencyTicksP99 = m.Latency.Quantile(0.99)
 		d.StepsP50 = m.Steps.Quantile(0.50)
 		d.StepsP90 = m.Steps.Quantile(0.90)
 		d.StepsP99 = m.Steps.Quantile(0.99)

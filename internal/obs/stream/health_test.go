@@ -7,16 +7,17 @@ import (
 	"sedspec/internal/obs"
 )
 
-// feed records n rounds into a fresh recorder on reg, with fixed
-// latency/steps so the quantile assertions are deterministic, plus one
-// blocked and one warned anomaly.
+// feed counts n rounds into a fresh recorder on reg, with fixed steps
+// so the quantile assertions are deterministic, plus one blocked and one
+// warned anomaly, and publishes them.
 func feed(reg *obs.Registry, device string, n int) {
 	r := reg.NewRecorder("", device, 0, 0)
 	for i := 0; i < n; i++ {
-		r.Record(obs.Event{Tick: int64(i) * 10, Steps: 16, Verdict: obs.VerdictOK})
+		r.Count(16, obs.StrategyNone, obs.VerdictOK)
 	}
-	r.Record(obs.Event{Tick: int64(n) * 10, Steps: 16, Strategy: 1, Verdict: obs.VerdictBlocked})
-	r.Record(obs.Event{Tick: int64(n)*10 + 10, Steps: 16, Strategy: 2, Verdict: obs.VerdictWarned})
+	r.Count(16, 1, obs.VerdictBlocked)
+	r.Count(16, 2, obs.VerdictWarned)
+	r.Publish()
 }
 
 // TestHealthSnapshotFolds: a snapshot folds registry rows into device

@@ -171,11 +171,6 @@ func WriteExposition(w io.Writer, fleet *FleetSnapshot, snap obs.Snapshot) error
 		p.sample("sedspec_coverage_edges_total", lbl, float64(d.Coverage.TotalEdges))
 	}
 
-	p.family("sedspec_latency_ticks", "Virtual-time gap between consecutive checked I/Os, simclock ticks (log2 buckets; _sum estimated from bucket midpoints).", "histogram")
-	for i := range snap.Devices {
-		m := &snap.Devices[i]
-		p.histogram("sedspec_latency_ticks", rowLabels(m.Tenant, m.Device), &m.Latency)
-	}
 	p.family("sedspec_steps", "Simulation steps per checked round (log2 buckets; _sum estimated from bucket midpoints).", "histogram")
 	for i := range snap.Devices {
 		m := &snap.Devices[i]

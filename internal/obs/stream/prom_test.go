@@ -46,8 +46,8 @@ func TestExpositionValidates(t *testing.T) {
 		"# TYPE sedspec_rounds_total counter",
 		`sedspec_rounds_total{device="fdc"} 302`,
 		`sedspec_anomalies_total{device="fdc",strategy="parameter-check",verdict="blocked"} 1`,
-		"# TYPE sedspec_latency_ticks histogram",
-		`sedspec_latency_ticks_bucket{device="fdc",le="+Inf"}`,
+		"# TYPE sedspec_steps histogram",
+		`sedspec_steps_bucket{device="fdc",le="+Inf"}`,
 		`sedspec_coverage_blocks_covered{device="fdc"} 4`,
 		`sedspec_swaps_total{device="fdc"} 1`,
 		`sedspec_stream_published_total{kind="anomaly"} 5`,
@@ -57,6 +57,9 @@ func TestExpositionValidates(t *testing.T) {
 		if !strings.Contains(doc, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(doc, "sedspec_latency") {
+		t.Error("exposition still carries a latency family")
 	}
 }
 

@@ -83,6 +83,42 @@ type indexFile struct {
 	Versions []VersionMeta `json:"versions"`
 }
 
+// validate rejects an index put could not have written: an entry whose
+// blob is not a content address (so its path could leave blobs/), or
+// two entries claiming one (device, generation).
+func (x *indexFile) validate() error {
+	type version struct {
+		device string
+		gen    uint64
+	}
+	seen := make(map[version]bool, len(x.Versions))
+	for i, v := range x.Versions {
+		if !isBlobName(v.Blob) {
+			return fmt.Errorf("entry %d (%s generation %d): blob %q is not a hex sha256", i, v.Device, v.Generation, v.Blob)
+		}
+		k := version{v.Device, v.Generation}
+		if seen[k] {
+			return fmt.Errorf("entry %d (%s generation %d): generation listed twice", i, v.Device, v.Generation)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
+// isBlobName reports whether s is a lowercase hex sha256, the only blob
+// name put writes.
+func isBlobName(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Store is an open spec store. All methods are safe for concurrent use.
 type Store struct {
 	mu  sync.Mutex
@@ -111,6 +147,9 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("specstore: open %s: %w", dir, err)
 	default:
 		if err := json.Unmarshal(data, &st.idx); err != nil {
+			return nil, fmt.Errorf("specstore: open %s: corrupt index: %w", dir, err)
+		}
+		if err := st.idx.validate(); err != nil {
 			return nil, fmt.Errorf("specstore: open %s: corrupt index: %w", dir, err)
 		}
 	}

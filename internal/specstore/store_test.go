@@ -1,11 +1,15 @@
 package specstore_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sedspec/internal/ir"
@@ -161,4 +165,90 @@ func TestPutEncoded(t *testing.T) {
 	if n := hub.Published(stream.KindSpec); n != 2 {
 		t.Error("a refused put published a spec event")
 	}
+}
+
+// TestOpenRejectsUnsafeIndex: Open refuses an index entry whose blob is
+// not a content address — "../../outside" would make Read open a file
+// outside blobs/ — and one that repeats a (device, generation), and the
+// error names the entry.
+func TestOpenRejectsUnsafeIndex(t *testing.T) {
+	sum := sha256.Sum256([]byte("spec"))
+	blob := hex.EncodeToString(sum[:])
+	for _, c := range []struct {
+		name, index, want string
+	}{
+		{"traversal", `{"versions":[{"device":"fdc","generation":1,"blob":"../../outside"}]}`, `"../../outside"`},
+		{"uppercase", `{"versions":[{"device":"fdc","generation":1,"blob":"` + strings.ToUpper(blob) + `"}]}`, "fdc generation 1"},
+		{"repeated generation", `{"versions":[{"device":"fdc","generation":1,"blob":"` + blob + `"},` +
+			`{"device":"fdc","generation":1,"blob":"` + blob + `"}]}`, "entry 1 (fdc generation 1)"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(c.index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := specstore.Open(dir)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open = %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzStoreOpen opens a store over arbitrary index.json bytes. Open,
+// Versions, Latest, Lookup and Read must never panic; an index Open
+// accepts names only files inside blobs/, and Read of the one blob the
+// store holds returns its bytes. Crashers live under testdata/fuzz.
+func FuzzStoreOpen(f *testing.F) {
+	data := []byte("spec")
+	sum := sha256.Sum256(data)
+	blob := hex.EncodeToString(sum[:])
+	entry := func(dev string, gen int, blob string) string {
+		return fmt.Sprintf(`{"device":%q,"generation":%d,"programHash":"p","corpusHash":"c","blob":%q,"createdBy":"learn"}`, dev, gen, blob)
+	}
+	for _, seed := range []string{
+		``, `{}`, `null`, `{"versions":null}`, `{"versions":[]}`,
+		`{"versions":[` + entry("fdc", 1, blob) + `]}`,
+		`{"versions":[` + entry("fdc", 1, blob) + `,` + entry("fdc", 2, blob) + `,` + entry("ehci", 1, blob) + `]}`,
+		`{"versions":[` + entry("fdc", 1, "../../outside") + `]}`,
+		`{"versions":[` + entry("fdc", 1, blob) + `,` + entry("fdc", 1, blob) + `]}`,
+		`{"versions":[` + entry("fdc", 1, blob[:63]) + `]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, index []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "blobs", blob+".spec"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := specstore.Open(dir)
+		if err != nil {
+			return
+		}
+		var idx struct {
+			Versions []specstore.VersionMeta `json:"versions"`
+		}
+		if err := json.Unmarshal(index, &idx); err != nil {
+			t.Fatalf("Open accepted an index encoding/json rejects: %v", err)
+		}
+		blobs := filepath.Join(dir, "blobs")
+		for _, v := range idx.Versions {
+			if p := filepath.Join(blobs, v.Blob+".spec"); filepath.Dir(p) != blobs {
+				t.Fatalf("accepted entry %+v names %s, outside blobs/", v, p)
+			}
+			st.Versions(v.Device)
+			st.Latest(v.Device)
+			if got, ok := st.Lookup(v.Key()); !ok || got.Key() != v.Key() {
+				t.Fatalf("Lookup(%+v) = %+v, %v", v.Key(), got, ok)
+			}
+			got, err := st.Read(v)
+			if (err == nil) != (v.Blob == blob) || (err == nil && !bytes.Equal(got, data)) {
+				t.Fatalf("Read(%+v) = %q, %v", v, got, err)
+			}
+		}
+	})
 }

@@ -92,8 +92,8 @@ type (
 	// TelemetryEvent is one typed, sequence-numbered event on the hub.
 	TelemetryEvent = stream.Event
 	// FleetSnapshot is the health aggregator's one-stop fleet picture,
-	// folded on each read: per-device counters, latency and steps
-	// quantiles, coverage, hub traffic and build identity.
+	// folded on each read: per-device counters, steps quantiles,
+	// coverage, hub traffic and build identity.
 	FleetSnapshot = stream.FleetSnapshot
 )
 
