@@ -3,23 +3,19 @@
 //
 // Usage:
 //
-//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation|throughput]
+//	sedbench [-experiment all|table1|table2|table3|fig34|fig5|comparison|ablation]
 //	         [-full] [-frames N] [-mib N]
-//
-// The throughput experiment measures, per device, how the cost of one
-// checked I/O changes when 2, 4 and host-CPU-count sessions share one
-// sealed spec instead of one session running alone (bench.ScalingRatio:
-// the median over interleaved 1-vs-N chunk pairs of process CPU plus
-// lock-wait time per checked I/O, GOMAXPROCS pinned to min(sessions,
-// host CPUs)), on the per-round and the batched delivery path. The check
-// loop must be allocation-free at steady state; a side whose best window
-// allocates fails the experiment.
 //
 // An unknown -experiment name is an error that lists the valid names.
 // Per-I/O check cost by device, steps and allocations per I/O, the
 // coverage counters' price, batched delivery (checker.replay_batch_ns),
 // spec-store loads (specstore.get_us) and hot-swap latency
-// (daemon.swap_ms_p50) are perfbench's metrics.
+// (daemon.swap_ms_p50) are perfbench's metrics. What sharing one sealed
+// spec across sessions costs is a test, not an experiment:
+// TestSharedCleanRoundsShareNothing (internal/checker) proves that a
+// clean round writes no engine memory, takes no lock and allocates
+// nothing, and TestThroughputScalesAcrossSessions bounds 4 sessions'
+// wall-clock cost per I/O at 2x one session's.
 //
 // With -full, Table II runs the paper's 10/20/30 virtual hours (slow);
 // otherwise a scaled-down 2/4/6-hour study with a proportionally raised
@@ -30,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -70,18 +65,9 @@ type runConfig struct {
 	frames, mib int
 }
 
-// The throughput experiment's replay: benign session ops captured per
-// device, timed rounds per session per chunk, and 1-vs-N chunk pairs per
-// point.
-const (
-	scalingOps   = 40
-	scalingIters = 5000
-	scalingPairs = 11
-)
-
 // experiments lists the names -experiment accepts besides "all", in the
 // order run executes them.
-var experiments = []string{"table1", "table2", "table3", "fig34", "fig5", "comparison", "throughput", "ablation"}
+var experiments = []string{"table1", "table2", "table3", "fig34", "fig5", "comparison", "ablation"}
 
 func run(experiment string, cfg runConfig) error {
 	if experiment != "all" && !slices.Contains(experiments, experiment) {
@@ -175,36 +161,6 @@ func run(experiment string, cfg runConfig) error {
 			return err
 		}
 		bench.WriteComparison(w, rows)
-		fmt.Fprintln(w)
-	}
-
-	if want("throughput") {
-		// 2, 4 and the host's CPU count, each once.
-		counts := []int{2, 4, max(runtime.NumCPU(), 2)}
-		slices.Sort(counts)
-		counts = slices.Compact(counts)
-		fmt.Fprintf(w, "throughput: cost per checked I/O, N sessions on one shared spec vs one session alone\n"+
-			"  (median of %d interleaved pairs, process CPU + lock wait per I/O)\n", scalingPairs)
-		for _, t := range workload.Targets(true) {
-			r, err := bench.NewCheckerReplay(t, scalingOps)
-			if err != nil {
-				return err
-			}
-			for _, bs := range []int{0, bench.DefaultBatchSize} {
-				path := "per-round"
-				if bs > 0 {
-					path = fmt.Sprintf("batch=%d", bs)
-				}
-				for _, n := range counts {
-					ratio, ns1, nsN, err := bench.ScalingRatio(r, n, scalingIters, scalingPairs, bs)
-					if err != nil {
-						return err
-					}
-					fmt.Fprintf(w, "throughput %-6s x%-2d %-9s gomaxprocs %-2d ratio %5.2f  %5.0f ns/IO alone  %5.0f ns/IO shared\n",
-						t.Name, n, path, min(n, runtime.NumCPU()), ratio, ns1, nsN)
-				}
-			}
-		}
 		fmt.Fprintln(w)
 	}
 

@@ -94,6 +94,18 @@ func (r *CheckerReplay) NewChecker(opts ...checker.Option) *checker.Checker {
 	return checker.New(r.Spec, r.start, opts...)
 }
 
+// NewShared opens one engine on the captured spec, wired to the capture
+// machine's environment, and n sessions of it, each starting from the
+// capture-start snapshot.
+func (r *CheckerReplay) NewShared(n int) (*checker.Shared, []*checker.Checker) {
+	sh := checker.NewShared(r.Spec, checker.WithEnv(r.att))
+	chks := make([]*checker.Checker, n)
+	for i := range chks {
+		chks[i] = sh.NewSession(r.start)
+	}
+	return sh, chks
+}
+
 // Step replays request i (cyclically) through chk. At each wrap of the
 // captured stream the shadow is resynchronized to the capture-start
 // snapshot, so the simulation always sees the control-structure state the
@@ -112,6 +124,25 @@ func (r *CheckerReplay) StepStream(chk *checker.Checker, reqs []*interp.Request,
 		chk.ResyncShadow(r.start)
 	}
 	return chk.PreIO(nil, reqs[j])
+}
+
+// StepBatch delivers up to n requests of reqs from position i
+// (cyclically) through chk as one PreIOBatch window, cut at the stream's
+// wrap so the window sees the control state its requests were recorded
+// against, and resynchronizes the shadow at the wrap as StepStream does.
+// It returns how many requests it delivered; every one must check clean.
+func (r *CheckerReplay) StepBatch(chk *checker.Checker, reqs []*interp.Request, i, n int) (int, error) {
+	j := i % len(reqs)
+	if j == 0 {
+		chk.ResyncShadow(r.start)
+	}
+	n = min(n, len(reqs)-j)
+	for k, v := range chk.PreIOBatch(reqs[j : j+n]) {
+		if !v.Checked || v.Err != nil {
+			return k, fmt.Errorf("bench: %s batched request %d: checked=%v err=%v", r.Target.Name, j+k, v.Checked, v.Err)
+		}
+	}
+	return n, nil
 }
 
 // CloneReqs deep-copies the captured request stream for one replay

@@ -1,10 +1,15 @@
 package checker
 
-import "slices"
+import (
+	"slices"
+
+	"sedspec/internal/obs/coverage"
+)
 
 // Test-only accessors for internal state: command tracking for the
 // shadow-resync tests (on both engines), coverage retention for the
-// retention tests.
+// retention tests, the engine's own fields and locks for the sharing
+// test.
 
 // AccessSuppressed reports whether access-vector checks are currently
 // suppressed (post-resync, until the next command-decision block).
@@ -51,4 +56,61 @@ func (c *Checker) CoverageMapGen() (uint64, bool) {
 	c.warnMu.Lock()
 	defer c.warnMu.Unlock()
 	return c.covGen, c.cov != nil
+}
+
+// PublishInterval is the sessions' publication cadence in rounds.
+const PublishInterval = publishInterval
+
+// LockEngine takes every lock a round could contend on: the engine's
+// swapMu and mu, then each open session's warnMu, in the engine's lock
+// order. It returns the matching unlock.
+func (s *Shared) LockEngine() (unlock func()) {
+	s.swapMu.Lock()
+	s.mu.Lock()
+	for _, c := range s.sessions {
+		c.warnMu.Lock()
+	}
+	return func() {
+		for _, c := range s.sessions {
+			c.warnMu.Unlock()
+		}
+		s.mu.Unlock()
+		s.swapMu.Unlock()
+	}
+}
+
+// EngineState is a deep copy of the fields a Shared owns, as opposed to
+// those each session owns.
+type EngineState struct {
+	Sessions     []*Checker
+	NextSession  int
+	Retired      Stats
+	RetiredCov   map[uint64]coverage.Snapshot
+	RetiredAudit []AuditRecord
+	Swaps        uint64
+	Cur          *specVersion
+	// CurSessions is Cur's count of sessions running it.
+	CurSessions int64
+}
+
+// EngineState copies the engine-owned fields. The caller holds the locks
+// LockEngine takes.
+func (s *Shared) EngineState() EngineState {
+	st := EngineState{
+		Sessions:     slices.Clone(s.sessions),
+		NextSession:  s.nextSession,
+		Retired:      s.retired,
+		RetiredCov:   make(map[uint64]coverage.Snapshot),
+		RetiredAudit: slices.Clone(s.retiredAudit),
+		Swaps:        s.swaps.Load(),
+		Cur:          s.cur.Load(),
+	}
+	st.CurSessions = st.Cur.sessions.Load()
+	for _, r := range s.retiredCov {
+		st.RetiredCov[r.v.gen] = coverage.Snapshot{
+			Blocks: slices.Clone(r.snap.Blocks),
+			Edges:  slices.Clone(r.snap.Edges),
+		}
+	}
+	return st
 }
