@@ -261,6 +261,10 @@ type Checker struct {
 	// tprog its threaded-code stream with handlers bound.
 	sealed *core.SealedSpec
 	tprog  *threadedProg
+	// cmdAccess is the active command's access vector in sealed,
+	// resolved at the command decision and again when an adoption
+	// rebinds sealed mid-command.
+	cmdAccess core.Bitset
 	// Threaded-engine round state: the in-flight request, batched step
 	// total, parked anomaly, and the current frame's temp/flag banks
 	// (cached off the frame so op handlers skip a frame load).
@@ -598,9 +602,11 @@ func New(spec *core.Spec, initial *interp.State, opts ...Option) *Checker {
 }
 
 // bind points the checker at a compiled spec: the sealed tables, the
-// threaded stream and the entry material every round needs.
+// threaded stream, the entry material every round needs, and the active
+// command's access vector under the new tables.
 func (c *Checker) bind(cv *Compiled) {
 	c.sealed = cv.sealed
+	c.cmdAccess = cv.sealed.CmdAccess(c.activeCmd)
 	c.tprog = cv.tprog
 	c.prog = cv.prog
 	c.entryTemps = cv.entryTemps

@@ -44,7 +44,7 @@ func TrainingCoverage(spec *core.Spec, a *Anomaly) AnomalyCoverage {
 	case "access":
 		// The anomaly's block is the transition target; trained means the
 		// access table admits it under the active command.
-		cov.EdgeTrained = es != nil && spec.CmdTable.Accessible(a.EdgeSel, true, id)
+		cov.EdgeTrained = es != nil && spec.CmdTable.Accessible(a.EdgeSel, id)
 	case "indirect":
 		// EdgeSel is the jump target; trained means some learned
 		// function-pointer field legitimizes it.

@@ -405,7 +405,7 @@ func (r *Reference) transition(f *simFrame, es *core.ESBlock) (bool, *Anomaly) {
 	nextES := r.spec.Block(next)
 	if nextES != nil && r.accessControl && r.cmdActive && !r.suppressAccess &&
 		r.enabled[StrategyConditionalJump] &&
-		!r.spec.CmdTable.Accessible(r.activeCmd, true, next) {
+		!r.spec.CmdTable.Accessible(r.activeCmd, next) {
 		return true, tagEdge(r.anomaly(StrategyConditionalJump, nextES.Ref, ir.SourceRef{},
 			"block not accessible under command %#x", r.activeCmd), "access", r.activeCmd)
 	}

@@ -1,15 +1,18 @@
 package checker_test
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
 
 	"sedspec"
 	"sedspec/internal/checker"
+	"sedspec/internal/devices/devutil"
 	"sedspec/internal/devices/testdev"
 	"sedspec/internal/fuzzer"
 	"sedspec/internal/interp"
+	"sedspec/internal/ir"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
 )
@@ -167,4 +170,94 @@ func TestSwapUnderHammer(t *testing.T) {
 		c.Close()
 	}
 	checkRetention(t, "after close", sh, nil)
+}
+
+// buildSpanDev builds a device whose command window spans rounds: a
+// port-0 write decides command 1 or 2 and leaves it active, and the next
+// port-1 write routes its data byte to arm d0 or d1, either of which
+// ends the command.
+func buildSpanDev() *ir.Program {
+	b := ir.NewBuilder("spandev")
+	last := b.Int("last", ir.W8)
+
+	h := b.Handler("span_write")
+	e := h.Block("entry").Entry()
+	addr := e.IOAddr("addr = req->addr")
+	e.Switch(addr, "switch (addr)", "out", ir.Case(0, "cmd"), ir.Case(1, "data"))
+
+	c := h.Block("cmd").CmdDecision()
+	cv := c.IOIn(ir.W8, "cmd = ioread8()")
+	c.Switch(cv, "switch (cmd)", "out", ir.Case(1, "out"), ir.Case(2, "out"))
+
+	d := h.Block("data")
+	v := d.IOIn(ir.W8, "v = ioread8()")
+	d.Switch(v, "switch (v)", "out", ir.Case(0, "d0"), ir.Case(1, "d1"))
+	for k, name := range []string{"d0", "d1"} {
+		arm := h.Block(name).CmdEnd()
+		arm.Store(last, arm.Const(uint64(k), "k"), "s->last = k")
+		arm.Jump("out", "goto out")
+	}
+	h.Block("out").Exit().Halt("return")
+
+	b.Dispatch("span_write")
+	return devutil.MustBuild(b)
+}
+
+// TestSwapMidCommandRebindsAccess adopts a generation that changes
+// command 1's access set between the command's decision round and its
+// data round: the data round's goto must be judged by the adopted
+// generation's table, in both directions.
+func TestSwapMidCommandRebindsAccess(t *testing.T) {
+	prog := buildSpanDev()
+	type io struct{ port, v byte }
+	learnSpan := func(corpus []io) *sedspec.Spec {
+		m := machine.New()
+		att := m.Attach(devutil.NewBase(prog, nil), machine.WithPIO(0, 2))
+		spec, err := sedspec.Learn(att, func(d *sedspec.Driver) error {
+			for _, w := range corpus {
+				if _, err := d.Out8(uint64(w.port), w.v); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	// Under narrow, command 1 reaches only d0 (d1 is trained under
+	// command 2); wide also trains d1 under command 1.
+	narrow := learnSpan([]io{{0, 1}, {1, 0}, {0, 2}, {1, 1}})
+	wide := learnSpan([]io{{0, 1}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 1}})
+
+	for _, tc := range []struct {
+		name       string
+		from, to   *sedspec.Spec
+		wantDenied bool
+	}{
+		{"narrow-to-wide", narrow, wide, false},
+		{"wide-to-narrow", wide, narrow, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := checker.NewShared(tc.from)
+			sess := sh.NewSession(interp.NewState(prog))
+			defer sess.Close()
+			if err := sess.PreIO(nil, interp.NewWrite(interp.SpacePIO, 0, []byte{1})); err != nil {
+				t.Fatalf("command round: %v", err)
+			}
+			if err := sh.Swap(tc.to); err != nil {
+				t.Fatal(err)
+			}
+			err := sess.PreIO(nil, interp.NewWrite(interp.SpacePIO, 1, []byte{1}))
+			if sh.Generation() != 2 {
+				t.Fatalf("generation = %d, want 2", sh.Generation())
+			}
+			var anom *checker.Anomaly
+			denied := errors.As(err, &anom) && anom.Strategy == checker.StrategyConditionalJump && anom.EdgeKind == "access"
+			if denied != tc.wantDenied || (!denied && err != nil) {
+				t.Errorf("data round after adoption: err = %v, want access denial %v", err, tc.wantDenied)
+			}
+		})
+	}
 }

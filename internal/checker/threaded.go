@@ -281,7 +281,7 @@ func (c *Checker) tGoto(pc, id, edge int32, cmdEnd bool) int32 {
 	}
 	if c.accessControl && c.cmdActive && !c.suppressAccess &&
 		c.enabled[StrategyConditionalJump] &&
-		!c.sealed.Accessible(c.activeCmd, true, int(id)) {
+		!c.cmdAccess.Has(int(id)) {
 		if nextB := c.sealed.Block(int(id)); nextB != nil {
 			return c.tRaise(tagEdge(c.anomaly(StrategyConditionalJump, nextB.Ref, ir.SourceRef{},
 				"block not accessible under command %#x", c.activeCmd), "access", c.activeCmd))
@@ -773,6 +773,7 @@ func tSwitchH(c *Checker, i *tinstr, pc int32) int32 {
 			return c.tRaise(tagEdge(c.condOrStop(b.Ref, t.Src0, "unknown device command %#x", sel), "command", sel))
 		}
 		c.activeCmd = sel
+		c.cmdAccess = c.sealed.CmdAccess(sel)
 		c.cmdActive = true
 		c.suppressAccess = false
 	} else if !ok {

@@ -253,16 +253,16 @@ func TestCmdAccessTable(t *testing.T) {
 		Access: map[uint64]map[int]bool{7: {3: true}},
 		Global: map[int]bool{1: true},
 	}
-	if !tbl.Accessible(7, true, 3) {
+	if !tbl.Accessible(7, 3) {
 		t.Error("block 3 should be accessible under command 7")
 	}
-	if tbl.Accessible(7, true, 4) {
+	if tbl.Accessible(7, 4) {
 		t.Error("block 4 should not be accessible under command 7")
 	}
-	if !tbl.Accessible(9, false, 1) {
-		t.Error("global blocks are accessible outside command windows")
+	if !tbl.Accessible(9, 1) {
+		t.Error("global blocks are accessible under every command")
 	}
-	if tbl.Accessible(9, true, 3) {
+	if tbl.Accessible(9, 3) {
 		t.Error("command 9 has no access vector")
 	}
 	if tbl.Commands() != 1 {

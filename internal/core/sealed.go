@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sedspec/internal/ir"
@@ -20,27 +21,17 @@ import (
 //     the owning handler's NumTemps precomputed into each entry (the
 //     checker's frame push no longer chases Program().Handlers[...]);
 //   - NBTD.CaseNext maps become sorted (selector, next) runs in a shared
-//     case arena resolved by binary search, with a small-map fallback only
-//     above caseMapThreshold entries;
+//     case arena resolved by binary search;
 //   - byRef becomes dense per-handler id arrays (O(1) lookup for call
 //     entries and static switch fallbacks);
 //   - IndirectTargets becomes per-field sorted target slices;
 //   - the command access table becomes per-command block bitsets behind a
-//     sorted command index (map fallback above cmdMapThreshold), and the
-//     global set a single bitset;
+//     sorted command index, each with the global set ORed in, so one
+//     lookup per command decision answers every access check until the
+//     command ends;
 //   - the parameter selection becomes a field bitset;
 //   - the blocks' DSOD ops and terminators become the threaded-code
 //     stream (threaded.go), the one executable form the checker runs.
-
-// caseMapThreshold is the switch-arm count above which a sealed block keeps
-// a map for selector lookup instead of a binary-searched run. Binary search
-// over a short sorted run beats hashing (no hash, no bucket hop) until the
-// run outgrows a few cache lines.
-const caseMapThreshold = 32
-
-// cmdMapThreshold is the learned-command count above which the sealed
-// access table falls back to a map keyed by command value.
-const cmdMapThreshold = 64
 
 // NoEdge marks a transition without a trained-edge coverage slot: the
 // transition either was not observed during training (taking it raises an
@@ -48,16 +39,18 @@ const cmdMapThreshold = 64
 // static switch fallback counts a direct block hit instead).
 const NoEdge = -1
 
-// bitset is a fixed-capacity bit vector.
-type bitset []uint64
+// Bitset is a fixed-capacity bit vector.
+type Bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func newBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
-func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b Bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b bitset) get(i int) bool {
-	w := i >> 6
-	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
+// Has reports whether bit i is set; an i outside the capacity, negative
+// included, reads as unset.
+func (b Bitset) Has(i int) bool {
+	w := uint(i) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(uint(i)&63)) != 0
 }
 
 // SealedCase is one lowered switch arm: selector value K transitions to ES
@@ -93,20 +86,18 @@ type SealedBlock struct {
 	Next         int32
 
 	// Cases addresses the block's sorted switch arms inside the case
-	// arena; CaseMap is non-nil only above caseMapThreshold.
+	// arena.
 	CaseStart int32
 	CaseEnd   int32
-	CaseMap   map[uint64]int32
 
 	// Trained-edge coverage slots (NoEdge when the transition has none).
 	// NextEdge covers the unconditional successor, TakenEdge/NotTakenEdge
 	// the branch arms, and switch arms use EdgeBase + their offset inside
-	// the sorted case run (CaseEdges is the map-fallback twin of CaseMap).
+	// the sorted case run.
 	NextEdge     int32
 	TakenEdge    int32
 	NotTakenEdge int32
 	EdgeBase     int32
-	CaseEdges    map[uint64]int32
 
 	// Ref identifies the original block for anomaly reports.
 	Ref ir.BlockRef
@@ -147,15 +138,14 @@ type SealedSpec struct {
 	// field f (nil when none were learned).
 	indirect [][]uint64
 
-	// Access table lowering.
-	global   bitset
-	cmds     []uint64
-	cmdVecs  []bitset
-	cmdMap   map[uint64]bitset
-	numESIDs int
+	// Access table lowering: cmdVecs[i] is command cmds[i]'s block set
+	// with the global set ORed in; global alone serves unlearned commands.
+	global  Bitset
+	cmds    []uint64
+	cmdVecs []Bitset
 
 	// params marks the selected device-state parameter fields.
-	params bitset
+	params Bitset
 
 	// Trained-edge table: edgeFrom/edgeTo[e] are the endpoints of edge
 	// slot e. Runtime coverage maps (internal/obs/coverage) index their
@@ -195,17 +185,16 @@ func (s *Spec) Seal() *SealedSpec {
 // caller binds it once.
 func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 	ss := &SealedSpec{
-		Device:   s.Device,
-		Entry:    s.Entry,
-		prog:     s.prog,
-		blocks:   make([]SealedBlock, len(s.Blocks)),
-		numESIDs: len(s.Blocks),
-		params:   newBitset(len(s.prog.Fields)),
+		Device: s.Device,
+		Entry:  s.Entry,
+		prog:   s.prog,
+		blocks: make([]SealedBlock, len(s.Blocks)),
+		params: newBitset(len(s.prog.Fields)),
 	}
 
 	nCases := 0
 	for _, b := range s.Blocks {
-		if b != nil && b.NBTD != nil && len(b.NBTD.CaseNext) <= caseMapThreshold {
+		if b != nil && b.NBTD != nil {
 			nCases += len(b.NBTD.CaseNext)
 		}
 	}
@@ -258,23 +247,7 @@ func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 			if n.NotTakenSeen && n.NotTakenNext != NoBlock {
 				sb.NotTakenEdge = addEdge(id, sb.NotTakenNext)
 			}
-			switch {
-			case len(n.CaseNext) > caseMapThreshold:
-				sb.CaseMap = make(map[uint64]int32, len(n.CaseNext))
-				sb.CaseEdges = make(map[uint64]int32, len(n.CaseNext))
-				// Allocate the fallback's edge slots in selector order so
-				// sealing the same spec twice yields identical slot layouts.
-				keys := make([]uint64, 0, len(n.CaseNext))
-				for k := range n.CaseNext {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				for _, k := range keys {
-					next := int32(n.CaseNext[k])
-					sb.CaseMap[k] = next
-					sb.CaseEdges[k] = addEdge(id, next)
-				}
-			case len(n.CaseNext) > 0:
+			if len(n.CaseNext) > 0 {
 				sb.CaseStart = int32(len(ss.cases))
 				for k, next := range n.CaseNext {
 					ss.cases = append(ss.cases, SealedCase{K: k, Next: int32(next)})
@@ -327,28 +300,20 @@ func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 		ss.indirect[field] = targets
 	}
 
-	// Command access table -> bitsets.
-	ss.global = newBitset(len(s.Blocks))
-	for b, ok := range s.CmdTable.Global {
-		if ok {
-			ss.global.set(b)
-		}
+	// Command access table -> per-command bitsets, global set ORed in.
+	ss.global = sealAccessVec(s.CmdTable.Global, len(s.Blocks))
+	ss.cmds = make([]uint64, 0, len(s.CmdTable.Access))
+	for cmd := range s.CmdTable.Access {
+		ss.cmds = append(ss.cmds, cmd)
 	}
-	if len(s.CmdTable.Access) > cmdMapThreshold {
-		ss.cmdMap = make(map[uint64]bitset, len(s.CmdTable.Access))
-		for cmd, set := range s.CmdTable.Access {
-			ss.cmdMap[cmd] = sealAccessVec(set, len(s.Blocks))
+	slices.Sort(ss.cmds)
+	ss.cmdVecs = make([]Bitset, len(ss.cmds))
+	for i, cmd := range ss.cmds {
+		v := sealAccessVec(s.CmdTable.Access[cmd], len(s.Blocks))
+		for w := range v {
+			v[w] |= ss.global[w]
 		}
-	} else {
-		ss.cmds = make([]uint64, 0, len(s.CmdTable.Access))
-		for cmd := range s.CmdTable.Access {
-			ss.cmds = append(ss.cmds, cmd)
-		}
-		sort.Slice(ss.cmds, func(i, j int) bool { return ss.cmds[i] < ss.cmds[j] })
-		ss.cmdVecs = make([]bitset, len(ss.cmds))
-		for i, cmd := range ss.cmds {
-			ss.cmdVecs[i] = sealAccessVec(s.CmdTable.Access[cmd], len(s.Blocks))
-		}
+		ss.cmdVecs[i] = v
 	}
 
 	// Parameter selection -> field bitset.
@@ -379,8 +344,8 @@ func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 //
 //   - every case run lies inside the case arena and is strictly sorted by
 //     selector (binary search correctness);
-//   - every successor id (Next, TakenNext, NotTakenNext, case targets,
-//     CaseMap targets) is NoBlock or a valid ES id;
+//   - every successor id (Next, TakenNext, NotTakenNext, case targets)
+//     is NoBlock or a valid ES id;
 //   - Entry is a live block id;
 //   - the handler/block id table maps only to NoBlock or valid ES ids and
 //     covers every handler;
@@ -388,8 +353,8 @@ func (s *Spec) SealThreaded() (*SealedSpec, *ThreadedCode) {
 //     correctness);
 //   - the trained-edge table is well-formed: edgeFrom/edgeTo are the same
 //     length, endpoints are valid ES ids, every per-block edge slot
-//     (NextEdge, TakenEdge, NotTakenEdge, case-run and case-map slots) is
-//     NoEdge or in range, and each slot's recorded source is its block;
+//     (NextEdge, TakenEdge, NotTakenEdge, case-run slots) is NoEdge or in
+//     range, and each slot's recorded source is its block;
 //   - every pc an instruction names (Next, Next2) lies inside the stream,
 //     every ES id (ID, ID2) is NoBlock or valid, every edge slot (Edge,
 //     Edge2) is NoEdge or in range, and the cold table matches the
@@ -433,11 +398,6 @@ func (s *SealedSpec) checkTables() error {
 		}
 		for i := int(b.CaseStart); i < int(b.CaseEnd); i++ {
 			if err := checkSucc(s.cases[i].Next, "case target", id); err != nil {
-				return err
-			}
-		}
-		for _, next := range b.CaseMap {
-			if err := checkSucc(next, "case-map target", id); err != nil {
 				return err
 			}
 		}
@@ -488,11 +448,6 @@ func (s *SealedSpec) checkTables() error {
 				}
 			}
 		}
-		for sel, e := range b.CaseEdges {
-			if err := checkEdge(e, fmt.Sprintf("case %#x", sel)); err != nil {
-				return err
-			}
-		}
 	}
 	if len(s.edgeFrom) != len(s.edgeTo) {
 		return fmt.Errorf("edge table: %d sources vs %d targets", len(s.edgeFrom), len(s.edgeTo))
@@ -528,7 +483,7 @@ func (s *SealedSpec) checkTables() error {
 	return nil
 }
 
-func sealAccessVec(set map[int]bool, n int) bitset {
+func sealAccessVec(set map[int]bool, n int) Bitset {
 	v := newBitset(n)
 	for b, ok := range set {
 		if ok && b >= 0 && b < n {
@@ -585,21 +540,9 @@ func (s *SealedSpec) HandlerTemps(h int) int {
 }
 
 // CaseNextEdge resolves a switch selector to its successor and the arm's
-// trained-edge coverage slot. The slot rides along for free: in the
-// sorted run it is EdgeBase plus the arm's run offset, in the map
-// fallback a second lookup only on the (rare) large-switch path.
+// trained-edge coverage slot. The slot rides along for free: it is
+// EdgeBase plus the arm's offset in the sorted run.
 func (s *SealedSpec) CaseNextEdge(b *SealedBlock, sel uint64) (next int, edge int32, ok bool) {
-	if b.CaseMap != nil {
-		n, ok := b.CaseMap[sel]
-		if !ok {
-			return NoBlock, NoEdge, false
-		}
-		e, eok := b.CaseEdges[sel]
-		if !eok {
-			e = NoEdge
-		}
-		return int(n), e, true
-	}
 	lo, hi := int(b.CaseStart), int(b.CaseEnd)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -642,38 +585,18 @@ func (s *SealedSpec) LegitimateTarget(field int, target uint64) bool {
 	return false
 }
 
-// Accessible reports whether a block may execute under the active command,
-// mirroring CmdAccessTable.Accessible over the sealed bitsets.
-func (s *SealedSpec) Accessible(cmd uint64, active bool, block int) bool {
-	if block < 0 || block >= s.numESIDs {
-		return false
+// CmdAccess returns command cmd's access vector: the blocks that may
+// execute while cmd is active, global blocks included, so Has(block)
+// answers CmdAccessTable.Accessible(cmd, block). An unlearned command
+// gets the global set alone. The checker resolves it once per command
+// decision, leaving one bit test per block transition.
+func (s *SealedSpec) CmdAccess(cmd uint64) Bitset {
+	if i, ok := slices.BinarySearch(s.cmds, cmd); ok {
+		return s.cmdVecs[i]
 	}
-	if s.global.get(block) {
-		return true
-	}
-	if !active {
-		return false
-	}
-	if s.cmdMap != nil {
-		v, ok := s.cmdMap[cmd]
-		return ok && v.get(block)
-	}
-	lo, hi := 0, len(s.cmds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.cmds[mid] < cmd {
-			lo = mid + 1
-		} else if s.cmds[mid] > cmd {
-			hi = mid
-		} else {
-			return s.cmdVecs[mid].get(block)
-		}
-	}
-	return false
+	return s.global
 }
 
 // ParamField reports whether the field is a selected device-state
 // parameter (the sealed replacement for Selection.Contains).
-func (s *SealedSpec) ParamField(field int) bool {
-	return field >= 0 && s.params.get(field)
-}
+func (s *SealedSpec) ParamField(field int) bool { return s.params.Has(field) }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"maps"
-	"sort"
 
 	"sedspec/internal/obs/coverage"
 )
@@ -97,25 +96,7 @@ func (s *SealedSpec) CoverageProfile(gen uint64, snap *coverage.Snapshot) *cover
 				p.Edges = append(p.Edges, edge(b, e, "case", c.K))
 			}
 		}
-		if len(b.CaseEdges) > 0 {
-			sels := make([]uint64, 0, len(b.CaseEdges))
-			for sel := range b.CaseEdges {
-				sels = append(sels, sel)
-			}
-			sort.Slice(sels, func(i, j int) bool { return sels[i] < sels[j] })
-			for _, sel := range sels {
-				p.Edges = append(p.Edges, edge(b, b.CaseEdges[sel], "case", sel))
-			}
-		}
 	}
-
-	if s.cmdMap != nil {
-		for cmd := range s.cmdMap {
-			p.Commands = append(p.Commands, cmd)
-		}
-		sort.Slice(p.Commands, func(i, j int) bool { return p.Commands[i] < p.Commands[j] })
-	} else {
-		p.Commands = append(p.Commands, s.cmds...)
-	}
+	p.Commands = append(p.Commands, s.cmds...)
 	return p
 }

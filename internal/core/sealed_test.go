@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"sedspec/internal/core"
@@ -143,19 +144,17 @@ func assertSealedEquivalent(t *testing.T, spec *core.Spec) {
 		t.Error("out-of-range field must have no legitimate targets")
 	}
 
-	// Access table: exhaustive over learned commands × id space, plus an
-	// unlearned command probe.
+	// Access vectors: exhaustive over learned commands × id space, plus
+	// unlearned command probes (the global set alone).
 	probe := []uint64{0, 1, 0xFF, ^uint64(0)}
 	for cmd := range spec.CmdTable.Access {
 		probe = append(probe, cmd, cmd+1)
 	}
 	for _, cmd := range probe {
-		for id := -1; id <= len(spec.Blocks); id++ {
-			for _, active := range []bool{true, false} {
-				want := spec.CmdTable.Accessible(cmd, active, id)
-				if got := ss.Accessible(cmd, active, id); got != want {
-					t.Errorf("Accessible(%#x, %v, %d) = %v, want %v", cmd, active, id, got, want)
-				}
+		v := ss.CmdAccess(cmd)
+		for id := -1; id <= len(spec.Blocks)+64; id++ {
+			if got, want := v.Has(id), spec.CmdTable.Accessible(cmd, id); got != want {
+				t.Errorf("CmdAccess(%#x).Has(%d) = %v, want %v", cmd, id, got, want)
 			}
 		}
 	}
@@ -176,9 +175,8 @@ func TestSealEquivalence(t *testing.T) {
 	}
 }
 
-// buildWideSwitch constructs a program whose decode switch has more
-// observed selectors than caseMapThreshold, forcing the sealed block onto
-// the map fallback.
+// buildWideSwitch constructs a program whose decode switch observes one
+// selector per arm, wider than any learned device's switch.
 func buildWideSwitch(t testing.TB, arms int) (*ir.Program, []*interp.Request) {
 	t.Helper()
 	b := ir.NewBuilder("wideswitch")
@@ -210,8 +208,8 @@ func buildWideSwitch(t testing.TB, arms int) (*ir.Program, []*interp.Request) {
 	return prog, rs
 }
 
-func TestSealWideSwitchMapFallback(t *testing.T) {
-	prog, rs := buildWideSwitch(t, 40) // > caseMapThreshold
+func TestSealWideSwitch(t *testing.T) {
+	prog, rs := buildWideSwitch(t, 40)
 	spec := learn(t, prog, rs, core.BuildOpts{})
 	var wide *core.ESBlock
 	for _, b := range spec.Blocks {
@@ -222,9 +220,80 @@ func TestSealWideSwitchMapFallback(t *testing.T) {
 	if wide == nil {
 		t.Fatal("no 40-arm switch block observed")
 	}
+	if sb := spec.Seal().Block(wide.ID); sb.CaseEnd-sb.CaseStart != 40 {
+		t.Errorf("wide switch sealed a case run of %d arms, want 40", sb.CaseEnd-sb.CaseStart)
+	}
+	assertSealedEquivalent(t, spec)
+}
+
+// buildManyCommands constructs a program whose command-decision switch
+// learns n commands. Command i runs body i%3, so the access sets differ
+// by command, and the pre-decision block is visited outside any command
+// window, so the global set is not empty.
+func buildManyCommands(t testing.TB, n int) (*ir.Program, []*interp.Request) {
+	t.Helper()
+	b := ir.NewBuilder("manycmds")
+	last := b.Int("last", ir.W8, ir.HWRegister())
+
+	h := b.Handler("dispatch")
+	pre := h.Block("pre").Entry()
+	v := pre.IOIn(ir.W8, "v = ioread8()")
+	pre.Jump("decide", "goto decide")
+
+	cases := make([]ir.SwitchArm, n)
+	for i := range cases {
+		cases[i] = ir.Case(uint64(i), fmt.Sprintf("body%d", i%3))
+	}
+	h.Block("decide").CmdDecision().Switch(v, "switch (v)", "body0", cases...)
+	for k := 0; k < 3; k++ {
+		body := h.Block(fmt.Sprintf("body%d", k))
+		body.Store(last, body.Const(uint64(k), "k"), "s->last = k")
+		body.Jump("out", "goto out")
+	}
+	h.Block("out").CmdEnd().Halt("return")
+
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []*interp.Request
+	for i := 0; i < n; i++ {
+		rs = append(rs, interp.NewWrite(interp.SpacePIO, 0, []byte{byte(i)}))
+	}
+	return prog, rs
+}
+
+// TestSealManyCommands seals a spec with more learned commands than any
+// device has and requires every command's access vector, and the global
+// vector unlearned commands get, to answer exactly as the learned table.
+func TestSealManyCommands(t *testing.T) {
+	const n = 80
+	prog, rs := buildManyCommands(t, n)
+	spec := learn(t, prog, rs, core.BuildOpts{DisableReduction: true})
+	if got := spec.CmdTable.Commands(); got != n {
+		t.Fatalf("learned %d commands, want %d", got, n)
+	}
+	if len(spec.CmdTable.Global) == 0 {
+		t.Fatal("no global block learned")
+	}
 	ss := spec.Seal()
-	if sb := ss.Block(wide.ID); sb.CaseMap == nil {
-		t.Error("wide switch should use the map fallback")
+	var allowed, denied int
+	for cmd := uint64(0); cmd < n+2; cmd++ {
+		v := ss.CmdAccess(cmd)
+		for id := -1; id <= len(spec.Blocks); id++ {
+			want := spec.CmdTable.Accessible(cmd, id)
+			if got := v.Has(id); got != want {
+				t.Errorf("CmdAccess(%d).Has(%d) = %v, want %v", cmd, id, got, want)
+			}
+			if want {
+				allowed++
+			} else if spec.Block(id) != nil {
+				denied++
+			}
+		}
+	}
+	if allowed == 0 || denied == 0 {
+		t.Errorf("degenerate access table: %d allowed, %d denied live pairs", allowed, denied)
 	}
 	assertSealedEquivalent(t, spec)
 }

@@ -96,14 +96,11 @@ type CmdAccessTable struct {
 	Global map[int]bool
 }
 
-// Accessible reports whether a block may execute under the command. cmdOK
-// distinguishes "no active command" (always allowed if globally seen).
-func (t *CmdAccessTable) Accessible(cmd uint64, active bool, block int) bool {
+// Accessible reports whether a block may execute while the command is
+// active: it is in the command's access set or in the global set.
+func (t *CmdAccessTable) Accessible(cmd uint64, block int) bool {
 	if t.Global[block] {
 		return true
-	}
-	if !active {
-		return false
 	}
 	av, ok := t.Access[cmd]
 	return ok && av[block]

@@ -151,11 +151,8 @@ type Attached struct {
 
 	interposers []Interposer
 
-	// bytesPerMicro calibrates how much virtual time emulation work
-	// consumes (device speed).
-	bytesPerMicro int
-
-	// env values are stable per machine: link up, media present, and a
+	// env values are stable within a round: link up and media present
+	// (both default true, changed by SetLink and SetMedia), and a
 	// per-round turn token derived from the round counter.
 	linkUp       bool
 	mediaPresent bool
@@ -184,26 +181,6 @@ func WithIRQLine(line int) AttachOption {
 	return func(a *Attached) { a.irqLine = line }
 }
 
-// WithSpeed sets the device speed in bytes of emulation work per
-// microsecond of virtual time (default 100).
-func WithSpeed(bytesPerMicro int) AttachOption {
-	return func(a *Attached) {
-		if bytesPerMicro > 0 {
-			a.bytesPerMicro = bytesPerMicro
-		}
-	}
-}
-
-// WithLink sets the device's link status (default up).
-func WithLink(up bool) AttachOption {
-	return func(a *Attached) { a.linkUp = up }
-}
-
-// WithMedia sets media presence (default present).
-func WithMedia(present bool) AttachOption {
-	return func(a *Attached) { a.mediaPresent = present }
-}
-
 // WithSessionID tags the attachment with the guest session it serves.
 // The ID flows into every flight-recorder event the checker emits for
 // this device, so concurrent-session traces stay attributable.
@@ -225,13 +202,12 @@ func (a *Attached) SetMedia(present bool) { a.mediaPresent = present }
 // Attach plugs a device into the machine and returns its attachment.
 func (m *Machine) Attach(dev Device, opts ...AttachOption) *Attached {
 	a := &Attached{
-		dev:           dev,
-		machine:       m,
-		irqLine:       len(m.devices),
-		bytesPerMicro: 100,
-		linkUp:        true,
-		mediaPresent:  true,
-		sessionID:     -1,
+		dev:          dev,
+		machine:      m,
+		irqLine:      len(m.devices),
+		linkUp:       true,
+		mediaPresent: true,
+		sessionID:    -1,
 	}
 	for _, o := range opts {
 		o(a)
@@ -313,6 +289,10 @@ const vmExitCost = 24576
 // the checksum, format, and block/medium layers of real device emulation.
 const workScale = 4
 
+// bytesPerMicro is the device speed: bytes of emulation work per
+// microsecond of virtual time.
+const bytesPerMicro = 100
+
 // burn consumes a deterministic amount of CPU (n iterations).
 func (m *Machine) burn(n int) {
 	var sum uint64
@@ -333,7 +313,7 @@ func (m *Machine) burn(n int) {
 // wall-clock benchmarks have a realistic emulation baseline.
 func (a *Attached) Work(n int) {
 	m := a.machine
-	m.Clock.AdvanceMicros(int64(n / a.bytesPerMicro))
+	m.Clock.AdvanceMicros(int64(n / bytesPerMicro))
 	m.burn(n * workScale)
 }
 
@@ -432,16 +412,6 @@ func (a *Attached) DispatchDirect(req *interp.Request) (*interp.Result, error) {
 // PIOWrite issues a guest port write.
 func (m *Machine) PIOWrite(port uint64, data []byte) (*interp.Result, error) {
 	return m.Dispatch(interp.NewWrite(interp.SpacePIO, port, data))
-}
-
-// PIORead issues a guest port read and returns the device's response bytes.
-func (m *Machine) PIORead(port uint64) ([]byte, *interp.Result, error) {
-	req := interp.NewRead(interp.SpacePIO, port)
-	res, err := m.Dispatch(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Output, res, nil
 }
 
 // MMIOWrite issues a guest MMIO write.

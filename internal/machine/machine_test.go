@@ -146,7 +146,7 @@ func TestDMAAndIRQThroughMachine(t *testing.T) {
 func TestWorkAdvancesClock(t *testing.T) {
 	m := New()
 	dev := newToyDevice(t)
-	m.Attach(dev, WithPIO(0x100, 4), WithSpeed(100))
+	m.Attach(dev, WithPIO(0x100, 4))
 	before := m.Clock.Now()
 	if _, err := m.PIOWrite(0x101, []byte{0, 0, 0, 0}); err != nil {
 		t.Fatalf("PIOWrite: %v", err)

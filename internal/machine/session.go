@@ -16,7 +16,7 @@ import (
 // serially-multiplexed co-hosting on one machine.
 
 // BuildFunc constructs a fresh instance of a device plus the attachment
-// options (bus windows, speed) it should be plugged in with. It must
+// options (bus windows, IRQ line) it should be plugged in with. It must
 // return a new Device and State on every call: sessions own their control
 // structures. Devices of one variant may share their read-only program.
 type BuildFunc func() (Device, []AttachOption)
