@@ -146,7 +146,7 @@ func TestCoverageMergeProperty(t *testing.T) {
 			}
 			// Read the aggregate mid-run from a worker goroutine: under
 			// -race this exercises snapshot-vs-count concurrency.
-			once.Do(func() { aggDuringRun = sh.CoverageProfile() })
+			once.Do(func() { aggDuringRun = sh.Sealed().CoverageProfile(sh.Generation(), sh.Coverage()) })
 		}
 		return nil
 	})
@@ -166,7 +166,7 @@ func TestCoverageMergeProperty(t *testing.T) {
 		}
 		sum.Merge(s)
 	}
-	agg := sh.CoverageSnapshots()[gen]
+	agg := sh.Coverage()
 	if agg == nil {
 		t.Fatalf("no aggregate snapshot for generation %d", gen)
 	}
@@ -177,10 +177,10 @@ func TestCoverageMergeProperty(t *testing.T) {
 	for _, chk := range chks {
 		chk.Close()
 	}
-	retired := sh.CoverageSnapshots()[gen]
+	retired := sh.Coverage()
 	assertSnapshotsEqual(t, "after close", sum, retired)
 
-	prof := sh.CoverageProfile()
+	prof := sh.Sealed().CoverageProfile(gen, retired)
 	if prof == nil || prof.Generation != gen {
 		t.Fatalf("aggregate profile missing: %+v", prof)
 	}

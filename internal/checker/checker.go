@@ -18,7 +18,6 @@ package checker
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -284,7 +283,7 @@ type Checker struct {
 	ff             *ffScratch
 	ffAttempts     uint64
 	ffSkippedSteps uint64
-	// warnMu guards audit, and cov and covGen for readers on other
+	// warnMu guards audit, and cov and ver for readers on other
 	// goroutines. It is taken only on the warning-append path (anomalous
 	// rounds), at swap adoption and by readers; the steady-state check
 	// path never touches it. audit holds one record per kept warning;
@@ -299,8 +298,9 @@ type Checker struct {
 	shared *Shared
 	pooled *scratch
 
-	// ver is the adopted spec version; specGen is its generation, stamped
-	// into events and anomalies. epoch is the RCU round marker: odd while
+	// ver is the adopted spec version (written under warnMu, see
+	// Shared.moveSession); specGen is its generation, stamped into events
+	// and anomalies. epoch is the RCU round marker: odd while
 	// the checker is inside PreIO, even between rounds. Swap's grace
 	// period waits on it; the checker's own goroutine is the only writer.
 	ver     *specVersion
@@ -313,13 +313,11 @@ type Checker struct {
 	// round's event.
 	roundSteps int
 	// cov is the session's one ES-CFG coverage map, sized for the
-	// adopted sealed generation's block and edge tables; covGen is that
-	// generation. cov is nil when disabled (WithCoverage(false)).
-	// Adopting a new generation hands the old map to the engine's retired
-	// bank (Shared.moveSession) and starts a fresh one, so a session holds
-	// one map however many swaps it lives through.
-	cov    *coverage.Map
-	covGen uint64
+	// adopted sealed generation's block and edge tables; nil when
+	// disabled (WithCoverage(false)). Adopting a new generation drops the
+	// old map (Shared.moveSession) and starts a fresh one, so a session
+	// holds one map however many swaps it lives through.
+	cov *coverage.Map
 	// entryRef is the entry block's reference, stamped into clean-round
 	// events.
 	entryRef ir.BlockRef
@@ -833,15 +831,13 @@ const MaxPendingWarnings = 1024
 // shape.
 func (c *Checker) adopt(v *specVersion) {
 	// Fresh counters for the new generation: its sealed block and edge
-	// slots are a new index space. The old map, published, goes to the
-	// engine.
+	// slots are a new index space.
 	c.publish()
 	var m *coverage.Map
 	if !c.covOff {
 		m = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
 	}
 	c.shared.moveSession(c, v, m)
-	c.ver = v
 	c.specGen = v.gen
 	c.bind(v.Compiled)
 }
@@ -851,7 +847,7 @@ func (c *Checker) adopt(v *specVersion) {
 // disabled. It publishes the session's pending counts first, so it must
 // be called from the goroutine driving the session or after the session
 // quiesced; for a live cross-goroutine view use the shared engine's
-// CoverageSnapshots, which reads only the published banks.
+// Coverage, which reads only the published banks.
 func (c *Checker) Coverage() *coverage.Snapshot {
 	if c.cov == nil {
 		return nil
@@ -909,19 +905,4 @@ func (c *Checker) Snapshot() obs.MetricsSnapshot {
 	}
 	c.publish()
 	return c.rec.Snapshot()
-}
-
-// DumpTrace renders the flight recorder's current contents as a
-// human-readable timeline. Call it from the session's goroutine or
-// after the session has quiesced.
-func (c *Checker) DumpTrace(w io.Writer) error {
-	if c.rec == nil {
-		return nil
-	}
-	ring := c.rec.Ring()
-	if _, err := fmt.Fprintf(w, "flight recorder: device %s session %d, %d/%d events held (%d recorded)\n",
-		c.shared.device, c.sessionID, ring.Len(), ring.Cap(), ring.Total()); err != nil {
-		return err
-	}
-	return obs.WriteTimeline(w, ring.Snapshot())
 }

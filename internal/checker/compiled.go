@@ -1,8 +1,6 @@
 package checker
 
 import (
-	"sync/atomic"
-
 	"sedspec/internal/core"
 	"sedspec/internal/ir"
 )
@@ -42,10 +40,7 @@ func Compile(spec *core.Spec) *Compiled {
 // engine published it. The shared engine publishes versions through an
 // atomic pointer; sessions adopt the current version at round
 // boundaries, so one round always runs entirely against one version.
-// sessions counts the open sessions running the version; the engine
-// keeps a superseded generation's coverage only while it is non-zero.
 type specVersion struct {
-	gen      uint64
-	sessions atomic.Int64
+	gen uint64
 	*Compiled
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // Test-only accessors for internal state: command tracking for the
-// shadow-resync tests (on both engines), coverage retention for the
-// retention tests, the engine's own fields and locks for the sharing
-// test.
+// shadow-resync tests (on both engines), the engine's own fields and
+// locks for the sharing and retention tests.
 
 // AccessSuppressed reports whether access-vector checks are currently
 // suppressed (post-resync, until the next command-decision block).
@@ -36,27 +35,6 @@ func (c *Checker) RoundSteps() int { return c.roundSteps }
 
 // RoundSteps is the last round's walker step count.
 func (r *Reference) RoundSteps() int { return r.steps }
-
-// RetainedGens lists, in ascending order, the generations whose
-// coverage the retired bank still holds.
-func (s *Shared) RetainedGens() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []uint64
-	for _, r := range s.retiredCov {
-		out = append(out, r.v.gen)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// CoverageMapGen reports the generation of the one coverage map the
-// session holds, and false when it holds none.
-func (c *Checker) CoverageMapGen() (uint64, bool) {
-	c.warnMu.Lock()
-	defer c.warnMu.Unlock()
-	return c.covGen, c.cov != nil
-}
 
 // PublishInterval is the sessions' publication cadence in rounds.
 const PublishInterval = publishInterval
@@ -85,32 +63,24 @@ type EngineState struct {
 	Sessions     []*Checker
 	NextSession  int
 	Retired      Stats
-	RetiredCov   map[uint64]coverage.Snapshot
+	RetiredCov   coverage.Snapshot
+	RetiredGen   uint64
 	RetiredAudit []AuditRecord
 	Swaps        uint64
 	Cur          *specVersion
-	// CurSessions is Cur's count of sessions running it.
-	CurSessions int64
 }
 
 // EngineState copies the engine-owned fields. The caller holds the locks
 // LockEngine takes.
 func (s *Shared) EngineState() EngineState {
-	st := EngineState{
+	return EngineState{
 		Sessions:     slices.Clone(s.sessions),
 		NextSession:  s.nextSession,
 		Retired:      s.retired,
-		RetiredCov:   make(map[uint64]coverage.Snapshot),
+		RetiredCov:   *s.retiredCov.Clone(),
+		RetiredGen:   s.retiredGen,
 		RetiredAudit: slices.Clone(s.retiredAudit),
 		Swaps:        s.swaps.Load(),
 		Cur:          s.cur.Load(),
 	}
-	st.CurSessions = st.Cur.sessions.Load()
-	for _, r := range s.retiredCov {
-		st.RetiredCov[r.v.gen] = coverage.Snapshot{
-			Blocks: slices.Clone(r.snap.Blocks),
-			Edges:  slices.Clone(r.snap.Edges),
-		}
-	}
-	return st
 }

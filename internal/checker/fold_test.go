@@ -49,7 +49,7 @@ func TestSharedFoldCloseVsRead(t *testing.T) {
 	}
 	bc.Close()
 	baseline := base.Stats()
-	baseCov := base.CoverageSnapshots()[1]
+	baseCov := base.Coverage()
 	if baseline.Rounds == 0 || baseCov == nil {
 		t.Fatalf("degenerate baseline: %+v cov=%v", baseline, baseCov)
 	}
@@ -125,9 +125,9 @@ func TestSharedFoldCloseVsRead(t *testing.T) {
 					t.Errorf("mid-close aggregate:\n  got:  %+v\n  want: %+v", got, want)
 					return
 				}
-				snap := sh.CoverageSnapshots()[1]
+				snap := sh.Coverage()
 				if snap == nil {
-					t.Error("mid-close coverage snapshot missing generation 1")
+					t.Error("mid-close coverage snapshot missing")
 					return
 				}
 				var blocks uint64
@@ -165,7 +165,7 @@ func TestSharedFoldCloseVsRead(t *testing.T) {
 	if got := sh.Stats(); got != want {
 		t.Errorf("final aggregate:\n  got:  %+v\n  want: %+v", got, want)
 	}
-	snap := sh.CoverageSnapshots()[1]
+	snap := sh.Coverage()
 	var blocks uint64
 	for _, v := range snap.Blocks {
 		blocks += v

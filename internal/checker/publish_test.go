@@ -10,7 +10,6 @@ import (
 	"sedspec/internal/interp"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
-	"sedspec/internal/obs/coverage"
 )
 
 // publishEvery is the session publication cadence the aggregates may
@@ -35,13 +34,10 @@ func newCadenceEngine(spec *sedspec.Spec, start *interp.State, att *machine.Atta
 // row reads the engine's registry row, as a reader on any goroutine may.
 func (e *cadenceEngine) row() obs.MetricsSnapshot { return e.sh.Metrics() }
 
-// cov reads generation gen's aggregate coverage (nil when absent).
-func (e *cadenceEngine) cov(gen uint64) *coverage.Snapshot { return e.sh.CoverageSnapshots()[gen] }
-
-// entryHits is the published round count coverage reports for gen: each
-// checked round enters the entry block once.
-func (e *cadenceEngine) entryHits(gen uint64) uint64 {
-	if s := e.cov(gen); s != nil && e.entry < len(s.Blocks) {
+// entryHits is the published round count the current generation's
+// coverage reports: each checked round enters the entry block once.
+func (e *cadenceEngine) entryHits() uint64 {
+	if s := e.sh.Coverage(); s != nil && e.entry < len(s.Blocks) {
 		return s.Blocks[e.entry]
 	}
 	return 0
@@ -95,13 +91,13 @@ func TestPublicationCadence(t *testing.T) {
 			if ra != rb {
 				t.Fatalf("after %d rounds: registry rows differ:\n  per-round: %+v\n  batched:   %+v", n, ra, rb)
 			}
-			if ca, cb := round.cov(1), batch.cov(1); !sameCounts(ca, cb) {
+			if ca, cb := round.sh.Coverage(), batch.sh.Coverage(); !sameCounts(ca, cb) {
 				t.Fatalf("after %d rounds: coverage differs:\n  per-round: %+v\n  batched:   %+v", n, ca, cb)
 			}
 			if ra.Rounds > n || n-ra.Rounds > publishEvery {
 				t.Fatalf("after %d rounds: registry publishes %d, want within %d", n, ra.Rounds, publishEvery)
 			}
-			if hits := round.entryHits(1); hits != ra.Rounds {
+			if hits := round.entryHits(); hits != ra.Rounds {
 				t.Fatalf("after %d rounds: coverage published %d rounds, recorder %d: not published together",
 					n, hits, ra.Rounds)
 			}
@@ -122,7 +118,7 @@ func TestPublicationCadence(t *testing.T) {
 				default:
 				}
 				before := e.sh.Stats().Rounds
-				rows, hits := e.row().Rounds, e.entryHits(1)
+				rows, hits := e.row().Rounds, e.entryHits()
 				after := e.sh.Stats().Rounds
 				// Stats counts a round as it starts; a published count
 				// never runs ahead of it nor trails it by more than the
@@ -150,7 +146,7 @@ func TestPublicationCadence(t *testing.T) {
 	// owner-side reads publish.
 	exact := func(t *testing.T, when string, e *cadenceEngine, wantRounds uint64) {
 		t.Helper()
-		row, hits := e.row(), e.entryHits(1)
+		row, hits := e.row(), e.entryHits()
 		st := e.sh.Stats()
 		if st.Rounds != wantRounds || row.Rounds != wantRounds || hits != wantRounds {
 			t.Fatalf("%s: stats %d, registry %d, coverage %d rounds, want %d",
@@ -162,8 +158,8 @@ func TestPublicationCadence(t *testing.T) {
 		if own := e.sess.Snapshot(); own != row {
 			t.Fatalf("%s: registry row %+v, session's own %+v", when, row, own)
 		}
-		if own := e.sess.Coverage(); !sameCounts(own, e.cov(1)) {
-			t.Fatalf("%s: coverage %+v, session's own %+v", when, e.cov(1), own)
+		if own, agg := e.sess.Coverage(), e.sh.Coverage(); !sameCounts(own, agg) {
+			t.Fatalf("%s: coverage %+v, session's own %+v", when, agg, own)
 		}
 	}
 	diag := func() *interp.Request {
@@ -196,10 +192,6 @@ func TestPublicationCadence(t *testing.T) {
 
 	t.Run("adoption", func(t *testing.T) {
 		e := engine()
-		// A second, idle session keeps generation 1 retained after the
-		// first one moves on, so its folded coverage stays readable.
-		idle := e.sh.NewSession(e.sess.Shadow().Clone())
-		defer idle.Close()
 		rs := cloneStream(reqs)
 		for _, req := range rs[:lead] {
 			if err := e.sess.PreIO(nil, req); err != nil {
@@ -215,9 +207,15 @@ func TestPublicationCadence(t *testing.T) {
 		if e.sess.SpecGen() != 2 {
 			t.Fatalf("session did not adopt: generation %d", e.sess.SpecGen())
 		}
-		row, hits := e.row(), e.entryHits(1)
-		if row.Rounds != lead || hits != lead {
-			t.Fatalf("after adoption: registry %d, generation-1 coverage %d rounds, want %d", row.Rounds, hits, lead)
+		// The adoption published generation 1's rounds to the registry
+		// and dropped their coverage: generation 2 counts none of them,
+		// and the adopting round is pending.
+		row, hits := e.row(), e.entryHits()
+		if row.Rounds != lead || hits != 0 {
+			t.Fatalf("after adoption: registry %d rounds, generation-2 coverage %d, want %d and 0", row.Rounds, hits, lead)
+		}
+		if own := e.sess.Coverage(); own.Blocks[e.entry] != 1 || !sameCounts(own, e.sh.Coverage()) {
+			t.Fatalf("generation-2 coverage %+v, want the session's one round %+v", e.sh.Coverage(), own)
 		}
 	})
 
@@ -229,7 +227,7 @@ func TestPublicationCadence(t *testing.T) {
 			}
 		}
 		e.sess.Close()
-		row, hits, st := e.row(), e.entryHits(1), e.sh.Stats()
+		row, hits, st := e.row(), e.entryHits(), e.sh.Stats()
 		if st.Rounds != lead || row.Rounds != lead || hits != lead {
 			t.Fatalf("after close: stats %d, registry %d, coverage %d rounds, want %d",
 				st.Rounds, row.Rounds, hits, lead)

@@ -3,6 +3,8 @@ package checker_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,9 +18,9 @@ import (
 
 // Retention: what a shared engine keeps must depend on what is live,
 // not on how many publications it has seen. Coverage is kept for the
-// current generation and for generations open sessions still run; a
-// session holds one coverage map; pending warnings stop at
-// MaxPendingWarnings; a compiled version holds no learned spec.
+// current generation only, in one retired bank plus one map per open
+// session; pending warnings stop at MaxPendingWarnings; a compiled
+// version holds no learned spec.
 
 // attachSession opens a session of sh on a fresh test-device machine.
 func attachSession(t *testing.T, sh *checker.Shared) (*checker.Checker, *sedspec.Driver) {
@@ -38,35 +40,69 @@ func oneRound(t *testing.T, d *sedspec.Driver) {
 	}
 }
 
-// checkRetention asserts the retention bound against the open sessions:
-// the engine reports and keeps coverage for at most the current
-// generation plus the generations open sessions run, each open session
-// holds exactly one map, and that map counts the session's generation.
-func checkRetention(t *testing.T, when string, sh *checker.Shared, open []*checker.Checker) {
+// checkRetention asserts the one-bank rule. The engine's retired
+// coverage is one bank, and while it is tagged with the current
+// generation it counts exactly the sessions that closed running that
+// generation (closed; nil when none did); a bank tagged with an older
+// generation reads as empty. The engine's coverage is that bank plus the
+// open sessions that run the current generation, so no superseded
+// generation's counts reach it, and it is nil exactly when both are
+// empty. It publishes the open sessions' counts, so it runs on their
+// goroutine.
+func checkRetention(t *testing.T, when string, sh *checker.Shared, open []*checker.Checker, closed *coverage.Snapshot) {
 	t.Helper()
-	held := map[uint64]bool{sh.Generation(): true}
+	gen := sh.Generation()
+	var want *coverage.Snapshot
+	if closed != nil {
+		want = closed.Clone()
+	}
 	for _, c := range open {
-		gen, ok := c.CoverageMapGen()
-		if !ok {
-			t.Fatalf("%s: open session holds no coverage map", when)
-		}
-		if gen != c.SpecGen() {
-			t.Fatalf("%s: session map counts generation %d, session runs %d", when, gen, c.SpecGen())
-		}
-		held[gen] = true
-	}
-	for _, g := range sh.RetainedGens() {
-		if !held[g] {
-			t.Fatalf("%s: retired bank keeps generation %d; current %d, open sessions run %v",
-				when, g, sh.Generation(), held)
+		if c.SpecGen() == gen {
+			if want == nil {
+				want = &coverage.Snapshot{}
+			}
+			want.Merge(c.Coverage())
 		}
 	}
-	for g := range sh.CoverageSnapshots() {
-		if !held[g] {
-			t.Fatalf("%s: CoverageSnapshots reports generation %d; current %d, open sessions run %v",
-				when, g, sh.Generation(), held)
-		}
+	unlock := sh.LockEngine()
+	st := sh.EngineState()
+	unlock()
+	switch {
+	case st.RetiredGen > gen:
+		t.Fatalf("%s: retired bank tagged generation %d, ahead of the current %d", when, st.RetiredGen, gen)
+	case st.RetiredGen == gen && !sameCounts(&st.RetiredCov, closed):
+		t.Fatalf("%s: retired bank of generation %d = %+v, want the closed sessions' %+v", when, gen, st.RetiredCov, closed)
+	case st.RetiredGen != gen && closed != nil:
+		t.Fatalf("%s: retired bank tagged generation %d lost the closed sessions of generation %d", when, st.RetiredGen, gen)
 	}
+	if got := sh.Coverage(); !sameCounts(got, want) {
+		t.Fatalf("%s: engine coverage of generation %d = %+v, want %+v", when, gen, got, want)
+	}
+	if es := sh.EngineStatus(); (es.Coverage == nil) != (want == nil) {
+		t.Fatalf("%s: EngineStatus coverage %+v, want nil %t", when, es.Coverage, want == nil)
+	}
+}
+
+// retentionLog closes sessions of sh and keeps, per generation, the
+// counts of the sessions that closed while running it.
+type retentionLog struct {
+	sh     *checker.Shared
+	closed map[uint64]*coverage.Snapshot
+}
+
+func (l *retentionLog) close(c *checker.Checker) {
+	if gen := c.SpecGen(); gen == l.sh.Generation() {
+		if l.closed[gen] == nil {
+			l.closed[gen] = &coverage.Snapshot{}
+		}
+		l.closed[gen].Merge(c.Coverage())
+	}
+	c.Close()
+}
+
+func (l *retentionLog) check(t *testing.T, when string, open ...*checker.Checker) {
+	t.Helper()
+	checkRetention(t, when, l.sh, open, l.closed[l.sh.Generation()])
 }
 
 // TestCoverageRetentionBounded runs 200 publication cycles. Each cycle
@@ -80,10 +116,11 @@ func TestCoverageRetentionBounded(t *testing.T) {
 	alt := checker.Compile(spec)
 	first := checker.Compile(spec)
 	sh := checker.NewSharedCompiled(first)
+	ledger := &retentionLog{sh: sh, closed: make(map[uint64]*coverage.Snapshot)}
 
 	long, longDrv := attachSession(t, sh)
 	oneRound(t, longDrv)
-	var pending []*checker.Checker // opened last cycle, closed this cycle
+	var pending *checker.Checker // opened last cycle, closed this cycle
 	for cycle := 0; cycle < 200; cycle++ {
 		cv := first
 		if cycle%2 == 0 {
@@ -99,33 +136,65 @@ func TestCoverageRetentionBounded(t *testing.T) {
 		oneRound(t, stayDrv)
 		brief, briefDrv := attachSession(t, sh)
 		oneRound(t, briefDrv)
-		brief.Close()
-		for _, c := range pending {
-			c.Close()
+		ledger.close(brief)
+		if pending != nil {
+			ledger.close(pending)
 		}
-		pending = []*checker.Checker{stay}
-		checkRetention(t, fmt.Sprintf("cycle %d", cycle), sh, append([]*checker.Checker{long}, pending...))
+		pending = stay
+		ledger.check(t, fmt.Sprintf("cycle %d", cycle), long, pending)
 	}
 	if got := sh.Generation(); got != 201 {
 		t.Fatalf("generation = %d, want 201", got)
 	}
-	for _, c := range pending {
-		c.Close()
-	}
-	long.Close()
-	if got := sh.RetainedGens(); len(got) > 1 || (len(got) == 1 && got[0] != sh.Generation()) {
-		t.Errorf("no session open: retired banks keep %v, want at most the current generation %d", got, sh.Generation())
-	}
+	ledger.close(pending)
+	ledger.close(long)
+	ledger.check(t, "no session open")
 }
 
-// TestCoverageExactAcrossAdoption pins the fold a session makes when it
-// adopts a new generation: its old map's counts reach the engine's
-// retired bank exactly once while another session still runs that
-// generation, and the generation disappears once the last one leaves.
+// TestCoverageExactAcrossAdoption pins the current generation's counts
+// across close and adoption while a reader polls the engine: a close on
+// the current generation moves a session's counts into the retired bank
+// exactly once, an adoption starts the new generation from the adopting
+// session's fresh map, and neither the adoption nor a later close of a
+// session still on the superseded generation adds that generation's
+// counts to the current one.
 func TestCoverageExactAcrossAdoption(t *testing.T) {
 	_, att := setup(t)
 	spec := learn(t, att)
 	sh := checker.NewShared(spec)
+
+	// While stable holds an expectation, every read must return it; the
+	// test clears stable before a step that may change what a read sees.
+	type expectation struct{ cov *coverage.Snapshot }
+	var stable atomic.Pointer[expectation]
+	expect := func(cov *coverage.Snapshot) {
+		t.Helper()
+		stable.Store(&expectation{cov})
+		if got := sh.Coverage(); !sameCounts(got, cov) {
+			t.Fatalf("generation %d coverage = %+v, want %+v", sh.Generation(), got, cov)
+		}
+	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			want := stable.Load()
+			got := sh.Coverage()
+			if want != nil && stable.Load() == want && !sameCounts(got, want.cov) {
+				t.Errorf("concurrent read = %+v, want %+v", got, want.cov)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	defer func() { close(stop); reader.Wait() }()
 
 	a, aDrv := attachSession(t, sh)
 	b, bDrv := attachSession(t, sh)
@@ -136,48 +205,48 @@ func TestCoverageExactAcrossAdoption(t *testing.T) {
 		}
 	}
 	oneRound(t, aDrv) // the three sessions' counts differ
-	want := &coverage.Snapshot{}
+	gen1 := &coverage.Snapshot{}
 	for _, s := range []*checker.Checker{a, b, c} {
-		want.Merge(s.Coverage())
+		gen1.Merge(s.Coverage())
 	}
-	c.Close() // gen 1 is current: c's counts fold into the retired bank
+	expect(gen1)
+	c.Close() // c's published counts move from its map to the bank
+	expect(gen1)
 
+	stable.Store(nil)
 	if err := sh.Swap(spec); err != nil {
 		t.Fatal(err)
 	}
-	// a and b still run generation 1, so the retired counts of c stay.
-	if got := sh.CoverageSnapshots()[1]; !sameCounts(got, want) {
-		t.Fatalf("gen 1 after publish = %+v, want %+v", got, want)
-	}
+	expect(nil) // a and b still run generation 1: nothing counts generation 2
 
-	oneRound(t, aDrv) // a adopts generation 2 and folds its gen-1 map
-	if gen, ok := a.CoverageMapGen(); !ok || gen != 2 {
-		t.Fatalf("a's map after adoption: gen %d, present %v", gen, ok)
+	stable.Store(nil)
+	oneRound(t, aDrv) // a adopts generation 2 and drops its generation-1 map
+	gen2 := a.Coverage().Clone()
+	if gen2.Blocks[sh.Sealed().Entry] != 1 {
+		t.Fatalf("a's generation-2 map = %+v, want its one round", gen2)
 	}
-	if got := sh.CoverageSnapshots()[1]; !sameCounts(got, want) {
-		t.Fatalf("gen 1 after a adopted = %+v, want %+v (lost or folded twice)", got, want)
-	}
-	wantNew := a.Coverage() // publishes a's pending counts
-	if got := sh.CoverageSnapshots()[2]; !sameCounts(got, wantNew) {
-		t.Fatalf("gen 2 = %+v, want a's new map %+v", got, wantNew)
-	}
-	if p := sh.CoverageProfile(); p == nil || p.Generation != 2 || p.Rounds != 1 {
-		t.Fatalf("current-generation profile = %+v, want generation 2 with 1 round", p)
-	}
+	expect(gen2)
+	b.Close() // the last session on generation 1: its counts are dropped
+	expect(gen2)
 
-	b.Close() // the last session on generation 1
-	if _, ok := sh.CoverageSnapshots()[1]; ok {
-		t.Errorf("generation 1 still reported after its last session closed")
-	}
-	if got := sh.RetainedGens(); len(got) != 0 {
-		t.Errorf("retired banks = %v, want none (a still holds its gen-2 map)", got)
-	}
+	d, dDrv := attachSession(t, sh)
+	oneRound(t, dDrv)
+	stable.Store(nil)
+	both := gen2.Clone()
+	both.Merge(d.Coverage())
+	expect(both)
+	d.Close() // the bank, last tagged generation 1, restarts at generation 2
 	a.Close()
-	if got := sh.RetainedGens(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("retired banks after a closed = %v, want [2]", got)
+	expect(both)
+
+	unlock := sh.LockEngine()
+	st := sh.EngineState()
+	unlock()
+	if st.RetiredGen != 2 || !sameCounts(&st.RetiredCov, both) {
+		t.Errorf("retired bank: generation %d, %+v; want generation 2, %+v", st.RetiredGen, st.RetiredCov, both)
 	}
-	if got := sh.CoverageSnapshots()[2]; got == nil || got.Blocks[sh.Sealed().Entry] != 1 {
-		t.Errorf("gen 2 after close = %+v, want a's one round", got)
+	if p := sh.Sealed().CoverageProfile(sh.Generation(), sh.Coverage()); p.Generation != 2 || p.Rounds != 2 {
+		t.Errorf("current-generation profile = %+v, want generation 2 with 2 rounds", p)
 	}
 }
 

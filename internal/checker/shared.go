@@ -74,20 +74,15 @@ type Shared struct {
 	nextSession int
 	// retired sums closed sessions' counters.
 	retired Stats
-	// retiredCov accumulates the coverage counters of sessions that
-	// closed or moved on, one bank per generation (counter index spaces
-	// are per-generation). A bank lives only while its generation is
-	// retained: current, or still run by an open session.
-	retiredCov []retiredCoverage
+	// retiredCov sums the coverage counters of the sessions that closed
+	// while running generation retiredGen, the one the engine enforced
+	// then (counter index spaces are per-generation). A bank whose
+	// generation is no longer current reads as empty.
+	retiredCov coverage.Snapshot
+	retiredGen uint64
 	// retiredAudit holds the audit records closed sessions leave behind,
 	// capped at MaxPendingWarnings.
 	retiredAudit []AuditRecord
-}
-
-// retiredCoverage is one generation's bank in retiredCov.
-type retiredCoverage struct {
-	v    *specVersion
-	snap coverage.Snapshot
 }
 
 // scratch is one session's recyclable simulation storage: the frame stack
@@ -213,11 +208,9 @@ func (s *Shared) Publish(cv *Compiled) error {
 	// after the Store above adopts the new version, so the old version
 	// remains reachable only by rounds whose epoch was already odd at
 	// publication time; wait for each of those epochs to advance. mu is
-	// held only long enough to snapshot the session list and release the
-	// coverage of generations no session runs any more.
+	// held only long enough to snapshot the session list.
 	s.mu.Lock()
 	sessions := slices.Clone(s.sessions)
-	s.pruneLocked()
 	s.mu.Unlock()
 	for _, c := range sessions {
 		e := c.epoch.Load()
@@ -259,10 +252,8 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 	c.apply(opts)
 	c.bind(v.Compiled)
 	c.shadow = initial.Clone()
-	v.sessions.Add(1)
 	if !c.covOff {
 		c.cov = coverage.NewMap(v.sealed.NumBlocks(), v.sealed.NumEdges())
-		c.covGen = v.gen
 	}
 	sc := s.scratchPool.Get().(*scratch)
 	c.pooled = sc
@@ -294,7 +285,7 @@ func (s *Shared) NewSession(initial *interp.State, opts ...Option) *Checker {
 }
 
 // Close retires a session checker: its counters fold into the engine's
-// retired bank, its coverage too while its generation is retained, its
+// retired bank, its coverage too if it runs the current generation, its
 // audit records drain into the engine's capped buffer, its flight
 // recorder folds into the observability registry, and its scratch
 // returns to the pool for the next session. Closing is idempotent; the
@@ -330,13 +321,15 @@ func (c *Checker) Close() {
 	s.retiredAudit = append(s.retiredAudit, c.audit[:kept]...)
 	s.retired.WarningsDropped += uint64(len(c.audit) - kept)
 	c.audit = nil
-	last := s.foldCoverageLocked(c)
+	if cur := s.cur.Load(); c.cov != nil && c.ver == cur {
+		if s.retiredGen != cur.gen {
+			s.retiredCov, s.retiredGen = coverage.Snapshot{}, cur.gen
+		}
+		c.cov.AddTo(&s.retiredCov)
+	}
 	c.cov = nil
 	c.warnMu.Unlock()
 	s.mu.Unlock()
-	if last {
-		s.sweepIfSuperseded(c.ver)
-	}
 
 	sc := c.pooled
 	sc.frames = c.frames[:0]
@@ -349,69 +342,17 @@ func (c *Checker) Close() {
 
 // moveSession moves session c from its current version onto next at a
 // round boundary, with m as its fresh coverage map for next. It runs on
-// the session's goroutine.
+// the session's goroutine. The old map is dropped: a session adopts only
+// once its version is superseded, and the engine keeps coverage for the
+// current generation alone. mu and warnMu order the move against an
+// aggregate read, which counts a session's map only while its ver is
+// the current version.
 func (s *Shared) moveSession(c *Checker, next *specVersion, m *coverage.Map) {
-	next.sessions.Add(1)
 	s.mu.Lock()
 	c.warnMu.Lock()
-	last := s.foldCoverageLocked(c)
-	c.cov, c.covGen = m, next.gen
+	c.cov, c.ver = m, next
 	c.warnMu.Unlock()
 	s.mu.Unlock()
-	if last {
-		s.sweepIfSuperseded(c.ver)
-	}
-}
-
-// foldCoverageLocked ends session c's tenure on its version c.ver: c no
-// longer counts as running it, and c's coverage map folds into the
-// engine's retired bank if the generation is still retained (another
-// session runs it, or it is current) or is dropped otherwise. It
-// reports whether c was the last session on the version. The caller
-// holds s.mu and c.warnMu, so a concurrent aggregate sees c's counts
-// exactly once, either in the map or in the bank; it has published the
-// map's pending counts (adopt and Close publish first).
-func (s *Shared) foldCoverageLocked(c *Checker) (last bool) {
-	v := c.ver
-	n := v.sessions.Add(-1)
-	if c.cov != nil && (n > 0 || v == s.cur.Load()) {
-		c.cov.AddTo(s.bankFor(v))
-	}
-	return n == 0
-}
-
-// sweepIfSuperseded releases the retired coverage of v when v is no
-// longer the current generation. It is called after the last session
-// left v, without any lock held. Publish prunes the same way during its
-// grace walk, which covers a publication that lands after this check.
-func (s *Shared) sweepIfSuperseded(v *specVersion) {
-	if v == s.cur.Load() {
-		return
-	}
-	s.mu.Lock()
-	s.pruneLocked()
-	s.mu.Unlock()
-}
-
-// pruneLocked drops the retired coverage banks whose generation is no
-// longer retained. The caller holds s.mu.
-func (s *Shared) pruneLocked() {
-	cur := s.cur.Load()
-	s.retiredCov = slices.DeleteFunc(s.retiredCov, func(r retiredCoverage) bool {
-		return r.v != cur && r.v.sessions.Load() == 0
-	})
-}
-
-// bankFor returns the retired coverage bank for v, adding an empty one
-// if there is none. The caller holds s.mu.
-func (s *Shared) bankFor(v *specVersion) *coverage.Snapshot {
-	for i := range s.retiredCov {
-		if s.retiredCov[i].v == v {
-			return &s.retiredCov[i].snap
-		}
-	}
-	s.retiredCov = append(s.retiredCov, retiredCoverage{v: v})
-	return &s.retiredCov[len(s.retiredCov)-1].snap
 }
 
 // Sessions reports the number of open sessions.
@@ -497,59 +438,35 @@ func (s *Shared) ClearAudited(consumed []AuditRecord) {
 	}
 }
 
-// CoverageSnapshots aggregates ES-CFG coverage across every session,
-// open and retired, keyed by spec generation. Counter index spaces are
-// per-generation (each sealing assigns its own block and edge slots), so
-// cross-generation counts never mix. The engine keeps a generation's
-// counts only while it is retained: the current generation is always
-// reported, a superseded one only while an open session still runs it.
-// Safe to call while sessions run: counters only grow, so a concurrent
-// snapshot is a consistent lower bound; mu orders the read against a
-// concurrent fold (a session closing or adopting a new generation), so a
-// session's published counts are seen exactly once.
-func (s *Shared) CoverageSnapshots() map[uint64]*coverage.Snapshot {
-	return s.collectCoverage(0)
-}
+// Coverage aggregates the current generation's ES-CFG coverage across
+// every session, open and closed; nil when no closed session left counts
+// for it and no open session runs it with coverage on. Safe to call while
+// sessions run: counters only grow, so a concurrent snapshot is a
+// consistent lower bound; mu orders the read against a concurrent fold
+// (a session closing or adopting), so a session's published counts are
+// seen exactly once.
+func (s *Shared) Coverage() *coverage.Snapshot { return s.coverageOf(s.cur.Load()) }
 
-// collectCoverage merges the retired banks and open sessions' maps of
-// generation gen, or of every retained generation when gen is 0.
-func (s *Shared) collectCoverage(gen uint64) map[uint64]*coverage.Snapshot {
-	out := make(map[uint64]*coverage.Snapshot)
-	acc := func(g uint64) *coverage.Snapshot {
-		a := out[g]
-		if a == nil {
-			a = &coverage.Snapshot{}
-			out[g] = a
-		}
-		return a
-	}
+// coverageOf is Coverage for version v, which the caller loaded as
+// current.
+func (s *Shared) coverageOf(v *specVersion) *coverage.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.retiredCov {
-		r := &s.retiredCov[i]
-		if gen == 0 || r.v.gen == gen {
-			acc(r.v.gen).Merge(&r.snap)
-		}
+	var snap *coverage.Snapshot
+	if s.retiredGen == v.gen {
+		snap = s.retiredCov.Clone()
 	}
 	for _, c := range s.sessions {
 		c.warnMu.Lock()
-		if c.cov != nil && (gen == 0 || c.covGen == gen) {
-			c.cov.AddTo(acc(c.covGen))
+		if c.cov != nil && c.ver == v {
+			if snap == nil {
+				snap = &coverage.Snapshot{}
+			}
+			c.cov.AddTo(snap)
 		}
 		c.warnMu.Unlock()
 	}
-	return out
-}
-
-// CoverageProfile relates the current generation's aggregate coverage to
-// its sealed structure and training baseline; nil when coverage is
-// disabled.
-func (s *Shared) CoverageProfile() *coverage.Profile {
-	if s.cfg.covOff {
-		return nil
-	}
-	v := s.cur.Load()
-	return v.sealed.CoverageProfile(v.gen, s.collectCoverage(v.gen)[v.gen])
+	return snap
 }
 
 // Registry returns the observability registry the engine's sessions
@@ -582,25 +499,23 @@ func (s *Shared) EngineStatus() stream.EngineStatus {
 
 		WarningsDropped: s.Stats().WarningsDropped,
 	}
-	if !s.cfg.covOff {
-		if snap := s.collectCoverage(v.gen)[v.gen]; snap != nil {
-			cov := &stream.GenCoverage{
-				Generation:  v.gen,
-				TotalBlocks: v.sealed.NumBlocks(),
-				TotalEdges:  v.sealed.NumEdges(),
-			}
-			for _, n := range snap.Blocks {
-				if n != 0 {
-					cov.BlocksCovered++
-				}
-			}
-			for _, n := range snap.Edges {
-				if n != 0 {
-					cov.EdgesCovered++
-				}
-			}
-			es.Coverage = cov
+	if snap := s.coverageOf(v); snap != nil {
+		cov := &stream.GenCoverage{
+			Generation:  v.gen,
+			TotalBlocks: v.sealed.NumBlocks(),
+			TotalEdges:  v.sealed.NumEdges(),
 		}
+		for _, n := range snap.Blocks {
+			if n != 0 {
+				cov.BlocksCovered++
+			}
+		}
+		for _, n := range snap.Edges {
+			if n != 0 {
+				cov.EdgesCovered++
+			}
+		}
+		es.Coverage = cov
 	}
 	return es
 }

@@ -15,6 +15,7 @@ import (
 	"sedspec/internal/ir"
 	"sedspec/internal/machine"
 	"sedspec/internal/obs"
+	"sedspec/internal/obs/coverage"
 )
 
 // Hot-swap integration: compatibility gating, and the RCU publication
@@ -163,13 +164,14 @@ func TestSwapUnderHammer(t *testing.T) {
 		t.Errorf("engine rounds %d != recorder rounds %d", sh.Stats().Rounds, want.Rounds)
 	}
 
-	// Coverage retention after the race: only the current generation and
-	// the ones the quiesced sessions still run, then only the current one.
-	checkRetention(t, "after hammer", sh, chks)
+	// Coverage retention after the race: the current generation's counts
+	// are the quiesced sessions' that run it, then what they left closing.
+	ledger := &retentionLog{sh: sh, closed: make(map[uint64]*coverage.Snapshot)}
+	ledger.check(t, "after hammer", chks...)
 	for _, c := range chks {
-		c.Close()
+		ledger.close(c)
 	}
-	checkRetention(t, "after close", sh, nil)
+	ledger.check(t, "after close")
 }
 
 // buildSpanDev builds a device whose command window spans rounds: a

@@ -130,7 +130,7 @@ func New(opts Options) (*Daemon, error) {
 		}
 		d.hub.ResumeAt(lastSeq)
 		d.health.AddBaseline(rows)
-		d.health.SetJournal(j.Status)
+		d.health.SetJournal(j.Stats)
 		j.Attach(d.hub)
 		d.jrnl = j
 		srvOpts.History = j

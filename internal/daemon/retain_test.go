@@ -15,11 +15,13 @@ import (
 
 // TestDaemonCoverageRetentionBounded runs install / attach / detach /
 // enhance / rollback cycles against one enhancement-mode engine while
-// an idle session stays attached at the first generation. Every cycle
-// publishes three generations; what the engine reports and keeps must
-// stay within the current generation plus the generations its open
-// sessions run. Idle sessions never run a round, so each one runs the
-// generation that was current when it attached.
+// idle sessions stay attached at older generations (idle sessions never
+// run a round, so each one runs the generation that was current when it
+// attached). Every cycle publishes three generations. The engine's
+// coverage is the current generation's alone: after the mixed session
+// that feeds the enhance detaches, it counts exactly that session's
+// rounds, and after the rollback, which no session has run, it is nil,
+// so no superseded generation's counts reach it.
 func TestDaemonCoverageRetentionBounded(t *testing.T) {
 	const device = "fdc"
 	d, _ := newWarmDaemon(t)
@@ -29,48 +31,49 @@ func TestDaemonCoverageRetentionBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attachIdle := func() (*Session, uint64) {
+	sh := eng.shared
+	attachIdle := func() *Session {
 		t.Helper()
-		gen := eng.shared.Generation()
 		ss, err := tn.Attach(AttachRequest{Device: device, Workload: "idle"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss[0], gen
+		return ss[0]
 	}
-	long, longGen := attachIdle()
+	long := attachIdle()
 	var stay *Session
-	var stayGen uint64
 
 	const cycles = 30
 	for i := 0; i < cycles; i++ {
 		install(t, tn, InstallRequest{Device: device, Mode: "enhancement"}, true)
-		next, nextGen := attachIdle()
+		next := attachIdle()
 		if stay != nil {
 			if _, err := tn.Detach(stay.ID); err != nil {
 				t.Fatal(err)
 			}
 		}
-		stay, stayGen = next, nextGen
-		enhance(t, tn, device, i > 0)
+		stay = next
+
+		before := sh.Stats().Rounds
+		if err := auditMixed(tn, device); err != nil {
+			t.Fatal(err)
+		}
+		// Each checked round enters the entry block once.
+		rounds := sh.Stats().Rounds - before
+		if cov := sh.Coverage(); rounds == 0 || cov == nil || cov.Blocks[sh.Sealed().Entry] != rounds {
+			t.Fatalf("cycle %d: generation %d coverage %+v after the mixed session's %d rounds", i, sh.Generation(), cov, rounds)
+		}
+		if _, err := tn.Swap(SwapRequest{Device: device, Enhance: true}); err != nil {
+			t.Fatalf("cycle %d: enhance: %v", i, err)
+		}
 		rollback(t, tn, device, learned)
 
-		held := map[uint64]bool{eng.shared.Generation(): true, longGen: true, stayGen: true}
-		snaps := eng.shared.CoverageSnapshots()
-		for gen := range snaps {
-			if !held[gen] {
-				t.Fatalf("cycle %d: engine reports coverage of generation %d; current %d, open sessions run %d and %d",
-					i, gen, eng.shared.Generation(), longGen, stayGen)
-			}
-		}
-		if len(snaps) > len(held) {
-			t.Fatalf("cycle %d: %d generations reported, want at most %d", i, len(snaps), len(held))
-		}
-		if _, ok := snaps[longGen]; !ok {
-			t.Fatalf("cycle %d: generation %d dropped while an open session runs it", i, longGen)
+		if cov, es := sh.Coverage(), sh.EngineStatus(); cov != nil || es.Coverage != nil {
+			t.Fatalf("cycle %d: generation %d, which no session ran, reports coverage %+v (status %+v)",
+				i, sh.Generation(), cov, es.Coverage)
 		}
 	}
-	if got, want := eng.shared.Generation(), uint64(1+3*cycles); got != want {
+	if got, want := sh.Generation(), uint64(1+3*cycles); got != want {
 		t.Fatalf("generation = %d, want %d", got, want)
 	}
 	for _, s := range []*Session{long, stay} {
@@ -78,10 +81,8 @@ func TestDaemonCoverageRetentionBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps := eng.shared.CoverageSnapshots()
-	if _, ok := snaps[eng.shared.Generation()]; len(snaps) > 1 || (len(snaps) == 1 && !ok) {
-		t.Errorf("no session open: engine reports %d generations, want at most the current %d",
-			len(snaps), eng.shared.Generation())
+	if cov := sh.Coverage(); cov != nil {
+		t.Errorf("no session ran generation %d, yet it reports coverage %+v", sh.Generation(), cov)
 	}
 }
 
@@ -203,7 +204,7 @@ func TestDaemonEventRetentionBounded(t *testing.T) {
 	first := liveHeap(t, d)
 	run(2 * cycles)
 	last := liveHeap(t, d)
-	if st := d.Journal().Status(); st.Dropped != 0 {
+	if st := d.Journal().Stats(); st.Dropped != 0 {
 		t.Fatalf("journal dropped %d events", st.Dropped)
 	}
 	const bound = 256 << 10
@@ -218,9 +219,9 @@ func TestDaemonEventRetentionBounded(t *testing.T) {
 func liveHeap(t *testing.T, d *Daemon) uint64 {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for d.Journal().Status().LastSeq < d.hub.Seq() {
+	for d.Journal().Stats().LastSeq < d.hub.Seq() {
 		if time.Now().After(deadline) {
-			t.Fatalf("journal stuck at seq %d, hub at %d", d.Journal().Status().LastSeq, d.hub.Seq())
+			t.Fatalf("journal stuck at seq %d, hub at %d", d.Journal().Stats().LastSeq, d.hub.Seq())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -16,7 +16,7 @@
 // any time (Registry.Snapshot, Recorder.Snapshot) and see every round
 // the writer has published. The ring is NOT synchronized: it is read by
 // its own writer (the anomaly path freezes it into an AnomalyContext) or
-// after the session has quiesced (DumpTrace between experiments). This
+// after the session has quiesced (a test reading Ring between runs). This
 // keeps the steady-state record cost to one plain increment and one
 // 56-byte slot store.
 package obs

@@ -590,22 +590,8 @@ func (j *Journal) statsLocked() Stats {
 	return st
 }
 
-// Status shapes the journal's stats as the health aggregator's
-// JournalStatus, for Health.SetJournal.
-func (j *Journal) Status() stream.JournalStatus {
-	st := j.Stats()
-	return stream.JournalStatus{
-		Dir:         st.Dir,
-		Segments:    st.Segments,
-		Bytes:       st.Bytes,
-		Records:     st.Records,
-		LastSeq:     st.LastSeq,
-		Dropped:     st.Dropped,
-		Truncations: st.Truncations,
-		Fsyncs:      st.Fsyncs,
-		FsyncP99Us:  st.FsyncP99Us,
-	}
-}
+// Status is Stats under its older name.
+func (j *Journal) Status() Stats { return j.Stats() }
 
 // Close stops the writer (draining the subscription's remaining
 // backlog first), fsyncs the active segment, and closes it.

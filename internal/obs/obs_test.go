@@ -252,12 +252,13 @@ func TestFreezeAndTimeline(t *testing.T) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
 		}
 	}
+	// Freeze(0) renders the whole ring: a title, a header and 8 events.
 	var sb strings.Builder
-	if err := WriteTimeline(&sb, r.Ring().Snapshot()); err != nil {
+	if err := r.Freeze(0).WriteTimeline(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "blocked parameter-check") {
-		t.Errorf("ring timeline missing verdict:\n%s", sb.String())
+	if out := sb.String(); !strings.Contains(out, "blocked parameter-check") || strings.Count(out, "\n") != 2+8 {
+		t.Errorf("whole-ring timeline wants the verdict and 8 event lines:\n%s", out)
 	}
 }
 

@@ -111,24 +111,6 @@ type DeviceHealth struct {
 	Coverage *GenCoverage `json:"coverage,omitempty"`
 }
 
-// JournalStatus is the durable journal's contribution to a fleet
-// snapshot: on-disk footprint, write progress, and the health of the
-// write path itself (drops, torn-tail truncations, fsync latency).
-// Defined here rather than in the journal package so the aggregator
-// does not import its own consumer; the journal fills it via
-// Health.SetJournal.
-type JournalStatus struct {
-	Dir         string  `json:"dir"`
-	Segments    int     `json:"segments"`
-	Bytes       int64   `json:"bytes"`
-	Records     uint64  `json:"records"`
-	LastSeq     uint64  `json:"last_seq,omitempty"`
-	Dropped     uint64  `json:"dropped"`
-	Truncations uint64  `json:"truncations"`
-	Fsyncs      uint64  `json:"fsyncs"`
-	FsyncP99Us  float64 `json:"fsync_p99_us"`
-}
-
 // FleetSnapshot is the health aggregator's fold at one read: per-device
 // counters and quantiles, hub traffic, and the build identity of the
 // producing binary.
@@ -143,7 +125,7 @@ type FleetSnapshot struct {
 	Sessions int `json:"sessions"`
 	// Journal reports the durable journal's state when one is attached
 	// (Health.SetJournal); nil when the daemon runs without persistence.
-	Journal *JournalStatus `json:"journal,omitempty"`
+	Journal *JournalStats `json:"journal,omitempty"`
 }
 
 // Device returns the row for the named device (nil if absent).
@@ -189,7 +171,7 @@ type Health struct {
 	engines   []engineSource
 	engineSeq uint64
 	baselines []BaselineRow
-	journal   func() JournalStatus
+	journal   func() JournalStats
 }
 
 // NewHealth builds an aggregator over a registry and hub (both may be
@@ -239,7 +221,7 @@ func (h *Health) AddBaseline(rows []BaselineRow) {
 
 // SetJournal attaches the durable journal's status source; every
 // Snapshot carries its result. A nil src detaches.
-func (h *Health) SetJournal(src func() JournalStatus) {
+func (h *Health) SetJournal(src func() JournalStats) {
 	h.mu.Lock()
 	h.journal = src
 	h.mu.Unlock()

@@ -32,7 +32,9 @@ type History interface {
 	Stats() JournalStats
 }
 
-// JournalStats is a point-in-time summary of a disk journal.
+// JournalStats is a point-in-time summary of a disk journal: what
+// /journal?stats=1 answers and what a fleet snapshot carries
+// (Health.SetJournal).
 type JournalStats struct {
 	Dir          string  `json:"dir"`
 	Segments     int     `json:"segments"`

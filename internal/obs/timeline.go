@@ -42,7 +42,18 @@ func (c *AnomalyContext) WriteTimeline(w io.Writer) error {
 		fmt.Fprintf(bw, " (%d older events overwritten)", c.Dropped)
 	}
 	fmt.Fprintln(bw)
-	writeEvents(bw, c.Events)
+	fmt.Fprintf(bw, "%8s %12s %8s %4s %4s %8s %10s %6s %6s %10s  %s\n",
+		"seq", "tick", "round", "sess", "gen", "exit", "addr", "len", "steps", "block", "verdict")
+	for i := range c.Events {
+		ev := &c.Events[i]
+		verdict := ev.Verdict.String()
+		if ev.Verdict != VerdictOK {
+			verdict = fmt.Sprintf("%s %s", ev.Verdict, StrategyName(ev.Strategy))
+		}
+		fmt.Fprintf(bw, "%8d %12d %8d %4d %4d %8s %#10x %6d %6d %4d/%-5d  %s\n",
+			ev.Seq, ev.Tick, ev.Round, ev.Session, ev.SpecGen, ev.Kind, ev.Addr, ev.Len,
+			ev.Steps, ev.Handler, ev.Block, verdict)
+	}
 	return bw.Flush()
 }
 
@@ -51,27 +62,4 @@ func (c *AnomalyContext) String() string {
 	var sb strings.Builder
 	_ = c.WriteTimeline(&sb)
 	return sb.String()
-}
-
-// WriteTimeline renders a raw event slice (a ring snapshot) as the same
-// timeline AnomalyContext produces.
-func WriteTimeline(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	writeEvents(bw, events)
-	return bw.Flush()
-}
-
-func writeEvents(w io.Writer, events []Event) {
-	fmt.Fprintf(w, "%8s %12s %8s %4s %4s %8s %10s %6s %6s %10s  %s\n",
-		"seq", "tick", "round", "sess", "gen", "exit", "addr", "len", "steps", "block", "verdict")
-	for i := range events {
-		ev := &events[i]
-		verdict := ev.Verdict.String()
-		if ev.Verdict != VerdictOK {
-			verdict = fmt.Sprintf("%s %s", ev.Verdict, StrategyName(ev.Strategy))
-		}
-		fmt.Fprintf(w, "%8d %12d %8d %4d %4d %8s %#10x %6d %6d %4d/%-5d  %s\n",
-			ev.Seq, ev.Tick, ev.Round, ev.Session, ev.SpecGen, ev.Kind, ev.Addr, ev.Len,
-			ev.Steps, ev.Handler, ev.Block, verdict)
-	}
 }
